@@ -84,7 +84,12 @@ impl WayMask {
 
     /// Iterates over the contained way indices, ascending.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..64).filter(move |&i| (self.0 >> i) & 1 == 1)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let way = WayMask(bits).lowest()?;
+            bits &= bits - 1;
+            Some(way)
+        })
     }
 
     /// The lowest contained way, if any.
@@ -217,12 +222,14 @@ impl Geometry {
 
     /// Set index of `addr` (the "virtual index" when `addr` is virtual).
     pub fn index_of(&self, addr: u64) -> u64 {
-        (addr / self.line_bytes) & (self.sets - 1)
+        // Both are powers of two: shifts, not divisions, on the probe path.
+        (addr >> self.line_bytes.trailing_zeros()) & (self.sets - 1)
     }
 
     /// Tag of `addr` (the "physical tag" when `addr` is physical).
     pub fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.sets
+        let shift = self.line_bytes.trailing_zeros() + self.sets.trailing_zeros();
+        addr.checked_shr(shift).unwrap_or(0)
     }
 
     /// Byte offset of `addr` within its line.

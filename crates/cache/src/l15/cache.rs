@@ -15,7 +15,7 @@ use crate::geometry::{Geometry, WayMask};
 use crate::l15::mask::MaskLogic;
 use crate::l15::regs::ControlRegs;
 use crate::l15::sdu::{Sdu, SduEvent};
-use crate::sa::EvictedLine;
+use crate::sa::{AccessKind, AccessOutcome, EvictedLine, SetAssocCache, ALL_WAYS};
 use crate::stats::CacheStats;
 use crate::CacheError;
 
@@ -79,38 +79,21 @@ pub struct L15ConfigState {
     pub ip: Vec<InclusionPolicy>,
 }
 
-/// Outcome of an L1.5 lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct L15Outcome {
-    /// Whether a permitted way hit.
-    pub hit: bool,
-    /// Cycles spent in the L1.5.
-    pub latency: u32,
-    /// The way that hit, if any.
-    pub way: Option<usize>,
-}
-
-#[derive(Debug, Clone)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    data: Vec<u8>,
-}
+/// Outcome of an L1.5 lookup: whether a permitted way hit, the cycles
+/// spent in the L1.5, and the way that hit.
+pub type L15Outcome = AccessOutcome;
 
 /// The L1.5 cache of one computing cluster.
 #[derive(Debug, Clone)]
 pub struct L15Cache {
-    geo: Geometry,
     cfg: L15Config,
-    /// `lines[set][way]`.
-    lines: Vec<Vec<Line>>,
-    plru: Vec<crate::plru::TreePlru>,
+    /// The ways: lookups index by virtual and tag by physical address,
+    /// behind the masks the control registers yield.
+    lines: SetAssocCache,
     regs: ControlRegs,
     mask: MaskLogic,
     sdu: Sdu,
     ip: Vec<InclusionPolicy>,
-    stats: CacheStats,
     per_core_stats: Vec<CacheStats>,
 }
 
@@ -146,18 +129,13 @@ impl L15Cache {
         }
         let sets = cfg.way_bytes / cfg.line_bytes;
         let geo = Geometry::new(cfg.line_bytes, sets, cfg.ways)?;
-        let line =
-            |_| Line { valid: false, dirty: false, tag: 0, data: vec![0; cfg.line_bytes as usize] };
         Ok(L15Cache {
-            geo,
             cfg,
-            lines: (0..sets as usize).map(|_| (0..cfg.ways).map(line).collect()).collect(),
-            plru: (0..sets as usize).map(|_| crate::plru::TreePlru::new(cfg.ways)).collect(),
+            lines: SetAssocCache::new(geo, cfg.lat_min, cfg.lat_max),
             regs: ControlRegs::new(cfg.cores, cfg.ways),
             mask: MaskLogic::new(),
             sdu: Sdu::new(cfg.cores),
             ip: vec![InclusionPolicy::NonInclusive; cfg.ways],
-            stats: CacheStats::default(),
             per_core_stats: vec![CacheStats::default(); cfg.cores],
         })
     }
@@ -169,7 +147,7 @@ impl L15Cache {
 
     /// The derived geometry (sets × ways × line bytes).
     pub fn geometry(&self) -> &Geometry {
-        &self.geo
+        self.lines.geometry()
     }
 
     /// Shared control registers (read-only view).
@@ -179,7 +157,7 @@ impl L15Cache {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.lines.stats()
     }
 
     /// Statistics for one core.
@@ -457,19 +435,16 @@ impl L15Cache {
 
     // --- Data path -------------------------------------------------------
 
-    fn permitted_probe(&self, vaddr: u64, paddr: u64, allowed: WayMask) -> Option<usize> {
-        let set = self.geo.index_of(vaddr) as usize;
-        let tag = self.geo.tag_of(paddr);
-        // The hit checkers (XNOR on tag, AND with valid) run only on ways the
-        // mask logic passed through.
-        (0..self.cfg.ways).filter(|&w| allowed.contains(w)).find(|&w| {
-            let l = &self.lines[set][w];
-            l.valid && l.tag == tag
-        })
-    }
-
-    fn probe_latency(&self, depth: usize) -> u32 {
-        crate::sa::probe_latency_at(self.cfg.lat_min, self.cfg.lat_max, self.cfg.ways, depth)
+    /// One masked lookup for `core`: VIPT (`vaddr` indexes, `paddr` tags),
+    /// the hit checkers running only on the ways in `allowed`.
+    fn lookup(&mut self, core: usize, vaddr: u64, paddr: u64, allowed: WayMask) -> L15Outcome {
+        let out = self.lines.lookup(vaddr, paddr, allowed, AccessKind::Read);
+        if out.hit {
+            self.per_core_stats[core].record_hit();
+        } else {
+            self.per_core_stats[core].record_miss();
+        }
+        out
     }
 
     /// Read lookup for `core`: VIPT (`vaddr` indexes, `paddr` tags), masked
@@ -487,29 +462,11 @@ impl L15Cache {
         buf: &mut [u8],
     ) -> Result<L15Outcome, CacheError> {
         let allowed = self.mask.read_mask(&self.regs, core)?;
-        let hit = self.permitted_probe(vaddr, paddr, allowed);
-        let set = self.geo.index_of(vaddr) as usize;
-        match hit {
-            Some(way) => {
-                let off = self.geo.offset_of(vaddr) as usize;
-                if off + buf.len() <= self.cfg.line_bytes as usize {
-                    buf.copy_from_slice(&self.lines[set][way].data[off..off + buf.len()]);
-                }
-                self.plru[set].touch(way);
-                self.stats.record_hit();
-                self.per_core_stats[core].record_hit();
-                Ok(L15Outcome { hit: true, latency: self.probe_latency(way), way: Some(way) })
-            }
-            None => {
-                self.stats.record_miss();
-                self.per_core_stats[core].record_miss();
-                Ok(L15Outcome {
-                    hit: false,
-                    latency: self.probe_latency(self.cfg.ways - 1),
-                    way: None,
-                })
-            }
+        let out = self.lookup(core, vaddr, paddr, allowed);
+        if let (Some(way), Some(span)) = (out.way, self.lines.span(vaddr, buf.len())) {
+            buf.copy_from_slice(&self.lines.line(vaddr, way)[span]);
         }
+        Ok(out)
     }
 
     /// Write lookup for `core`, masked to the core's write-permitted ways
@@ -527,30 +484,11 @@ impl L15Cache {
         data: &[u8],
     ) -> Result<L15Outcome, CacheError> {
         let allowed = self.mask.write_mask(&self.regs, core)?;
-        let hit = self.permitted_probe(vaddr, paddr, allowed);
-        let set = self.geo.index_of(vaddr) as usize;
-        match hit {
-            Some(way) => {
-                let off = self.geo.offset_of(vaddr) as usize;
-                if off + data.len() <= self.cfg.line_bytes as usize {
-                    self.lines[set][way].data[off..off + data.len()].copy_from_slice(data);
-                    self.lines[set][way].dirty = true;
-                }
-                self.plru[set].touch(way);
-                self.stats.record_hit();
-                self.per_core_stats[core].record_hit();
-                Ok(L15Outcome { hit: true, latency: self.probe_latency(way), way: Some(way) })
-            }
-            None => {
-                self.stats.record_miss();
-                self.per_core_stats[core].record_miss();
-                Ok(L15Outcome {
-                    hit: false,
-                    latency: self.probe_latency(self.cfg.ways - 1),
-                    way: None,
-                })
-            }
+        let out = self.lookup(core, vaddr, paddr, allowed);
+        if let (Some(way), Some(span)) = (out.way, self.lines.span(vaddr, data.len())) {
+            self.lines.line_mut(vaddr, way)[span].copy_from_slice(data);
         }
+        Ok(out)
     }
 
     /// Installs a full line for `core` into one of its write-permitted ways,
@@ -575,79 +513,24 @@ impl L15Cache {
         data: &[u8],
         dirty: bool,
     ) -> Result<(Option<usize>, Option<EvictedLine>), CacheError> {
-        assert_eq!(data.len(), self.cfg.line_bytes as usize, "fill requires exactly one line");
         let allowed = self.mask.write_mask(&self.regs, core)?;
-        let set = self.geo.index_of(vaddr) as usize;
-        let tag = self.geo.tag_of(paddr);
-        // Refresh a resident permitted line in place.
-        if let Some(way) = self.permitted_probe(vaddr, paddr, allowed) {
-            let line = &mut self.lines[set][way];
-            line.data.copy_from_slice(data);
-            line.dirty |= dirty;
-            self.plru[set].touch(way);
-            return Ok((Some(way), None));
-        }
-        // Prefer an invalid allowed way.
-        let victim = (0..self.cfg.ways)
-            .find(|&w| allowed.contains(w) && !self.lines[set][w].valid)
-            .or_else(|| self.plru[set].victim_in(allowed));
-        let Some(way) = victim else {
-            return Ok((None, None));
-        };
-        let line = &mut self.lines[set][way];
-        let evicted = if line.valid && line.dirty {
-            Some(EvictedLine {
-                addr: self.geo.addr_of(line.tag, set as u64),
-                data: line.data.clone(),
-            })
-        } else {
-            None
-        };
-        line.valid = true;
-        line.dirty = dirty;
-        line.tag = tag;
-        line.data.copy_from_slice(data);
-        self.plru[set].touch(way);
-        self.stats.record_fill();
-        Ok((Some(way), evicted))
+        Ok(match self.lines.install(vaddr, paddr, data, allowed, allowed, dirty) {
+            Some((way, evicted)) => (Some(way), evicted),
+            None => (None, None),
+        })
     }
 
     /// Invalidates every line of `way`, returning dirty lines for
     /// write-back.
     fn purge_way(&mut self, way: usize) -> Vec<EvictedLine> {
-        let mut dirty = Vec::new();
-        for set in 0..self.lines.len() {
-            let line = &mut self.lines[set][way];
-            if line.valid && line.dirty {
-                dirty.push(EvictedLine {
-                    addr: self.geo.addr_of(line.tag, set as u64),
-                    data: line.data.clone(),
-                });
-            }
-            line.valid = false;
-            line.dirty = false;
-        }
-        dirty
+        self.lines.sweep(WayMask::single(way), true)
     }
 
     /// Writes back every dirty line (leaving lines valid and clean) without
     /// disturbing way ownership — software cache maintenance used before
     /// host-level result inspection.
     pub fn flush_dirty(&mut self) -> Vec<EvictedLine> {
-        let mut dirty = Vec::new();
-        for set in 0..self.lines.len() {
-            for way in 0..self.cfg.ways {
-                let line = &mut self.lines[set][way];
-                if line.valid && line.dirty {
-                    dirty.push(EvictedLine {
-                        addr: self.geo.addr_of(line.tag, set as u64),
-                        data: line.data.clone(),
-                    });
-                    line.dirty = false;
-                }
-            }
-        }
-        dirty
+        self.lines.sweep(ALL_WAYS, false)
     }
 
     /// Back-invalidates every resident copy of the line at
@@ -659,28 +542,12 @@ impl L15Cache {
     /// copies, or later reads through a GV-shared way would return
     /// pre-write data.
     pub fn invalidate_line(&mut self, vaddr: u64, paddr: u64) -> Option<EvictedLine> {
-        let set = self.geo.index_of(vaddr) as usize;
-        let tag = self.geo.tag_of(paddr);
-        let mut dropped = None;
-        for way in 0..self.cfg.ways {
-            let line = &mut self.lines[set][way];
-            if line.valid && line.tag == tag {
-                if line.dirty && dropped.is_none() {
-                    dropped = Some(EvictedLine {
-                        addr: self.geo.addr_of(tag, set as u64),
-                        data: line.data.clone(),
-                    });
-                }
-                line.valid = false;
-                line.dirty = false;
-            }
-        }
-        dropped
+        self.lines.invalidate_all(vaddr, paddr)
     }
 
     /// Number of valid lines currently buffered (occupancy diagnostics).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().flat_map(|s| s.iter()).filter(|l| l.valid).count()
+        self.lines.valid_lines()
     }
 }
 

@@ -9,6 +9,13 @@ use std::collections::HashMap;
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
+/// The page holding `addr`, the offset of `addr` in it, and how many of
+/// `len` bytes starting there stay inside that page.
+fn page_span(addr: u64, len: usize) -> (u64, usize, usize) {
+    let off = (addr as usize) & (PAGE_SIZE - 1);
+    (addr >> PAGE_BITS, off, len.min(PAGE_SIZE - off))
+}
+
 /// Sparse main-memory model.
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
@@ -30,22 +37,28 @@ impl MainMemory {
 
     /// Reads `buf.len()` bytes starting at `addr`. Unwritten memory reads as
     /// zero.
-    pub fn read(&self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            let page = a >> PAGE_BITS;
-            let off = (a as usize) & (PAGE_SIZE - 1);
-            *b = self.pages.get(&page).map_or(0, |p| p[off]);
+    pub fn read(&self, mut addr: u64, mut buf: &mut [u8]) {
+        while !buf.is_empty() {
+            let (page, off, n) = page_span(addr, buf.len());
+            let (head, rest) = buf.split_at_mut(n);
+            match self.pages.get(&page) {
+                Some(p) => head.copy_from_slice(&p[off..off + n]),
+                None => head.fill(0),
+            }
+            addr = addr.wrapping_add(n as u64);
+            buf = rest;
         }
     }
 
     /// Writes `data` starting at `addr`, allocating pages on demand.
-    pub fn write(&mut self, addr: u64, data: &[u8]) {
-        for (i, &b) in data.iter().enumerate() {
-            let a = addr + i as u64;
-            let page = a >> PAGE_BITS;
-            let off = (a as usize) & (PAGE_SIZE - 1);
-            self.pages.entry(page).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))[off] = b;
+    pub fn write(&mut self, mut addr: u64, mut data: &[u8]) {
+        while !data.is_empty() {
+            let (page, off, n) = page_span(addr, data.len());
+            let (head, rest) = data.split_at(n);
+            let p = self.pages.entry(page).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            p[off..off + n].copy_from_slice(head);
+            addr = addr.wrapping_add(n as u64);
+            data = rest;
         }
     }
 

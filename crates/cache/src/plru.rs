@@ -13,9 +13,10 @@ use crate::geometry::WayMask;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreePlru {
     ways: usize,
-    /// Tree nodes; `bits[i] == false` points to the left subtree as the
-    /// colder half. Index 0 is the root; children of `i` are `2i+1`, `2i+2`.
-    bits: Vec<bool>,
+    /// Tree nodes, one bit each (at most 63 for 64 ways): a clear bit `i`
+    /// points to the left subtree as the colder half. Bit 0 is the root;
+    /// children of `i` are `2i+1`, `2i+2`.
+    bits: u64,
     /// Number of leaves = ways rounded up to a power of two.
     leaves: usize,
 }
@@ -29,7 +30,7 @@ impl TreePlru {
     pub fn new(ways: usize) -> Self {
         assert!(ways > 0 && ways <= 64, "ways must be in 1..=64");
         let leaves = ways.next_power_of_two();
-        TreePlru { ways, bits: vec![false; leaves.saturating_sub(1)], leaves }
+        TreePlru { ways, bits: 0, leaves }
     }
 
     /// Number of ways covered.
@@ -43,6 +44,7 @@ impl TreePlru {
     /// # Panics
     ///
     /// Panics if `way >= self.ways()`.
+    #[inline]
     pub fn touch(&mut self, way: usize) {
         assert!(way < self.ways, "way {way} out of range");
         if self.leaves == 1 {
@@ -56,7 +58,7 @@ impl TreePlru {
             let mid = (lo + hi) / 2;
             let right = way >= mid;
             // Point the bit at the *other* half (the one not just used).
-            self.bits[node] = !right;
+            self.bits = (self.bits & !(1 << node)) | (u64::from(!right) << node);
             if hi - lo == 2 {
                 break;
             }
@@ -108,7 +110,7 @@ impl TreePlru {
             let has_left = self.half_has_allowed(allowed, lo, mid);
             let has_right = self.half_has_allowed(allowed, mid, hi);
             let go_right = match (has_left, has_right) {
-                (true, true) => self.bits.get(node).copied().unwrap_or(false),
+                (true, true) => (self.bits >> node) & 1 == 1,
                 (false, true) => true,
                 (true, false) => false,
                 (false, false) => return None,

@@ -21,21 +21,6 @@ pub enum AccessKind {
     Write,
 }
 
-/// One cache line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    data: Vec<u8>,
-}
-
-impl Line {
-    fn empty(line_bytes: u64) -> Self {
-        Line { valid: false, dirty: false, tag: 0, data: vec![0; line_bytes as usize] }
-    }
-}
-
 /// A dirty line evicted by a fill; must be written back to the next level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvictedLine {
@@ -74,17 +59,33 @@ pub struct AccessOutcome {
     pub way: Option<usize>,
 }
 
+#[derive(Debug, Clone, Copy, Default)]
+struct Meta {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+}
+
 /// A set-associative, write-back, write-allocate cache.
+///
+/// Tags and state sit in one array and the line contents in one contiguous
+/// slab; line `(set, way)` is slot `set * ways + way` of both. The
+/// crate-internal entry points take the index and the tag address apart
+/// and a mask of the ways they may use — the [`L15Cache`](crate::l15) is
+/// this array behind its VIPT addressing and mask logic.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geo: Geometry,
-    /// `lines[set][way]`.
-    lines: Vec<Vec<Line>>,
+    meta: Vec<Meta>,
+    data: Vec<u8>,
     plru: Vec<TreePlru>,
-    lat_min: u32,
-    lat_max: u32,
+    /// [`probe_latency_at`] for every way depth, so a probe divides nothing.
+    latency: Vec<u32>,
     stats: CacheStats,
 }
+
+/// Lookups and fills without an explicit mask may use every way.
+pub(crate) const ALL_WAYS: WayMask = WayMask(u64::MAX);
 
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry and latency band.
@@ -94,15 +95,13 @@ impl SetAssocCache {
     /// Panics if `lat_min > lat_max`.
     pub fn new(geo: Geometry, lat_min: u32, lat_max: u32) -> Self {
         assert!(lat_min <= lat_max, "latency band must be ordered");
-        let sets = geo.sets() as usize;
+        let (sets, ways) = (geo.sets() as usize, geo.ways());
         SetAssocCache {
             geo,
-            lines: (0..sets)
-                .map(|_| (0..geo.ways()).map(|_| Line::empty(geo.line_bytes())).collect())
-                .collect(),
-            plru: (0..sets).map(|_| TreePlru::new(geo.ways())).collect(),
-            lat_min,
-            lat_max,
+            meta: vec![Meta::default(); sets * ways],
+            data: vec![0; sets * ways * geo.line_bytes() as usize],
+            plru: vec![TreePlru::new(ways); sets],
+            latency: (0..ways).map(|d| probe_latency_at(lat_min, lat_max, ways, d)).collect(),
             stats: CacheStats::default(),
         }
     }
@@ -122,45 +121,118 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    /// Latency charged for a probe that resolves at way-depth `d` (0-based).
-    fn probe_latency(&self, d: usize) -> u32 {
-        probe_latency_at(self.lat_min, self.lat_max, self.geo.ways(), d)
+    fn set_of(&self, addr: u64) -> usize {
+        self.geo.index_of(addr) as usize
+    }
+
+    #[inline]
+    fn slot(&self, set: usize, way: usize) -> usize {
+        assert!(way < self.geo.ways(), "way {way} out of range");
+        set * self.geo.ways() + way
+    }
+
+    /// The lowest way of `set` in `allowed` whose line satisfies `pred`.
+    #[inline]
+    fn way_where(
+        &self,
+        set: usize,
+        allowed: WayMask,
+        pred: impl Fn(&Meta) -> bool,
+    ) -> Option<usize> {
+        let ways = self.geo.ways();
+        self.meta[set * ways..(set + 1) * ways]
+            .iter()
+            .enumerate()
+            .position(|(w, m)| pred(m) && allowed.contains(w))
+    }
+
+    /// The hit checkers (XNOR on tag, AND with valid) behind a way mask.
+    #[inline]
+    fn find(&self, index_addr: u64, tag_addr: u64, allowed: WayMask) -> Option<usize> {
+        let tag = self.geo.tag_of(tag_addr);
+        self.way_where(self.set_of(index_addr), allowed, |m| m.valid && m.tag == tag)
     }
 
     /// Probes for `addr` without touching replacement state or statistics.
     pub fn probe(&self, addr: u64) -> Option<usize> {
-        let set = self.geo.index_of(addr) as usize;
-        let tag = self.geo.tag_of(addr);
-        self.lines[set].iter().position(|l| l.valid && l.tag == tag)
+        self.find(addr, addr, ALL_WAYS)
     }
 
     /// Performs a read or write probe for `addr`, updating PLRU and stats.
     ///
-    /// On a write hit the line is marked dirty (write-back). On a miss the
-    /// caller is expected to consult the next level and then [`fill`] the
-    /// line (write-allocate).
+    /// On a hit the outcome carries the way, which [`line`](Self::line) /
+    /// [`line_mut`](Self::line_mut) turn into the line's bytes without a
+    /// second probe; a write hit marks the line dirty (write-back). On a
+    /// miss the caller is expected to consult the next level and then
+    /// [`fill`] the line (write-allocate).
     ///
     /// [`fill`]: Self::fill
+    #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
-        let set = self.geo.index_of(addr) as usize;
-        match self.probe(addr) {
+        self.lookup(addr, addr, ALL_WAYS, kind)
+    }
+
+    /// [`access`](Self::access) with the set taken from `index_addr`, the
+    /// tag from `tag_addr`, and only the ways in `allowed` checked.
+    #[inline]
+    pub(crate) fn lookup(
+        &mut self,
+        index_addr: u64,
+        tag_addr: u64,
+        allowed: WayMask,
+        kind: AccessKind,
+    ) -> AccessOutcome {
+        let set = self.set_of(index_addr);
+        let way = self.find(index_addr, tag_addr, allowed);
+        let depth = match way {
             Some(way) => {
                 self.plru[set].touch(way);
                 if kind == AccessKind::Write {
-                    self.lines[set][way].dirty = true;
+                    let slot = self.slot(set, way);
+                    self.meta[slot].dirty = true;
                 }
                 self.stats.record_hit();
-                AccessOutcome { hit: true, latency: self.probe_latency(way), way: Some(way) }
+                way
             }
             None => {
                 self.stats.record_miss();
-                AccessOutcome {
-                    hit: false,
-                    latency: self.probe_latency(self.geo.ways() - 1),
-                    way: None,
-                }
+                self.geo.ways() - 1
             }
-        }
+        };
+        AccessOutcome { hit: way.is_some(), latency: self.latency[depth], way }
+    }
+
+    /// The bytes of the line in `way` of `addr`'s set — the line holding
+    /// `addr` when `way` came from [`access`](Self::access) or
+    /// [`probe`](Self::probe).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of range.
+    #[inline]
+    pub fn line(&self, addr: u64, way: usize) -> &[u8] {
+        let n = self.geo.line_bytes() as usize;
+        &self.data[self.slot(self.set_of(addr), way) * n..][..n]
+    }
+
+    /// Mutable [`line`](Self::line); the line is marked dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of range.
+    #[inline]
+    pub fn line_mut(&mut self, addr: u64, way: usize) -> &mut [u8] {
+        let slot = self.slot(self.set_of(addr), way);
+        self.meta[slot].dirty = true;
+        let n = self.geo.line_bytes() as usize;
+        &mut self.data[slot * n..][..n]
+    }
+
+    /// The span `len` bytes from `addr` cover within their line, unless
+    /// they cross its end.
+    pub(crate) fn span(&self, addr: u64, len: usize) -> Option<std::ops::Range<usize>> {
+        let off = self.geo.offset_of(addr) as usize;
+        (off + len <= self.geo.line_bytes() as usize).then_some(off..off + len)
     }
 
     /// Reads `buf.len()` bytes starting at `addr` from a resident line.
@@ -168,13 +240,10 @@ impl SetAssocCache {
     /// Returns `false` (leaving `buf` untouched) when the line is absent or
     /// the range crosses the line boundary.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> bool {
-        let Some(way) = self.probe(addr) else { return false };
-        let off = self.geo.offset_of(addr) as usize;
-        if off + buf.len() > self.geo.line_bytes() as usize {
+        let (Some(way), Some(span)) = (self.probe(addr), self.span(addr, buf.len())) else {
             return false;
-        }
-        let set = self.geo.index_of(addr) as usize;
-        buf.copy_from_slice(&self.lines[set][way].data[off..off + buf.len()]);
+        };
+        buf.copy_from_slice(&self.line(addr, way)[span]);
         true
     }
 
@@ -183,21 +252,16 @@ impl SetAssocCache {
     /// Returns `false` when the line is absent or the range crosses the line
     /// boundary.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> bool {
-        let Some(way) = self.probe(addr) else { return false };
-        let off = self.geo.offset_of(addr) as usize;
-        if off + data.len() > self.geo.line_bytes() as usize {
+        let (Some(way), Some(span)) = (self.probe(addr), self.span(addr, data.len())) else {
             return false;
-        }
-        let set = self.geo.index_of(addr) as usize;
-        let line = &mut self.lines[set][way];
-        line.data[off..off + data.len()].copy_from_slice(data);
-        line.dirty = true;
+        };
+        self.line_mut(addr, way)[span].copy_from_slice(data);
         true
     }
 
     /// Installs the line containing `addr` with `data` (one full line),
     /// evicting the PLRU victim. `allowed` optionally restricts the victim
-    /// ways (used by the L1.5's masked fills; `None` = all ways).
+    /// ways (`None` = all ways).
     ///
     /// Returns a dirty evicted line, if any, which the caller must write
     /// back. Returns `None` for both "clean eviction" and "no eviction".
@@ -211,77 +275,92 @@ impl SetAssocCache {
         data: &[u8],
         allowed: Option<WayMask>,
     ) -> Option<EvictedLine> {
-        assert_eq!(
-            data.len(),
-            self.geo.line_bytes() as usize,
-            "fill requires exactly one line of data"
-        );
-        let set = self.geo.index_of(addr) as usize;
-        let tag = self.geo.tag_of(addr);
-        // Refill of a resident line just refreshes the data.
-        if let Some(way) = self.probe(addr) {
-            let line = &mut self.lines[set][way];
-            line.data.copy_from_slice(data);
-            self.plru[set].touch(way);
+        self.install(addr, addr, data, ALL_WAYS, allowed.unwrap_or(ALL_WAYS), false)?.1
+    }
+
+    /// [`fill`](Self::fill) with the index and tag addresses apart: a copy
+    /// resident in `resident_in` is refreshed in place (and dirtied if
+    /// `dirty`), else the line goes to the lowest invalid way of
+    /// `victim_in` or its PLRU victim. Returns the way used and the dirty
+    /// line it displaced, or `None` when `victim_in` offers no way.
+    pub(crate) fn install(
+        &mut self,
+        index_addr: u64,
+        tag_addr: u64,
+        data: &[u8],
+        resident_in: WayMask,
+        victim_in: WayMask,
+        dirty: bool,
+    ) -> Option<(usize, Option<EvictedLine>)> {
+        let n = self.geo.line_bytes() as usize;
+        assert_eq!(data.len(), n, "fill requires exactly one line of data");
+        let set = self.set_of(index_addr);
+        let resident = self.find(index_addr, tag_addr, resident_in);
+        let way = resident
+            .or_else(|| self.way_where(set, victim_in, |m| !m.valid))
+            .or_else(|| self.plru[set].victim_in(victim_in))?;
+        let slot = self.slot(set, way);
+        let mut evicted = None;
+        if resident.is_none() {
+            evicted = self.take_dirty(set, way);
+            self.meta[slot] = Meta { tag: self.geo.tag_of(tag_addr), valid: true, dirty: false };
+            self.stats.record_fill();
+        }
+        self.meta[slot].dirty |= dirty;
+        self.data[slot * n..][..n].copy_from_slice(data);
+        self.plru[set].touch(way);
+        Some((way, evicted))
+    }
+
+    /// The contents of `(set, way)` if it holds a dirty line, which is
+    /// left valid and clean.
+    fn take_dirty(&mut self, set: usize, way: usize) -> Option<EvictedLine> {
+        let slot = self.slot(set, way);
+        let m = &mut self.meta[slot];
+        if !(m.valid && m.dirty) {
             return None;
         }
-        let allowed = allowed.unwrap_or_else(|| WayMask::first_n(self.geo.ways()));
-        // Prefer an invalid allowed way before evicting.
-        let victim = self.lines[set]
-            .iter()
-            .enumerate()
-            .find(|(w, l)| !l.valid && allowed.contains(*w))
-            .map(|(w, _)| w)
-            .or_else(|| self.plru[set].victim_in(allowed))?;
-        let line = &mut self.lines[set][victim];
-        let evicted = if line.valid && line.dirty {
-            Some(EvictedLine {
-                addr: self.geo.addr_of(line.tag, set as u64),
-                data: line.data.clone(),
-            })
-        } else {
-            None
-        };
-        line.valid = true;
-        line.dirty = false;
-        line.tag = tag;
-        line.data.copy_from_slice(data);
-        self.plru[set].touch(victim);
-        self.stats.record_fill();
-        evicted
+        m.dirty = false;
+        let addr = self.geo.addr_of(m.tag, set as u64);
+        let n = self.geo.line_bytes() as usize;
+        Some(EvictedLine { addr, data: self.data[slot * n..][..n].to_vec() })
     }
 
     /// Invalidates the line containing `addr`, returning it if it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
-        let way = self.probe(addr)?;
-        let set = self.geo.index_of(addr) as usize;
-        let line = &mut self.lines[set][way];
-        line.valid = false;
-        if line.dirty {
-            line.dirty = false;
-            Some(EvictedLine {
-                addr: self.geo.addr_of(line.tag, set as u64),
-                data: line.data.clone(),
-            })
-        } else {
-            None
+        self.invalidate_all(addr, addr)
+    }
+
+    /// Invalidates every copy of the line indexed by `index_addr` and
+    /// tagged by `tag_addr` (a masked array can hold several), returning
+    /// the first dirty one's contents.
+    pub(crate) fn invalidate_all(&mut self, index_addr: u64, tag_addr: u64) -> Option<EvictedLine> {
+        let set = self.set_of(index_addr);
+        let mut dropped = None;
+        while let Some(way) = self.find(index_addr, tag_addr, ALL_WAYS) {
+            let contents = self.take_dirty(set, way);
+            dropped = dropped.or(contents);
+            let slot = self.slot(set, way);
+            self.meta[slot].valid = false;
         }
+        dropped
     }
 
     /// Invalidates the whole cache, returning all dirty lines for write-back.
     pub fn flush(&mut self) -> Vec<EvictedLine> {
+        self.sweep(ALL_WAYS, true)
+    }
+
+    /// Hands back every dirty line in `ways`, set by set, leaving the lines
+    /// clean — and invalid if `invalidate`.
+    pub(crate) fn sweep(&mut self, ways: WayMask, invalidate: bool) -> Vec<EvictedLine> {
+        let ways = ways.intersect(WayMask::first_n(self.geo.ways()));
         let mut dirty = Vec::new();
-        for set in 0..self.lines.len() {
-            for way in 0..self.geo.ways() {
-                let line = &mut self.lines[set][way];
-                if line.valid && line.dirty {
-                    dirty.push(EvictedLine {
-                        addr: self.geo.addr_of(line.tag, set as u64),
-                        data: line.data.clone(),
-                    });
-                }
-                line.valid = false;
-                line.dirty = false;
+        for set in 0..self.geo.sets() as usize {
+            for way in ways.iter() {
+                dirty.extend(self.take_dirty(set, way));
+                let slot = self.slot(set, way);
+                self.meta[slot].valid &= !invalidate;
             }
         }
         dirty
@@ -289,7 +368,7 @@ impl SetAssocCache {
 
     /// Number of currently valid lines (occupancy).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().flat_map(|s| s.iter()).filter(|l| l.valid).count()
+        self.meta.iter().filter(|m| m.valid).count()
     }
 }
 

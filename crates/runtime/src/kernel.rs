@@ -172,6 +172,10 @@ pub fn run_task(
 
     let mut state = vec![NodeState::Pending; n];
     state[dag.source().0] = NodeState::Ready;
+    // How many nodes are `Ready` and how many cluster cores hold no node:
+    // the dispatch scan below only runs while both are non-zero.
+    let mut ready = 1usize;
+    let mut idle = cores.len();
     // Cycle at which each node became ready (its latest predecessor's
     // completion): an idle core picking the node up fast-forwards there.
     let mut ready_cycle = vec![0u64; n];
@@ -202,9 +206,12 @@ pub fn run_task(
         }
 
         // --- Dispatch ready nodes to idle cores ------------------------
-        while let Some(&core) =
-            cores.iter().find(|&&c| core_node[c].is_none() && soc.core(c).is_halted())
-        {
+        while ready > 0 && idle > 0 {
+            let Some(&core) =
+                cores.iter().find(|&&c| core_node[c].is_none() && soc.core(c).is_halted())
+            else {
+                break;
+            };
             // Highest-priority ready node.
             let Some(v) = (0..n)
                 .filter(|&i| state[i] == NodeState::Ready)
@@ -213,6 +220,8 @@ pub fn run_task(
             else {
                 break;
             };
+            ready -= 1;
+            idle -= 1;
 
             let lane = core % cpc;
             if has_l15 {
@@ -315,6 +324,7 @@ pub fn run_task(
         // --- Completion handling -----------------------------------------
         if soc.core(core).is_halted() {
             let v = core_node[core].take().expect("core was running a node");
+            idle += 1;
             let lane = core % cpc;
             let finish = soc.clock(core);
             node_finish[v.0] = finish;
@@ -373,6 +383,7 @@ pub fn run_task(
                 ready_cycle[s.0] = ready_cycle[s.0].max(finish);
                 if preds_left[s.0] == 0 && state[s.0] == NodeState::Pending {
                     state[s.0] = NodeState::Ready;
+                    ready += 1;
                 }
             }
             if has_l15 {

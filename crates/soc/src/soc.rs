@@ -19,6 +19,9 @@ pub struct Soc {
     cores: Vec<Core>,
     uncore: Uncore,
     clocks: Vec<u64>,
+    /// Running `max(clocks)`: clocks only ever grow, and only through
+    /// [`Soc::step_core`] and [`Soc::advance_clock`], which keep it.
+    global: u64,
 }
 
 impl Soc {
@@ -36,6 +39,7 @@ impl Soc {
             cores: (0..n).map(|i| Core::with_timing(i, reset_pc, timing)).collect(),
             uncore: Uncore::new(cfg),
             clocks: vec![0; n],
+            global: 0,
         }
     }
 
@@ -83,7 +87,7 @@ impl Soc {
 
     /// Global time: the maximum core clock.
     pub fn global_cycle(&self) -> u64 {
-        self.clocks.iter().copied().max().unwrap_or(0)
+        self.global
     }
 
     /// Fast-forwards core `i`'s clock to at least `cycle` (an idle core
@@ -95,6 +99,7 @@ impl Soc {
     pub fn advance_clock(&mut self, i: usize, cycle: u64) {
         if self.clocks[i] < cycle {
             self.clocks[i] = cycle;
+            self.global = self.global.max(cycle);
         }
     }
 
@@ -121,6 +126,7 @@ impl Soc {
             });
         }
         self.clocks[i] += out.cycles as u64;
+        self.global = self.global.max(self.clocks[i]);
         self.uncore.advance(out.cycles);
         out
     }

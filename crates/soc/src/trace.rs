@@ -146,6 +146,9 @@ pub struct Trace {
     counters: TraceCounters,
     dropped: u64,
     sink: Box<dyn TraceSink>,
+    /// `sink.enabled()`, read once when the sink is attached: every
+    /// instrumentation point tests this field, not the trait object.
+    sink_on: bool,
 }
 
 impl Default for Trace {
@@ -165,24 +168,27 @@ impl Trace {
             counters: TraceCounters::default(),
             dropped: 0,
             sink: Box::new(NullSink),
+            sink_on: false,
         }
     }
 
     /// Attaches a flight-recorder sink (e.g. `l15_trace::FlightRecorder`).
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
+        self.sink_on = sink.enabled();
         self.sink = sink;
     }
 
     /// Detaches the sink (replacing it with [`NullSink`]), returning it so
     /// the caller can downcast and read the recording.
     pub fn take_sink(&mut self) -> Box<dyn TraceSink> {
+        self.sink_on = false;
         std::mem::replace(&mut self.sink, Box::new(NullSink))
     }
 
     /// Whether the attached sink wants events. Instrumentation points that
     /// would do non-trivial work to build an event must check this first.
     pub fn sink_enabled(&self) -> bool {
-        self.sink.enabled()
+        self.sink_on
     }
 
     /// Emits a flight-recorder event stamped with the current cycle.
@@ -192,7 +198,7 @@ impl Trace {
 
     /// Emits a flight-recorder event with an explicit cycle stamp.
     pub fn emit_at(&mut self, cycle: u64, kind: EventKind) {
-        if self.sink.enabled() {
+        if self.sink_on {
             self.sink.emit(l15_trace::TraceEvent { cycle, kind });
         }
     }
@@ -245,6 +251,7 @@ impl Trace {
     }
 
     /// Records one event (counter always; ring only when enabled).
+    #[inline]
     pub fn record(&mut self, kind: TraceEventKind) {
         match kind {
             TraceEventKind::Fetch { served, .. } => {
@@ -275,7 +282,7 @@ impl Trace {
             }
             self.ring.push_back(TraceEvent { cycle: self.now, kind });
         }
-        if self.sink.enabled() {
+        if self.sink_on {
             let kind = recorder_kind(kind);
             self.sink.emit(l15_trace::TraceEvent { cycle: self.now, kind });
         }

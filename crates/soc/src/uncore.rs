@@ -19,9 +19,9 @@
 //! victims fall through to L2 and memory respectively.
 
 use l15_cache::geometry::{Geometry, WayMask};
-use l15_cache::l15::{InclusionPolicy, L15Cache, L15Config};
+use l15_cache::l15::{InclusionPolicy, L15Cache, L15Config, L15ConfigState, SduEvent};
 use l15_cache::mem::MainMemory;
-use l15_cache::sa::{AccessKind, SetAssocCache};
+use l15_cache::sa::{AccessKind, EvictedLine, SetAssocCache};
 use l15_cache::stats::CacheStats;
 use l15_cache::CacheError;
 use l15_rvcore::bus::{CtrlAccess, MemAccess, SystemBus};
@@ -61,6 +61,67 @@ pub struct ClusterStats {
     pub l15: CacheStats,
 }
 
+/// The levels every cluster shares: the L2 and the external memory behind
+/// it. A field of its own so the clusters' caches can be borrowed beside it.
+#[derive(Debug, Clone)]
+struct Below {
+    l2: SetAssocCache,
+    mem: MainMemory,
+    /// Line transfers to or from external memory.
+    mem_lines: u64,
+}
+
+impl Below {
+    /// Reads the line at base address `base` into `line`, allocating it in
+    /// the L2 on a miss. Returns `(cycles, serving level)`.
+    fn read_line(&mut self, base: u64, line: &mut [u8]) -> (u32, ServedBy) {
+        let out = self.l2.access(base, AccessKind::Read);
+        if let Some(way) = out.way {
+            line.copy_from_slice(self.l2.line(base, way));
+            return (out.latency, ServedBy::L2);
+        }
+        self.mem.read(base, line);
+        self.mem_lines += 1;
+        if let Some(victim) = self.l2.fill(base, line, None) {
+            self.mem.write(victim.addr, &victim.data);
+            self.mem_lines += 1;
+        }
+        (out.latency + self.mem.latency(), ServedBy::Memory)
+    }
+
+    /// Writes one dirty line into the L2 (allocating if absent), spilling
+    /// L2 victims to memory.
+    fn write_back(&mut self, addr: u64, data: &[u8]) {
+        if let Some(way) = self.l2.probe(addr) {
+            self.l2.line_mut(addr, way).copy_from_slice(data);
+            return;
+        }
+        if let Some(victim) = self.l2.fill(addr, data, None) {
+            self.mem.write(victim.addr, &victim.data);
+            self.mem_lines += 1;
+        }
+        // Mark dirty by writing the data through the normal path.
+        let ok = self.l2.write_bytes(addr, data);
+        debug_assert!(ok, "freshly filled line accepts a write");
+    }
+
+    fn write_back_all(&mut self, lines: Vec<EvictedLine>) {
+        for line in lines {
+            self.write_back(line.addr, &line.data);
+        }
+    }
+}
+
+/// Little-endian value of the `size` bytes at `off` of `line`; zero when
+/// they would cross the line's end (only a misaligned access can).
+fn value_at(line: &[u8], off: usize, size: usize) -> u32 {
+    let bytes = line.get(off..off + size).unwrap_or(&[]);
+    match <[u8; 4]>::try_from(bytes) {
+        Ok(word) => u32::from_le_bytes(word),
+        Err(_) => bytes.iter().rev().fold(0, |v, &b| v << 8 | u32::from(b)),
+    }
+}
+
 /// The memory system shared by all cores.
 #[derive(Debug, Clone)]
 pub struct Uncore {
@@ -68,10 +129,15 @@ pub struct Uncore {
     l1i: Vec<SetAssocCache>,
     l1d: Vec<SetAssocCache>,
     l15: Vec<Option<L15Cache>>,
-    l2: SetAssocCache,
-    mem: MainMemory,
-    mem_lines: u64,
+    below: Below,
     line_bytes: u64,
+    /// The line an L1 miss is refilling, so the miss path allocates nothing.
+    line_buf: Vec<u8>,
+    /// Whether some cluster's Walloc may have work: raised by everything
+    /// that can create or change a demand, lowered only when
+    /// [`advance`](Self::advance) has seen every SDU settled. It may be
+    /// spuriously up, never spuriously down.
+    walloc_maybe_pending: bool,
     trace: Trace,
 }
 
@@ -101,10 +167,14 @@ impl Uncore {
             l1i: (0..cores).map(|_| build_level(&cfg.l1i)).collect(),
             l1d: (0..cores).map(|_| build_level(&cfg.l1d)).collect(),
             l15,
-            l2: build_level(&cfg.l2),
-            mem: MainMemory::new(cfg.mem_latency),
-            mem_lines: 0,
+            below: Below {
+                l2: build_level(&cfg.l2),
+                mem: MainMemory::new(cfg.mem_latency),
+                mem_lines: 0,
+            },
             line_bytes: cfg.l1d.line_bytes,
+            line_buf: vec![0; cfg.l1d.line_bytes as usize],
+            walloc_maybe_pending: false,
             trace: Trace::default(),
             cfg,
         }
@@ -132,20 +202,20 @@ impl Uncore {
     /// Direct (host) memory write, bypassing the caches — used to load
     /// programs and input data before reset.
     pub fn host_write(&mut self, paddr: u32, data: &[u8]) {
-        self.mem.write(paddr as u64, data);
+        self.below.mem.write(paddr as u64, data);
     }
 
     /// Direct (host) memory read. Beware: dirty cache lines are not
     /// snooped; call [`flush_all`](Self::flush_all) first when inspecting
     /// results.
     pub fn host_read(&mut self, paddr: u32, buf: &mut [u8]) {
-        self.mem.read(paddr as u64, buf);
+        self.below.mem.read(paddr as u64, buf);
     }
 
     /// Loads a program image (little-endian words) at `paddr`.
     pub fn load_program(&mut self, paddr: u32, words: &[u32]) {
         for (i, w) in words.iter().enumerate() {
-            self.mem.write(paddr as u64 + i as u64 * 4, &w.to_le_bytes());
+            self.below.mem.write(paddr as u64 + i as u64 * 4, &w.to_le_bytes());
         }
     }
 
@@ -155,8 +225,10 @@ impl Uncore {
     }
 
     /// Mutable L1.5 access (kernel-level operations such as
-    /// [`L15Cache::transfer_way`]).
+    /// [`L15Cache::transfer_way`]). The caller may change a demand behind
+    /// the uncore's back, so this raises the Walloc-pending flag.
     pub fn l15_mut(&mut self, cluster: usize) -> Option<&mut L15Cache> {
+        self.walloc_maybe_pending = true;
         self.l15.get_mut(cluster).and_then(|o| o.as_mut())
     }
 
@@ -171,7 +243,7 @@ impl Uncore {
         if core >= self.cfg.total_cores() {
             return Err(CacheError::UnknownCore(core));
         }
-        if let Some(l15) = self.l15_mut(cluster) {
+        if let Some(l15) = self.l15[cluster].as_mut() {
             l15.set_tid(lane, tid)?;
         }
         Ok(())
@@ -179,9 +251,18 @@ impl Uncore {
 
     /// Advances every cluster's Walloc FSM by `cycles` cycles (one way per
     /// cycle per cluster), writing back any lines displaced by revocations.
+    /// Returns at once while no Walloc can have work.
+    #[inline]
     pub fn advance(&mut self, cycles: u32) {
-        for cluster in 0..self.cfg.clusters {
-            let Some(l15) = self.l15[cluster].as_mut() else { continue };
+        if self.walloc_maybe_pending {
+            self.run_wallocs(cycles);
+        }
+    }
+
+    fn run_wallocs(&mut self, cycles: u32) {
+        let mut pending = false;
+        for (cluster, l15) in self.l15.iter_mut().enumerate() {
+            let Some(l15) = l15 else { continue };
             let mut stall_reported = false;
             for _ in 0..cycles {
                 if !l15.reconfig_pending() {
@@ -189,10 +270,10 @@ impl Uncore {
                 }
                 let (event, wbs) = l15.tick();
                 match event {
-                    Some(l15_cache::l15::SduEvent::Granted { core, way }) => {
+                    Some(SduEvent::Granted { core, way }) => {
                         self.trace.record(TraceEventKind::WayGrant { cluster, lane: core, way });
                     }
-                    Some(l15_cache::l15::SduEvent::Revoked { way, .. }) => {
+                    Some(SduEvent::Revoked { way, .. }) => {
                         self.trace.record(TraceEventKind::WayRevoke { cluster, way });
                     }
                     None => {
@@ -207,11 +288,11 @@ impl Uncore {
                         }
                     }
                 }
-                for wb in wbs {
-                    write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, wb.addr, &wb.data);
-                }
+                self.below.write_back_all(wbs);
             }
+            pending |= l15.reconfig_pending();
         }
+        self.walloc_maybe_pending = pending;
     }
 
     /// Kernel-level revocation of one specific L1.5 way in `cluster`
@@ -223,14 +304,12 @@ impl Uncore {
     /// Returns [`CacheError::UnknownWay`] for an out-of-range way; a
     /// cluster without an L1.5 is a no-op.
     pub fn kernel_revoke_way(&mut self, cluster: usize, way: usize) -> Result<(), CacheError> {
-        let Some(l15) = self.l15.get_mut(cluster).and_then(|o| o.as_mut()) else {
+        let Some(l15) = self.l15_mut(cluster) else {
             return Ok(());
         };
         let wbs = l15.revoke_way(way)?;
         self.trace.record(TraceEventKind::WayRevoke { cluster, way });
-        for wb in wbs {
-            write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, wb.addr, &wb.data);
-        }
+        self.below.write_back_all(wbs);
         Ok(())
     }
 
@@ -245,15 +324,13 @@ impl Uncore {
     pub fn kernel_restore_l15(
         &mut self,
         cluster: usize,
-        state: &l15_cache::l15::L15ConfigState,
+        state: &L15ConfigState,
     ) -> Result<(), CacheError> {
-        let Some(l15) = self.l15.get_mut(cluster).and_then(|o| o.as_mut()) else {
+        let Some(l15) = self.l15_mut(cluster) else {
             return Ok(());
         };
         let wbs = l15.restore(state)?;
-        for wb in wbs {
-            write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, wb.addr, &wb.data);
-        }
+        self.below.write_back_all(wbs);
         Ok(())
     }
 
@@ -275,25 +352,14 @@ impl Uncore {
             self.flush_l1d(core);
             self.l1i[core].flush();
         }
-        for cluster in 0..self.cfg.clusters {
-            if let Some(l15) = self.l15[cluster].as_mut() {
-                // Revoke nothing; just push dirty lines down by demanding 0
-                // ways would destroy config. Instead settle pending then purge
-                // via fills: simplest is to ask each way owner to flush —
-                // modelled here as a full write-back scan through `tick`-less
-                // purge: collect dirty lines by invalidating each set/way.
-                // L15Cache has no public flush; emulate by revoking and
-                // re-granting would disturb state, so we add-on: read every
-                // valid line back is unnecessary — dirty data must reach L2.
-                let wbs = l15.flush_dirty();
-                for wb in wbs {
-                    write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, wb.addr, &wb.data);
-                }
-            }
+        for l15 in self.l15.iter_mut().flatten() {
+            // `flush_dirty` hands every dirty line down and leaves it
+            // resident and clean; way ownership is untouched.
+            self.below.write_back_all(l15.flush_dirty());
         }
-        for line in self.l2.flush() {
-            self.mem.write(line.addr, &line.data);
-            self.mem_lines += 1;
+        for line in self.below.l2.flush() {
+            self.below.mem.write(line.addr, &line.data);
+            self.below.mem_lines += 1;
         }
     }
 
@@ -301,7 +367,7 @@ impl Uncore {
     /// [`MainMemory::fingerprint`]); used by the traced-vs-untraced parity
     /// tests to assert final memory state equality.
     pub fn memory_fingerprint(&self) -> u64 {
-        self.mem.fingerprint()
+        self.below.mem.fingerprint()
     }
 
     /// Every non-zero byte of external memory, sorted by address (see
@@ -310,7 +376,7 @@ impl Uncore {
     /// reflects every cached dirty line only once the hierarchy has been
     /// written back.
     pub fn memory_nonzero_bytes(&self) -> Vec<(u64, u8)> {
-        self.mem.nonzero_bytes()
+        self.below.mem.nonzero_bytes()
     }
 
     /// Merged statistics over the whole hierarchy.
@@ -322,8 +388,8 @@ impl Uncore {
         for l15 in self.l15.iter().flatten() {
             s.l15.merge(l15.stats());
         }
-        s.l2.merge(self.l2.stats());
-        s.mem_lines = self.mem_lines;
+        s.l2.merge(self.below.l2.stats());
+        s.mem_lines = self.below.mem_lines;
         s
     }
 
@@ -350,33 +416,9 @@ impl Uncore {
         (0..self.cfg.clusters).map(|c| self.cluster_stats(c).expect("cluster in range")).collect()
     }
 
-    /// Fetches the full line containing `paddr` from L2/memory, charging
-    /// `cycles`. Allocates into L2.
-    fn line_from_below(&mut self, paddr: u64) -> (Vec<u8>, u32) {
-        let base = self.l2.geometry().line_base(paddr);
-        let mut cycles = 0;
-        let out = self.l2.access(base, AccessKind::Read);
-        cycles += out.latency;
-        let mut data = vec![0u8; self.line_bytes as usize];
-        if out.hit {
-            let ok = self.l2.read_bytes(base, &mut data);
-            debug_assert!(ok, "hit line must be readable");
-        } else {
-            self.mem.read(base, &mut data);
-            cycles += self.mem.latency();
-            self.mem_lines += 1;
-            if let Some(victim) = self.l2.fill(base, &data, None) {
-                self.mem.write(victim.addr, &victim.data);
-                self.mem_lines += 1;
-            }
-        }
-        (data, cycles)
-    }
-
     /// Absorbs a dirty L1 victim line: into a permitted L1.5 way when it
     /// holds the line, else down to L2.
     fn absorb_l1_victim(&mut self, cluster: usize, lane: usize, addr: u64, data: &[u8]) {
-        let mut stale = None;
         if let Some(l15) = self.l15[cluster].as_mut() {
             // The L1.5 is VIPT; for write-back we only have the physical
             // address. Kernel data is identity-mapped and user windows are
@@ -394,143 +436,102 @@ impl Uncore {
             // bypasses the L1.5. Any copy a read-permitted way still holds
             // is about to go stale and must be back-invalidated; its dirty
             // contents go down first so the newer L1 data lands on top.
-            stale = l15.invalidate_line(addr, addr);
+            if let Some(stale) = l15.invalidate_line(addr, addr) {
+                self.below.write_back(stale.addr, &stale.data);
+            }
         }
-        if let Some(s) = stale {
-            write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, s.addr, &s.data);
-        }
-        write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, addr, data);
+        self.below.write_back(addr, data);
     }
 
-    /// Shared read path under L1: L1.5 → L2 → memory. Returns
-    /// `(line, cycles, serving level)`.
+    /// Shared read path under L1: L1.5 → L2 → memory, into the scratch
+    /// line. Returns `(cycles, serving level)`.
     fn read_line_shared(
         &mut self,
         cluster: usize,
         lane: usize,
         vaddr: u64,
         paddr: u64,
-    ) -> (Vec<u8>, u32, ServedBy) {
+    ) -> (u32, ServedBy) {
         let vbase = vaddr & !(self.line_bytes - 1);
         let pbase = paddr & !(self.line_bytes - 1);
-        if let Some(l15) = self.l15[cluster].as_mut() {
-            let mut line = vec![0u8; self.line_bytes as usize];
-            let out =
-                l15.read(lane, vbase, pbase, &mut line).expect("lane index is within the cluster");
-            if out.hit {
-                // A hit in a way the reading lane does not own is dependent
-                // data flowing producer → consumer through the L1.5.
-                if self.trace.sink_enabled() {
-                    if let Some(way) = out.way {
-                        let owned = l15.supply(lane).map(|m| m.contains(way)).unwrap_or(false);
-                        if !owned {
-                            let core = cluster * self.cfg.cores_per_cluster + lane;
-                            self.trace.emit(EventKind::GvConsume {
-                                core: core as u32,
-                                cluster: cluster as u32,
-                                way: way as u32,
-                            });
-                        }
-                    }
-                }
-                return (line, out.latency, ServedBy::L15);
+        let Some(l15) = self.l15[cluster].as_mut() else {
+            return self.below.read_line(pbase, &mut self.line_buf);
+        };
+        let out = l15
+            .read(lane, vbase, pbase, &mut self.line_buf)
+            .expect("lane index is within the cluster");
+        if let Some(way) = out.way {
+            // A hit in a way the reading lane does not own is dependent
+            // data flowing producer → consumer through the L1.5.
+            if self.trace.sink_enabled() && !l15.supply(lane).is_ok_and(|m| m.contains(way)) {
+                let core = cluster * self.cfg.cores_per_cluster + lane;
+                self.trace.emit(EventKind::GvConsume {
+                    core: core as u32,
+                    cluster: cluster as u32,
+                    way: way as u32,
+                });
             }
-            // Miss in L1.5: fetch from below and allocate into the core's
-            // writable ways (non-exclusive allocation on refill).
-            let (line, mut cycles, served) = self.line_from_below_traced(pbase);
-            cycles += out.latency;
-            let l15 = self.l15[cluster].as_mut().expect("checked above");
-            if let Ok((Some(_), Some(v))) = l15.fill(lane, vbase, pbase, &line, false) {
-                write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, v.addr, &v.data);
-            }
-            (line, cycles, served)
-        } else {
-            let (line, cycles, served) = self.line_from_below_traced(pbase);
-            (line, cycles, served)
+            return (out.latency, ServedBy::L15);
         }
+        // Miss in L1.5: fetch from below and allocate into the core's
+        // writable ways (non-exclusive allocation on refill).
+        let (cycles, served) = self.below.read_line(pbase, &mut self.line_buf);
+        if let Ok((Some(_), Some(v))) = l15.fill(lane, vbase, pbase, &self.line_buf, false) {
+            self.below.write_back(v.addr, &v.data);
+        }
+        (cycles + out.latency, served)
     }
 
-    /// [`line_from_below`] plus the serving-level tag.
-    fn line_from_below_traced(&mut self, paddr: u64) -> (Vec<u8>, u32, ServedBy) {
-        let was_hit = self.l2.probe(self.l2.geometry().line_base(paddr)).is_some();
-        let (line, cycles) = self.line_from_below(paddr);
-        (line, cycles, if was_hit { ServedBy::L2 } else { ServedBy::Memory })
+    /// Services an L1 miss of `core`: brings the line of `paddr` through
+    /// L1.5/L2/memory into the scratch line (where the caller reads it),
+    /// installs it in the L1 (`instr` picks I over D) and absorbs the
+    /// victim. Returns `(cycles below the L1, serving level)`.
+    fn refill_l1(&mut self, core: usize, instr: bool, vaddr: u64, paddr: u64) -> (u32, ServedBy) {
+        let (cluster, lane) = self.cluster_of(core);
+        let (cycles, served) = self.read_line_shared(cluster, lane, vaddr, paddr);
+        let l1 = if instr { &mut self.l1i[core] } else { &mut self.l1d[core] };
+        if let Some(v) = l1.fill(paddr, &self.line_buf, None) {
+            self.absorb_l1_victim(cluster, lane, v.addr, &v.data);
+        }
+        (cycles, served)
     }
-}
 
-/// Writes one dirty line into the L2 (allocating if absent), spilling L2
-/// victims to memory.
-fn write_back(
-    l2: &mut SetAssocCache,
-    mem: &mut MainMemory,
-    mem_lines: &mut u64,
-    addr: u64,
-    data: &[u8],
-) {
-    if l2.probe(addr).is_some() {
-        let ok = l2.write_bytes(addr, data);
-        debug_assert!(ok, "resident line accepts a full-line write");
-        return;
+    /// A fetch (`instr`) or load of `size` bytes: one L1 probe, the hit
+    /// served through the way it returned.
+    fn read_through_l1(
+        &mut self,
+        core: usize,
+        instr: bool,
+        vaddr: u32,
+        paddr: u32,
+        size: u32,
+    ) -> (MemAccess, ServedBy) {
+        let paddr = paddr as u64;
+        let l1 = if instr { &mut self.l1i[core] } else { &mut self.l1d[core] };
+        let out = l1.access(paddr, AccessKind::Read);
+        let off = (paddr & (self.line_bytes - 1)) as usize;
+        if let Some(way) = out.way {
+            let value = value_at(l1.line(paddr, way), off, size as usize);
+            return (MemAccess { value, cycles: out.latency, from_l15: false }, ServedBy::L1);
+        }
+        let (below, served) = self.refill_l1(core, instr, vaddr as u64, paddr);
+        let value = value_at(&self.line_buf, off, size as usize);
+        let cycles = out.latency + below;
+        (MemAccess { value, cycles, from_l15: served == ServedBy::L15 }, served)
     }
-    if let Some(victim) = l2.fill(addr, data, None) {
-        mem.write(victim.addr, &victim.data);
-        *mem_lines += 1;
-    }
-    // Mark dirty by writing the data through the normal path.
-    let ok = l2.write_bytes(addr, data);
-    debug_assert!(ok, "freshly filled line accepts a write");
 }
 
 impl SystemBus for Uncore {
     fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> MemAccess {
-        let (cluster, lane) = self.cluster_of(core);
-        let vaddr = vaddr as u64;
-        let paddr = paddr as u64;
-        let out = self.l1i[core].access(paddr, AccessKind::Read);
-        let mut cycles = out.latency;
-        if out.hit {
-            let mut b = [0u8; 4];
-            let ok = self.l1i[core].read_bytes(paddr, &mut b);
-            debug_assert!(ok);
-            self.trace.record(TraceEventKind::Fetch { core, served: ServedBy::L1 });
-            return MemAccess { value: u32::from_le_bytes(b), cycles, from_l15: false };
-        }
-        let (line, c2, served) = self.read_line_shared(cluster, lane, vaddr, paddr);
-        cycles += c2;
-        let pbase = paddr & !(self.line_bytes - 1);
-        if let Some(v) = self.l1i[core].fill(pbase, &line, None) {
-            self.absorb_l1_victim(cluster, lane, v.addr, &v.data);
-        }
-        let off = (paddr - pbase) as usize;
-        let value = u32::from_le_bytes(line[off..off + 4].try_into().expect("aligned fetch"));
+        let (access, served) = self.read_through_l1(core, true, vaddr, paddr, 4);
         self.trace.record(TraceEventKind::Fetch { core, served });
-        MemAccess { value, cycles, from_l15: served == ServedBy::L15 }
+        access
     }
 
     fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess {
-        let (cluster, lane) = self.cluster_of(core);
-        let vaddr = vaddr as u64;
-        let paddr = paddr as u64;
-        let out = self.l1d[core].access(paddr, AccessKind::Read);
-        let mut cycles = out.latency;
-        if out.hit {
-            let mut b = [0u8; 4];
-            let ok = self.l1d[core].read_bytes(paddr, &mut b[..size as usize]);
-            debug_assert!(ok);
-            self.trace.record(TraceEventKind::Load { core, served: ServedBy::L1 });
-            return MemAccess { value: u32::from_le_bytes(b), cycles, from_l15: false };
-        }
-        let (line, c2, served) = self.read_line_shared(cluster, lane, vaddr, paddr);
-        cycles += c2;
-        let pbase = paddr & !(self.line_bytes - 1);
-        if let Some(v) = self.l1d[core].fill(pbase, &line, None) {
-            self.absorb_l1_victim(cluster, lane, v.addr, &v.data);
-        }
-        let off = (paddr - pbase) as usize;
-        let mut b = [0u8; 4];
-        b[..size as usize].copy_from_slice(&line[off..off + size as usize]);
+        let (access, served) = self.read_through_l1(core, false, vaddr, paddr, size);
         self.trace.record(TraceEventKind::Load { core, served });
-        MemAccess { value: u32::from_le_bytes(b), cycles, from_l15: served == ServedBy::L15 }
+        access
     }
 
     fn store(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32, value: u32) -> u32 {
@@ -541,45 +542,28 @@ impl SystemBus for Uncore {
 
         // IPU: inclusive L1.5 ways route the store through the L1 into the
         // L1.5 (Sec. 4.3), making dependent data immediately sharable.
-        let inclusive_route =
-            self.l15(cluster).map(|l15| l15.routes_stores(lane).unwrap_or(false)).unwrap_or(false);
-        self.trace.record(TraceEventKind::Store { core, via_l15: inclusive_route });
-        if inclusive_route {
+        let routed =
+            self.l15[cluster].as_mut().filter(|l15| l15.routes_stores(lane).unwrap_or(false));
+        self.trace.record(TraceEventKind::Store { core, via_l15: routed.is_some() });
+        if let Some(l15) = routed {
             let mut cycles = self.cfg.l1d.lat_min; // the L1 pass-through
-                                                   // Keep the L1 copy coherent if present (clean: L1.5 owns the
-                                                   // dirty data). A dirty L1 copy is merged into the L1.5 first —
-                                                   // and must never be dropped: if the L1.5 write misses, install
-                                                   // the dirty line, and if no writable way exists, push it down
-                                                   // to the L2.
+
+            // Keep the L1 copy coherent if present (clean: L1.5 owns the
+            // dirty data). A dirty L1 copy is merged into the L1.5 first —
+            // and must never be dropped: if the L1.5 write misses, install
+            // the dirty line, and if no writable way exists, push it down
+            // to the L2.
             if let Some(dirty) = self.l1d[core].invalidate(paddr) {
-                let l15 = self.l15[cluster].as_mut().expect("route checked");
                 let out =
                     l15.write(lane, dirty.addr, dirty.addr, &dirty.data).expect("lane in range");
                 if !out.hit {
-                    let l15 = self.l15[cluster].as_mut().expect("route checked");
                     match l15.fill(lane, dirty.addr, dirty.addr, &dirty.data, true) {
-                        Ok((Some(_), victim)) => {
-                            if let Some(v) = victim {
-                                write_back(
-                                    &mut self.l2,
-                                    &mut self.mem,
-                                    &mut self.mem_lines,
-                                    v.addr,
-                                    &v.data,
-                                );
-                            }
-                        }
-                        _ => write_back(
-                            &mut self.l2,
-                            &mut self.mem,
-                            &mut self.mem_lines,
-                            dirty.addr,
-                            &dirty.data,
-                        ),
+                        Ok((Some(_), Some(v))) => self.below.write_back(v.addr, &v.data),
+                        Ok((Some(_), None)) => {}
+                        _ => self.below.write_back(dirty.addr, &dirty.data),
                     }
                 }
             }
-            let l15 = self.l15[cluster].as_mut().expect("route checked");
             let out = l15.write(lane, vaddr, paddr, bytes).expect("lane in range");
             if out.hit {
                 // Posted write: the store buffer retires the L1.5 update in
@@ -591,22 +575,19 @@ impl SystemBus for Uncore {
             // then apply the store.
             let pbase = paddr & !(self.line_bytes - 1);
             let vbase = vaddr & !(self.line_bytes - 1);
-            let (line, c2) = self.line_from_below(pbase);
-            cycles += c2;
-            let l15 = self.l15[cluster].as_mut().expect("route checked");
-            if let Ok((Some(_), victim)) = l15.fill(lane, vbase, pbase, &line, false) {
+            cycles += self.below.read_line(pbase, &mut self.line_buf).0;
+            if let Ok((Some(_), victim)) = l15.fill(lane, vbase, pbase, &self.line_buf, false) {
                 if let Some(v) = victim {
-                    write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, v.addr, &v.data);
+                    self.below.write_back(v.addr, &v.data);
                 }
-                let l15 = self.l15[cluster].as_mut().expect("route checked");
                 let out = l15.write(lane, vaddr, paddr, bytes).expect("lane in range");
                 debug_assert!(out.hit, "line was just installed");
                 cycles += out.latency;
             } else {
                 // No writable way after all (races with reconfiguration):
-                // fall through to the conventional path below.
-                write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, pbase, &line);
-                let ok = self.l2.write_bytes(paddr, bytes);
+                // the store lands in the L2 copy of the line.
+                self.below.write_back(pbase, &self.line_buf);
+                let ok = self.below.l2.write_bytes(paddr, bytes);
                 debug_assert!(ok);
             }
             return cycles;
@@ -614,21 +595,17 @@ impl SystemBus for Uncore {
 
         // Conventional write-back / write-allocate L1 path.
         let out = self.l1d[core].access(paddr, AccessKind::Write);
-        let mut cycles = out.latency;
-        if out.hit {
-            let ok = self.l1d[core].write_bytes(paddr, bytes);
-            debug_assert!(ok);
-            return cycles;
+        if let Some(way) = out.way {
+            let off = (paddr & (self.line_bytes - 1)) as usize;
+            if let Some(dst) = self.l1d[core].line_mut(paddr, way).get_mut(off..off + bytes.len()) {
+                dst.copy_from_slice(bytes);
+            }
+            return out.latency;
         }
-        let (line, c2, _) = self.read_line_shared(cluster, lane, vaddr, paddr);
-        cycles += c2;
-        let pbase = paddr & !(self.line_bytes - 1);
-        if let Some(v) = self.l1d[core].fill(pbase, &line, None) {
-            self.absorb_l1_victim(cluster, lane, v.addr, &v.data);
-        }
+        let (below, _) = self.refill_l1(core, false, vaddr, paddr);
         let ok = self.l1d[core].write_bytes(paddr, bytes);
         debug_assert!(ok, "line was just filled");
-        cycles
+        out.latency + below
     }
 
     fn l15_ctrl(&mut self, core: usize, op: L15Op, arg: u32) -> CtrlAccess {
@@ -642,6 +619,7 @@ impl SystemBus for Uncore {
                 // Errors (over-demand) are dropped as in hardware: the SDU
                 // simply keeps the previous demand.
                 let _ = l15.demand(lane, arg as usize);
+                self.walloc_maybe_pending = true;
                 0
             }
             L15Op::Supply => l15.supply(lane).map(|m| m.0 as u32).unwrap_or(0),

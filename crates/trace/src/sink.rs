@@ -2,9 +2,10 @@
 //!
 //! Instrumentation points hold a `Box<dyn TraceSink>` that defaults to
 //! [`NullSink`]. Hot paths are expected to guard event *construction*
-//! with [`TraceSink::enabled`], so an untraced run pays one virtual call
-//! returning a constant — the traced-vs-untraced parity contract then
-//! reduces to "sinks only observe".
+//! with [`TraceSink::enabled`] — a constant per sink, which an owner may
+//! read once when the sink is attached (`l15-soc`'s monitor does), so an
+//! untraced run pays one field test per event — the traced-vs-untraced
+//! parity contract then reduces to "sinks only observe".
 
 use std::any::Any;
 use std::fmt;

@@ -181,6 +181,13 @@ grep -q '"schema":"l15-online-bench-v1"' "$on_art_seq"
 rm -f "$on_seq" "$on_par" "$on_art_seq" "$on_art_par"
 echo "l15-online report and BENCH_online.json are byte-identical across worker counts"
 
+echo "==> benchmark (run.sh --quick: every output check; then its own tests)"
+# Six workloads in their smoke configuration: each op is checked against a
+# reference pass of direct calls, so this fails on any wrong result, not
+# on a slow one (timings are printed, never gated here).
+benchmark/run.sh --quick
+(cd benchmark && cargo test -q --offline)
+
 echo "==> bench binaries (--quick smoke)"
 for bin in crates/bench/src/bin/*.rs; do
     name=$(basename "$bin" .rs)
