@@ -1,21 +1,17 @@
-//! Ablation benchmarks for the design decisions DESIGN.md calls out:
+//! Ablation of the design decisions DESIGN.md calls out, by the quality
+//! of the result — the mean makespan (lower is better) of the full
+//! plan+simulate pipeline over 20 DAGs:
 //!
-//! 1. **λ re-update** (Alg. 1 line 20) vs a one-shot λ: quality measured
-//!    as the resulting makespan (lower is better) of the full
-//!    plan+simulate pipeline, so both cost and benefit show up.
+//! 1. **λ re-update** (Alg. 1 line 20) vs a one-shot λ.
 //! 2. **Way-allocation function `F`**: the paper's longest-path-greedy vs
 //!    a proportional-share split.
 //!
-//! Besides timing, each variant prints its mean makespan once at startup
-//! so the quality delta is visible alongside the performance numbers.
-//!
-//! `--quick` runs each routine once (CI smoke).
+//! The table is seconds-scale already, so `--quick` changes nothing.
 
 use l15_core::alg1::{schedule_with_l15_with, Alg1Options, AllocationPolicy};
 use l15_core::baseline::SystemModel;
 use l15_dag::gen::{DagGenParams, DagGenerator};
 use l15_dag::{DagTask, ExecutionTimeModel};
-use l15_testkit::bench::{black_box, Bench};
 use l15_testkit::rng::SmallRng;
 
 fn tasks(n: usize) -> Vec<DagTask> {
@@ -38,8 +34,7 @@ fn mean_makespan(tasks: &[DagTask], opts: Alg1Options) -> f64 {
 }
 
 fn main() {
-    l15_bench::parse_cli("bench_ablation", &["--samples", "--warmup"]);
-    let bench = Bench::from_args("alg1_ablation");
+    l15_bench::parse_quick("bench_ablation");
     let set = tasks(20);
     let variants = [
         ("paper", Alg1Options::default()),
@@ -52,11 +47,5 @@ fn main() {
     println!("\nAblation quality (mean makespan over 20 DAGs, lower is better):");
     for (name, opts) in variants {
         println!("  {name:<20} {:.2}", mean_makespan(&set, opts));
-    }
-
-    for (name, opts) in variants {
-        bench.run(name, || {
-            black_box(mean_makespan(black_box(&set[..4]), opts));
-        });
     }
 }

@@ -13,9 +13,8 @@
 //! Scale knobs come from the environment: `L15_DAGS` (default 500, the
 //! paper's count), `L15_TRIALS` (default 200), `L15_SEED` (default 1).
 //! Every binary also accepts `--quick`, shrinking its workload to a
-//! seconds-scale smoke run (used by `scripts/ci.sh`). Timing
-//! micro-benches are the `bench_*` binaries, built on
-//! [`l15_testkit::bench`].
+//! seconds-scale smoke run (used by `scripts/ci.sh`). Timing lives in
+//! the standalone `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,35 +55,12 @@ pub fn par_sweep<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     pool::run(n, f)
 }
 
-/// The common CLI flags of the experiment binaries, validated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CliFlags {
-    /// `--quick` was given.
-    pub quick: bool,
-}
-
-/// Parses binary arguments (program name already stripped). `value_flags`
-/// lists extra flags that consume one numeric value (the timing binaries'
-/// `--samples`/`--warmup`). Unknown arguments are an error — no more
-/// silently ignored typos.
-///
-/// Thin wrapper over [`l15_testkit::cli::parse_args`], the unified flag
-/// grammar shared with the `l15-serve`/`loadgen` binaries.
-pub fn parse_cli_from(args: &[String], value_flags: &[&str]) -> Result<CliFlags, String> {
-    cli::parse_args(args, &[], value_flags).map(|p| CliFlags { quick: p.quick })
-}
-
-/// [`parse_cli_from`] over the real command line; prints usage and exits
-/// with status 2 on invalid arguments. Every experiment binary calls this
-/// (directly or via [`parse_quick`]) as its first statement.
-pub fn parse_cli(bin: &str, value_flags: &[&str]) -> CliFlags {
-    let p = cli::parse_or_exit(bin, &[], value_flags);
-    CliFlags { quick: p.quick }
-}
-
-/// CLI entry for the figure/table binaries, which accept only `--quick`.
+/// CLI entry for the experiment binaries, which accept only `--quick`
+/// (the unified flag grammar of [`l15_testkit::cli`]): prints usage and
+/// exits with status 2 on anything else, so a typo is never silently
+/// ignored. Every such binary calls this as its first statement.
 pub fn parse_quick(bin: &str) -> bool {
-    parse_cli(bin, &[]).quick
+    cli::parse_or_exit(bin, &[], &[]).quick
 }
 
 /// `full` normally, `quick` under [`quick`] — the standard pattern for
@@ -396,18 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_accepts_quick_and_value_flags() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_cli_from(&args(&[]), &[]), Ok(CliFlags { quick: false }));
-        assert_eq!(parse_cli_from(&args(&["--quick"]), &[]), Ok(CliFlags { quick: true }));
-        let timing = ["--samples", "--warmup"];
-        assert_eq!(
-            parse_cli_from(&args(&["--samples", "30", "--quick"]), &timing),
-            Ok(CliFlags { quick: true })
-        );
-    }
-
-    #[test]
     fn cli_covers_the_service_binaries() {
         // The `l15-serve` and `loadgen` binaries share the unified flag
         // grammar (l15_testkit::cli). Keep their declared flag sets
@@ -435,15 +399,6 @@ mod tests {
         assert!(p.flag("--open") && !p.flag("--smoke"));
         assert_eq!(p.value("--rate"), Some(200));
         assert!(cli::parse_args(&args(&["--prot", "1"]), &loadgen_bools, &loadgen_values).is_err());
-    }
-
-    #[test]
-    fn cli_rejects_unknown_and_malformed_arguments() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(parse_cli_from(&args(&["--qiuck"]), &[]).is_err(), "typo must not be ignored");
-        assert!(parse_cli_from(&args(&["--samples", "30"]), &[]).is_err());
-        assert!(parse_cli_from(&args(&["--samples"]), &["--samples"]).is_err());
-        assert!(parse_cli_from(&args(&["--samples", "many"]), &["--samples"]).is_err());
     }
 
     #[test]

@@ -213,7 +213,7 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
 
     let mut u = small_soc(knobs);
     let capacity = (case.steps.len() * 4 + knobs.ways * 64) * clusters + 4096;
-    u.trace_mut().set_sink(Box::new(FlightRecorder::new(capacity)));
+    u.trace_mut().attach(FlightRecorder::new(capacity));
 
     for (core, &tid) in tids.iter().enumerate() {
         u.set_tid(core, tid).expect("core in range");
@@ -343,12 +343,7 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
         }
     }
 
-    let rec = u
-        .trace_mut()
-        .take_sink()
-        .into_any()
-        .downcast::<FlightRecorder>()
-        .expect("the fuzz harness attached a flight recorder");
+    let rec = u.trace_mut().detach().expect("the fuzz harness attached a flight recorder");
     let replay = check_recorded(&rec, &expectation_of(case));
     let mut findings = replay.findings;
 

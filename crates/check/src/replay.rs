@@ -1,12 +1,12 @@
 //! Trace-replay mode: checking a *dynamic* run's always-on counters
 //! against what the statically emitted streams promise.
 //!
-//! The SoC's [`TraceCounters`] are maintained even with event recording
-//! off, so every run — including long soak runs where a ring buffer would
-//! wrap — leaves enough evidence for conservation checks. The expectation
-//! is derived from the same [`KernelStreams`] the static rules analyse,
-//! which is what makes a static finding and a replay finding name the
-//! same protocol action.
+//! The SoC's [`TraceCounters`] are maintained with or without a recorder
+//! attached, so every run — including long soak runs where a recorder's
+//! ring would wrap — leaves enough evidence for conservation checks. The
+//! expectation is derived from the same [`KernelStreams`] the static
+//! rules analyse, which is what makes a static finding and a replay
+//! finding name the same protocol action.
 //!
 //! The checks are deliberately *conservation* properties (equalities and
 //! lower bounds that hold for any legal interleaving), never exact
@@ -16,7 +16,7 @@
 use l15_cache::l15::protocol::ProtocolOp;
 use l15_runtime::emit::KernelStreams;
 use l15_soc::trace::TraceCounters;
-use l15_trace::{Category, EventKind, FlightRecorder, TraceEvent};
+use l15_trace::{Category, FlightRecorder, TraceEvent};
 
 use crate::rules::{Finding, RuleId};
 
@@ -108,22 +108,13 @@ pub fn check_counters(c: &TraceCounters, expect: &TraceExpectation) -> Vec<Findi
 }
 
 /// Reconstructs the always-on [`TraceCounters`] from a flight-recorder
-/// event stream. Events outside the legacy counter vocabulary (pipeline
-/// stalls, SDU stalls, GV consumption, kernel spans) are ignored.
+/// event stream, by the monitor's own [`TraceCounters::observe`]. Events
+/// no counter follows (pipeline stalls, SDU stalls, GV consumption, kernel
+/// spans) are ignored.
 pub fn counters_from_events(events: &[TraceEvent]) -> TraceCounters {
     let mut c = TraceCounters::default();
     for e in events {
-        match e.kind {
-            EventKind::Fetch { level, .. } => c.fetches[level.index()] += 1,
-            EventKind::Load { level, .. } => c.loads[level.index()] += 1,
-            EventKind::Store { via_l15: true, .. } => c.stores_via_l15 += 1,
-            EventKind::Store { via_l15: false, .. } => c.stores_conventional += 1,
-            EventKind::Ctrl { .. } => c.ctrl_ops += 1,
-            EventKind::WayGrant { .. } => c.grants += 1,
-            EventKind::WayRevoke { .. } => c.revokes += 1,
-            EventKind::GvPublish { .. } => c.gv_updates += 1,
-            _ => {}
-        }
+        c.observe(&e.kind);
     }
     c
 }
@@ -263,7 +254,7 @@ mod tests {
 
     #[test]
     fn counters_from_events_maps_every_counter_kind() {
-        use l15_trace::{CtrlKind, Level};
+        use l15_trace::{CtrlKind, EventKind, Level};
         let mk = |kind| TraceEvent { cycle: 0, kind };
         let events = [
             mk(EventKind::Fetch { core: 0, level: Level::L1 }),

@@ -13,10 +13,11 @@
 //!   can hold a core), giving `R ≤ L' + (W' − L') / m` with `L'` the
 //!   longest path and `W'` the total occupancy.
 //! * [`schedulable`] — deadline test for a single DAG task.
-//! * [`federated`] — federated multi-DAG schedulability (Li et al. style):
-//!   heavy tasks receive `m_i = ⌈(W'_i − L'_i) / (D_i − L'_i)⌉` dedicated
-//!   cores, light tasks are partitioned onto the remainder first-fit by
-//!   utilisation.
+//! * [`certified_makespan_bound`] — the same bound over the per-node cycle
+//!   bounds the abstract-interpretation certifier proves.
+//!
+//! Multi-DAG (federated) schedulability lives in [`crate::federated`],
+//! which sizes dedicated clusters and packs light tasks with these bounds.
 //!
 //! The bounds account for the system through the per-edge cost closure, so
 //! the same machinery analyses the proposed system (ETM-reduced costs,
@@ -147,102 +148,6 @@ where
     E: FnMut(EdgeId) -> f64,
 {
     makespan_bound(task, m, exec_time, edge_cost).bound <= task.deadline() + 1e-9
-}
-
-/// Per-task verdict of the federated analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FederatedTask {
-    /// Cores dedicated to (heavy) or shared by (light) the task.
-    pub cores: usize,
-    /// Whether the task is heavy (`bound on 1 core > D`).
-    pub heavy: bool,
-    /// The makespan bound on its assigned cores.
-    pub bound: f64,
-}
-
-/// Result of [`federated`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FederatedResult {
-    /// Whether the whole set is schedulable.
-    pub schedulable: bool,
-    /// Per-task assignments (aligned with the input order).
-    pub tasks: Vec<FederatedTask>,
-    /// Cores left for light tasks.
-    pub light_cores: usize,
-}
-
-/// Federated schedulability analysis of a DAG task set on `m` cores.
-///
-/// Heavy tasks (utilisation > 1) get dedicated cores per
-/// `m_i = ⌈(W' − L')/(D − L')⌉`; light tasks must fit the remaining cores
-/// under a total-utilisation bound (partitioned, first-fit by decreasing
-/// utilisation — the classic bin-packing argument).
-///
-/// `exec_time(task_ix, v)` and `edge_cost(task_ix, e)` parameterise the
-/// system model per task.
-///
-/// # Panics
-///
-/// Panics if `m == 0`.
-pub fn federated<E, X>(
-    tasks: &[DagTask],
-    m: usize,
-    mut exec_time: X,
-    mut edge_cost: E,
-) -> FederatedResult
-where
-    X: FnMut(usize, NodeId) -> f64,
-    E: FnMut(usize, EdgeId) -> f64,
-{
-    assert!(m > 0, "need at least one core");
-    let mut out = Vec::with_capacity(tasks.len());
-    let mut used = 0usize;
-    let mut light_util = 0.0f64;
-    let mut ok = true;
-
-    for (i, t) in tasks.iter().enumerate() {
-        let b1 = makespan_bound(t, 1, |v| exec_time(i, v), |e| edge_cost(i, e));
-        if b1.bound <= t.deadline() + 1e-9 {
-            // Light task: shares cores; account its utilisation.
-            light_util += t.utilisation();
-            out.push(FederatedTask { cores: 0, heavy: false, bound: b1.bound });
-            continue;
-        }
-        // Heavy task: find the smallest core count meeting the deadline.
-        let mut assigned = None;
-        for mi in 2..=m {
-            let b = makespan_bound(t, mi, |v| exec_time(i, v), |e| edge_cost(i, e));
-            if b.bound <= t.deadline() + 1e-9 {
-                assigned = Some((mi, b.bound));
-                break;
-            }
-        }
-        match assigned {
-            Some((mi, bound)) => {
-                used += mi;
-                out.push(FederatedTask { cores: mi, heavy: true, bound });
-            }
-            None => {
-                ok = false;
-                out.push(FederatedTask { cores: m, heavy: true, bound: f64::INFINITY });
-            }
-        }
-    }
-
-    let light_cores = m.saturating_sub(used);
-    // Light tasks: sufficient partitioned-utilisation test (U ≤ cores/2 is
-    // the safe non-preemptive first-fit bound; we use the common U ≤
-    // (cores+1)/2 variant conservatively rounded down).
-    if used > m {
-        ok = false;
-    }
-    if light_util > 0.0 {
-        let cap = (light_cores as f64 + 1.0) / 2.0;
-        if light_util > cap {
-            ok = false;
-        }
-    }
-    FederatedResult { schedulable: ok, tasks: out, light_cores }
 }
 
 #[cfg(test)]
@@ -398,59 +303,5 @@ mod tests {
         b.add_node(Node::new(1.0, 0));
         let t = DagTask::new(b.build().unwrap(), 1e9, 1e9).unwrap();
         certified_makespan_bound(&t, 2, &[1, 2]);
-    }
-
-    #[test]
-    fn federated_assigns_cores_to_heavy_tasks() {
-        // One heavy task (2 units of work per 1.2 units of deadline across
-        // parallel branches) and two light ones.
-        let heavy = {
-            let mut b = DagBuilder::new();
-            let s = b.add_node(Node::new(0.1, 512));
-            let x = b.add_node(Node::new(5.0, 512));
-            let y = b.add_node(Node::new(5.0, 512));
-            let t = b.add_node(Node::new(0.1, 0));
-            b.add_edge(s, x, 0.1, 0.5).unwrap();
-            b.add_edge(s, y, 0.1, 0.5).unwrap();
-            b.add_edge(x, t, 0.1, 0.5).unwrap();
-            b.add_edge(y, t, 0.1, 0.5).unwrap();
-            DagTask::new(b.build().unwrap(), 7.0, 7.0).unwrap()
-        };
-        let light = {
-            let mut b = DagBuilder::new();
-            b.add_node(Node::new(1.0, 0));
-            DagTask::new(b.build().unwrap(), 10.0, 10.0).unwrap()
-        };
-        let tasks = vec![heavy, light.clone(), light];
-        let r = federated(
-            &tasks,
-            8,
-            |i, v| tasks[i].graph().node(v).wcet,
-            |i, e| tasks[i].graph().edge(e).cost,
-        );
-        assert!(r.schedulable, "{r:?}");
-        assert!(r.tasks[0].heavy);
-        assert!(r.tasks[0].cores >= 2);
-        assert!(!r.tasks[1].heavy);
-        assert!(r.light_cores <= 8 - r.tasks[0].cores);
-    }
-
-    #[test]
-    fn federated_rejects_infeasible_sets() {
-        // A task whose critical path alone exceeds the deadline can never
-        // be schedulable on any core count.
-        let mut b = DagBuilder::new();
-        let x = b.add_node(Node::new(20.0, 512));
-        let y = b.add_node(Node::new(20.0, 512));
-        b.add_edge(x, y, 1.0, 0.5).unwrap();
-        let t = DagTask::new(b.build().unwrap(), 30.0, 30.0).unwrap();
-        let tasks = vec![t];
-        let r = federated(
-            &tasks,
-            64,
-            |i, v| tasks[i].graph().node(v).wcet,
-            |i, e| tasks[i].graph().edge(e).cost,
-        );
-        assert!(!r.schedulable);
     }
 }

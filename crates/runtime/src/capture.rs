@@ -2,8 +2,8 @@
 //! monitor for the duration of one [`run_task`], then hand the recording
 //! back together with the [`RunReport`].
 //!
-//! Attaching a recorder changes **nothing** about the run — sinks only
-//! observe (the parity contract of `tests/trace_parity.rs`) — so a traced
+//! Attaching a recorder changes **nothing** about the run — it only
+//! observes (the parity contract of `tests/trace_parity.rs`) — so a traced
 //! run returns exactly the report an untraced run would.
 
 use l15_core::plan::SchedulePlan;
@@ -34,14 +34,11 @@ pub fn run_task_traced(
     cfg: &KernelConfig,
     capacity: usize,
 ) -> Result<(RunReport, FlightRecorder), KernelError> {
-    soc.uncore_mut().trace_mut().set_sink(Box::new(FlightRecorder::new(capacity)));
+    soc.uncore_mut().trace_mut().attach(FlightRecorder::new(capacity));
     let result = run_task(soc, task, plan, cfg);
-    let sink = soc.uncore_mut().trace_mut().take_sink();
-    let rec = sink
-        .into_any()
-        .downcast::<FlightRecorder>()
-        .expect("the sink attached above is a FlightRecorder");
-    result.map(|report| (report, *rec))
+    let rec =
+        soc.uncore_mut().trace_mut().detach().expect("attached above, run_task never detaches");
+    result.map(|report| (report, rec))
 }
 
 #[cfg(test)]
@@ -75,7 +72,7 @@ mod tests {
         let mut soc_t = Soc::new(SocConfig::proposed_8core(), 0);
         let (report, rec) =
             run_task_traced(&mut soc_t, &task, &plan, &cfg, DEFAULT_CAPTURE_EVENTS).unwrap();
-        assert!(!soc_t.uncore().trace().sink_enabled(), "recorder detached after the run");
+        assert!(!soc_t.uncore().trace().recording(), "recorder detached after the run");
 
         let mut soc_u = Soc::new(SocConfig::proposed_8core(), 0);
         let untraced = run_task(&mut soc_u, &task, &plan, &cfg).unwrap();
@@ -128,6 +125,6 @@ mod tests {
         let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
         let cfg = KernelConfig { cluster: 9, ..Default::default() };
         assert!(run_task_traced(&mut soc, &task, &plan, &cfg, 64).is_err());
-        assert!(!soc.uncore().trace().sink_enabled());
+        assert!(!soc.uncore().trace().recording());
     }
 }

@@ -255,8 +255,8 @@ pub fn run_task(
             state[v.0] = NodeState::Running { core };
 
             // Flight recorder: node lifecycle plus the Sec. 4.3
-            // context-switch section (no-ops unless a sink is attached).
-            if soc.uncore().trace().sink_enabled() {
+            // context-switch section (no-ops unless a recorder is attached).
+            if soc.uncore().trace().recording() {
                 let dc = dispatch_cycle[core];
                 let (nv, cv) = (v.0 as u32, core as u32);
                 let want = want_ways[core] as u32;

@@ -49,7 +49,6 @@ pub mod coresidency;
 pub mod emit;
 pub mod kernel;
 pub mod layout;
-pub mod multitask;
 pub mod quiesce;
 pub mod workgen;
 
@@ -58,6 +57,5 @@ pub use coresidency::{run_cluster_plan, AppOutcome, CoResidencyReport};
 pub use emit::{emit_kernel_streams, EmitOptions, KernelStreams, NodeStream};
 pub use kernel::{run_task, KernelConfig, KernelError, RunReport};
 pub use layout::TaskLayout;
-pub use multitask::{run_taskset, MultiTaskConfig, MultiTaskReport, TaskOutcome};
 pub use quiesce::{quiesce_cluster, QuiesceReport};
 pub use workgen::{node_program, WorkScale, WorkgenError};

@@ -1,17 +1,18 @@
 //! The tracing parity contract: observation must never perturb the run.
 //!
-//! Two layers of observation exist — the legacy event ring
-//! (`Trace::enable`) and the `l15-trace` flight-recorder sink
-//! (`run_task_traced`) — and neither may change *anything* the
-//! simulation computes: aggregate counters, the kernel's run report,
-//! hierarchy statistics, per-core execution statistics, or the final
-//! memory image. Traced-vs-untraced cycle parity is what makes a trace
-//! trustworthy: a capture shows the run you would have had anyway.
+//! Attaching an `l15-trace` flight recorder to the monitor
+//! (`run_task_traced`, or `Trace::attach` around any other driver) may not
+//! change *anything* the simulation computes: aggregate counters, the
+//! kernel's run report, hierarchy statistics, per-core execution
+//! statistics, or the final memory image. Traced-vs-untraced cycle parity
+//! is what makes a trace trustworthy: a capture shows the run you would
+//! have had anyway.
 //!
-//! Also a regression for a gap where `GvUpdate` events advanced no
-//! counter at all, so `gv_set` activity was invisible whenever the ring
-//! was off (the default in every experiment binary).
+//! Also a regression for a gap where `gv_set` updates advanced no counter
+//! at all, so they were invisible in every untraced run (the default in
+//! every experiment binary).
 
+use l15_check::replay::counters_from_events;
 use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::SystemModel;
 use l15_core::federated::{federated_partition, ClusterTopology};
@@ -49,31 +50,25 @@ struct Observables {
     memory: u64,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Untraced,
-    Ring,
-    Recorder,
-}
-
-fn run_diamond(mode: Mode) -> Observables {
+/// Runs the diamond, traced or not; a traced run also hands back its
+/// recording.
+fn run_diamond(traced: bool) -> (Observables, Option<FlightRecorder>) {
     let task = diamond();
     let etm = ExecutionTimeModel::new(2048).unwrap();
     let plan = schedule_with_l15(&task, 16, &etm);
     let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
     let cfg = KernelConfig::default();
-    let report = match mode {
-        Mode::Untraced => run_task(&mut soc, &task, &plan, &cfg).unwrap(),
-        Mode::Ring => {
-            soc.uncore_mut().trace_mut().enable();
-            run_task(&mut soc, &task, &plan, &cfg).unwrap()
-        }
-        Mode::Recorder => {
-            let (report, rec) = run_task_traced(&mut soc, &task, &plan, &cfg, 1 << 18).unwrap();
-            assert!(rec.recorded() > 0, "the recorder must have observed the run");
-            report
-        }
+    let (report, rec) = if traced {
+        let (report, rec) = run_task_traced(&mut soc, &task, &plan, &cfg, 1 << 18).unwrap();
+        assert!(rec.recorded() > 0, "the recorder must have observed the run");
+        (report, Some(rec))
+    } else {
+        (run_task(&mut soc, &task, &plan, &cfg).unwrap(), None)
     };
+    (observe(&soc, report), rec)
+}
+
+fn observe(soc: &Soc, report: RunReport) -> Observables {
     Observables {
         report,
         counters: *soc.uncore().trace().counters(),
@@ -87,14 +82,23 @@ fn run_diamond(mode: Mode) -> Observables {
 
 #[test]
 fn traced_and_untraced_runs_are_indistinguishable() {
-    let untraced = run_diamond(Mode::Untraced);
-    let ring = run_diamond(Mode::Ring);
-    let recorder = run_diamond(Mode::Recorder);
-    assert_eq!(untraced, ring, "enabling the event ring must not change any observable state");
+    let (untraced, _) = run_diamond(false);
+    let (traced, _) = run_diamond(true);
     assert_eq!(
-        untraced, recorder,
+        untraced, traced,
         "attaching a flight recorder must not change any observable state"
     );
+}
+
+#[test]
+fn a_complete_recording_folds_back_into_the_live_counters() {
+    // The counters are `TraceCounters::observe` folded over the very
+    // events the recorder receives, so a loss-free capture must
+    // reproduce them exactly — fetches and loads per level included.
+    let (live, rec) = run_diamond(true);
+    let rec = rec.expect("traced run");
+    assert_eq!(rec.dropped().total(), 0, "capture must be loss-free: {:?}", rec.dropped());
+    assert_eq!(counters_from_events(&rec.to_vec()), live.counters);
 }
 
 /// Two-application co-residency observables: the federated runner on a
@@ -119,7 +123,7 @@ fn wide_app() -> DagTask {
     DagTask::new(b.build().unwrap(), 4.0, 4.0).unwrap()
 }
 
-fn run_coresident(mode: Mode) -> CoResObservables {
+fn run_coresident(traced: bool) -> CoResObservables {
     let tasks = vec![wide_app(), wide_app()];
     let plan = federated_partition(
         &tasks,
@@ -129,52 +133,26 @@ fn run_coresident(mode: Mode) -> CoResObservables {
     .unwrap();
     let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
     let cfg = KernelConfig::default();
-    let report = match mode {
-        Mode::Untraced => run_cluster_plan(&mut soc, &tasks, &plan, &cfg).unwrap(),
-        Mode::Ring => {
-            soc.uncore_mut().trace_mut().enable();
-            run_cluster_plan(&mut soc, &tasks, &plan, &cfg).unwrap()
-        }
-        Mode::Recorder => {
-            soc.uncore_mut().trace_mut().set_sink(Box::new(FlightRecorder::new(1 << 18)));
-            let report = run_cluster_plan(&mut soc, &tasks, &plan, &cfg).unwrap();
-            let rec = soc
-                .uncore_mut()
-                .trace_mut()
-                .take_sink()
-                .into_any()
-                .downcast::<FlightRecorder>()
-                .expect("the sink attached above is a FlightRecorder");
-            assert!(rec.recorded() > 0, "the recorder must have observed the run");
-            report
-        }
-    };
+    if traced {
+        soc.uncore_mut().trace_mut().attach(FlightRecorder::new(1 << 18));
+    }
+    let report = run_cluster_plan(&mut soc, &tasks, &plan, &cfg).unwrap();
+    if traced {
+        let rec = soc.uncore_mut().trace_mut().detach().expect("attached above");
+        assert!(rec.recorded() > 0, "the recorder must have observed the run");
+    }
     // The federated report's app 0 report stands in for Observables.report
     // (the aggregate struct still carries counters, stats, memory, ...).
     let first = report.apps[0].report.clone();
-    CoResObservables {
-        report,
-        obs: Observables {
-            report: first,
-            counters: *soc.uncore().trace().counters(),
-            hierarchy: soc.uncore().stats(),
-            clusters: soc.uncore().per_cluster_stats(),
-            cores: (0..soc.n_cores()).map(|i| *soc.core(i).stats()).collect(),
-            clocks: (0..soc.n_cores()).map(|i| soc.clock(i)).collect(),
-            memory: soc.uncore().memory_fingerprint(),
-        },
-    }
+    CoResObservables { obs: observe(&soc, first), report }
 }
 
 #[test]
 fn coresident_two_apps_on_two_clusters_have_traced_untraced_parity() {
-    let untraced = run_coresident(Mode::Untraced);
-    let ring = run_coresident(Mode::Ring);
-    let recorder = run_coresident(Mode::Recorder);
-    assert_eq!(untraced.report, ring.report, "event ring must not perturb co-residency");
-    assert_eq!(untraced.report, recorder.report, "recorder must not perturb co-residency");
-    assert_eq!(untraced.obs, ring.obs);
-    assert_eq!(untraced.obs, recorder.obs);
+    let untraced = run_coresident(false);
+    let traced = run_coresident(true);
+    assert_eq!(untraced.report, traced.report, "recorder must not perturb co-residency");
+    assert_eq!(untraced.obs, traced.obs);
 
     // The co-residency contract itself: two applications, two distinct
     // TIDs, distinct clusters, and per-cluster stats showing both L1.5s
@@ -196,7 +174,7 @@ fn kernel_workload_reaches_every_counter_family() {
     // The diamond kernel run exercises the paper's full pipeline:
     // fetches/loads, L1.5-routed stores, control ops, way grants and
     // gv_set updates must all be visible without tracing enabled.
-    let c = run_diamond(Mode::Untraced).counters;
+    let c = run_diamond(false).0.counters;
     assert!(c.fetches.iter().sum::<u64>() > 0, "no fetches counted: {c:?}");
     assert!(c.loads.iter().sum::<u64>() > 0, "no loads counted: {c:?}");
     assert!(c.stores_via_l15 > 0, "no L1.5 stores counted: {c:?}");

@@ -695,6 +695,7 @@ edge 2 3 cost=1 alpha=0.6
         assert_eq!(route("POST", "/analyze"), Route::Compute(Endpoint::Analyze));
         assert_eq!(route("POST", "/simulate"), Route::Compute(Endpoint::Simulate));
         assert_eq!(route("POST", "/check"), Route::Compute(Endpoint::Check));
+        assert_eq!(route("POST", "/certify"), Route::Compute(Endpoint::Certify));
         assert_eq!(route("POST", "/trace"), Route::Compute(Endpoint::Trace));
         assert_eq!(route("POST", "/submit"), Route::Submit);
         assert_eq!(route("GET", "/jobs"), Route::Jobs);

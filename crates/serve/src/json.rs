@@ -13,21 +13,10 @@ use std::fmt::Write as _;
 
 /// Escapes `s` as a JSON string literal, quotes included.
 pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+    let body = l15_trace::json::escape(s);
+    let mut out = String::with_capacity(body.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&body);
     out.push('"');
     out
 }

@@ -12,6 +12,8 @@
 //!   [`l15_rvcore::bus::SystemBus`] with the IPU routing rules of Sec. 2.2;
 //! * [`soc::Soc`] — cores + uncore with a laggard-first simulation loop and
 //!   per-cycle Walloc progression.
+//! * [`trace::Trace`] — the Sec. 5.3 monitor: always-on counters plus an
+//!   `l15_trace::FlightRecorder` while one is attached.
 //!
 //! # Example
 //!
@@ -40,5 +42,5 @@ pub mod uncore;
 
 pub use config::{LevelConfig, SocConfig};
 pub use soc::Soc;
-pub use trace::{ServedBy, Trace, TraceCounters, TraceEvent, TraceEventKind};
+pub use trace::{Trace, TraceCounters};
 pub use uncore::{ClusterStats, HierarchyStats, Uncore};

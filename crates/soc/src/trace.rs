@@ -1,109 +1,21 @@
 //! The cycle-accurate monitor (Sec. 5.3: "We deployed a cycle-accurate
 //! monitor to trace the cores and L1.5 Cache").
 //!
-//! A bounded ring buffer of timestamped events plus always-on aggregate
-//! counters. Tracing is **off by default** (a single branch per event when
-//! disabled); the side-effects experiments enable it to derive way
-//! utilisation and configuration latencies, and tests use it to assert
-//! microarchitectural event sequences.
-//!
-//! The monitor also carries the attachment point of the `l15-trace`
-//! flight recorder: a [`TraceSink`] (default [`NullSink`]) that every
-//! [`record`](Trace::record) forwards a typed event into, plus
-//! [`emit`](Trace::emit) for events the legacy ring has no vocabulary for
-//! (pipeline stalls, SDU stalls, GV consumption, kernel spans). Sinks
-//! only *observe* — attaching one changes no cycle count, no counter and
-//! no memory state (the parity contract of `trace_parity.rs`).
+//! Two things and nothing else: the always-on [`TraceCounters`], and an
+//! optional [`FlightRecorder`] that receives every event while it is
+//! attached. Instrumentation points build an `l15_trace` [`EventKind`] and
+//! hand it to [`record`](Trace::record) (events a counter follows) or
+//! [`emit`](Trace::emit) / [`emit_at`](Trace::emit_at) (events only a
+//! recording shows: pipeline stalls, SDU stalls, GV consumption, kernel
+//! spans). A recorder only *observes* — attaching one changes no cycle
+//! count, no counter and no memory state (the parity contract of
+//! `trace_parity.rs`) — and an untraced run pays one `Option` test per
+//! event.
 
-use std::collections::VecDeque;
-
-use l15_cache::geometry::WayMask;
 use l15_rvcore::isa::L15Op;
-use l15_trace::{CtrlKind, EventKind, Level, NullSink, TraceSink};
+use l15_trace::{CtrlKind, EventKind, FlightRecorder, TraceEvent};
 
-/// Which level of the hierarchy served an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServedBy {
-    /// Private L1 hit.
-    L1,
-    /// L1.5 hit.
-    L15,
-    /// Shared L2 hit.
-    L2,
-    /// External memory.
-    Memory,
-}
-
-/// One monitor event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// Instruction fetch served at a level.
-    Fetch {
-        /// Requesting core.
-        core: usize,
-        /// Serving level.
-        served: ServedBy,
-    },
-    /// Data load served at a level.
-    Load {
-        /// Requesting core.
-        core: usize,
-        /// Serving level.
-        served: ServedBy,
-    },
-    /// Data store; `via_l15` marks the inclusive write-through route.
-    Store {
-        /// Requesting core.
-        core: usize,
-        /// Whether the IPU routed it into the L1.5.
-        via_l15: bool,
-    },
-    /// An L1.5 control instruction executed.
-    Ctrl {
-        /// Requesting core.
-        core: usize,
-        /// The operation.
-        op: L15Op,
-        /// Its operand (way count or bitmap).
-        arg: u32,
-    },
-    /// The Walloc granted a way.
-    WayGrant {
-        /// Cluster.
-        cluster: usize,
-        /// Receiving core lane.
-        lane: usize,
-        /// Way index.
-        way: usize,
-    },
-    /// The Walloc (or the kernel) revoked a way.
-    WayRevoke {
-        /// Cluster.
-        cluster: usize,
-        /// Way index.
-        way: usize,
-    },
-    /// A gv_set changed the globally-visible set.
-    GvUpdate {
-        /// Cluster.
-        cluster: usize,
-        /// Core lane.
-        lane: usize,
-        /// Effective mask.
-        mask: WayMask,
-    },
-}
-
-/// Timestamped event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Global cycle at which the event was recorded.
-    pub cycle: u64,
-    /// What happened.
-    pub kind: TraceEventKind,
-}
-
-/// Aggregate counters, maintained even when event recording is disabled.
+/// Aggregate counters, maintained whether or not a recorder is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCounters {
     /// Loads served by each level: `[L1, L1.5, L2, memory]`.
@@ -125,102 +37,62 @@ pub struct TraceCounters {
 }
 
 impl TraceCounters {
-    fn level_ix(s: ServedBy) -> usize {
-        match s {
-            ServedBy::L1 => 0,
-            ServedBy::L15 => 1,
-            ServedBy::L2 => 2,
-            ServedBy::Memory => 3,
+    /// Counts one event: the only event → counter mapping, shared by the
+    /// live monitor and by replays that fold a recorded stream back into
+    /// counters. Events no counter follows are ignored.
+    #[inline]
+    pub fn observe(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::Fetch { level, .. } => self.fetches[level.index()] += 1,
+            EventKind::Load { level, .. } => self.loads[level.index()] += 1,
+            EventKind::Store { via_l15: true, .. } => self.stores_via_l15 += 1,
+            EventKind::Store { via_l15: false, .. } => self.stores_conventional += 1,
+            EventKind::Ctrl { .. } => self.ctrl_ops += 1,
+            EventKind::WayGrant { .. } => self.grants += 1,
+            EventKind::WayRevoke { .. } => self.revokes += 1,
+            EventKind::GvPublish { .. } => self.gv_updates += 1,
+            _ => {}
         }
     }
 }
 
-/// The monitor: counters + optional bounded event ring + flight-recorder
-/// sink.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    enabled: bool,
-    now: u64,
-    ring: VecDeque<TraceEvent>,
-    capacity: usize,
-    counters: TraceCounters,
-    dropped: u64,
-    sink: Box<dyn TraceSink>,
-    /// `sink.enabled()`, read once when the sink is attached: every
-    /// instrumentation point tests this field, not the trait object.
-    sink_on: bool,
+/// The `l15_trace` name of a control-port operation (`l15-trace` cannot
+/// name [`L15Op`] itself: it does not depend on `l15-rvcore`).
+pub(crate) fn ctrl_kind(op: L15Op) -> CtrlKind {
+    match op {
+        L15Op::Demand => CtrlKind::Demand,
+        L15Op::Supply => CtrlKind::Supply,
+        L15Op::GvSet => CtrlKind::GvSet,
+        L15Op::GvGet => CtrlKind::GvGet,
+        L15Op::IpSet => CtrlKind::IpSet,
+    }
 }
 
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::new(4096)
-    }
+/// The monitor: counters + the flight recorder attached for this run, if
+/// any.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    now: u64,
+    counters: TraceCounters,
+    recorder: Option<FlightRecorder>,
 }
 
 impl Trace {
-    /// Creates a disabled monitor with an event ring of `capacity`.
-    pub fn new(capacity: usize) -> Self {
-        Trace {
-            enabled: false,
-            now: 0,
-            ring: VecDeque::new(),
-            capacity: capacity.max(1),
-            counters: TraceCounters::default(),
-            dropped: 0,
-            sink: Box::new(NullSink),
-            sink_on: false,
-        }
+    /// Attaches `rec`: from now on it receives every event. A recorder
+    /// already attached is dropped.
+    pub fn attach(&mut self, rec: FlightRecorder) {
+        self.recorder = Some(rec);
     }
 
-    /// Attaches a flight-recorder sink (e.g. `l15_trace::FlightRecorder`).
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink_on = sink.enabled();
-        self.sink = sink;
+    /// Detaches the recorder and hands it back with what it recorded.
+    pub fn detach(&mut self) -> Option<FlightRecorder> {
+        self.recorder.take()
     }
 
-    /// Detaches the sink (replacing it with [`NullSink`]), returning it so
-    /// the caller can downcast and read the recording.
-    pub fn take_sink(&mut self) -> Box<dyn TraceSink> {
-        self.sink_on = false;
-        std::mem::replace(&mut self.sink, Box::new(NullSink))
-    }
-
-    /// Whether the attached sink wants events. Instrumentation points that
-    /// would do non-trivial work to build an event must check this first.
-    pub fn sink_enabled(&self) -> bool {
-        self.sink_on
-    }
-
-    /// Emits a flight-recorder event stamped with the current cycle.
-    pub fn emit(&mut self, kind: EventKind) {
-        self.emit_at(self.now, kind);
-    }
-
-    /// Emits a flight-recorder event with an explicit cycle stamp.
-    pub fn emit_at(&mut self, cycle: u64, kind: EventKind) {
-        if self.sink_on {
-            self.sink.emit(l15_trace::TraceEvent { cycle, kind });
-        }
-    }
-
-    /// Current cycle stamp.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Enables event recording.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Disables event recording (counters keep counting).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// Whether event recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// Whether a recorder is attached. Instrumentation points that would
+    /// do non-trivial work to build an event check this first.
+    pub fn recording(&self) -> bool {
+        self.recorder.is_some()
     }
 
     /// Stamps the current global cycle (called by the simulation loop).
@@ -233,102 +105,26 @@ impl Trace {
         &self.counters
     }
 
-    /// Events currently buffered (oldest first).
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
-    }
-
-    /// Number of events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Clears buffered events and counters.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.counters = TraceCounters::default();
-        self.dropped = 0;
-    }
-
-    /// Records one event (counter always; ring only when enabled).
+    /// Counts `kind` and, while recording, records it at the current
+    /// cycle.
     #[inline]
-    pub fn record(&mut self, kind: TraceEventKind) {
-        match kind {
-            TraceEventKind::Fetch { served, .. } => {
-                self.counters.fetches[TraceCounters::level_ix(served)] += 1;
-            }
-            TraceEventKind::Load { served, .. } => {
-                self.counters.loads[TraceCounters::level_ix(served)] += 1;
-            }
-            TraceEventKind::Store { via_l15, .. } => {
-                if via_l15 {
-                    self.counters.stores_via_l15 += 1;
-                } else {
-                    self.counters.stores_conventional += 1;
-                }
-            }
-            TraceEventKind::Ctrl { .. } => self.counters.ctrl_ops += 1,
-            TraceEventKind::WayGrant { .. } => self.counters.grants += 1,
-            TraceEventKind::WayRevoke { .. } => self.counters.revokes += 1,
-            // Pre-fix, gv updates advanced no counter at all: with the
-            // ring disabled the event vanished, contradicting the
-            // "always-on aggregate counters" contract above.
-            TraceEventKind::GvUpdate { .. } => self.counters.gv_updates += 1,
-        }
-        if self.enabled {
-            if self.ring.len() >= self.capacity {
-                self.ring.pop_front();
-                self.dropped += 1;
-            }
-            self.ring.push_back(TraceEvent { cycle: self.now, kind });
-        }
-        if self.sink_on {
-            let kind = recorder_kind(kind);
-            self.sink.emit(l15_trace::TraceEvent { cycle: self.now, kind });
-        }
+    pub fn record(&mut self, kind: EventKind) {
+        self.counters.observe(&kind);
+        self.emit(kind);
     }
-}
 
-fn recorder_level(s: ServedBy) -> Level {
-    match s {
-        ServedBy::L1 => Level::L1,
-        ServedBy::L15 => Level::L15,
-        ServedBy::L2 => Level::L2,
-        ServedBy::Memory => Level::Mem,
+    /// Records `kind` at the current cycle without counting it; nothing
+    /// happens unless a recorder is attached.
+    #[inline]
+    pub fn emit(&mut self, kind: EventKind) {
+        self.emit_at(self.now, kind);
     }
-}
 
-fn recorder_ctrl(op: L15Op) -> CtrlKind {
-    match op {
-        L15Op::Demand => CtrlKind::Demand,
-        L15Op::Supply => CtrlKind::Supply,
-        L15Op::GvSet => CtrlKind::GvSet,
-        L15Op::GvGet => CtrlKind::GvGet,
-        L15Op::IpSet => CtrlKind::IpSet,
-    }
-}
-
-/// Converts a legacy monitor event into the flight-recorder vocabulary.
-fn recorder_kind(kind: TraceEventKind) -> EventKind {
-    match kind {
-        TraceEventKind::Fetch { core, served } => {
-            EventKind::Fetch { core: core as u32, level: recorder_level(served) }
-        }
-        TraceEventKind::Load { core, served } => {
-            EventKind::Load { core: core as u32, level: recorder_level(served) }
-        }
-        TraceEventKind::Store { core, via_l15 } => EventKind::Store { core: core as u32, via_l15 },
-        TraceEventKind::Ctrl { core, op, arg } => {
-            EventKind::Ctrl { core: core as u32, op: recorder_ctrl(op), arg }
-        }
-        TraceEventKind::WayGrant { cluster, lane, way } => {
-            EventKind::WayGrant { cluster: cluster as u32, lane: lane as u32, way: way as u32 }
-        }
-        TraceEventKind::WayRevoke { cluster, way } => {
-            EventKind::WayRevoke { cluster: cluster as u32, way: way as u32 }
-        }
-        TraceEventKind::GvUpdate { cluster, lane, mask } => {
-            EventKind::GvPublish { cluster: cluster as u32, lane: lane as u32, mask: mask.0 as u32 }
+    /// [`emit`](Self::emit) with an explicit cycle stamp.
+    #[inline]
+    pub fn emit_at(&mut self, cycle: u64, kind: EventKind) {
+        if let Some(rec) = &mut self.recorder {
+            rec.record(TraceEvent { cycle, kind });
         }
     }
 }
@@ -336,53 +132,32 @@ fn recorder_kind(kind: TraceEventKind) -> EventKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use l15_trace::Level;
 
     #[test]
-    fn counters_without_recording() {
-        let mut t = Trace::new(4);
-        t.record(TraceEventKind::Load { core: 0, served: ServedBy::L15 });
-        t.record(TraceEventKind::Store { core: 0, via_l15: true });
+    fn counters_advance_without_a_recorder() {
+        let mut t = Trace::default();
+        assert!(!t.recording(), "no recorder by default");
+        t.record(EventKind::Load { core: 0, level: Level::L15 });
+        t.record(EventKind::Store { core: 0, via_l15: true });
+        t.emit(EventKind::NodeStart { node: 0, core: 0 });
         assert_eq!(t.counters().loads[1], 1);
         assert_eq!(t.counters().stores_via_l15, 1);
-        assert_eq!(t.events().count(), 0, "ring stays empty when disabled");
+        assert!(t.detach().is_none());
     }
 
     #[test]
-    fn ring_keeps_newest_events() {
-        let mut t = Trace::new(2);
-        t.enable();
-        for i in 0..4 {
-            t.set_now(i);
-            t.record(TraceEventKind::Ctrl { core: 0, op: L15Op::Supply, arg: i as u32 });
-        }
-        let cycles: Vec<u64> = t.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![2, 3]);
-        assert_eq!(t.dropped(), 2);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut t = Trace::new(4);
-        t.enable();
-        t.record(TraceEventKind::WayGrant { cluster: 0, lane: 1, way: 2 });
-        t.clear();
-        assert_eq!(t.counters().grants, 0);
-        assert_eq!(t.events().count(), 0);
-    }
-
-    #[test]
-    fn every_event_kind_advances_a_counter_when_disabled() {
-        // Regression: GvUpdate used to advance no counter, so with the
-        // ring off (the default) gv_set activity was invisible.
-        let mut t = Trace::new(4);
-        assert!(!t.is_enabled());
-        t.record(TraceEventKind::Fetch { core: 0, served: ServedBy::L1 });
-        t.record(TraceEventKind::Load { core: 0, served: ServedBy::Memory });
-        t.record(TraceEventKind::Store { core: 0, via_l15: false });
-        t.record(TraceEventKind::Ctrl { core: 0, op: L15Op::Demand, arg: 2 });
-        t.record(TraceEventKind::WayGrant { cluster: 0, lane: 0, way: 1 });
-        t.record(TraceEventKind::WayRevoke { cluster: 0, way: 1 });
-        t.record(TraceEventKind::GvUpdate { cluster: 0, lane: 0, mask: WayMask::single(1) });
+    fn every_counted_kind_lands_in_exactly_one_counter() {
+        // Regression: gv updates once advanced no counter, so with no
+        // recorder (the default) gv_set activity was invisible.
+        let mut t = Trace::default();
+        t.record(EventKind::Fetch { core: 0, level: Level::L1 });
+        t.record(EventKind::Load { core: 0, level: Level::Mem });
+        t.record(EventKind::Store { core: 0, via_l15: false });
+        t.record(EventKind::Ctrl { core: 0, op: ctrl_kind(L15Op::Demand), arg: 2 });
+        t.record(EventKind::WayGrant { cluster: 0, lane: 0, way: 1 });
+        t.record(EventKind::WayRevoke { cluster: 0, way: 1 });
+        t.record(EventKind::GvPublish { cluster: 0, lane: 0, mask: 0b10 });
         let c = *t.counters();
         let total = c.loads.iter().sum::<u64>()
             + c.fetches.iter().sum::<u64>()
@@ -393,41 +168,47 @@ mod tests {
             + c.revokes
             + c.gv_updates;
         assert_eq!(total, 7, "each recorded event must land in exactly one counter: {c:?}");
-        assert_eq!(c.gv_updates, 1);
-        assert_eq!(t.events().count(), 0, "ring stays empty when disabled");
+        assert_eq!((c.grants, c.revokes, c.gv_updates), (1, 1, 1));
     }
 
     #[test]
-    fn sink_receives_converted_events_and_detaches() {
-        use l15_trace::FlightRecorder;
-        let mut t = Trace::new(4);
-        assert!(!t.sink_enabled(), "NullSink by default");
-        t.set_sink(Box::new(FlightRecorder::new(16)));
-        assert!(t.sink_enabled());
+    fn attached_recorder_receives_stamped_events_and_detaches() {
+        let mut t = Trace::default();
+        t.attach(FlightRecorder::new(16));
+        assert!(t.recording());
         t.set_now(7);
-        t.record(TraceEventKind::Load { core: 1, served: ServedBy::L15 });
-        t.record(TraceEventKind::GvUpdate { cluster: 0, lane: 1, mask: WayMask::single(3) });
+        t.record(EventKind::Load { core: 1, level: Level::L15 });
+        t.record(EventKind::GvPublish { cluster: 0, lane: 1, mask: 0b1000 });
         t.emit(EventKind::NodeStart { node: 2, core: 1 });
         t.emit_at(9, EventKind::NodeFinish { node: 2, core: 1 });
-        let rec = t.take_sink().into_any().downcast::<FlightRecorder>().unwrap();
-        assert!(!t.sink_enabled(), "detached monitor is back to NullSink");
-        let events: Vec<_> = rec.to_vec();
+        let rec = t.detach().expect("attached above");
+        assert!(!t.recording(), "detached monitor no longer records");
+        let events = rec.to_vec();
         assert_eq!(events.len(), 4);
-        assert_eq!(events[0].cycle, 7);
-        assert_eq!(events[0].kind, EventKind::Load { core: 1, level: Level::L15 });
-        assert_eq!(events[1].kind, EventKind::GvPublish { cluster: 0, lane: 1, mask: 0b1000 });
+        assert_eq!(
+            events[0],
+            TraceEvent { cycle: 7, kind: EventKind::Load { core: 1, level: Level::L15 } }
+        );
+        assert_eq!(events[2].cycle, 7);
         assert_eq!(events[3].cycle, 9);
-        // Counters advanced exactly as they would without the sink.
+        // Counters advanced exactly as they would without the recorder,
+        // and only for the events a counter follows.
         assert_eq!(t.counters().loads[1], 1);
         assert_eq!(t.counters().gv_updates, 1);
     }
 
     #[test]
-    fn grant_revoke_counters() {
-        let mut t = Trace::new(4);
-        t.record(TraceEventKind::WayGrant { cluster: 0, lane: 0, way: 0 });
-        t.record(TraceEventKind::WayRevoke { cluster: 0, way: 0 });
-        assert_eq!(t.counters().grants, 1);
-        assert_eq!(t.counters().revokes, 1);
+    fn saturated_recorder_keeps_the_newest_events() {
+        let mut t = Trace::default();
+        t.attach(FlightRecorder::new(2));
+        for i in 0..4 {
+            t.set_now(i);
+            t.record(EventKind::Ctrl { core: 0, op: ctrl_kind(L15Op::Supply), arg: i as u32 });
+        }
+        let rec = t.detach().expect("attached above");
+        let cycles: Vec<u64> = rec.events().map(|e| e.cycle).collect();
+        assert_eq!(cycles, vec![2, 3]);
+        assert_eq!(rec.dropped().total(), 2);
+        assert_eq!(t.counters().ctrl_ops, 4, "counters do not depend on the ring");
     }
 }

@@ -26,10 +26,10 @@ use l15_cache::stats::CacheStats;
 use l15_cache::CacheError;
 use l15_rvcore::bus::{CtrlAccess, MemAccess, SystemBus};
 use l15_rvcore::isa::L15Op;
-use l15_trace::EventKind;
+use l15_trace::{EventKind, Level};
 
 use crate::config::{LevelConfig, SocConfig};
-use crate::trace::{ServedBy, Trace, TraceEventKind};
+use crate::trace::{ctrl_kind, Trace};
 
 fn build_level(cfg: &LevelConfig) -> SetAssocCache {
     let geo = Geometry::from_capacity(cfg.capacity, cfg.line_bytes, cfg.ways)
@@ -74,11 +74,11 @@ struct Below {
 impl Below {
     /// Reads the line at base address `base` into `line`, allocating it in
     /// the L2 on a miss. Returns `(cycles, serving level)`.
-    fn read_line(&mut self, base: u64, line: &mut [u8]) -> (u32, ServedBy) {
+    fn read_line(&mut self, base: u64, line: &mut [u8]) -> (u32, Level) {
         let out = self.l2.access(base, AccessKind::Read);
         if let Some(way) = out.way {
             line.copy_from_slice(self.l2.line(base, way));
-            return (out.latency, ServedBy::L2);
+            return (out.latency, Level::L2);
         }
         self.mem.read(base, line);
         self.mem_lines += 1;
@@ -86,7 +86,7 @@ impl Below {
             self.mem.write(victim.addr, &victim.data);
             self.mem_lines += 1;
         }
-        (out.latency + self.mem.latency(), ServedBy::Memory)
+        (out.latency + self.mem.latency(), Level::Mem)
     }
 
     /// Writes one dirty line into the L2 (allocating if absent), spilling
@@ -185,7 +185,7 @@ impl Uncore {
         &self.trace
     }
 
-    /// Mutable monitor access (enable/stamp/clear).
+    /// Mutable monitor access (attach or detach a recorder, stamp, emit).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
@@ -271,16 +271,23 @@ impl Uncore {
                 let (event, wbs) = l15.tick();
                 match event {
                     Some(SduEvent::Granted { core, way }) => {
-                        self.trace.record(TraceEventKind::WayGrant { cluster, lane: core, way });
+                        self.trace.record(EventKind::WayGrant {
+                            cluster: cluster as u32,
+                            lane: core as u32,
+                            way: way as u32,
+                        });
                     }
                     Some(SduEvent::Revoked { way, .. }) => {
-                        self.trace.record(TraceEventKind::WayRevoke { cluster, way });
+                        self.trace.record(EventKind::WayRevoke {
+                            cluster: cluster as u32,
+                            way: way as u32,
+                        });
                     }
                     None => {
                         // Demand outstanding but no way free this cycle: a
                         // reconfiguration stall. Reported once per advance —
                         // the backlog cannot change until someone shrinks.
-                        if !stall_reported && self.trace.sink_enabled() {
+                        if !stall_reported && self.trace.recording() {
                             stall_reported = true;
                             let backlog = l15.reconfig_backlog() as u32;
                             self.trace
@@ -308,7 +315,7 @@ impl Uncore {
             return Ok(());
         };
         let wbs = l15.revoke_way(way)?;
-        self.trace.record(TraceEventKind::WayRevoke { cluster, way });
+        self.trace.record(EventKind::WayRevoke { cluster: cluster as u32, way: way as u32 });
         self.below.write_back_all(wbs);
         Ok(())
     }
@@ -451,7 +458,7 @@ impl Uncore {
         lane: usize,
         vaddr: u64,
         paddr: u64,
-    ) -> (u32, ServedBy) {
+    ) -> (u32, Level) {
         let vbase = vaddr & !(self.line_bytes - 1);
         let pbase = paddr & !(self.line_bytes - 1);
         let Some(l15) = self.l15[cluster].as_mut() else {
@@ -463,7 +470,7 @@ impl Uncore {
         if let Some(way) = out.way {
             // A hit in a way the reading lane does not own is dependent
             // data flowing producer → consumer through the L1.5.
-            if self.trace.sink_enabled() && !l15.supply(lane).is_ok_and(|m| m.contains(way)) {
+            if self.trace.recording() && !l15.supply(lane).is_ok_and(|m| m.contains(way)) {
                 let core = cluster * self.cfg.cores_per_cluster + lane;
                 self.trace.emit(EventKind::GvConsume {
                     core: core as u32,
@@ -471,7 +478,7 @@ impl Uncore {
                     way: way as u32,
                 });
             }
-            return (out.latency, ServedBy::L15);
+            return (out.latency, Level::L15);
         }
         // Miss in L1.5: fetch from below and allocate into the core's
         // writable ways (non-exclusive allocation on refill).
@@ -486,7 +493,7 @@ impl Uncore {
     /// L1.5/L2/memory into the scratch line (where the caller reads it),
     /// installs it in the L1 (`instr` picks I over D) and absorbs the
     /// victim. Returns `(cycles below the L1, serving level)`.
-    fn refill_l1(&mut self, core: usize, instr: bool, vaddr: u64, paddr: u64) -> (u32, ServedBy) {
+    fn refill_l1(&mut self, core: usize, instr: bool, vaddr: u64, paddr: u64) -> (u32, Level) {
         let (cluster, lane) = self.cluster_of(core);
         let (cycles, served) = self.read_line_shared(cluster, lane, vaddr, paddr);
         let l1 = if instr { &mut self.l1i[core] } else { &mut self.l1d[core] };
@@ -505,32 +512,32 @@ impl Uncore {
         vaddr: u32,
         paddr: u32,
         size: u32,
-    ) -> (MemAccess, ServedBy) {
+    ) -> (MemAccess, Level) {
         let paddr = paddr as u64;
         let l1 = if instr { &mut self.l1i[core] } else { &mut self.l1d[core] };
         let out = l1.access(paddr, AccessKind::Read);
         let off = (paddr & (self.line_bytes - 1)) as usize;
         if let Some(way) = out.way {
             let value = value_at(l1.line(paddr, way), off, size as usize);
-            return (MemAccess { value, cycles: out.latency, from_l15: false }, ServedBy::L1);
+            return (MemAccess { value, cycles: out.latency, from_l15: false }, Level::L1);
         }
         let (below, served) = self.refill_l1(core, instr, vaddr as u64, paddr);
         let value = value_at(&self.line_buf, off, size as usize);
         let cycles = out.latency + below;
-        (MemAccess { value, cycles, from_l15: served == ServedBy::L15 }, served)
+        (MemAccess { value, cycles, from_l15: served == Level::L15 }, served)
     }
 }
 
 impl SystemBus for Uncore {
     fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> MemAccess {
-        let (access, served) = self.read_through_l1(core, true, vaddr, paddr, 4);
-        self.trace.record(TraceEventKind::Fetch { core, served });
+        let (access, level) = self.read_through_l1(core, true, vaddr, paddr, 4);
+        self.trace.record(EventKind::Fetch { core: core as u32, level });
         access
     }
 
     fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess {
-        let (access, served) = self.read_through_l1(core, false, vaddr, paddr, size);
-        self.trace.record(TraceEventKind::Load { core, served });
+        let (access, level) = self.read_through_l1(core, false, vaddr, paddr, size);
+        self.trace.record(EventKind::Load { core: core as u32, level });
         access
     }
 
@@ -544,7 +551,7 @@ impl SystemBus for Uncore {
         // L1.5 (Sec. 4.3), making dependent data immediately sharable.
         let routed =
             self.l15[cluster].as_mut().filter(|l15| l15.routes_stores(lane).unwrap_or(false));
-        self.trace.record(TraceEventKind::Store { core, via_l15: routed.is_some() });
+        self.trace.record(EventKind::Store { core: core as u32, via_l15: routed.is_some() });
         if let Some(l15) = routed {
             let mut cycles = self.cfg.l1d.lat_min; // the L1 pass-through
 
@@ -610,7 +617,7 @@ impl SystemBus for Uncore {
 
     fn l15_ctrl(&mut self, core: usize, op: L15Op, arg: u32) -> CtrlAccess {
         let (cluster, lane) = self.cluster_of(core);
-        self.trace.record(TraceEventKind::Ctrl { core, op, arg });
+        self.trace.record(EventKind::Ctrl { core: core as u32, op: ctrl_kind(op), arg });
         let Some(l15) = self.l15[cluster].as_mut() else {
             return CtrlAccess { value: 0, cycles: 1 };
         };
@@ -625,7 +632,11 @@ impl SystemBus for Uncore {
             L15Op::Supply => l15.supply(lane).map(|m| m.0 as u32).unwrap_or(0),
             L15Op::GvSet => {
                 if let Ok(mask) = l15.gv_set(lane, WayMask::from(arg as u64)) {
-                    self.trace.record(TraceEventKind::GvUpdate { cluster, lane, mask });
+                    self.trace.record(EventKind::GvPublish {
+                        cluster: cluster as u32,
+                        lane: lane as u32,
+                        mask: mask.0 as u32,
+                    });
                 }
                 0
             }
@@ -647,6 +658,7 @@ impl SystemBus for Uncore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use l15_trace::FlightRecorder;
 
     fn uncore() -> Uncore {
         Uncore::new(SocConfig::proposed_8core())
@@ -796,7 +808,7 @@ mod tests {
     #[test]
     fn monitor_counts_the_dependent_data_route() {
         let mut u = uncore();
-        u.trace_mut().enable();
+        u.trace_mut().attach(FlightRecorder::new(64));
         {
             let l15 = u.l15_mut(0).unwrap();
             l15.demand(0, 2).unwrap();
@@ -810,30 +822,31 @@ mod tests {
             l15.gv_set(0, owned).unwrap();
         }
         u.load(1, 0x4000, 0x4000, 4);
-        let c = u.trace().counters();
+        let c = *u.trace().counters();
         assert_eq!(c.stores_via_l15, 1, "the IPU routed the store");
         assert_eq!(c.loads[1], 1, "the consumer load was served by the L1.5");
-        assert!(u
-            .trace()
-            .events()
-            .any(|e| matches!(e.kind, TraceEventKind::Store { via_l15: true, .. })));
+        let rec = u.trace_mut().detach().expect("attached above");
+        let kinds: Vec<EventKind> = rec.events().map(|e| e.kind).collect();
+        assert!(kinds.contains(&EventKind::Store { core: 0, via_l15: true }));
+        assert!(kinds.contains(&EventKind::Load { core: 1, level: Level::L15 }));
+        assert!(
+            kinds.iter().any(|k| matches!(k, EventKind::GvConsume { core: 1, cluster: 0, .. })),
+            "core 1 read a way it does not own: {kinds:?}"
+        );
     }
 
     #[test]
     fn monitor_records_walloc_events() {
         let mut u = uncore();
-        u.trace_mut().enable();
+        u.trace_mut().attach(FlightRecorder::new(64));
         u.l15_ctrl(0, L15Op::Demand, 3);
         u.advance(10);
-        let c = u.trace().counters();
+        let c = *u.trace().counters();
         assert_eq!(c.grants, 3);
         assert_eq!(c.ctrl_ops, 1);
-        let grants: Vec<_> = u
-            .trace()
-            .events()
-            .filter(|e| matches!(e.kind, TraceEventKind::WayGrant { .. }))
-            .collect();
-        assert_eq!(grants.len(), 3);
+        let rec = u.trace_mut().detach().expect("attached above");
+        let grants = rec.events().filter(|e| matches!(e.kind, EventKind::WayGrant { .. })).count();
+        assert_eq!(grants, 3);
     }
 
     #[test]

@@ -149,8 +149,7 @@ fn masks(u: &Uncore) -> Vec<(WayMask, WayMask)> {
 }
 
 fn recording(u: &mut Uncore) -> Vec<TraceEvent> {
-    let sink = u.trace_mut().take_sink().into_any();
-    sink.downcast::<FlightRecorder>().expect("the recorder attached below").to_vec()
+    u.trace_mut().detach().expect("the recorder attached below").to_vec()
 }
 
 #[test]
@@ -158,7 +157,7 @@ fn advance_behind_the_pending_flag_equals_a_forced_scan() {
     prop::run_with(Config::with_cases(48), "advance_behind_the_pending_flag", |g| {
         let ops = g.vec_of(1..160, arb_op);
         let mut flagged = Uncore::new(SocConfig::proposed_8core());
-        flagged.trace_mut().set_sink(Box::new(FlightRecorder::new(1 << 16)));
+        flagged.trace_mut().attach(FlightRecorder::new(1 << 16));
         let mut scanned = flagged.clone();
         let (mut saved_f, mut saved_s) = ([None, None], [None, None]);
         for (step, op) in ops.iter().enumerate() {

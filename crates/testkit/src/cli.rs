@@ -1,8 +1,8 @@
 //! Unified command-line parsing for the workspace binaries.
 //!
 //! Every in-tree binary (the experiment/figure binaries of `l15-bench`,
-//! the timing micro-benches, the `l15-serve` service and its `loadgen`
-//! client) accepts the same flag grammar:
+//! the `l15-serve` service and its `loadgen` client) accepts the same
+//! flag grammar:
 //!
 //! * `--quick` — shrink the workload to a seconds-scale smoke run;
 //! * declared *boolean* flags (present or absent);

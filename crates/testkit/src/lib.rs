@@ -1,7 +1,7 @@
 //! # l15-testkit — self-contained test toolkit for the L1.5 workspace
 //!
 //! The workspace builds and verifies fully offline: this crate replaces
-//! the external `rand`, `proptest` and `criterion` dependencies with
+//! the external `rand` and `proptest` dependencies with
 //! small in-tree equivalents tailored to what the codebase actually
 //! uses. It has **zero dependencies** by design.
 //!
@@ -23,8 +23,6 @@
 //!   the experiment sweeps, the differential harness and the parallel
 //!   property runner; `L15_JOBS=1` reproduces the sequential behaviour
 //!   bit-for-bit.
-//! * [`bench`] — a wall-clock timing harness with a `--quick` smoke
-//!   mode, replacing the criterion benches.
 //! * [`cli`] — the unified flag grammar of every workspace binary
 //!   (`--quick`, declared boolean and numeric value flags; unknown flags
 //!   exit 2 with usage).
@@ -66,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod arrivals;
-pub mod bench;
 pub mod cli;
 pub mod diag;
 pub mod diff;

@@ -20,30 +20,12 @@
 use std::fmt::Write as _;
 
 use crate::event::{Category, EventKind};
+use crate::json::escape;
 use crate::recorder::FlightRecorder;
 use crate::span::Spans;
 
 /// `tid` of the SDU/Walloc row for cluster 0 (`64 + cluster`).
 pub const SDU_TID_BASE: u32 = 64;
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Per-recording aggregate of the high-volume categories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -350,11 +332,5 @@ mod tests {
         let text = export("test", &rec);
         assert!(text.contains(&format!("\"tid\":{}", SDU_TID_BASE)));
         assert!(text.contains("\"name\":\"sdu 0\""));
-    }
-
-    #[test]
-    fn escape_handles_control_and_quote() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -31,6 +31,7 @@ impl Level {
     }
 
     /// Index into 4-entry per-level counter arrays (`[L1, L1.5, L2, mem]`).
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             Level::L1 => 0,

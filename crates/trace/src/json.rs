@@ -1,6 +1,7 @@
 //! A minimal recursive-descent JSON parser (the workspace is
 //! dependency-free by design, so the schema checker and the round-trip
-//! tests need an in-tree reader).
+//! tests need an in-tree reader), and beside it [`escape`], the one
+//! string escaper every JSON writer in the workspace uses.
 //!
 //! Faithful to RFC 8259 for everything the exporters emit, with one
 //! deliberate extension: objects preserve **key order** (stored as a
@@ -8,6 +9,9 @@
 //! stable field ordering. Integers that fit `i64` parse as
 //! [`Value::Int`], everything else numeric as [`Value::Num`] — letting
 //! callers assert "this field is integer-only".
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -362,9 +366,43 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
     Ok(value)
 }
 
+/// Escapes `s` for embedding between the quotes of a JSON string literal
+/// (the inverse of what [`parse`] does to a string's contents). Borrows
+/// `s` when nothing in it needs escaping — object keys and labels, i.e.
+/// nearly every call.
+pub fn escape(s: &str) -> Cow<'_, str> {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_handles_control_and_quote_and_parses_back() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert!(matches!(escape("plain_key é"), Cow::Borrowed("plain_key é")));
+        let raw = "q\"\\\n\r\t\u{1}é";
+        assert_eq!(parse(&format!("\"{}\"", escape(raw))), Ok(Value::Str(raw.to_owned())));
+    }
 
     #[test]
     fn parses_scalars_arrays_objects() {

@@ -6,11 +6,9 @@
 //! silent. `recorded()` (total ever emitted) minus `len()` therefore
 //! always equals `dropped().total()`.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use crate::event::{Category, TraceEvent};
-use crate::sink::TraceSink;
 
 /// Per-category dropped-event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,28 +116,6 @@ impl FlightRecorder {
     }
 }
 
-impl TraceSink for FlightRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn emit(&mut self, event: TraceEvent) {
-        self.record(event);
-    }
-
-    fn clone_box(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,15 +150,5 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.dropped().total(), 0);
         assert_eq!(r.recorded(), 0);
-    }
-
-    #[test]
-    fn sink_round_trip_recovers_the_recorder() {
-        let mut sink: Box<dyn TraceSink> = Box::new(FlightRecorder::new(8));
-        assert!(sink.enabled());
-        sink.emit(ev(5, EventKind::WayGrant { cluster: 0, lane: 1, way: 3 }));
-        let rec = sink.into_any().downcast::<FlightRecorder>().expect("concrete recorder");
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec.events().next().unwrap().cycle, 5);
     }
 }

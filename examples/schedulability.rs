@@ -1,7 +1,7 @@
 //! Safe timing bounds in action (paper Sec. 4.2): the Graham-style
 //! makespan bound with communication costs, evaluated under the proposed
-//! system vs the worst-case conventional system, and the federated
-//! analysis deciding core assignments for a whole task set.
+//! system vs the worst-case conventional system, and the cache-aware
+//! federated tier deciding cluster assignments for a whole task set.
 //!
 //! ```sh
 //! cargo run --release --example schedulability
@@ -9,6 +9,7 @@
 
 use l15::core::alg1::schedule_with_l15;
 use l15::core::baseline::SystemModel;
+use l15::core::federated::{federated_partition, ClusterTopology};
 use l15::core::rta;
 use l15::dag::gen::{DagGenParams, DagGenerator};
 use l15::dag::taskset::{generate_taskset, TaskSetParams};
@@ -70,32 +71,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         &mut rng,
     )?;
-    let result = rta::federated(
-        &tasks,
-        16,
-        |i, v| tasks[i].graph().node(v).wcet,
-        |i, e| {
-            // Analyse under the proposed system's deterministic costs.
-            let g = tasks[i].graph();
-            let plan = schedule_with_l15(&tasks[i], 16, &etm);
-            let from = g.edge(e).from;
-            etm.edge_cost_in(g, e, plan.local_ways[from.0])
-        },
-    );
-    println!("\nFederated analysis of a 5-task set on 16 cores:");
-    println!("{:>6} {:>8} {:>8} {:>12} {:>10}", "task", "U_i", "heavy?", "cores", "bound");
-    for (i, t) in result.tasks.iter().enumerate() {
-        println!(
-            "{i:>6} {:>8.2} {:>8} {:>12} {:>10.1}",
-            tasks[i].utilisation(),
-            if t.heavy { "yes" } else { "no" },
-            if t.heavy { t.cores.to_string() } else { "shared".to_owned() },
-            t.bound
-        );
+    // Analysed under the proposed system's deterministic costs.
+    println!("\nFederated analysis of a 5-task set on 4 clusters x 4 cores:");
+    let topo = ClusterTopology { clusters: 4, cores_per_cluster: 4 };
+    match federated_partition(&tasks, topo, &SystemModel::proposed()) {
+        Ok(plan) => {
+            println!(
+                "{:>6} {:>8} {:>8} {:>12} {:>10}",
+                "task", "U_i", "heavy?", "clusters", "bound"
+            );
+            for a in &plan.assignments {
+                println!(
+                    "{:>6} {:>8.2} {:>8} {:>12} {:>10.1}",
+                    a.task,
+                    tasks[a.task].utilisation(),
+                    if a.heavy { "yes" } else { "no" },
+                    format!("{:?}", a.clusters),
+                    a.bound
+                );
+            }
+            println!("schedulable: every task placed");
+        }
+        Err(e) => println!("not schedulable [{}]: {e}", e.code()),
     }
-    println!(
-        "schedulable: {} ({} cores left for light tasks)",
-        result.schedulable, result.light_cores
-    );
     Ok(())
 }

@@ -1,8 +1,8 @@
 //! The cycle-accurate monitor in action (Sec. 5.3): run a producer/consumer
-//! pair on the simulated SoC with event tracing enabled, then dump the
-//! disassembled programs and the monitor's event log — fetches, loads,
-//! stores, control-port operations and Walloc grants, each with the level
-//! of the hierarchy that served it.
+//! pair on the simulated SoC with a flight recorder attached, then dump
+//! the disassembled programs and the recorded events — loads, stores,
+//! control-port operations, Walloc grants and GV traffic, each access with
+//! the level of the hierarchy that served it.
 //!
 //! ```sh
 //! cargo run --release --example trace_dump
@@ -11,7 +11,8 @@
 use l15::cache::l15::InclusionPolicy;
 use l15::rvcore::asm::Assembler;
 use l15::rvcore::disasm;
-use l15::soc::{ServedBy, Soc, SocConfig, TraceEventKind};
+use l15::soc::{Soc, SocConfig};
+use l15::trace::{EventKind, FlightRecorder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let producer = {
@@ -34,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("consumer @0x4000:\n{}\n", disasm::listing(0x4000, &consumer));
 
     let mut soc = Soc::new(SocConfig::proposed_8core(), 0x100);
-    soc.uncore_mut().trace_mut().enable();
+    soc.uncore_mut().trace_mut().attach(FlightRecorder::new(4096));
     soc.uncore_mut().load_program(0x100, &producer);
     soc.uncore_mut().load_program(0x4000, &consumer);
     {
@@ -53,32 +54,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     soc.run_core(1, 1_000);
     assert_eq!(soc.core(1).reg(13), 77);
 
-    let level = |s: ServedBy| match s {
-        ServedBy::L1 => "L1",
-        ServedBy::L15 => "L1.5",
-        ServedBy::L2 => "L2",
-        ServedBy::Memory => "MEM",
-    };
-    println!("monitor events (data accesses and reconfiguration):");
-    for e in soc.uncore().trace().events() {
+    let rec = soc.uncore_mut().trace_mut().detach().ok_or("recorder attached above")?;
+    println!("recorded events (data accesses and reconfiguration):");
+    for e in rec.events() {
         match e.kind {
-            TraceEventKind::Load { core, served } => {
-                println!("  [{:>6}] core {core} load  <- {}", e.cycle, level(served))
+            EventKind::Load { core, level } => {
+                println!("  [{:>6}] core {core} load  <- {}", e.cycle, level.name())
             }
-            TraceEventKind::Store { core, via_l15 } => println!(
+            EventKind::Store { core, via_l15 } => println!(
                 "  [{:>6}] core {core} store -> {}",
                 e.cycle,
                 if via_l15 { "L1.5 (inclusive route)" } else { "L1 (conventional)" }
             ),
-            TraceEventKind::Ctrl { core, op, arg } => {
-                println!("  [{:>6}] core {core} ctrl  {op:?} arg={arg:#x}", e.cycle)
+            EventKind::Ctrl { core, op, arg } => {
+                println!("  [{:>6}] core {core} ctrl  {} arg={arg:#x}", e.cycle, op.name())
             }
-            TraceEventKind::WayGrant { cluster, lane, way } => println!(
+            EventKind::WayGrant { cluster, lane, way } => println!(
                 "  [{:>6}] walloc grant way {way} -> cluster {cluster} lane {lane}",
                 e.cycle
             ),
-            TraceEventKind::GvUpdate { lane, mask, .. } => {
-                println!("  [{:>6}] gv_set lane {lane} mask {mask}", e.cycle)
+            EventKind::GvPublish { lane, mask, .. } => {
+                println!("  [{:>6}] gv_set lane {lane} mask {mask:#b}", e.cycle)
+            }
+            EventKind::GvConsume { core, way, .. } => {
+                println!("  [{:>6}] core {core} consumed published way {way}", e.cycle)
             }
             _ => {}
         }

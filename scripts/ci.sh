@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "==> build (release)"
 cargo build --release --offline
 
+echo "==> size (non-test lines per crate)"
+scripts/loc.sh
+
 echo "==> test (workspace, sequential pool: L15_JOBS=1)"
 L15_JOBS=1 cargo test -q --offline --workspace
 
