@@ -142,6 +142,25 @@ mod tests {
     }
 
     #[test]
+    fn touching_the_most_recent_way_again_changes_nothing() {
+        // What lets a cache skip the PLRU update for a repeat of its set's
+        // last access: for every associativity, after any history.
+        for ways in 1usize..=64 {
+            let mut p = TreePlru::new(ways);
+            for step in 0..ways {
+                p.touch((step * 7 + 3) % ways);
+                for way in 0..ways {
+                    let mut once = p.clone();
+                    once.touch(way);
+                    let mut twice = once.clone();
+                    twice.touch(way);
+                    assert_eq!(once, twice, "ways={ways} way={way} after {step} touches");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn two_ways_alternate() {
         let mut p = TreePlru::new(2);
         p.touch(0);

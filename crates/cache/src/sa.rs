@@ -172,6 +172,14 @@ impl SetAssocCache {
         self.lookup(addr, addr, ALL_WAYS, kind)
     }
 
+    /// Counts a read hit the caller resolved without a probe: a repeat of
+    /// the most recent [`access`](Self::access) to its set changes nothing
+    /// else, because tree-PLRU `touch` is idempotent.
+    #[inline]
+    pub fn record_hit(&mut self) {
+        self.stats.record_hit();
+    }
+
     /// [`access`](Self::access) with the set taken from `index_addr`, the
     /// tag from `tag_addr`, and only the ways in `allowed` checked.
     #[inline]

@@ -107,7 +107,7 @@ pub fn trace_program(program: &[u32], base: u32) -> Result<Vec<TraceStep>, Inter
         }
         let instr = isa::decode(program[index]).map_err(|_| InterpError::BadInstruction { pc })?;
 
-        let load_use = last_load_rd.is_some_and(|rd| instr.reads().contains(&rd));
+        let load_use = last_load_rd.is_some_and(|rd| instr.reads().contains(&Some(rd)));
         let mut step = TraceStep {
             fetch: pc,
             mem: None,

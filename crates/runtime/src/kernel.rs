@@ -154,7 +154,7 @@ pub fn run_task(
     if cfg.cluster >= clusters {
         return Err(KernelError::NoSuchCluster(cfg.cluster));
     }
-    let cores: Vec<usize> = (cfg.cluster * cpc..(cfg.cluster + 1) * cpc).collect();
+    let cores = cfg.cluster * cpc..(cfg.cluster + 1) * cpc;
     let has_l15 = cfg.use_l15 && soc.uncore().l15(cfg.cluster).is_some();
 
     // Load all node programs.
@@ -165,8 +165,9 @@ pub fn run_task(
         soc.uncore_mut().load_program(layout.code_of(v), &words);
     }
 
-    // Park every core.
-    for &c in &cores {
+    // Park every core: from here on a cluster core that is not halted is
+    // running a node.
+    for c in cores.clone() {
         soc.core_mut(c).halt();
     }
 
@@ -197,6 +198,9 @@ pub fn run_task(
     let start_cycle = soc.global_cycle();
     let mut last_sample = start_cycle;
     let mut util_weighted = 0.0f64;
+    // Way utilisation, and the grant + revoke count it was read at: way
+    // ownership only moves with one of those two counters.
+    let (mut util, mut util_moves) = (0.0f64, u64::MAX);
     let mut phi_sum = 0.0f64;
     let mut phi_nodes = 0usize;
 
@@ -207,8 +211,8 @@ pub fn run_task(
 
         // --- Dispatch ready nodes to idle cores ------------------------
         while ready > 0 && idle > 0 {
-            let Some(&core) =
-                cores.iter().find(|&&c| core_node[c].is_none() && soc.core(c).is_halted())
+            let Some(core) =
+                cores.clone().find(|&c| core_node[c].is_none() && soc.core(c).is_halted())
             else {
                 break;
             };
@@ -279,11 +283,7 @@ pub fn run_task(
         }
 
         // --- Advance the laggard busy core -----------------------------
-        let Some(&core) = cores
-            .iter()
-            .filter(|&&c| core_node[c].is_some() && !soc.core(c).is_halted())
-            .min_by_key(|&&c| soc.clock(c))
-        else {
+        let Some(core) = soc.laggard(cores.clone()) else {
             // Nothing runs but nodes remain: dependency stall should be
             // impossible — treat as timeout-level failure.
             return Err(KernelError::Timeout { completed: done, total: n });
@@ -293,7 +293,13 @@ pub fn run_task(
         // --- Monitor sampling -------------------------------------------
         let nowc = soc.global_cycle();
         if has_l15 && nowc > last_sample {
-            let util = soc.uncore().l15(cfg.cluster).expect("has_l15 checked").utilisation();
+            let counters = soc.uncore().trace().counters();
+            let moves = counters.grants + counters.revokes;
+            let l15 = soc.uncore().l15(cfg.cluster).expect("has_l15 checked");
+            if moves != util_moves {
+                (util, util_moves) = (l15.utilisation(), moves);
+            }
+            debug_assert_eq!(util, l15.utilisation(), "a way moved without a grant or revoke");
             util_weighted += util * (nowc - last_sample) as f64;
             last_sample = nowc;
         }
@@ -387,8 +393,7 @@ pub fn run_task(
                 }
             }
             if has_l15 {
-                let preds: Vec<NodeId> = dag.predecessors(v).iter().map(|&(_, p)| p).collect();
-                for p in preds {
+                for &(_, p) in dag.predecessors(v) {
                     consumers_left[p.0] -= 1;
                     if consumers_left[p.0] == 0 {
                         if !node_ways[p.0].is_empty() {

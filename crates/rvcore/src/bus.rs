@@ -11,9 +11,9 @@
 //! tags), mirroring how the IPU combines the virtual index with the TLB's
 //! physical tag (Fig. 3 ⓐ).
 
-use crate::isa::L15Op;
+use crate::isa::{self, Instr, L15Op};
 
-/// Result of a fetch or load through the hierarchy.
+/// Result of a load through the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// The loaded value (zero-extended to 32 bits).
@@ -23,6 +23,17 @@ pub struct MemAccess {
     /// Whether the data was served by the L1.5 (enables the EX-stage
     /// forwarding channel of Fig. 3 ⓓ).
     pub from_l15: bool,
+}
+
+/// Result of an instruction fetch: the word and what it decodes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fetched {
+    /// The raw instruction word.
+    pub word: u32,
+    /// Cycles the fetch occupied the memory pipeline.
+    pub cycles: u32,
+    /// [`isa::decode`] of `word`; `None` when it is not a legal instruction.
+    pub instr: Option<Instr>,
 }
 
 /// Result of an L1.5 control operation.
@@ -36,8 +47,11 @@ pub struct CtrlAccess {
 
 /// The memory system as seen by one core.
 pub trait SystemBus {
-    /// Fetches the 32-bit instruction at `paddr` (virtual `vaddr`).
-    fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> MemAccess;
+    /// Fetches and decodes the 32-bit instruction at `paddr` (virtual
+    /// `vaddr`). A bus may decode a word once and serve it many times, as
+    /// long as what it returns always equals decoding the word a fetch
+    /// reads now.
+    fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> Fetched;
 
     /// Loads `size` bytes (1, 2 or 4) at `paddr`, zero-extended.
     fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess;
@@ -100,8 +114,9 @@ impl FlatBus {
 }
 
 impl SystemBus for FlatBus {
-    fn fetch(&mut self, _core: usize, _vaddr: u32, paddr: u32) -> MemAccess {
-        MemAccess { value: self.read_bytes(paddr, 4), cycles: self.latency, from_l15: false }
+    fn fetch(&mut self, _core: usize, _vaddr: u32, paddr: u32) -> Fetched {
+        let word = self.read_bytes(paddr, 4);
+        Fetched { word, cycles: self.latency, instr: isa::decode(word).ok() }
     }
 
     fn load(&mut self, _core: usize, _vaddr: u32, paddr: u32, size: u32) -> MemAccess {
@@ -149,6 +164,7 @@ mod tests {
         let mut b = FlatBus::new(64, 1);
         b.load_program(0, &[1, 2, 3]);
         assert_eq!(b.read_u32(4), 2);
-        assert_eq!(b.fetch(0, 8, 8).value, 3);
+        let f = b.fetch(0, 8, 8);
+        assert_eq!((f.word, f.instr), (3, isa::decode(3).ok()));
     }
 }

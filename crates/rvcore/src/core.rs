@@ -24,7 +24,7 @@
 
 use crate::bus::SystemBus;
 use crate::csr::{cause, CsrFile, PrivLevel};
-use crate::isa::{self, AluOp, BranchOp, CsrOp, Instr, L15Op, LoadOp, MulOp};
+use crate::isa::{AluOp, BranchOp, CsrOp, Instr, L15Op, LoadOp, MulOp};
 use crate::mmu::Mmu;
 
 /// Pipeline timing knobs.
@@ -266,6 +266,7 @@ impl Core {
         &self.stats
     }
 
+    #[inline]
     fn translate(&mut self, vaddr: u32) -> Result<(u32, u32), u32> {
         // Machine mode runs bare; user mode goes through the segment MMU.
         if self.priv_level == PrivLevel::Machine {
@@ -318,19 +319,16 @@ impl Core {
         cycles += fetch.cycles.saturating_sub(1);
         stalls.if_stall += fetch.cycles.saturating_sub(1);
 
-        // --- ID: decode ----------------------------------------------------
-        let instr = match isa::decode(fetch.value) {
-            Ok(i) => i,
-            Err(_) => {
-                let ev = self.trap(cause::ILLEGAL_INSTRUCTION, fetch.value);
-                self.finish(cycles, next_hazard);
-                return StepOutcome { cycles, event: ev, stalls };
-            }
+        // --- ID: the bus decoded the word ---------------------------------
+        let Some(instr) = fetch.instr else {
+            let ev = self.trap(cause::ILLEGAL_INSTRUCTION, fetch.word);
+            self.finish(cycles, next_hazard);
+            return StepOutcome { cycles, event: ev, stalls };
         };
 
         // Load-use hazard against the previous instruction.
         if let Some(rd) = self.hazard.last_load_rd {
-            if instr.reads().contains(&rd) {
+            if instr.reads().contains(&Some(rd)) {
                 let stall = if self.hazard.last_load_from_l15 {
                     if self.timing.l15_forwarding {
                         0
@@ -474,7 +472,7 @@ impl Core {
             }
             Instr::Mret => {
                 if self.priv_level != PrivLevel::Machine {
-                    take_trap!(cause::ILLEGAL_INSTRUCTION, fetch.value);
+                    take_trap!(cause::ILLEGAL_INSTRUCTION, fetch.word);
                 }
                 self.priv_level = self.csr.mpp;
                 next_pc = self.csr.mepc();
@@ -488,7 +486,7 @@ impl Core {
                 // Machine CSRs (0x3xx, 0xF1x) require machine mode.
                 let needs_m = matches!(csr >> 8, 0x3 | 0xF | 0x7);
                 if needs_m && self.priv_level != PrivLevel::Machine {
-                    take_trap!(cause::ILLEGAL_INSTRUCTION, fetch.value);
+                    take_trap!(cause::ILLEGAL_INSTRUCTION, fetch.word);
                 }
                 let old = self.csr.read(csr);
                 let operand = if imm_form { src as u32 } else { self.regs[src as usize] };
@@ -518,7 +516,7 @@ impl Core {
                 // The Mini-Decoder routes these to the L1.5 control port
                 // instead of the LSU (Fig. 3 ⓑ). `demand` is privileged.
                 if op.privileged() && self.priv_level != PrivLevel::Machine {
-                    take_trap!(cause::ILLEGAL_INSTRUCTION, fetch.value);
+                    take_trap!(cause::ILLEGAL_INSTRUCTION, fetch.word);
                 }
                 let arg = match op {
                     L15Op::Demand | L15Op::GvSet | L15Op::IpSet => self.regs[rs1 as usize],

@@ -661,8 +661,8 @@ impl Instr {
     }
 
     /// The source registers read by this instruction (`x0` excluded).
-    pub fn reads(&self) -> Vec<Reg> {
-        let regs: [Option<Reg>; 2] = match *self {
+    pub fn reads(&self) -> [Option<Reg>; 2] {
+        let regs = match *self {
             Instr::Jalr { rs1, .. } | Instr::Load { rs1, .. } | Instr::OpImm { rs1, .. } => {
                 [Some(rs1), None]
             }
@@ -676,7 +676,7 @@ impl Instr {
             }
             _ => [None, None],
         };
-        regs.into_iter().flatten().filter(|&r| r != 0).collect()
+        regs.map(|r| r.filter(|&r| r != 0))
     }
 
     /// Whether this is a memory load (drives the load-use hazard model).
@@ -768,17 +768,17 @@ mod tests {
         let load = Instr::Load { op: LoadOp::Word, rd: 5, rs1: 2, imm: 0 };
         assert!(load.is_load());
         assert_eq!(load.writes(), Some(5));
-        assert_eq!(load.reads(), vec![2]);
+        assert_eq!(load.reads(), [Some(2), None]);
         let store = Instr::Store { op: StoreOp::Word, rs1: 2, rs2: 5, imm: 0 };
         assert_eq!(store.writes(), None);
-        assert_eq!(store.reads(), vec![2, 5]);
+        assert_eq!(store.reads(), [Some(2), Some(5)]);
         let supply = Instr::L15 { op: L15Op::Supply, rd: 7, rs1: 0 };
         assert_eq!(supply.writes(), Some(7));
-        assert!(supply.reads().is_empty());
+        assert_eq!(supply.reads(), [None, None]);
         // x0 never participates in hazards.
         let nop = Instr::OpImm { op: AluOp::Add, rd: 0, rs1: 0, imm: 0 };
         assert_eq!(nop.writes(), None);
-        assert!(nop.reads().is_empty());
+        assert_eq!(nop.reads(), [None, None]);
     }
 
     #[test]

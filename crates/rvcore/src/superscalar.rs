@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use crate::bus::{CtrlAccess, MemAccess, SystemBus};
+use crate::bus::{CtrlAccess, Fetched, MemAccess, SystemBus};
 use crate::isa::{Instr, L15Op};
 
 /// One traced instruction with its observed memory cost.
@@ -52,7 +52,7 @@ impl<'a, B: SystemBus + ?Sized> RecordingBus<'a, B> {
 }
 
 impl<B: SystemBus + ?Sized> SystemBus for RecordingBus<'_, B> {
-    fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> MemAccess {
+    fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> Fetched {
         self.inner.fetch(core, vaddr, paddr)
     }
 
@@ -177,7 +177,7 @@ pub fn estimate_cycles(trace: &[TraceOp], cfg: SuperscalarConfig) -> Superscalar
         while slots.len() < cfg.window && ix < trace.len() {
             let op = &trace[ix];
             let ready =
-                op.instr.reads().iter().map(|&r| reg_ready[r as usize]).fold(0u64, u64::max);
+                op.instr.reads().iter().flatten().map(|&r| reg_ready[r as usize]).fold(0, u64::max);
             let latency = match op.instr {
                 Instr::MulDiv { .. } => cfg.muldiv_latency as u64,
                 Instr::Load { .. } | Instr::Store { .. } => {
@@ -210,6 +210,7 @@ pub fn estimate_cycles(trace: &[TraceOp], cfg: SuperscalarConfig) -> Superscalar
                 .instr
                 .reads()
                 .iter()
+                .flatten()
                 .map(|&r| reg_ready[r as usize])
                 .fold(slot.ready, u64::max);
             let mut can_issue = ready <= cycle;

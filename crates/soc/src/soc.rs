@@ -7,6 +7,8 @@
 //! Walloc FSM by the elapsed cycles (one way-reconfiguration per cycle, per
 //! cluster).
 
+use std::ops::Range;
+
 use l15_rvcore::core::{Core, StepEvent, StepOutcome, TimingConfig};
 use l15_trace::EventKind;
 
@@ -22,7 +24,15 @@ pub struct Soc {
     /// Running `max(clocks)`: clocks only ever grow, and only through
     /// [`Soc::step_core`] and [`Soc::advance_clock`], which keep it.
     global: u64,
+    /// What [`Soc::laggard`] scans, per core: the core's clock while it can
+    /// run, [`HALTED`] after a step that left it halted, or [`STALE`] since
+    /// [`Soc::core_mut`] handed it out (the next scan looks the core up).
+    keys: Vec<u64>,
 }
+
+/// Scheduling keys no clock reaches; a runnable core's key is below both.
+const HALTED: u64 = u64::MAX;
+const STALE: u64 = u64::MAX - 1;
 
 impl Soc {
     /// Builds the SoC described by `cfg`, with all cores in reset at
@@ -40,6 +50,7 @@ impl Soc {
             uncore: Uncore::new(cfg),
             clocks: vec![0; n],
             global: 0,
+            keys: vec![0; n],
         }
     }
 
@@ -57,12 +68,15 @@ impl Soc {
         &self.cores[i]
     }
 
-    /// Mutable core access (kernel-level: set PC, registers, mappings).
+    /// Mutable core access (kernel-level: set PC, registers, mappings). The
+    /// caller may halt or resume the core, so this makes its scheduling key
+    /// stale — the only thing that does.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn core_mut(&mut self, i: usize) -> &mut Core {
+        self.keys[i] = STALE;
         &mut self.cores[i]
     }
 
@@ -100,6 +114,9 @@ impl Soc {
         if self.clocks[i] < cycle {
             self.clocks[i] = cycle;
             self.global = self.global.max(cycle);
+            if self.keys[i] < STALE {
+                self.keys[i] = cycle;
+            }
         }
     }
 
@@ -127,16 +144,35 @@ impl Soc {
         }
         self.clocks[i] += out.cycles as u64;
         self.global = self.global.max(self.clocks[i]);
+        self.keys[i] = if self.cores[i].is_halted() { HALTED } else { self.clocks[i] };
         self.uncore.advance(out.cycles);
         out
+    }
+
+    /// The core of `cores` that is furthest behind: the first one with the
+    /// smallest clock among those not halted, `None` when all are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` reaches past the last core.
+    #[inline]
+    pub fn laggard(&mut self, cores: Range<usize>) -> Option<usize> {
+        let mut best = (STALE, 0);
+        for i in cores {
+            if self.keys[i] == STALE {
+                self.keys[i] = if self.cores[i].is_halted() { HALTED } else { self.clocks[i] };
+            }
+            if self.keys[i] < best.0 {
+                best = (self.keys[i], i);
+            }
+        }
+        (best.0 < STALE).then_some(best.1)
     }
 
     /// Steps the core that is furthest behind (skipping halted cores).
     /// Returns `(core, outcome)`, or `None` when every core has halted.
     pub fn step(&mut self) -> Option<(usize, StepOutcome)> {
-        let i = (0..self.cores.len())
-            .filter(|&i| !self.cores[i].is_halted())
-            .min_by_key(|&i| self.clocks[i])?;
+        let i = self.laggard(0..self.cores.len())?;
         Some((i, self.step_core(i)))
     }
 
@@ -175,6 +211,14 @@ impl Soc {
 mod tests {
     use super::*;
     use l15_rvcore::asm::Assembler;
+    use l15_rvcore::csr::{addr, cause};
+    use l15_rvcore::isa::{self, AluOp, Instr};
+
+    fn assemble(build: impl FnOnce(&mut Assembler)) -> Vec<u32> {
+        let mut a = Assembler::new();
+        build(&mut a);
+        a.finish().expect("test program assembles")
+    }
 
     #[test]
     fn single_core_program_runs() {
@@ -272,5 +316,83 @@ mod tests {
         let min = (0..8).map(|i| soc.clock(i)).min().unwrap();
         let max = (0..8).map(|i| soc.clock(i)).max().unwrap();
         assert!(max - min < 500, "min {min} max {max}");
+    }
+
+    #[test]
+    fn an_illegal_word_traps_only_when_it_is_executed() {
+        const ILLEGAL: u32 = 0xffff_ffff;
+        assert!(isa::decode(ILLEGAL).is_err());
+        let mut soc = Soc::new(SocConfig::proposed_8core(), 0x100);
+        // Core 0 jumps over the word, which sits in the line it runs from.
+        let around = assemble(|a| {
+            a.li(1, 7).j("over").raw(ILLEGAL).label("over").ebreak();
+        });
+        soc.uncore_mut().load_program(0x100, &around);
+        soc.run_core(0, 100);
+        assert!(soc.core(0).is_halted());
+        assert_eq!((soc.core(0).reg(1), soc.core(0).stats().traps), (7, 0));
+        // Core 1 runs into it.
+        let into = assemble(|a| {
+            a.li(1, 7).raw(ILLEGAL).ebreak();
+        });
+        soc.uncore_mut().load_program(0x4000, &into);
+        soc.core_mut(1).set_pc(0x4000);
+        soc.run_core(1, 100);
+        let core = soc.core(1);
+        assert_eq!((core.reg(1), core.stats().traps), (7, 1));
+        assert_eq!(core.csr().mcause(), cause::ILLEGAL_INSTRUCTION);
+        assert_eq!(core.csr().read(addr::MTVAL), ILLEGAL, "tval is the raw word");
+        assert_eq!(core.csr().mepc(), 0x4004);
+    }
+
+    #[test]
+    fn a_jump_between_two_words_runs_what_straddles_them() {
+        // Pinned at the commit before fetches were windowed and predecoded:
+        // `jalr` clears bit 0 only, so a PC with `pc % 4 == 2` is reachable,
+        // and the core then executes the four bytes at that PC. Here they
+        // spell `addi x5, x0, 42` and, two bytes on, `ebreak`.
+        let addi = isa::encode(Instr::OpImm { op: AluOp::Add, rd: 5, rs1: 0, imm: 42 });
+        let ebreak = isa::encode(Instr::Ebreak);
+        let program = assemble(|a| {
+            a.instr(Instr::OpImm { op: AluOp::Add, rd: 6, rs1: 0, imm: 0x10a });
+            a.instr(Instr::Jalr { rd: 0, rs1: 6, imm: 0 });
+            a.raw(addi << 16).raw(ebreak << 16 | addi >> 16).raw(ebreak >> 16);
+        });
+        let mut soc = Soc::new(SocConfig::proposed_8core(), 0x100);
+        soc.uncore_mut().load_program(0x100, &program);
+        soc.run_core(0, 100);
+        let core = soc.core(0);
+        assert!(core.is_halted());
+        assert_eq!((core.reg(5), core.pc(), core.stats().traps), (42, 0x112, 0));
+        assert_eq!((core.stats().instructions, soc.clock(0)), (4, 136));
+        let l1 = soc.uncore().stats().l1;
+        assert_eq!((l1.hits(), l1.misses()), (3, 1), "one fill, then probed hits");
+    }
+
+    #[test]
+    fn a_resident_line_outlives_load_program_until_flush_all() {
+        // The L1I is not coherent with host writes: a program loaded over a
+        // resident line runs only after `flush_all`. Predecoded lines rely
+        // on exactly this (nothing rewrites a line between fill and
+        // eviction), so it is pinned here.
+        let program = |value| {
+            assemble(|a| {
+                a.li(1, value).ebreak();
+            })
+        };
+        let mut soc = Soc::new(SocConfig::proposed_8core(), 0x100);
+        let run = |soc: &mut Soc| {
+            let core = soc.core_mut(0);
+            core.set_pc(0x100);
+            core.resume();
+            soc.run_core(0, 100);
+            soc.core(0).reg(1)
+        };
+        soc.uncore_mut().load_program(0x100, &program(1));
+        assert_eq!(run(&mut soc), 1);
+        soc.uncore_mut().load_program(0x100, &program(2));
+        assert_eq!(run(&mut soc), 1, "the resident line still holds the old code");
+        soc.uncore_mut().flush_all();
+        assert_eq!(run(&mut soc), 2);
     }
 }

@@ -24,8 +24,8 @@ use l15_cache::mem::MainMemory;
 use l15_cache::sa::{AccessKind, EvictedLine, SetAssocCache};
 use l15_cache::stats::CacheStats;
 use l15_cache::CacheError;
-use l15_rvcore::bus::{CtrlAccess, MemAccess, SystemBus};
-use l15_rvcore::isa::L15Op;
+use l15_rvcore::bus::{CtrlAccess, Fetched, MemAccess, SystemBus};
+use l15_rvcore::isa::{self, Instr, L15Op};
 use l15_trace::{EventKind, Level};
 
 use crate::config::{LevelConfig, SocConfig};
@@ -122,11 +122,59 @@ fn value_at(line: &[u8], off: usize, size: usize) -> u32 {
     }
 }
 
+/// The L1I line a core touched last in one set, the way holding it and what
+/// a hit in that way costs. A closed window names no line: `base` is beyond
+/// the 32-bit physical address space.
+#[derive(Debug, Clone, Copy)]
+struct FetchWindow {
+    base: u64,
+    way: usize,
+    latency: u32,
+}
+
+const CLOSED: FetchWindow = FetchWindow { base: u64::MAX, way: 0, latency: 0 };
+
+/// One core's L1I behind the two tables that let a fetch skip the probe and
+/// the decode (`DESIGN.md` §4.7 has their invariants).
+#[derive(Debug, Clone)]
+struct Frontend {
+    l1i: SetAssocCache,
+    /// Per set: the set's most recent touch, or [`CLOSED`].
+    windows: Vec<FetchWindow>,
+    /// Per slot and word: [`isa::decode`] of the resident line's word,
+    /// written when the line is filled. Allocated by the core's first fill.
+    decoded: Vec<Option<Instr>>,
+}
+
+impl Frontend {
+    /// Index in `decoded` of the word at `paddr`, resident in `way`.
+    fn word(&self, paddr: u64, way: usize) -> usize {
+        let geo = self.l1i.geometry();
+        let slot = geo.index_of(paddr) as usize * geo.ways() + way;
+        (slot * geo.line_bytes() as usize + geo.offset_of(paddr) as usize) / 4
+    }
+
+    /// The L1I was just filled with `line` for `paddr`: decodes it into its
+    /// slot and closes the set's window, which the fill touched.
+    fn filled(&mut self, paddr: u64, line: &[u8]) {
+        let geo = *self.l1i.geometry();
+        let way = self.l1i.probe(paddr).expect("the line was just filled");
+        self.windows[geo.index_of(paddr) as usize] = CLOSED;
+        if self.decoded.is_empty() {
+            self.decoded = vec![None; (geo.capacity_bytes() / 4) as usize];
+        }
+        let first = self.word(geo.line_base(paddr), way);
+        for (slot, word) in self.decoded[first..].iter_mut().zip(line.chunks_exact(4)) {
+            *slot = isa::decode(value_at(word, 0, 4)).ok();
+        }
+    }
+}
+
 /// The memory system shared by all cores.
 #[derive(Debug, Clone)]
 pub struct Uncore {
     cfg: SocConfig,
-    l1i: Vec<SetAssocCache>,
+    front: Vec<Frontend>,
     l1d: Vec<SetAssocCache>,
     l15: Vec<Option<L15Cache>>,
     below: Below,
@@ -164,7 +212,13 @@ impl Uncore {
             })
             .collect();
         Uncore {
-            l1i: (0..cores).map(|_| build_level(&cfg.l1i)).collect(),
+            front: (0..cores)
+                .map(|_| {
+                    let l1i = build_level(&cfg.l1i);
+                    let windows = vec![CLOSED; l1i.geometry().sets() as usize];
+                    Frontend { l1i, windows, decoded: Vec::new() }
+                })
+                .collect(),
             l1d: (0..cores).map(|_| build_level(&cfg.l1d)).collect(),
             l15,
             below: Below {
@@ -212,7 +266,9 @@ impl Uncore {
         self.below.mem.read(paddr as u64, buf);
     }
 
-    /// Loads a program image (little-endian words) at `paddr`.
+    /// Loads a program image (little-endian words) at `paddr`. Like every
+    /// host write it reaches memory only: an L1I that holds one of its lines
+    /// keeps executing the old contents until [`flush_all`](Self::flush_all).
     pub fn load_program(&mut self, paddr: u32, words: &[u32]) {
         for (i, w) in words.iter().enumerate() {
             self.below.mem.write(paddr as u64 + i as u64 * 4, &w.to_le_bytes());
@@ -357,7 +413,8 @@ impl Uncore {
     pub fn flush_all(&mut self) {
         for core in 0..self.cfg.total_cores() {
             self.flush_l1d(core);
-            self.l1i[core].flush();
+            self.front[core].l1i.flush();
+            self.front[core].windows.fill(CLOSED);
         }
         for l15 in self.l15.iter_mut().flatten() {
             // `flush_dirty` hands every dirty line down and leaves it
@@ -389,7 +446,7 @@ impl Uncore {
     /// Merged statistics over the whole hierarchy.
     pub fn stats(&self) -> HierarchyStats {
         let mut s = HierarchyStats::default();
-        for c in self.l1i.iter().chain(&self.l1d) {
+        for c in self.front.iter().map(|f| &f.l1i).chain(&self.l1d) {
             s.l1.merge(c.stats());
         }
         for l15 in self.l15.iter().flatten() {
@@ -409,7 +466,7 @@ impl Uncore {
         let mut s = ClusterStats::default();
         let base = cluster * self.cfg.cores_per_cluster;
         for core in base..base + self.cfg.cores_per_cluster {
-            s.l1.merge(self.l1i[core].stats());
+            s.l1.merge(self.front[core].l1i.stats());
             s.l1.merge(self.l1d[core].stats());
         }
         if let Some(l15) = self.l15(cluster) {
@@ -496,9 +553,12 @@ impl Uncore {
     fn refill_l1(&mut self, core: usize, instr: bool, vaddr: u64, paddr: u64) -> (u32, Level) {
         let (cluster, lane) = self.cluster_of(core);
         let (cycles, served) = self.read_line_shared(cluster, lane, vaddr, paddr);
-        let l1 = if instr { &mut self.l1i[core] } else { &mut self.l1d[core] };
+        let l1 = if instr { &mut self.front[core].l1i } else { &mut self.l1d[core] };
         if let Some(v) = l1.fill(paddr, &self.line_buf, None) {
             self.absorb_l1_victim(cluster, lane, v.addr, &v.data);
+        }
+        if instr {
+            self.front[core].filled(paddr, &self.line_buf);
         }
         (cycles, served)
     }
@@ -514,11 +574,16 @@ impl Uncore {
         size: u32,
     ) -> (MemAccess, Level) {
         let paddr = paddr as u64;
-        let l1 = if instr { &mut self.l1i[core] } else { &mut self.l1d[core] };
+        let l1 = if instr { &mut self.front[core].l1i } else { &mut self.l1d[core] };
         let out = l1.access(paddr, AccessKind::Read);
         let off = (paddr & (self.line_bytes - 1)) as usize;
         if let Some(way) = out.way {
             let value = value_at(l1.line(paddr, way), off, size as usize);
+            if instr {
+                let (geo, latency) = (*l1.geometry(), out.latency);
+                let window = FetchWindow { base: geo.line_base(paddr), way, latency };
+                self.front[core].windows[geo.index_of(paddr) as usize] = window;
+            }
             return (MemAccess { value, cycles: out.latency, from_l15: false }, Level::L1);
         }
         let (below, served) = self.refill_l1(core, instr, vaddr as u64, paddr);
@@ -526,13 +591,32 @@ impl Uncore {
         let cycles = out.latency + below;
         (MemAccess { value, cycles, from_l15: served == Level::L15 }, served)
     }
+
+    /// A fetch its set's window does not cover: probe the L1I, decode the
+    /// word. Kept out of line, so `Core::step` inlines the window hit only.
+    #[inline(never)]
+    fn fetch_probed(&mut self, core: usize, vaddr: u32, paddr: u32) -> Fetched {
+        let (access, level) = self.read_through_l1(core, true, vaddr, paddr, 4);
+        self.trace.record(EventKind::Fetch { core: core as u32, level });
+        Fetched { word: access.value, cycles: access.cycles, instr: isa::decode(access.value).ok() }
+    }
 }
 
 impl SystemBus for Uncore {
-    fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> MemAccess {
-        let (access, level) = self.read_through_l1(core, true, vaddr, paddr, 4);
-        self.trace.record(EventKind::Fetch { core: core as u32, level });
-        access
+    #[inline]
+    fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> Fetched {
+        let (front, addr) = (&mut self.front[core], paddr as u64);
+        let geo = front.l1i.geometry();
+        let window = front.windows[geo.index_of(addr) as usize];
+        if window.base == geo.line_base(addr) && paddr.is_multiple_of(4) {
+            let off = geo.offset_of(addr) as usize;
+            let word = value_at(front.l1i.line(addr, window.way), off, 4);
+            let instr = front.decoded[front.word(addr, window.way)];
+            front.l1i.record_hit();
+            self.trace.record(EventKind::Fetch { core: core as u32, level: Level::L1 });
+            return Fetched { word, cycles: window.latency, instr };
+        }
+        self.fetch_probed(core, vaddr, paddr)
     }
 
     fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess {
@@ -789,7 +873,7 @@ mod tests {
         let mut u = uncore();
         u.load_program(0x100, &[0x0000_0013]); // nop
         let f = u.fetch(2, 0x100, 0x100);
-        assert_eq!(f.value, 0x0000_0013);
+        assert_eq!((f.word, f.instr), (0x0000_0013, isa::decode(0x0000_0013).ok()));
         let f2 = u.fetch(2, 0x100, 0x100);
         assert!(f2.cycles < f.cycles, "second fetch hits L1I");
     }

@@ -1,7 +1,13 @@
-//! The two shortcuts on the per-instruction path, checked against the
+//! The shortcuts on the per-instruction path, checked against the
 //! definitions they replace (replay a failure with the printed
 //! `L15_PROP_SEED`):
 //!
+//! * `Uncore::fetch` behind its per-set windows and predecoded lines must be
+//!   indistinguishable from probing the L1I and decoding the word on every
+//!   fetch — checked against a shadow `SetAssocCache` the test drives;
+//! * `Soc::laggard` scans cached keys — it must return the first core of
+//!   the range with the smallest clock among those not halted, whatever was
+//!   done to the cores through `core_mut` in between;
 //! * `Soc::global_cycle` is a running maximum — it must equal
 //!   `max_i clock(i)` after any mix of `step_core` and `advance_clock`;
 //! * `Uncore::advance` returns at once unless a Walloc may be pending — an
@@ -10,11 +16,12 @@
 //!   least one cycle must perform a Walloc action wherever one was owed
 //!   (the flag is never spuriously down).
 
-use l15_cache::geometry::WayMask;
+use l15_cache::geometry::{Geometry, WayMask};
 use l15_cache::l15::L15ConfigState;
+use l15_cache::sa::{AccessKind, SetAssocCache};
 use l15_rvcore::asm::Assembler;
 use l15_rvcore::bus::SystemBus;
-use l15_rvcore::isa::L15Op;
+use l15_rvcore::isa::{self, L15Op};
 use l15_soc::{Soc, SocConfig, Uncore};
 use l15_testkit::prop::{self, Config, G};
 use l15_trace::{FlightRecorder, TraceEvent};
@@ -39,8 +46,7 @@ fn busy_loop() -> Vec<u32> {
 fn global_cycle_is_the_maximum_core_clock() {
     let program = busy_loop();
     prop::run_with(Config::with_cases(24), "global_cycle_is_the_maximum_core_clock", |g| {
-        let cfg = if g.bool() { SocConfig::proposed_8core() } else { SocConfig::proposed_32core() };
-        let mut soc = Soc::new(cfg, 0x100);
+        let mut soc = Soc::new(arb_preset(g), 0x100);
         soc.uncore_mut().load_program(0x100, &program);
         let n = soc.n_cores();
         for _ in 0..g.usize_in(1..400) {
@@ -54,6 +60,115 @@ fn global_cycle_is_the_maximum_core_clock() {
             }
             let max = (0..n).map(|i| soc.clock(i)).max().expect("at least one core");
             assert_eq!(soc.global_cycle(), max);
+        }
+    });
+}
+
+/// Either preset the benchmark's engine workloads run on.
+fn arb_preset(g: &mut G) -> SocConfig {
+    if g.bool() {
+        SocConfig::proposed_8core()
+    } else {
+        SocConfig::proposed_32core()
+    }
+}
+
+#[test]
+fn windowed_fetch_equals_a_probed_l1i() {
+    const CODE: u64 = 0x4_0000;
+    let program = busy_loop();
+    prop::run_with(Config::with_cases(48), "windowed_fetch_equals_a_probed_l1i", |g| {
+        // On the presets every L1I way hits in one cycle (a 1..2 band over
+        // two ways); a deeper band makes the way a hit came from visible.
+        let mut cfg = arb_preset(g);
+        cfg.l1i.ways = *g.pick(&[2, 4]);
+        cfg.l1i.lat_max = g.u32_in(2..=9);
+        let l1i = cfg.l1i;
+        let geo = Geometry::from_capacity(l1i.capacity, l1i.line_bytes, l1i.ways).expect("preset");
+        let mut shadow = SetAssocCache::new(geo, l1i.lat_min, l1i.lat_max);
+        let core = g.usize_in(0..cfg.total_cores());
+        let cluster = core / cfg.cores_per_cluster;
+        let mut u = Uncore::new(cfg);
+
+        // Two more lines than ways in each of two L1I sets: windows get
+        // replaced, lines evicted and filled again. Words are real
+        // instructions or noise (mostly undecodable).
+        let way_span = geo.sets() * geo.line_bytes();
+        let lines: Vec<u64> = (0..2)
+            .flat_map(|set| (0..geo.ways() as u64 + 2).map(move |k| (set, k)))
+            .map(|(set, k)| CODE + set * geo.line_bytes() + k * way_span)
+            .collect();
+        for &base in &lines {
+            for word in 0..geo.line_bytes() / 4 {
+                let value = if g.bool() { *g.pick(&program) } else { g.any_u32() };
+                u.host_write((base + word * 4) as u32, &value.to_le_bytes());
+            }
+        }
+
+        let mut line = vec![0u8; geo.line_bytes() as usize];
+        let (mut fetches, mut hits) = (0u64, 0u64);
+        for step in 0..g.usize_in(1..600) {
+            if g.weighted(&[60, 1]) == 1 {
+                u.flush_all();
+                shadow.flush();
+                continue;
+            }
+            // Mostly word-aligned; `+ 2` is a PC a `jalr` can produce.
+            let off = g.u64_in(0..geo.line_bytes() / 4) * 4 + 2 * g.weighted(&[15, 1]) as u64;
+            let base = *g.pick(&lines);
+            let got = u.fetch(core, (base + off) as u32, (base + off) as u32);
+            fetches += 1;
+
+            let want = shadow.access(base + off, AccessKind::Read);
+            u.host_read(base as u32, &mut line);
+            if want.hit {
+                hits += 1;
+                assert_eq!(got.cycles, want.latency, "step {step}: hit latency at {off:#x}");
+            } else {
+                assert!(got.cycles > want.latency, "step {step}: a miss goes below the L1I");
+                shadow.fill(base, &line, None);
+            }
+            // A fetch running over the line's end reads zero, as before.
+            let word = line
+                .get(off as usize..off as usize + 4)
+                .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("four bytes")));
+            assert_eq!(got.word, word, "step {step}: word at {off:#x}");
+            assert_eq!(got.instr, isa::decode(word).ok(), "step {step}: decode of {word:#010x}");
+            // Only this core ran, and it only fetched: the cluster's L1
+            // counters are its L1I's.
+            assert_eq!(u.cluster_stats(cluster).expect("in range").l1, *shadow.stats());
+            let counted = u.trace().counters().fetches;
+            assert_eq!((counted[0], counted.iter().sum::<u64>()), (hits, fetches), "step {step}");
+        }
+    });
+}
+
+#[test]
+fn laggard_is_the_first_runnable_core_with_the_smallest_clock() {
+    let program = busy_loop();
+    let ebreak = 0x100 + 4 * (program.len() as u32 - 1);
+    prop::run_with(Config::with_cases(24), "laggard_is_the_first_runnable_core", |g| {
+        let mut soc = Soc::new(arb_preset(g), 0x100);
+        soc.uncore_mut().load_program(0x100, &program);
+        let n = soc.n_cores();
+        for _ in 0..g.usize_in(1..400) {
+            let core = g.usize_in(0..n);
+            match g.weighted(&[8, 2, 1, 1, 1, 1]) {
+                // Also steps halted cores, and cores about to halt.
+                0 => drop(soc.step_core(core)),
+                1 => {
+                    soc.advance_clock(core, (soc.clock(core) + g.u64_in(0..200)).saturating_sub(50))
+                }
+                2 => soc.core_mut(core).halt(),
+                3 => soc.core_mut(core).resume(),
+                4 => soc.core_mut(core).set_pc(0x100),
+                _ => soc.core_mut(core).set_pc(ebreak),
+            }
+            let lo = g.usize_in(0..n);
+            let range = lo..g.usize_in(lo..=n);
+            let first_min =
+                range.clone().filter(|&i| !soc.core(i).is_halted()).min_by_key(|&i| soc.clock(i));
+            assert_eq!(soc.laggard(range.clone()), first_min, "over {range:?}");
         }
     });
 }
