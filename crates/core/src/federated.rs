@@ -20,10 +20,17 @@
 //! the success ratio of the cluster sweeps: tasks fit in fewer clusters
 //! when the benefit term applies.
 //!
+//! The tier is two halves: [`TaskAnalysis`] is everything that depends on
+//! one task alone (plan, bounds, light/heavy verdict — the expensive part)
+//! and [`place`] everything that depends on the set (cluster hand-out,
+//! first-fit packing). [`federated_partition`] composes them; the online
+//! session keeps the first half per resident job and replays the second.
+//!
 //! An unschedulable input is an explicit, typed [`FederatedError`] — never
 //! a panic — so callers (the `l15-serve` endpoints, the bench sweeps) can
 //! surface an infeasible verdict end-to-end.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use l15_dag::DagTask;
@@ -217,18 +224,178 @@ fn bound_on(
     )
 }
 
-/// Partitions `tasks` over `topo` federated-style under `model`.
+/// How much of the platform one task needs — the capacity verdict of its
+/// [`TaskAnalysis`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Capacity {
+    /// Density ≤ 1 and the one-cluster bound meets the deadline: shares a
+    /// cluster with other light tasks.
+    Light,
+    /// Needs this many dedicated clusters (the smallest count whose bound
+    /// meets the deadline).
+    Heavy { clusters: usize },
+    /// Misses its deadline even on every cluster of the platform.
+    Unschedulable,
+}
+
+/// Everything the federated tier computes about **one** task: its
+/// per-cluster plan (Alg. 1 for the proposed system), its worst-case
+/// utilisation and density, and whether it is light, heavy (and on how many
+/// clusters) or unschedulable, with the bound that says so.
 ///
-/// Heavy tasks (density > 1, or bound over one full cluster exceeding the
-/// deadline) get the smallest dedicated cluster count whose bound meets
-/// the deadline — one cluster is analysed with the L1.5 benefit term,
-/// more pay full communication costs. Light tasks are first-fit packed
-/// onto the remaining clusters under the conservative non-preemptive
-/// utilisation bound `U ≤ (cores_per_cluster + 1) / 2` per cluster; each
-/// runs under its own Alg. 1 plan and RTA inside its home cluster.
+/// A pure function of `(task, topology, model)` — nothing here looks at
+/// the rest of the set — so a caller that places the same task again and
+/// again (the online session) computes it once and keeps it; it goes stale
+/// only when the topology or the model (`ζ` included) changes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskAnalysis {
+    plan: SchedulePlan,
+    utilisation: f64,
+    density: f64,
+    deadline: f64,
+    /// On the capacity the verdict names: one cluster for a light task, its
+    /// dedicated clusters for a heavy one, the best achievable for an
+    /// unschedulable one.
+    bound: f64,
+    capacity: Capacity,
+}
+
+impl TaskAnalysis {
+    /// Analyses `task` for `topo` under `model`.
+    ///
+    /// A task is heavy when its density exceeds 1 or its bound over one
+    /// full cluster exceeds the deadline; it then gets the smallest cluster
+    /// count whose bound meets the deadline — one cluster is analysed with
+    /// the L1.5 benefit term, more pay full communication costs.
+    pub fn new(task: &DagTask, topo: ClusterTopology, model: &SystemModel) -> Self {
+        // A topology without cores is `place`'s to refuse (`NoClusters`,
+        // before any verdict is read); this only keeps the bound defined.
+        let cpc = topo.cores_per_cluster.max(1);
+        let plan = model.plan(task);
+        let dag = task.graph();
+        let work: f64 = dag.node_ids().map(|v| model.worst_case_exec(dag.node(v).wcet)).sum();
+        let density = work / task.deadline();
+        let meets = |bound: f64| bound <= task.deadline() + 1e-9;
+
+        let b1 = bound_on(task, &plan, model, cpc, true).bound;
+        let (capacity, bound) = if meets(b1) {
+            let light = density <= 1.0 + 1e-9;
+            (if light { Capacity::Light } else { Capacity::Heavy { clusters: 1 } }, b1)
+        } else {
+            let mut best = b1;
+            let fits = (2..=topo.clusters).find_map(|n| {
+                let b = bound_on(task, &plan, model, n * cpc, false).bound;
+                best = best.min(b);
+                meets(b).then_some((Capacity::Heavy { clusters: n }, b))
+            });
+            fits.unwrap_or((Capacity::Unschedulable, best))
+        };
+        let (utilisation, deadline) = (work / task.period(), task.deadline());
+        TaskAnalysis { plan, utilisation, density, deadline, bound, capacity }
+    }
+}
+
+/// Places analysed tasks on `topo`, in input order: the federated tier's
+/// one placement, behind [`federated_partition`] and the online session
+/// alike. Every analysis must have been made for `topo`.
+///
+/// Heavy tasks take their dedicated clusters from the front; light tasks
+/// are then first-fit packed onto the remaining clusters under the
+/// conservative non-preemptive utilisation bound
+/// `U ≤ (cores_per_cluster + 1) / 2` per cluster, each running under its
+/// own Alg. 1 plan and RTA inside its home cluster. An owned analysis
+/// gives its plan to the assignment; a borrowed one is cloned.
 ///
 /// The result is deterministic: placement depends only on the input
 /// order, never on iteration over unordered containers.
+///
+/// # Errors
+///
+/// Returns a typed [`FederatedError`], checked in this order: degenerate
+/// topology, empty input, over-utilisation, the first heavy task in input
+/// order that is unschedulable or finds too few clusters left, the first
+/// light task that fits no remaining cluster.
+pub fn place<'a>(
+    analyses: impl IntoIterator<Item = Cow<'a, TaskAnalysis>>,
+    topo: ClusterTopology,
+) -> Result<ClusterPlan, FederatedError> {
+    if topo.clusters == 0 || topo.cores_per_cluster == 0 {
+        return Err(FederatedError::NoClusters);
+    }
+    let analyses: Vec<Cow<'a, TaskAnalysis>> = analyses.into_iter().collect();
+    if analyses.is_empty() {
+        return Err(FederatedError::EmptyTaskset);
+    }
+    let total_util: f64 = analyses.iter().map(|a| a.utilisation).sum();
+    if total_util > topo.total_cores() as f64 + 1e-9 {
+        return Err(FederatedError::Overutilized {
+            utilisation: total_util,
+            cores: topo.total_cores(),
+        });
+    }
+
+    let mut homes: Vec<Vec<usize>> = vec![Vec::new(); analyses.len()];
+    let mut next_cluster = 0usize; // heavy tasks take clusters from the front
+    for (task, a) in analyses.iter().enumerate() {
+        let n = match a.capacity {
+            // Light: placed after every heavy task has its clusters.
+            Capacity::Light => continue,
+            Capacity::Heavy { clusters } => clusters,
+            Capacity::Unschedulable => {
+                return Err(FederatedError::TaskUnschedulable {
+                    task,
+                    bound: a.bound,
+                    deadline: a.deadline,
+                });
+            }
+        };
+        if next_cluster + n > topo.clusters {
+            return Err(FederatedError::NotEnoughClusters {
+                needed: next_cluster + n,
+                available: topo.clusters,
+            });
+        }
+        homes[task] = (next_cluster..next_cluster + n).collect();
+        next_cluster += n;
+    }
+
+    // First-fit light packing onto the clusters the heavy tasks left over,
+    // under the conservative non-preemptive utilisation bound per cluster.
+    let cap = (topo.cores_per_cluster as f64 + 1.0) / 2.0;
+    let mut load = vec![0.0f64; topo.clusters - next_cluster];
+    for (task, a) in analyses.iter().enumerate().filter(|(_, a)| a.capacity == Capacity::Light) {
+        let Some(slot) = load.iter().position(|&u| u + a.utilisation <= cap + 1e-9) else {
+            return Err(if load.is_empty() {
+                FederatedError::NotEnoughClusters {
+                    needed: next_cluster + 1,
+                    available: topo.clusters,
+                }
+            } else {
+                FederatedError::LightTaskUnplaceable { task, utilisation: a.utilisation }
+            });
+        };
+        load[slot] += a.utilisation;
+        homes[task] = vec![next_cluster + slot];
+    }
+
+    let mut assignments = Vec::with_capacity(analyses.len());
+    for (task, (a, clusters)) in analyses.into_iter().zip(homes).enumerate() {
+        let a = a.into_owned();
+        assignments.push(TaskAssignment {
+            task,
+            heavy: a.capacity != Capacity::Light,
+            clusters,
+            bound: a.bound,
+            density: a.density,
+            tid: task as u32 + 1,
+            plan: a.plan,
+        });
+    }
+    Ok(ClusterPlan { topology: topo, assignments })
+}
+
+/// Partitions `tasks` over `topo` federated-style under `model`: analyses
+/// each task ([`TaskAnalysis::new`]) and places the analyses ([`place`]).
 ///
 /// # Errors
 ///
@@ -239,126 +406,7 @@ pub fn federated_partition(
     topo: ClusterTopology,
     model: &SystemModel,
 ) -> Result<ClusterPlan, FederatedError> {
-    if topo.clusters == 0 || topo.cores_per_cluster == 0 {
-        return Err(FederatedError::NoClusters);
-    }
-    if tasks.is_empty() {
-        return Err(FederatedError::EmptyTaskset);
-    }
-    let total_util: f64 = tasks
-        .iter()
-        .map(|t| {
-            t.graph().node_ids().map(|v| model.worst_case_exec(t.graph().node(v).wcet)).sum::<f64>()
-                / t.period()
-        })
-        .sum();
-    if total_util > topo.total_cores() as f64 + 1e-9 {
-        return Err(FederatedError::Overutilized {
-            utilisation: total_util,
-            cores: topo.total_cores(),
-        });
-    }
-
-    let cpc = topo.cores_per_cluster;
-    let mut assignments: Vec<TaskAssignment> = Vec::with_capacity(tasks.len());
-    let mut next_cluster = 0usize; // heavy tasks take clusters from the front
-    let mut light: Vec<(usize, f64, f64, SchedulePlan)> = Vec::new(); // (task, util, bound, plan)
-
-    for (i, t) in tasks.iter().enumerate() {
-        let plan = model.plan(t);
-        let work: f64 =
-            t.graph().node_ids().map(|v| model.worst_case_exec(t.graph().node(v).wcet)).sum();
-        let density = work / t.deadline();
-        let b1 = bound_on(t, &plan, model, cpc, true);
-        let feasible_1 = b1.bound <= t.deadline() + 1e-9;
-
-        if density <= 1.0 + 1e-9 && feasible_1 {
-            // Light: placed after every heavy task has its clusters.
-            let util = work / t.period();
-            light.push((i, util, b1.bound, plan));
-            continue;
-        }
-
-        // Heavy: smallest cluster count meeting the deadline. One cluster
-        // keeps the L1.5 benefit term; several pay full edge costs.
-        let mut chosen = None;
-        if feasible_1 {
-            chosen = Some((1usize, b1.bound));
-        } else {
-            let mut best = b1.bound;
-            for n in 2..=topo.clusters {
-                let b = bound_on(t, &plan, model, n * cpc, false);
-                best = best.min(b.bound);
-                if b.bound <= t.deadline() + 1e-9 {
-                    chosen = Some((n, b.bound));
-                    break;
-                }
-            }
-            if chosen.is_none() {
-                return Err(FederatedError::TaskUnschedulable {
-                    task: i,
-                    bound: best,
-                    deadline: t.deadline(),
-                });
-            }
-        }
-        let (n, bound) = chosen.expect("assigned above");
-        if next_cluster + n > topo.clusters {
-            return Err(FederatedError::NotEnoughClusters {
-                needed: next_cluster + n,
-                available: topo.clusters,
-            });
-        }
-        let clusters: Vec<usize> = (next_cluster..next_cluster + n).collect();
-        next_cluster += n;
-        assignments.push(TaskAssignment {
-            task: i,
-            heavy: true,
-            clusters,
-            bound,
-            density,
-            tid: i as u32 + 1,
-            plan,
-        });
-    }
-
-    // First-fit light packing onto the clusters the heavy tasks left over,
-    // under the conservative non-preemptive utilisation bound per cluster.
-    let shared: Vec<usize> = (next_cluster..topo.clusters).collect();
-    let cap = (cpc as f64 + 1.0) / 2.0;
-    let mut load = vec![0.0f64; shared.len()];
-    for (task, util, bound, plan) in light {
-        let density = {
-            let t = &tasks[task];
-            let work: f64 =
-                t.graph().node_ids().map(|v| model.worst_case_exec(t.graph().node(v).wcet)).sum();
-            work / t.deadline()
-        };
-        let slot = load.iter().position(|&u| u + util <= cap + 1e-9);
-        let Some(slot) = slot else {
-            return Err(if shared.is_empty() {
-                FederatedError::NotEnoughClusters {
-                    needed: next_cluster + 1,
-                    available: topo.clusters,
-                }
-            } else {
-                FederatedError::LightTaskUnplaceable { task, utilisation: util }
-            });
-        };
-        load[slot] += util;
-        assignments.push(TaskAssignment {
-            task,
-            heavy: false,
-            clusters: vec![shared[slot]],
-            bound,
-            density,
-            tid: task as u32 + 1,
-            plan,
-        });
-    }
-
-    assignments.sort_by_key(|a| a.task);
-    Ok(ClusterPlan { topology: topo, assignments })
+    place(tasks.iter().map(|t| Cow::Owned(TaskAnalysis::new(t, topo, model))), topo)
 }
 
 #[cfg(test)]
@@ -439,6 +487,11 @@ mod tests {
             federated_partition(std::slice::from_ref(&t), topo(0), &model),
             Err(FederatedError::NoClusters)
         );
+        // The analysis itself is total: a topology without cores is refused
+        // by the placement, not by a panic in the constructor.
+        let coreless = ClusterTopology { clusters: 2, cores_per_cluster: 0 };
+        let analysed = Cow::Owned(TaskAnalysis::new(&t, coreless, &model));
+        assert_eq!(place([analysed], coreless), Err(FederatedError::NoClusters));
         assert_eq!(federated_partition(&[], topo(2), &model), Err(FederatedError::EmptyTaskset));
         // Over-utilized: 3 tasks of utilisation ≈ 4 each on 8 cores.
         let fat = light_task(40.0, 10.0);
@@ -490,6 +543,127 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// FNV-1a of the partition's `Debug` rendering — plan or typed error,
+    /// every float bit included.
+    fn verdict_digest(tasks: &[DagTask], clusters: usize) -> u64 {
+        let text =
+            format!("{:?}", federated_partition(tasks, topo(clusters), &SystemModel::proposed()));
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The analyse/place split keeps every verdict of the monolithic
+    /// partition it replaced: the digests below were recorded on the
+    /// parent commit (6ac920c), before the split, over 1–8 clusters from
+    /// under- to over-utilised — light-only plans, one- and two-cluster
+    /// heavy tasks, `TaskUnschedulable`, `NotEnoughClusters`,
+    /// `Overutilized`.
+    #[test]
+    fn split_keeps_the_verdicts_recorded_before_it() {
+        const RECORDED: [u64; 40] = [
+            0xb4df_f6d6_8fec_2361,
+            0x4caa_87c9_e4f6_4a6d,
+            0x7843_7afc_a076_4561,
+            0xbd25_bab9_9e97_5066,
+            0xd9c9_82ef_527e_0f50,
+            0xf555_dc68_255a_5ded,
+            0x9d97_40b6_7dd5_11c7,
+            0xfc21_afcb_4c1d_3500,
+            0xb2e5_9baf_2e72_4bd5,
+            0xd03a_9dc1_507d_c984,
+            0x8e6b_0325_14d9_cbe2,
+            0xf905_fd48_013d_1ac3,
+            0x0f44_3d04_9ca4_ebfc,
+            0xd029_f0cf_8f15_318a,
+            0x41d5_2d07_0ac6_aea0,
+            0x587a_917f_40fc_c0ad,
+            0x18bf_d007_4348_c729,
+            0x35d3_66d6_1264_a46d,
+            0xee73_9942_a35b_5e55,
+            0xb2df_3328_48ca_adcb,
+            0xe055_d885_8c04_f7dd,
+            0xdab0_dcf2_3b64_f09c,
+            0xdad2_6f60_cb87_77c0,
+            0x8ef1_0d6b_8472_e4cd,
+            0x211d_b598_580d_0b16,
+            0xb72f_229b_eb57_294f,
+            0x051a_cb23_8d13_c8d5,
+            0x09af_19ac_2514_20d8,
+            0xf016_f284_89ea_d506,
+            0x98e8_569c_644b_897e,
+            0x307e_ed8d_f3bc_e5a2,
+            0xd313_fa30_e0b3_fccf,
+            0xe9df_854d_91d1_8d3f,
+            0x3100_2ff4_f543_4a02,
+            0xd176_3802_85ee_bda4,
+            0x42aa_5d3e_436d_9770,
+            0x173b_a4bc_9b25_55fe,
+            0x9d2e_a214_0004_430b,
+            0xdaf8_09e9_bcf7_742c,
+            0xfa4d_e376_a329_343d,
+        ];
+        let params = CaseStudyParams { width: 4, ..Default::default() };
+        let mut got = Vec::new();
+        for clusters in 1..=8usize {
+            for (k, load) in [0.1, 0.2, 0.35, 0.5, 1.1].into_iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(0x20 * clusters as u64 + k as u64);
+                let util = load * (clusters * 4) as f64;
+                let tasks =
+                    generate_case_study(clusters + 1 + k % 3, util, &params, &mut rng).unwrap();
+                got.push(verdict_digest(&tasks, clusters));
+            }
+        }
+        assert_eq!(got, RECORDED, "{got:#018x?}");
+    }
+
+    /// A two-node chain whose critical path exceeds its deadline on any
+    /// number of cores; utilisation ≈ 0.67.
+    fn hopeless_task() -> DagTask {
+        let mut b = DagBuilder::new();
+        let x = b.add_node(Node::new(20.0, 512));
+        let y = b.add_node(Node::new(20.0, 512));
+        b.add_edge(x, y, 1.0, 0.5).unwrap();
+        DagTask::new(b.build().unwrap(), 60.0, 30.0).unwrap()
+    }
+
+    /// Where two errors compete the split reports the one the monolithic
+    /// walk reached first, with the same input index.
+    #[test]
+    fn competing_errors_keep_their_precedence_and_index() {
+        let model = SystemModel::proposed();
+        let part = |tasks: &[DagTask], clusters| federated_partition(tasks, topo(clusters), &model);
+
+        // Over-utilised *and* holding an unschedulable task: the
+        // utilisation test runs before any task is classified.
+        let fat = light_task(40.0, 10.0);
+        let err = part(&[hopeless_task(), fat.clone(), fat.clone(), fat], 2).unwrap_err();
+        assert!(matches!(err, FederatedError::Overutilized { cores: 8, .. }), "{err}");
+
+        // A heavy prefix that exhausts the clusters, then an unschedulable
+        // task: the walk stops at the lowest failing index. (Density 3.4
+        // makes the task heavy; the long period keeps utilisation low.)
+        let heavy = {
+            let t = wide_task(5.0, 9.0);
+            DagTask::new(t.graph().clone(), 90.0, 9.0).unwrap()
+        };
+        let err = part(&[heavy.clone(), heavy.clone(), hopeless_task()], 2).unwrap_err();
+        assert_eq!(err, FederatedError::NotEnoughClusters { needed: 4, available: 2 });
+        let err = part(&[heavy.clone(), hopeless_task(), heavy], 2).unwrap_err();
+        assert!(matches!(err, FederatedError::TaskUnschedulable { task: 1, .. }), "{err}");
+
+        // An unplaceable light *before* an unschedulable heavy in input
+        // order: every heavy task is classified before any light task is
+        // packed, so the later index wins.
+        let light = light_task(9.0, 10.0);
+        let mut tasks = vec![light.clone(), light.clone(), light];
+        let err = part(&tasks, 1).unwrap_err();
+        assert!(matches!(err, FederatedError::LightTaskUnplaceable { task: 2, .. }), "{err}");
+        tasks.push(hopeless_task());
+        let err = part(&tasks, 1).unwrap_err();
+        assert!(matches!(err, FederatedError::TaskUnschedulable { task: 3, .. }), "{err}");
     }
 
     /// Satellite property: every task is assigned exactly once (one

@@ -6,8 +6,10 @@
 //! price, with a typed verdict — then proves each admitted plan against
 //! observed execution.
 //!
-//! * [`session::OnlineSession`] — the persistent session: incremental
-//!   federated/RTA admission ([`l15_core::federated`]), optional traced
+//! * [`session::OnlineSession`] — the persistent session: per-arrival
+//!   federated/RTA admission ([`l15_core::federated`]) that analyses each
+//!   job once (Alg. 1 + RTA, kept while the job is active) and replays
+//!   only the cheap placement over the active set, optional traced
 //!   execution on the live SoC with a plan-vs-observed Gantt verdict
 //!   ([`l15_trace::gantt::stats`]), and R6-gated mode changes running
 //!   the [`l15_runtime::quiesce_cluster`] protocol;

@@ -1,16 +1,21 @@
 //! The persistent online session: one live SoC, a stream of sporadic
-//! job arrivals, incremental admission control and R6-gated mode
+//! job arrivals, per-arrival admission control and R6-gated mode
 //! changes.
 //!
 //! The session owns a simulated [`Soc`] that stays up across jobs. Every
-//! arrival re-evaluates the federated/RTA bound over the active set plus
-//! the candidate ([`l15_core::federated::federated_partition`]): an
-//! admissible candidate yields a fresh [`ClusterPlan`] (the replan), an
-//! inadmissible one a typed rejection carrying the
-//! [`FederatedError::code`] — never a panic. Admitted jobs optionally
-//! execute on the live SoC with a flight recorder attached, and the
-//! observed spans are diffed against the replanned schedule
-//! ([`l15_trace::gantt::stats`]).
+//! arrival is decided as `l15_core::federated::federated_partition` over
+//! the active set plus the candidate would decide it, at the price of one
+//! task: the per-task half (Alg. 1 plan, RTA bounds, light/heavy verdict —
+//! [`TaskAnalysis`]) is computed once per job, at its own `submit`, and
+//! kept while the job is active; only the placement ([`place`]) is
+//! replayed over the whole set, because a heavy arrival or a retirement
+//! moves every later index, cluster and `tid`. An admissible candidate
+//! yields a fresh [`ClusterPlan`] (the replan), an inadmissible one a
+//! typed rejection carrying the [`FederatedError::code`] — never a panic.
+//! A committed mode change (a new `ζ`) is the one event that re-analyses
+//! the jobs it keeps. Admitted jobs optionally execute on the live SoC
+//! with a flight recorder attached, and the observed spans are diffed
+//! against the replanned schedule ([`l15_trace::gantt::stats`]).
 //!
 //! A *mode* names a set of active DAGs plus a Walloc configuration (the
 //! way budget `zeta_cap` standing on each cluster between jobs). A mode
@@ -26,12 +31,13 @@
 //! makespan. No wall-clock time enters any decision, so a session replay
 //! is byte-identical at any `L15_JOBS`.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 use l15_check::{check_walloc, FsmBounds};
 use l15_core::baseline::SystemModel;
 use l15_core::federated::{
-    federated_partition, ClusterPlan, ClusterTopology, FederatedError, TaskAssignment,
+    place, ClusterPlan, ClusterTopology, FederatedError, TaskAnalysis, TaskAssignment,
 };
 use l15_core::gantt::planned_nodes;
 use l15_core::makespan::simulate;
@@ -46,22 +52,37 @@ use l15_soc::{Soc, SocConfig};
 use l15_trace::gantt::{self, DiffStats};
 use l15_trace::span::Spans;
 
-/// FNV-1a over `text` — the session's plan digest (the same constants
-/// the loadgen response digests use).
-pub fn digest64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a (the same constants the loadgen response digests use) over
+/// whatever is formatted into it, so a rendering is hashed as it is
+/// produced instead of being materialised first.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for b in text.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
-/// Digest of a [`ClusterPlan`] — stable across runs and worker counts
-/// (the plan is a pure function of its inputs and `Debug` renders floats
-/// shortest-roundtrip).
+/// FNV-1a over the `Display` rendering of `value`.
+fn fnv1a(value: impl fmt::Display) -> u64 {
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "{value}").expect("hashing cannot fail");
+    h.0
+}
+
+/// FNV-1a over `text` — the session's plan digest.
+pub fn digest64(text: &str) -> u64 {
+    fnv1a(text)
+}
+
+/// Digest of a [`ClusterPlan`]: [`digest64`] of its `Debug` rendering —
+/// stable across runs and worker counts (the plan is a pure function of
+/// its inputs and `Debug` renders floats shortest-roundtrip).
 pub fn plan_digest(plan: &ClusterPlan) -> u64 {
-    digest64(&format!("{plan:?}"))
+    fnv1a(format_args!("{plan:?}"))
 }
 
 /// Static configuration of an online session.
@@ -72,7 +93,7 @@ pub struct OnlineConfig {
     /// The simulated platform the session keeps alive.
     pub soc: SocConfig,
     /// Virtual cycles the admission test charges per candidate task —
-    /// the cost of one incremental federated/RTA re-evaluation.
+    /// the modelled cost of evaluating one task of the candidate set.
     pub eval_cost_per_task: u64,
     /// Whether admitted jobs execute on the live SoC (with tracing) or
     /// the session runs admission-only (the bench sweeps).
@@ -198,6 +219,9 @@ pub struct SessionMetrics {
     pub retired: u64,
     /// Jobs executed on the live SoC.
     pub executed: u64,
+    /// Per-task admission analyses run ([`TaskAnalysis::new`]): one per
+    /// arrival, admitted or not, plus one per survivor of a mode change.
+    pub analysed: u64,
 }
 
 /// Why a mode change was refused. The session state is unchanged except
@@ -279,6 +303,10 @@ pub struct OnlineSession {
     mode: Mode,
     jobs: Vec<JobRecord>,
     active: Vec<usize>,
+    /// The admission memo, by job id: `Some` exactly for the active jobs,
+    /// each analysed once — at its own `submit` — under the model then in
+    /// force. Only a committed mode change (a new `ζ`) replaces entries.
+    analyses: Vec<Option<TaskAnalysis>>,
     plan: Option<ClusterPlan>,
     metrics: SessionMetrics,
     log: Vec<String>,
@@ -310,6 +338,7 @@ impl OnlineSession {
             mode: Mode { name: String::from("boot"), zeta_cap },
             jobs: Vec::new(),
             active: Vec::new(),
+            analyses: Vec::new(),
             plan: None,
             metrics: SessionMetrics::default(),
             log: Vec::new(),
@@ -402,6 +431,7 @@ impl OnlineSession {
     fn retire_expired(&mut self) {
         let now = self.virtual_now;
         let jobs = &mut self.jobs;
+        let analyses = &mut self.analyses;
         let log = &mut self.log;
         let retired = &mut self.metrics.retired;
         self.active.retain(|&id| {
@@ -409,6 +439,7 @@ impl OnlineSession {
             match job.retire_cycle {
                 Some(at) if at <= now => {
                     job.retired = true;
+                    analyses[id] = None;
                     *retired += 1;
                     log.push(format!("job {id} retire at={now}"));
                     false
@@ -428,22 +459,19 @@ impl OnlineSession {
     }
 
     /// Submits one sporadic arrival. Returns the job id; the decision is
-    /// on [`Self::job`]. Admission re-evaluates the federated/RTA bound
-    /// over the active set plus the candidate: an infeasible candidate is
-    /// rejected with a typed reason and leaves plan and active set
-    /// untouched.
+    /// on [`Self::job`]. Admission analyses the candidate alone (Alg. 1 +
+    /// RTA, [`TaskAnalysis::new`]) and places it behind the memoised
+    /// analyses of the active set ([`place`]) — verdict and plan are those
+    /// of `federated_partition` over the active tasks plus the candidate.
+    /// An infeasible candidate is rejected with a typed reason and leaves
+    /// plan and active set untouched.
     pub fn submit(&mut self, task: DagTask, arrival_cycle: u64) -> usize {
         let id = self.jobs.len();
         self.virtual_now = self.virtual_now.max(arrival_cycle);
         self.retire_expired();
 
-        let candidates: Vec<DagTask> = self
-            .active
-            .iter()
-            .map(|&j| self.jobs[j].task.clone())
-            .chain(std::iter::once(task.clone()))
-            .collect();
-        let eval_cycles = self.cfg.eval_cost_per_task * candidates.len() as u64;
+        let candidates = self.active.len() + 1;
+        let eval_cycles = self.cfg.eval_cost_per_task * candidates as u64;
         self.virtual_now += eval_cycles;
         let decision_cycle = self.virtual_now;
         self.metrics.submitted += 1;
@@ -462,7 +490,11 @@ impl OnlineSession {
             retired: false,
         };
 
-        match federated_partition(&candidates, self.cfg.topology, &self.model) {
+        let analysis = TaskAnalysis::new(&record.task, self.cfg.topology, &self.model);
+        self.metrics.analysed += 1;
+        let memo = |&j: &usize| self.analyses[j].as_ref().expect("active jobs are memoised");
+        let set = self.active.iter().map(memo).chain([&analysis]).map(Cow::Borrowed);
+        match place(set, self.cfg.topology) {
             Ok(plan) => {
                 let a = plan.assignments.last().expect("candidate set is non-empty");
                 let cluster = a.clusters[0];
@@ -470,20 +502,16 @@ impl OnlineSession {
                 let digest = plan_digest(&plan);
                 record.decision = Decision::Admitted { cluster, bound };
                 record.plan_digest = digest;
-                record.retire_cycle = Some(decision_cycle + self.cfg.job_lifetime);
+                record.retire_cycle = Some(decision_cycle.saturating_add(self.cfg.job_lifetime));
                 self.metrics.admitted += 1;
                 self.metrics.replans += 1;
                 self.log.push(format!(
                     "job {id} arrive={arrival_cycle} decide={decision_cycle} admit \
-                     cluster={cluster} bound={bound:.3} candidates={} plan={digest:016x}",
-                    candidates.len(),
+                     cluster={cluster} bound={bound:.3} candidates={candidates} \
+                     plan={digest:016x}",
                 ));
                 if self.cfg.execute {
-                    let assignment = a.clone();
-                    let task = record.task.clone();
-                    let (stats, err) = self.execute_job(id, &task, &assignment);
-                    record.gantt = stats;
-                    record.exec_error = err;
+                    (record.gantt, record.exec_error) = self.execute_job(id, &record.task, a);
                 }
                 self.active.push(id);
                 self.plan = Some(plan);
@@ -493,12 +521,12 @@ impl OnlineSession {
                 self.metrics.rejected += 1;
                 self.log.push(format!(
                     "job {id} arrive={arrival_cycle} decide={decision_cycle} reject \
-                     code={} candidates={}",
+                     code={} candidates={candidates}",
                     e.code(),
-                    candidates.len(),
                 ));
             }
         }
+        self.analyses.push(record.decision.admitted().then_some(analysis));
         self.jobs.push(record);
         id
     }
@@ -608,13 +636,19 @@ impl OnlineSession {
             self.active.iter().copied().filter(|id| keep.contains(id)).collect();
         let mut model = self.model.clone();
         model.zeta = zeta_cap.max(1);
+        // The analyses depend on `ζ`, so the survivors are analysed afresh
+        // — into a temporary that joins the memo only at commit.
+        let topo = self.cfg.topology;
+        let fresh: Vec<TaskAnalysis> = survivors
+            .iter()
+            .map(|&j| TaskAnalysis::new(&self.jobs[j].task, topo, &model))
+            .collect();
+        self.metrics.analysed += fresh.len() as u64;
         let plan = if survivors.is_empty() {
             None
         } else {
-            let tasks: Vec<DagTask> =
-                survivors.iter().map(|&j| self.jobs[j].task.clone()).collect();
-            self.virtual_now += self.cfg.eval_cost_per_task * tasks.len() as u64;
-            match federated_partition(&tasks, self.cfg.topology, &model) {
+            self.virtual_now += self.cfg.eval_cost_per_task * survivors.len() as u64;
+            match place(fresh.iter().map(Cow::Borrowed), topo) {
                 Ok(p) => Some(p),
                 Err(e) => return refuse(&mut self.log, ModeError::Replan(e)),
             }
@@ -639,9 +673,13 @@ impl OnlineSession {
         for &id in &self.active {
             if !survivors.contains(&id) {
                 self.jobs[id].retired = true;
+                self.analyses[id] = None;
                 self.metrics.retired += 1;
                 self.log.push(format!("job {id} drop at={}", self.virtual_now));
             }
+        }
+        for (&id, analysis) in survivors.iter().zip(fresh) {
+            self.analyses[id] = Some(analysis);
         }
         self.active = survivors;
         self.model = model;
@@ -757,6 +795,49 @@ mod tests {
         assert!(s.job(a).unwrap().retired, "lifetime elapsed before the second arrival");
         assert_eq!(s.active(), &[b]);
         assert_eq!(s.metrics().retired, 1);
+    }
+
+    #[test]
+    fn a_job_with_the_longest_lifetime_never_retires() {
+        // `decision + lifetime` saturates: unchecked it wrapped into the
+        // past and the job retired at the very next arrival.
+        let cfg = OnlineConfig { job_lifetime: u64::MAX, ..analytic() };
+        let mut s = OnlineSession::new(cfg);
+        let a = s.submit(light_task(1.0, 10.0), 1_000);
+        assert_eq!(s.job(a).unwrap().retire_cycle, Some(u64::MAX));
+        let b = s.submit(light_task(1.0, 10.0), 2_000_000_000);
+        let c = s.submit(light_task(1.0, 10.0), u64::MAX / 2);
+        assert_eq!(s.active(), &[a, b, c]);
+        assert_eq!(s.metrics().retired, 0);
+    }
+
+    #[test]
+    fn the_steady_state_analyses_one_task_per_arrival() {
+        let cfg = OnlineConfig {
+            topology: ClusterTopology { clusters: 8, cores_per_cluster: 4 },
+            soc: SocConfig::proposed_32core(),
+            job_lifetime: u64::MAX,
+            ..analytic()
+        };
+        let mut s = OnlineSession::new(cfg);
+        for i in 0..200u64 {
+            // Every 50th arrival is refused (its critical path exceeds its
+            // deadline): rejected candidates are analysed too.
+            let task = if i % 50 == 49 { light_task(20.0, 5.0) } else { light_task(1.0, 100.0) };
+            s.submit(task, i * 1_000);
+        }
+        let m = s.metrics();
+        assert_eq!((m.submitted, m.admitted, m.rejected), (200, 196, 4));
+        assert_eq!(m.analysed, m.submitted, "residents are never re-analysed by an arrival");
+        assert_eq!(m.replans, m.admitted);
+
+        // A new ζ invalidates the memo: the 16 survivors, and only they,
+        // are analysed again.
+        let keep = s.active()[s.active().len() - 16..].to_vec();
+        s.switch_mode("half", &keep, 8).unwrap();
+        let m = s.metrics();
+        assert_eq!(m.analysed, m.submitted + 16);
+        assert_eq!(m.replans, m.admitted + 1);
     }
 
     #[test]

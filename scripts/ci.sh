@@ -191,21 +191,28 @@ echo "==> benchmark (run.sh --quick: every output check; then its own tests)"
 benchmark/run.sh --quick
 (cd benchmark && cargo test -q --offline)
 
-echo "==> benchmark digest gate (driver form, seed 1, against benchmark/baseline/seed1.json)"
+echo "==> benchmark digest gate (driver form, against benchmark/baseline/seed<N>.json)"
 # "No simulated byte changed" as a red build: one short driver-form run per
 # workload must print the result_digest committed for it. A change that is
 # meant to move a digest regenerates the baseline in its own commit.
-for workload in fullstack_8core cluster_32core analytic_sweep serve_analytic serve_simulate online_admission; do
-    want=$(grep -o "\"workload\":\"$workload\"[^}]*\"result_digest\":\"[0-9a-f]*\"" benchmark/baseline/seed1.json \
+digest_gate() { # workload seed
+    want=$(grep -o "\"workload\":\"$1\"[^}]*\"result_digest\":\"[0-9a-f]*\"" "benchmark/baseline/seed$2.json" \
         | sed 's/.*"result_digest":"\([0-9a-f]*\)"$/\1/')
-    got=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 2>&1 >/dev/null \
+    got=$(benchmark/run.sh --workload "$1" --seed "$2" --seconds 1 --trace 0 2>&1 >/dev/null \
         | sed -n 's/^ *result_digest  *\([0-9a-f]*\)$/\1/p')
     if [ -z "$want" ] || [ "$got" != "$want" ]; then
-        echo "$workload: result_digest '$got', committed '$want'"
+        echo "$1 (seed $2): result_digest '$got', committed '$want'"
         exit 1
     fi
-    echo "$workload: result_digest $got matches the baseline"
+    echo "$1 (seed $2): result_digest $got matches the baseline"
+}
+for workload in fullstack_8core cluster_32core analytic_sweep serve_analytic serve_simulate online_admission; do
+    digest_gate "$workload" 1
 done
+# The held-out seed of the one workload whose every op is an admission
+# verdict plus a plan digest: the session's memo (DESIGN.md §8) must agree
+# with the from-scratch partition on inputs it was not developed against.
+digest_gate online_admission 2
 
 echo "==> bench binaries (--quick smoke)"
 for bin in crates/bench/src/bin/*.rs; do
