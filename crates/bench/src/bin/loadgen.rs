@@ -39,7 +39,7 @@ use l15_serve::metrics::scrape;
 use l15_testkit::arrivals;
 use l15_testkit::cli;
 use l15_testkit::pool;
-use l15_testkit::rng::SmallRng;
+use l15_testkit::rng::{fnv1a, SmallRng, FNV1A_OFFSET};
 
 const BIN: &str = "loadgen";
 const BOOL_FLAGS: &[&str] = &["--smoke", "--open", "--sporadic", "--shutdown"];
@@ -47,16 +47,6 @@ const VALUE_FLAGS: &[&str] = &["--port", "--conns", "--requests", "--seed", "--r
 const TIMEOUT: Duration = Duration::from_secs(30);
 /// Hard cap on 503-retries per request before declaring the server stuck.
 const MAX_ATTEMPTS: u64 = 100_000;
-
-/// FNV-1a over bytes: the digest CI diffs across `L15_JOBS` settings.
-fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
-    let mut h = acc;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Plan {
     addr: SocketAddr,
@@ -143,7 +133,7 @@ fn run_request(plan: &Plan, j: usize) -> Outcome {
                 std::thread::sleep(Duration::from_millis((attempts).min(20)));
             }
             Ok(resp) => {
-                let mut digest = fnv1a(0xcbf2_9ce4_8422_2325, &resp.status.to_be_bytes());
+                let mut digest = fnv1a(FNV1A_OFFSET, &resp.status.to_be_bytes());
                 digest = fnv1a(digest, &resp.body);
                 return Outcome {
                     status: resp.status,
@@ -219,7 +209,7 @@ fn run_sporadic(plan: &Plan, args: &cli::Parsed) {
     );
     let switch_before = plan.requests / 2;
     let (mut admitted, mut rejected) = (0u64, 0u64);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV1A_OFFSET;
     let t0 = Instant::now();
     for arrival in &arrivals {
         if arrival.index == switch_before {
@@ -345,11 +335,10 @@ fn main() {
     // --- Deterministic section (CI diffs these lines across L15_JOBS) ---
     let ok = outcomes.iter().filter(|(_, o)| o.status == 200).count();
     let err4xx = outcomes.iter().filter(|(_, o)| (400..500).contains(&o.status)).count();
-    let digest = outcomes.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, (j, o)| {
+    let digest = outcomes.iter().fold(FNV1A_OFFSET, |acc, (j, o)| {
         fnv1a(fnv1a(acc, &(*j as u64).to_be_bytes()), &o.digest.to_be_bytes())
     });
-    let corpus_digest =
-        plan.corpus.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, t| fnv1a(acc, t.as_bytes()));
+    let corpus_digest = plan.corpus.iter().fold(FNV1A_OFFSET, |acc, t| fnv1a(acc, t.as_bytes()));
     println!(
         "loadgen seed={} requests={} corpus={} mode={}",
         plan.seed,

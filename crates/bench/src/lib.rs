@@ -377,13 +377,10 @@ mod tests {
         // grammar (l15_testkit::cli). Keep their declared flag sets
         // parsing here so a drive-by rename cannot silently break them.
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let serve_flags = ["--port", "--queue", "--batch", "--deadline-ms", "--max-body"];
-        let p = cli::parse_args(
-            &args(&["--port", "0", "--queue", "8", "--batch", "4", "--quick"]),
-            &[],
-            &serve_flags,
-        )
-        .unwrap();
+        let serve_flags = ["--port", "--queue", "--deadline-ms", "--max-body"];
+        let p =
+            cli::parse_args(&args(&["--port", "0", "--queue", "8", "--quick"]), &[], &serve_flags)
+                .unwrap();
         assert!(p.quick);
         assert_eq!(p.value("--queue"), Some(8));
         assert_eq!(p.value_or("--deadline-ms", 2000), 2000);

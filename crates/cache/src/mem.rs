@@ -84,6 +84,8 @@ impl MainMemory {
     /// never given non-zero content hashes the same as an untouched one —
     /// two memories fingerprint equal iff every address reads equal.
     pub fn fingerprint(&self) -> u64 {
+        // The loop is `l15_testkit::rng::fnv1a` written out: this is the
+        // leaf crate, and `l15-testkit` is only a dev-dependency of it.
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut keys: Vec<u64> =

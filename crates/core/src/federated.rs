@@ -414,7 +414,7 @@ mod tests {
     use super::*;
     use crate::casestudy::{generate_case_study, CaseStudyParams};
     use l15_dag::{DagBuilder, Node};
-    use l15_testkit::rng::SmallRng;
+    use l15_testkit::rng::{fnv1a, SmallRng, FNV1A_OFFSET};
     use l15_testkit::{pool, prop};
 
     fn light_task(work: f64, period: f64) -> DagTask {
@@ -550,9 +550,7 @@ mod tests {
     fn verdict_digest(tasks: &[DagTask], clusters: usize) -> u64 {
         let text =
             format!("{:?}", federated_partition(tasks, topo(clusters), &SystemModel::proposed()));
-        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        fnv1a(FNV1A_OFFSET, text.as_bytes())
     }
 
     /// The analyse/place split keeps every verdict of the monolithic

@@ -49,40 +49,38 @@ use l15_runtime::{quiesce_cluster, run_task_traced, DEFAULT_CAPTURE_EVENTS};
 use l15_rvcore::bus::SystemBus;
 use l15_rvcore::isa::L15Op;
 use l15_soc::{Soc, SocConfig};
+use l15_testkit::rng::{fnv1a, FNV1A_OFFSET};
 use l15_trace::gantt::{self, DiffStats};
 use l15_trace::span::Spans;
 
-/// FNV-1a (the same constants the loadgen response digests use) over
-/// whatever is formatted into it, so a rendering is hashed as it is
-/// produced instead of being materialised first.
+/// [`fnv1a`] over whatever is formatted into it, so a rendering is hashed
+/// as it is produced instead of being materialised first.
 struct Fnv1a(u64);
 
 impl fmt::Write for Fnv1a {
     fn write_str(&mut self, text: &str) -> fmt::Result {
-        for b in text.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, text.as_bytes());
         Ok(())
     }
 }
 
 /// FNV-1a over the `Display` rendering of `value`.
-fn fnv1a(value: impl fmt::Display) -> u64 {
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+fn digest_of(value: impl fmt::Display) -> u64 {
+    let mut h = Fnv1a(FNV1A_OFFSET);
     write!(h, "{value}").expect("hashing cannot fail");
     h.0
 }
 
 /// FNV-1a over `text` — the session's plan digest.
 pub fn digest64(text: &str) -> u64 {
-    fnv1a(text)
+    fnv1a(FNV1A_OFFSET, text.as_bytes())
 }
 
 /// Digest of a [`ClusterPlan`]: [`digest64`] of its `Debug` rendering —
 /// stable across runs and worker counts (the plan is a pure function of
 /// its inputs and `Debug` renders floats shortest-roundtrip).
 pub fn plan_digest(plan: &ClusterPlan) -> u64 {
-    fnv1a(format_args!("{plan:?}"))
+    digest_of(format_args!("{plan:?}"))
 }
 
 /// Static configuration of an online session.

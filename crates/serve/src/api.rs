@@ -75,13 +75,13 @@ impl Default for Limits {
 /// Where a request goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Served on the connection thread (cheap, never queued).
+    /// Served on the connection thread (cheap, never gated).
     Healthz,
     /// Served on the connection thread.
     Metrics,
     /// Starts the graceful drain.
     Shutdown,
-    /// Admitted to the queue, executed in a batch on the pool.
+    /// Admitted through the gate, then run on the connection thread.
     Compute(Endpoint),
     /// `POST /submit` — stateful online admission; serialised on the
     /// session mutex, handled inline on the connection thread.
@@ -117,8 +117,8 @@ pub fn route(method: &str, path: &str) -> Route {
     }
 }
 
-/// Executes a compute endpoint. Pure and deterministic; called from pool
-/// workers, one call per admitted request.
+/// Executes a compute endpoint. Pure and deterministic; called from
+/// connection threads, one call per admitted request.
 pub fn handle_compute(endpoint: Endpoint, req: &Request, limits: &Limits) -> Response {
     match handle_inner(endpoint, req, limits) {
         Ok(resp) => resp,
@@ -474,7 +474,7 @@ fn simulate_soc(task: &DagTask, req: &Request, limits: &Limits) -> Result<Respon
 /// service refuses to return one. Both outcomes carry
 /// `X-L15-Trace-Events` / `X-L15-Trace-Dropped` headers (plus
 /// `X-L15-Trace-Dropped-By` with `category=count` pairs when non-zero);
-/// the dispatcher folds those into `l15_trace_dropped_events_total`.
+/// the server folds those into `l15_trace_dropped_events_total`.
 fn trace_capture(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, Response> {
     sim_caps(task, limits, "trace")?;
     let (preset_name, cfg) = sim_preset(req)?;

@@ -2,8 +2,8 @@
 //! `POST /shutdown` arrives.
 //!
 //! ```text
-//! l15-serve [--quick] [--port N] [--queue N] [--batch N]
-//!           [--deadline-ms N] [--max-body N]
+//! l15-serve [--quick] [--port N] [--queue N] [--deadline-ms N]
+//!           [--max-body N]
 //! ```
 //!
 //! `--port 0` (the default) binds an ephemeral port; the chosen address is
@@ -16,14 +16,10 @@ use l15_serve::{server, ServeConfig};
 use l15_testkit::cli;
 
 fn main() {
-    let args = cli::parse_or_exit(
-        "l15-serve",
-        &[],
-        &["--port", "--queue", "--batch", "--deadline-ms", "--max-body"],
-    );
+    let args =
+        cli::parse_or_exit("l15-serve", &[], &["--port", "--queue", "--deadline-ms", "--max-body"]);
     let mut cfg = ServeConfig { port: args.value_or("--port", 0) as u16, ..ServeConfig::default() };
     cfg.queue_capacity = args.value_or("--queue", cfg.queue_capacity as u64) as usize;
-    cfg.batch_max = args.value_or("--batch", cfg.batch_max as u64) as usize;
     cfg.deadline = Duration::from_millis(args.value_or("--deadline-ms", 2000));
     cfg.max_body = args.value_or("--max-body", cfg.max_body as u64) as usize;
     if args.quick {

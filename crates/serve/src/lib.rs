@@ -22,15 +22,15 @@
 //!
 //! * **validated & capped** — body size, node/edge counts and query
 //!   parameters are bounded; every rejection is a 4xx, never a panic;
-//! * **backpressure** — a bounded admission queue; full ⇒ `503` with
-//!   `Retry-After`, so overload degrades predictably;
-//! * **batched** — a dispatcher drains the queue in batches and fans them
-//!   onto the deterministic `l15_testkit::pool` workers (`L15_JOBS`);
+//! * **backpressure** — one bounded FIFO admission gate: `L15_JOBS`
+//!   requests run at once, each on the connection thread that read it,
+//!   a bounded number wait their turn; full ⇒ `503` with `Retry-After`,
+//!   so overload degrades predictably;
 //! * **deterministic** — handlers are pure functions of the request
 //!   bytes (no RNG, no clocks), so identical requests produce
-//!   byte-identical responses at any worker count;
-//! * **graceful shutdown** — `POST /shutdown` closes admission, drains
-//!   every admitted job, then exits; admitted work is never dropped;
+//!   byte-identical responses at any slot count;
+//! * **graceful shutdown** — `POST /shutdown` closes admission, lets every
+//!   admitted request finish, then exits; admitted work is never dropped;
 //! * **online tier** — `/submit` and `/jobs` are the one *stateful*
 //!   exception to handler purity: they drive a persistent
 //!   [`l15_online::OnlineSession`] (admission control, R6-gated mode
@@ -40,11 +40,11 @@
 
 pub mod api;
 pub mod client;
+pub mod gate;
 pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod online;
-pub mod queue;
 pub mod server;
 
 pub use api::Limits;

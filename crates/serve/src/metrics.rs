@@ -2,27 +2,25 @@
 //! histograms, rendered as a plaintext exposition page on `GET /metrics`.
 //!
 //! Patterned after [`l15_cache::stats::CacheStats`] — a fixed, explicit
-//! set of counters rather than a dynamic map — but atomic, because the
-//! request path touches them from acceptor, dispatcher and pool threads.
+//! set of counters rather than a dynamic map — but atomic, because every
+//! connection thread touches them.
 //! The exposition format is the Prometheus text convention
 //! (`name{label="value"} 1234`), served without any external dependency.
 //!
 //! Counter semantics (the contract `loadgen` reconciles against):
 //!
 //! * `l15_requests_total{endpoint}` — requests **admitted** to an endpoint
-//!   (compute endpoints: accepted into the queue; inline endpoints:
-//!   served);
+//!   (compute endpoints: let through the gate; inline endpoints: served);
 //! * `l15_responses_total{status}` — every response written, by status;
-//! * `l15_rejected_total` — backpressure 503s (queue full);
-//! * `l15_expired_total` — queued requests whose deadline passed before a
-//!   worker picked them up (503 after admission — the *only* way admitted
-//!   work does not produce a 200/4xx result);
-//! * `l15_batches_total` / `l15_batch_jobs_total` — dispatcher batches and
-//!   the jobs they carried;
+//! * `l15_rejected_total` — backpressure 503s (gate full);
+//! * `l15_expired_total` — admitted requests whose deadline passed before
+//!   a slot came free (503 after admission — the *only* way admitted work
+//!   does not produce a handler result);
 //! * `l15_online_total{event}` — online-session admission outcomes
 //!   (`submitted = admitted + rejected`; the sporadic loadgen mode
 //!   reconciles against these);
-//! * `l15_queue_depth` — instantaneous queue occupancy (gauge);
+//! * `l15_queue_depth` — admitted requests waiting for a slot, sampled as
+//!   the page renders (gauge);
 //! * `l15_latency_us{endpoint,phase=queue|handle}` — histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +28,7 @@ use std::time::Duration;
 
 use l15_trace::Category;
 
-/// The compute endpoints (queued, batched); indexes into per-endpoint
+/// The compute endpoints (gated); indexes into per-endpoint
 /// counter arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
@@ -176,17 +174,11 @@ pub struct ServeMetrics {
     pub responses_500: Counter,
     /// 503 responses (backpressure + expired deadlines).
     pub responses_503: Counter,
-    /// Backpressure rejections (queue full at admission).
+    /// Backpressure rejections (gate full at admission).
     pub rejected: Counter,
-    /// Admitted requests that expired in the queue.
+    /// Admitted requests that expired waiting for a slot.
     pub expired: Counter,
-    /// Dispatcher batches executed.
-    pub batches: Counter,
-    /// Jobs carried by those batches.
-    pub batch_jobs: Counter,
-    /// Instantaneous queue depth (set by the queue, read by the page).
-    pub queue_depth: AtomicU64,
-    /// Time from admission to dispatch, per endpoint.
+    /// Time from arrival to a free slot, per endpoint.
     pub queue_wait: [Histogram; 6],
     /// Handler execution time, per endpoint.
     pub handle_time: [Histogram; 6],
@@ -229,8 +221,9 @@ impl ServeMetrics {
         }
     }
 
-    /// Renders the exposition page.
-    pub fn render(&self) -> String {
+    /// Renders the exposition page; `queue_depth` is the gate's waiting
+    /// count right now.
+    pub fn render(&self, queue_depth: usize) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("# TYPE l15_requests_total counter\n");
         for ep in Endpoint::ALL {
@@ -266,10 +259,6 @@ impl ServeMetrics {
         out.push_str(&format!("l15_rejected_total {}\n", self.rejected.get()));
         out.push_str("# TYPE l15_expired_total counter\n");
         out.push_str(&format!("l15_expired_total {}\n", self.expired.get()));
-        out.push_str("# TYPE l15_batches_total counter\n");
-        out.push_str(&format!("l15_batches_total {}\n", self.batches.get()));
-        out.push_str("# TYPE l15_batch_jobs_total counter\n");
-        out.push_str(&format!("l15_batch_jobs_total {}\n", self.batch_jobs.get()));
         out.push_str("# TYPE l15_trace_dropped_events_total counter\n");
         for cat in Category::ALL {
             out.push_str(&format!(
@@ -289,7 +278,7 @@ impl ServeMetrics {
             out.push_str(&format!("l15_online_total{{event=\"{event}\"}} {}\n", c.get()));
         }
         out.push_str("# TYPE l15_queue_depth gauge\n");
-        out.push_str(&format!("l15_queue_depth {}\n", self.queue_depth.load(Ordering::Relaxed)));
+        out.push_str(&format!("l15_queue_depth {queue_depth}\n"));
         out.push_str("# TYPE l15_latency_us histogram\n");
         for ep in Endpoint::ALL {
             let q = format!("endpoint=\"{}\",phase=\"queue\"", ep.name());
@@ -350,7 +339,8 @@ mod tests {
         m.requests[Endpoint::Analyze as usize].add(7);
         m.rejected.add(3);
         m.queue_wait[0].observe(Duration::from_micros(42));
-        let page = m.render();
+        let page = m.render(5);
+        assert_eq!(scrape(&page, "l15_queue_depth"), Some(5));
         assert_eq!(scrape(&page, "l15_requests_total{endpoint=\"analyze\"}"), Some(7));
         assert_eq!(scrape(&page, "l15_requests_total{endpoint=\"schedule\"}"), Some(0));
         assert_eq!(scrape(&page, "l15_rejected_total"), Some(3));
@@ -367,7 +357,7 @@ mod tests {
         m.add_trace_dropped("access", 12);
         m.add_trace_dropped("node", 3);
         m.add_trace_dropped("warp", 99); // unknown name: ignored
-        let page = m.render();
+        let page = m.render(0);
         assert_eq!(scrape(&page, "l15_trace_dropped_events_total{category=\"access\"}"), Some(12));
         assert_eq!(scrape(&page, "l15_trace_dropped_events_total{category=\"node\"}"), Some(3));
         assert_eq!(scrape(&page, "l15_trace_dropped_events_total{category=\"pipeline\"}"), Some(0));
@@ -381,7 +371,7 @@ mod tests {
         m.online_rejected.add(2);
         m.online_mode_changes.inc();
         m.submit.add(6);
-        let page = m.render();
+        let page = m.render(0);
         assert_eq!(scrape(&page, "l15_online_total{event=\"submitted\"}"), Some(5));
         assert_eq!(scrape(&page, "l15_online_total{event=\"admitted\"}"), Some(3));
         assert_eq!(scrape(&page, "l15_online_total{event=\"rejected\"}"), Some(2));

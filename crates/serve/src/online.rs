@@ -3,11 +3,11 @@
 //! inspects it.
 //!
 //! Unlike the compute endpoints — pure functions of the request bytes,
-//! batched onto the worker pool — the online endpoints are *stateful*:
-//! every submission is an admission decision against the jobs already
-//! resident, so requests are serialised on a session mutex and handled
-//! inline on the connection thread (they never enter the queue; there
-//! is nothing to batch when each decision depends on the last). The
+//! run side by side behind the admission gate — the online endpoints are
+//! *stateful*: every submission is an admission decision against the jobs
+//! already resident, so requests are serialised on a session mutex and
+//! handled inline on the connection thread (they never pass the gate; the
+//! mutex already lets one decide at a time). The
 //! decision sequence is a pure function of the submission order: a
 //! single-threaded client replays byte-identically.
 //!

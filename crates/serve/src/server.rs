@@ -1,58 +1,53 @@
-//! The server runtime: acceptor, per-connection threads, the bounded
-//! admission queue and the batch dispatcher.
+//! The server runtime: acceptor, per-connection threads and the admission
+//! gate.
 //!
 //! ```text
-//!  TcpListener ── acceptor ── connection threads ──┐
-//!                   (inline: /healthz /metrics     │ try_push  (503 when full)
-//!                    /shutdown /submit /jobs)      ▼
-//!                                            BoundedQueue
-//!                                                  │ pop_batch
-//!                                             dispatcher ── pool::run ── reply
+//!  TcpListener ── acceptor ── connection thread
+//!                               ├─ inline: /healthz /metrics /shutdown /submit /jobs
+//!                               └─ compute: gate.admit ─ (503 when full) ─ gate.wait ─ handler
 //! ```
 //!
-//! Compute requests (`/schedule`, `/analyze`, `/simulate`) are admitted to
-//! a bounded queue — a full queue sheds load with `503 Retry-After` at
-//! admission, so the acceptor never blocks on slow handlers. A dispatcher
-//! thread pops batches and fans them onto the `l15_testkit::pool` workers
-//! (`L15_JOBS`); each job replies to its connection thread over a
-//! one-shot channel. Graceful shutdown (`POST /shutdown` or
-//! [`Handle::shutdown`]) closes the queue, drains every admitted job, and
-//! joins all threads — admitted work is never dropped.
+//! A compute request (`/schedule`, `/analyze`, `/simulate`, `/check`,
+//! `/trace`, `/certify`) runs on the connection thread that read it, behind
+//! the [`Gate`]: `l15_testkit::pool::jobs()` (`L15_JOBS`) of them run at
+//! once, up to `queue_capacity` more wait their turn in arrival order, and
+//! a full gate sheds load with `503 Retry-After` at admission. Handlers are
+//! pure functions of the request bytes and share no state, so nothing else
+//! is synchronised. Graceful shutdown (`POST /shutdown` or
+//! [`Handle::shutdown`]) closes the gate, lets every admitted request
+//! finish, and waits for all connection threads — admitted work is never
+//! dropped.
 //!
 //! The online endpoints (`POST /submit`, `GET /jobs`) are stateful and
-//! bypass the queue entirely: they serialise on the persistent
+//! bypass the gate entirely: they serialise on the persistent
 //! [`OnlineState`] session mutex on the connection thread (see
 //! [`crate::online`]).
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use l15_testkit::pool;
 
 use crate::api::{self, Limits, Route};
+use crate::gate::{AdmitError, Gate};
 use crate::http::{read_request, Request, RequestError, Response};
 use crate::metrics::{Endpoint, ServeMetrics};
 use crate::online::OnlineState;
-use crate::queue::{BoundedQueue, PushError};
-
-/// How long the dispatcher waits for a first job before re-checking.
-const BATCH_PATIENCE: Duration = Duration::from_millis(20);
 
 /// Server tuning knobs; the bin maps its flags onto this.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
-    /// Admission queue capacity.
+    /// How many admitted requests may wait for a free slot.
     pub queue_capacity: usize,
-    /// Maximum jobs per dispatcher batch.
-    pub batch_max: usize,
-    /// Queue residency deadline: jobs older than this when dispatched get
-    /// `503` instead of being executed.
+    /// Waiting deadline: a request that waited longer than this for its
+    /// slot gets `503` instead of being executed.
     pub deadline: Duration,
     /// Request body cap in bytes.
     pub max_body: usize,
@@ -67,21 +62,12 @@ impl Default for ServeConfig {
         ServeConfig {
             port: 0,
             queue_capacity: 64,
-            batch_max: 8,
             deadline: Duration::from_secs(2),
             max_body: 256 * 1024,
             io_timeout: Duration::from_secs(5),
             limits: Limits::default(),
         }
     }
-}
-
-/// An admitted compute request waiting for a worker.
-struct Job {
-    endpoint: Endpoint,
-    request: Request,
-    enqueued: Instant,
-    reply: mpsc::Sender<Response>,
 }
 
 /// Counts live connection threads so shutdown can wait for them.
@@ -96,14 +82,6 @@ impl WaitGroup {
         *self.count.lock().expect("waitgroup lock poisoned") += 1;
     }
 
-    fn done(&self) {
-        let mut n = self.count.lock().expect("waitgroup lock poisoned");
-        *n -= 1;
-        if *n == 0 {
-            self.zero.notify_all();
-        }
-    }
-
     fn wait(&self) {
         let mut n = self.count.lock().expect("waitgroup lock poisoned");
         while *n > 0 {
@@ -112,25 +90,42 @@ impl WaitGroup {
     }
 }
 
-/// State shared by the acceptor, connection threads and the dispatcher.
+/// Undoes one [`WaitGroup::add`] on drop — also when the thread holding it
+/// unwinds, so a panicking connection cannot hang [`WaitGroup::wait`].
+struct Done<'a>(&'a WaitGroup);
+
+impl Drop for Done<'_> {
+    fn drop(&mut self) {
+        // A decrement cannot leave the count invalid, and `Drop` must not
+        // panic: take the lock even if it is poisoned.
+        let mut n = self.0.count.lock().unwrap_or_else(PoisonError::into_inner);
+        *n -= 1;
+        if *n == 0 {
+            self.0.zero.notify_all();
+        }
+    }
+}
+
+/// State shared by the acceptor and the connection threads.
 struct Shared {
     cfg: ServeConfig,
     addr: SocketAddr,
     metrics: ServeMetrics,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     online: OnlineState,
     stopping: AtomicBool,
     conns: WaitGroup,
 }
 
 impl Shared {
-    /// Starts the drain: close the queue, then poke the acceptor loose
-    /// from `accept()` with a throwaway connection. Idempotent.
+    /// Starts the drain: close the gate, then poke the acceptor loose
+    /// from `accept()` with a throwaway connection. Idempotent. The gate
+    /// closes first, so once the acceptor is gone no request is admitted.
     fn trigger_shutdown(&self) {
+        self.gate.close();
         if self.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.queue.close();
         drop(TcpStream::connect(self.addr));
     }
 }
@@ -140,7 +135,6 @@ impl Shared {
 pub struct Handle {
     shared: Arc<Shared>,
     acceptor: thread::JoinHandle<()>,
-    dispatcher: thread::JoinHandle<()>,
 }
 
 impl Handle {
@@ -161,15 +155,15 @@ impl Handle {
     }
 
     /// Waits until the server terminates (e.g. via `POST /shutdown`):
-    /// acceptor gone, queue drained, every connection answered.
+    /// acceptor gone, every admitted request run, every connection
+    /// answered.
     pub fn join(self) {
         self.acceptor.join().expect("acceptor panicked");
-        self.dispatcher.join().expect("dispatcher panicked");
         self.shared.conns.wait();
     }
 }
 
-/// Binds `127.0.0.1:{port}` and starts the acceptor + dispatcher threads.
+/// Binds `127.0.0.1:{port}` and starts the acceptor thread.
 ///
 /// # Errors
 ///
@@ -178,7 +172,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
-        queue: BoundedQueue::new(cfg.queue_capacity),
+        gate: Gate::new(pool::jobs(), cfg.queue_capacity),
         cfg,
         addr,
         online: OnlineState::default(),
@@ -191,11 +185,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<Handle> {
         let shared = Arc::clone(&shared);
         thread::spawn(move || accept_loop(&listener, &shared))
     };
-    let dispatcher = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || dispatch_loop(&shared))
-    };
-    Ok(Handle { shared, acceptor, dispatcher })
+    Ok(Handle { shared, acceptor })
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -212,8 +202,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         shared.conns.add();
         let shared = Arc::clone(shared);
         thread::spawn(move || {
+            let _done = Done(&shared.conns);
             serve_connection(stream, &shared);
-            shared.conns.done();
         });
     }
 }
@@ -248,11 +238,11 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         Route::Metrics => {
             // Count first so the page includes the fetch that produced it.
             shared.metrics.metrics_fetches.inc();
-            Response::text(200, shared.metrics.render())
+            Response::text(200, shared.metrics.render(shared.gate.waiting()))
         }
         Route::Shutdown => Response::json(200, "{\"draining\":true}".to_owned()),
         Route::Submit => {
-            // Stateful: serialised on the session mutex, never queued —
+            // Stateful: serialised on the session mutex, never gated —
             // each decision depends on the jobs already resident.
             shared.metrics.submit.inc();
             shared.online.submit(&request, &shared.cfg.limits, &shared.metrics)
@@ -263,26 +253,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         }
         Route::NotFound => Response::error(404, "no such endpoint"),
         Route::MethodNotAllowed => Response::error(405, "method not allowed for this path"),
-        Route::Compute(endpoint) => {
-            let (tx, rx) = mpsc::channel();
-            let job = Job { endpoint, request, enqueued: Instant::now(), reply: tx };
-            match shared.queue.try_push(job) {
-                Ok(()) => {
-                    shared.metrics.requests[endpoint as usize].inc();
-                    shared.metrics.queue_depth.store(shared.queue.len() as u64, Ordering::Relaxed);
-                    // The dispatcher answers every admitted job (handled or
-                    // expired); a dropped sender means it died — 500.
-                    rx.recv().unwrap_or_else(|_| Response::error(500, "dispatcher gone"))
-                }
-                Err((PushError::Full, _)) => {
-                    shared.metrics.rejected.inc();
-                    Response::error(503, "queue full, retry later")
-                        .with_header("Retry-After", "1".to_owned())
-                }
-                Err((PushError::Closed, _)) => Response::error(503, "server is draining")
-                    .with_header("Retry-After", "1".to_owned()),
-            }
-        }
+        Route::Compute(endpoint) => serve_compute(endpoint, &request, shared),
     };
     // Answer first, then start the drain — the shutdown caller always gets
     // its acknowledgement.
@@ -292,60 +263,85 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// A compute request, on the connection thread that read it: admitted or
+/// refused without blocking, then run once a slot is free. The slot is
+/// given back before the response is written.
+fn serve_compute(endpoint: Endpoint, request: &Request, shared: &Shared) -> Response {
+    let retry_later = |msg| Response::error(503, msg).with_header("Retry-After", "1".to_owned());
+    let arrived = Instant::now();
+    let ticket = match shared.gate.admit() {
+        Ok(ticket) => ticket,
+        Err(AdmitError::Full) => {
+            shared.metrics.rejected.inc();
+            return retry_later("queue full, retry later");
+        }
+        Err(AdmitError::Closed) => return retry_later("server is draining"),
+    };
+    shared.metrics.requests[endpoint as usize].inc();
+    let _slot = shared.gate.wait(ticket);
+    let waited = arrived.elapsed();
+    if waited > shared.cfg.deadline {
+        shared.metrics.expired.inc();
+        return retry_later("deadline expired in queue");
+    }
+    shared.metrics.queue_wait[endpoint as usize].observe(waited);
+    let t0 = Instant::now();
+    let resp = run_handler(|| api::handle_compute(endpoint, request, &shared.cfg.limits));
+    shared.metrics.handle_time[endpoint as usize].observe(t0.elapsed());
+    record_trace_drops(&shared.metrics, &resp);
+    resp
+}
+
+/// Runs `handler`; a panic inside it costs this one response (`500`), not
+/// the connection thread's bookkeeping or the server.
+fn run_handler(handler: impl FnOnce() -> Response) -> Response {
+    // Handlers share no state, so there is nothing a panic can leave
+    // half-updated for a later request to observe.
+    catch_unwind(AssertUnwindSafe(handler))
+        .unwrap_or_else(|_| Response::error(500, "handler panicked"))
+}
+
 fn write_response(mut stream: TcpStream, resp: &Response, shared: &Shared) {
     shared.metrics.record_status(resp.status);
     let _ = resp.write_to(&mut stream);
 }
 
-/// Folds a `/trace` response's `X-L15-Trace-Dropped-By` header
-/// (`category=count` pairs) into `l15_trace_dropped_events_total`.
+/// Folds the `X-L15-Trace-Dropped-By` header (`category=count` pairs) that
+/// only a `/trace` response carries into `l15_trace_dropped_events_total`.
 fn record_trace_drops(metrics: &ServeMetrics, resp: &Response) {
     let Some(by) = resp.header("X-L15-Trace-Dropped-By") else {
         return;
     };
-    for pair in by.split(',').filter(|s| !s.is_empty()) {
-        if let Some((category, count)) = pair.split_once('=') {
-            if let Ok(n) = count.parse::<u64>() {
-                metrics.add_trace_dropped(category, n);
-            }
+    for (category, count) in by.split(',').filter_map(|pair| pair.split_once('=')) {
+        if let Ok(n) = count.parse::<u64>() {
+            metrics.add_trace_dropped(category, n);
         }
     }
 }
 
-fn dispatch_loop(shared: &Arc<Shared>) {
-    while let Some(batch) = shared.queue.pop_batch(shared.cfg.batch_max, BATCH_PATIENCE) {
-        shared.metrics.queue_depth.store(shared.queue.len() as u64, Ordering::Relaxed);
-        shared.metrics.batches.inc();
-        shared.metrics.batch_jobs.add(batch.len() as u64);
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-        let mut live = Vec::with_capacity(batch.len());
-        for job in batch {
-            let waited = job.enqueued.elapsed();
-            if waited > shared.cfg.deadline {
-                shared.metrics.expired.inc();
-                let resp = Response::error(503, "deadline expired in queue")
-                    .with_header("Retry-After", "1".to_owned());
-                let _ = job.reply.send(resp);
-            } else {
-                shared.metrics.queue_wait[job.endpoint as usize].observe(waited);
-                live.push(job);
-            }
-        }
-        if live.is_empty() {
-            continue;
-        }
-        let limits = &shared.cfg.limits;
-        let results = pool::run(live.len(), |i| {
-            let t0 = Instant::now();
-            let resp = api::handle_compute(live[i].endpoint, &live[i].request, limits);
-            (resp, t0.elapsed())
-        });
-        for (job, (resp, took)) in live.iter().zip(results) {
-            shared.metrics.handle_time[job.endpoint as usize].observe(took);
-            if job.endpoint == Endpoint::Trace {
-                record_trace_drops(&shared.metrics, &resp);
-            }
-            let _ = job.reply.send(resp);
-        }
+    #[test]
+    fn a_guard_dropped_by_a_panicking_thread_still_releases_wait() {
+        let wg = Arc::new(WaitGroup::default());
+        wg.add();
+        let conn = {
+            let wg = Arc::clone(&wg);
+            thread::spawn(move || {
+                let _done = Done(&wg);
+                panic!("connection thread panicked");
+            })
+        };
+        assert!(conn.join().is_err());
+        wg.wait(); // would hang had the unwinding thread not checked out
+    }
+
+    #[test]
+    fn a_panicking_handler_maps_to_500() {
+        let resp = run_handler(|| panic!("handler bug"));
+        assert_eq!(resp.status, 500);
+        assert_eq!(run_handler(|| Response::text(200, "ok\n")).status, 200);
     }
 }

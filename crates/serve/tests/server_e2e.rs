@@ -1,12 +1,16 @@
 //! End-to-end tests: a real `l15-serve` instance on an ephemeral port,
 //! driven through `l15_serve::client` over real sockets.
 
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use l15_serve::client;
 use l15_serve::metrics::scrape;
 use l15_serve::server::{start, ServeConfig};
 use l15_serve::Limits;
+use l15_testkit::pool;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -77,9 +81,6 @@ fn full_request_cycle_and_graceful_shutdown() {
     assert_eq!(scrape(&text, "l15_requests_total{endpoint=\"metrics\"}"), Some(1));
     assert_eq!(scrape(&text, "l15_rejected_total"), Some(0));
     assert_eq!(scrape(&text, "l15_expired_total"), Some(0));
-    let batches = scrape(&text, "l15_batches_total").unwrap();
-    assert!((1..=6).contains(&batches), "6 jobs in 1..=6 batches, got {batches}");
-    assert_eq!(scrape(&text, "l15_batch_jobs_total"), Some(6));
     assert_eq!(
         scrape(&text, "l15_latency_us_count{endpoint=\"schedule\",phase=\"handle\"}"),
         Some(4)
@@ -218,7 +219,7 @@ fn trace_endpoint_captures_and_accounts_drops_over_the_wire() {
     assert!(total > 0);
     let by = r.header("x-l15-trace-dropped-by").unwrap().to_owned();
 
-    // Metrics reconciliation: the dispatcher folded exactly the header's
+    // Metrics reconciliation: the server folded exactly the header's
     // per-category counts into l15_trace_dropped_events_total.
     let page = client::get(addr, "/metrics", TIMEOUT).unwrap().text();
     assert_eq!(scrape(&page, "l15_requests_total{endpoint=\"trace\"}"), Some(3));
@@ -275,10 +276,10 @@ fn zero_deadline_expires_admitted_work_as_503() {
 
 #[test]
 fn saturation_accounting_reconciles_exactly() {
-    // A tiny queue and a burst of concurrent clients: some requests are
+    // A tiny waiting room and a burst of concurrent clients: some requests are
     // rejected (503 + Retry-After), but every connection gets an answer
     // and the server-side counters match the client-side tally exactly.
-    let cfg = ServeConfig { queue_capacity: 2, batch_max: 2, ..ServeConfig::default() };
+    let cfg = ServeConfig { queue_capacity: 2, ..ServeConfig::default() };
     let handle = start(cfg).unwrap();
     let addr = handle.addr();
 
@@ -307,6 +308,109 @@ fn saturation_accounting_reconciles_exactly() {
     // here is exactly the schedule successes.
     assert_eq!(scrape(&page, "l15_responses_total{status=\"200\"}"), Some(ok));
     handle.shutdown();
+}
+
+/// A `/simulate` request that keeps a handler busy for a good while:
+/// six ten-node chains between one source and one sink, every node with
+/// an 8 KiB payload, at the largest work scale the endpoint accepts.
+const SLOW_TARGET: &str = "/simulate?preset=proposed_8core&compute_iters=256";
+
+fn slow_body() -> String {
+    let (chains, len) = (6, 10);
+    let sink = 1 + chains * len;
+    let mut text = String::from("task period=100000 deadline=100000\n");
+    for n in 0..=sink {
+        text.push_str(&format!("node {n} wcet=2 data=8192\n"));
+    }
+    for c in 0..chains {
+        let first = 1 + c * len;
+        text.push_str(&format!("edge 0 {first} cost=1 alpha=0.5\n"));
+        for n in first..first + len - 1 {
+            text.push_str(&format!("edge {n} {} cost=1 alpha=0.5\n", n + 1));
+        }
+        text.push_str(&format!("edge {} {sink} cost=1 alpha=0.5\n", first + len - 1));
+    }
+    text
+}
+
+/// Polls `/metrics` until `selector` reads `want`.
+fn await_counter(addr: SocketAddr, selector: &str, want: u64) {
+    let t0 = Instant::now();
+    loop {
+        let page = client::get(addr, "/metrics", TIMEOUT).unwrap().text();
+        if scrape(&page, selector) == Some(want) {
+            return;
+        }
+        assert!(t0.elapsed() < TIMEOUT, "{selector} never reached {want}:\n{page}");
+        thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn a_running_request_does_not_hold_up_the_next() {
+    if pool::jobs() < 2 {
+        return; // one slot: the second request has to wait its turn
+    }
+    let handle = start(ServeConfig::default()).unwrap();
+    let addr = handle.addr();
+    let body = slow_body();
+    let slow = thread::spawn(move || client::post(addr, SLOW_TARGET, body.as_bytes(), TIMEOUT * 6));
+    await_counter(addr, "l15_requests_total{endpoint=\"simulate\"}", 1);
+
+    // The slow request holds one slot; this one takes the other and
+    // answers while the first is still inside its handler.
+    let r = client::post(addr, "/analyze", SAMPLE.as_bytes(), TIMEOUT).unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    let page = client::get(addr, "/metrics", TIMEOUT).unwrap().text();
+    assert_eq!(
+        scrape(&page, "l15_latency_us_count{endpoint=\"simulate\",phase=\"handle\"}"),
+        Some(0),
+        "/analyze answered only after the slow /simulate had finished"
+    );
+
+    let r = slow.join().unwrap().unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_drains_running_and_waiting_requests() {
+    // A waiting request must outlast a slow one here, not expire behind it.
+    let cfg = ServeConfig { deadline: TIMEOUT * 6, ..ServeConfig::default() };
+    let handle = start(cfg).unwrap();
+    let addr = handle.addr();
+    // More slow requests than slots: some run, the rest wait their turn.
+    let total = pool::jobs() + 2;
+    let slow: Vec<_> = (0..total)
+        .map(|_| {
+            let body = slow_body();
+            thread::spawn(move || client::post(addr, SLOW_TARGET, body.as_bytes(), TIMEOUT * 6))
+        })
+        .collect();
+    await_counter(addr, "l15_requests_total{endpoint=\"simulate\"}", total as u64);
+
+    // A connection accepted before the drain starts, whose request only
+    // arrives after it.
+    let mut late = TcpStream::connect(addr).unwrap();
+    let r = client::post(addr, "/shutdown", b"", TIMEOUT).unwrap();
+    assert_eq!(r.status, 200);
+    // The acceptor leaves only after the gate has closed.
+    let t0 = Instant::now();
+    while client::get(addr, "/healthz", Duration::from_millis(500)).is_ok() {
+        assert!(t0.elapsed() < TIMEOUT, "the acceptor never stopped");
+    }
+    late.write_all(b"POST /analyze HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
+    let mut answer = String::new();
+    late.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 503"), "{answer}");
+    assert!(answer.contains("server is draining"), "{answer}");
+
+    // Every request admitted before the drain is answered in full.
+    for s in slow {
+        let r = s.join().unwrap().unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+    }
+    handle.join();
 }
 
 #[test]

@@ -129,17 +129,18 @@ impl Soc {
     pub fn step_core(&mut self, i: usize) -> StepOutcome {
         self.uncore.trace_mut().set_now(self.clocks[i]);
         let out = self.cores[i].step(&mut self.uncore);
-        if out.stalls.any() {
-            // Emit the per-instruction stall breakdown; emit() is a no-op
-            // when no flight recorder is attached.
+        if out.stalls.any() && self.uncore.trace().recording() {
+            // The per-instruction stall breakdown. The event carries `u16`
+            // counts (memory latency is hundreds of cycles), so saturate.
+            let sat = |cycles: u32| u16::try_from(cycles).unwrap_or(u16::MAX);
             let s = out.stalls;
             self.uncore.trace_mut().emit(EventKind::PipeStall {
                 core: i as u32,
-                if_stall: s.if_stall,
-                ma_stall: s.ma_stall,
-                hazard: s.hazard,
-                flush: s.flush,
-                ex: s.ex,
+                if_stall: sat(s.if_stall),
+                ma_stall: sat(s.ma_stall),
+                hazard: sat(s.hazard),
+                flush: sat(s.flush),
+                ex: sat(s.ex),
             });
         }
         self.clocks[i] += out.cycles as u64;
@@ -233,6 +234,26 @@ mod tests {
         soc.run_core(0, 100);
         assert_eq!(soc.core(0).reg(3), 42);
         assert!(soc.clock(0) > 0);
+    }
+
+    #[test]
+    fn a_stall_longer_than_u16_saturates_in_the_trace() {
+        // The first fetch misses all the way to a 70 000-cycle memory.
+        let cfg = SocConfig { mem_latency: 70_000, ..SocConfig::proposed_8core() };
+        let mut soc = Soc::new(cfg, 0x100);
+        let program = assemble(|a| {
+            a.ebreak();
+        });
+        soc.uncore_mut().load_program(0x100, &program);
+        soc.uncore_mut().trace_mut().attach(l15_trace::FlightRecorder::new(16));
+        let out = soc.step_core(0);
+        assert!(out.stalls.if_stall >= 70_000, "{:?}", out.stalls);
+        let rec = soc.uncore_mut().trace_mut().detach().expect("attached above");
+        let recorded = rec.events().find_map(|e| match e.kind {
+            EventKind::PipeStall { if_stall, .. } => Some(if_stall),
+            _ => None,
+        });
+        assert_eq!(recorded, Some(u16::MAX), "saturated, not wrapped to {}", 70_000 % 65_536);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::sync::Once;
 
 use crate::gen::Gen;
 use crate::pool::{self, payload_message};
-use crate::rng::{splitmix64, Xoshiro256pp};
+use crate::rng::{fnv1a, splitmix64, Xoshiro256pp, FNV1A_OFFSET};
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -536,12 +536,7 @@ pub fn check_seed(name: &str, seed: u64, property: impl Fn(&mut G)) {
 /// Fixed per-property base seed: deterministic across runs, machines and
 /// (absent a name change) versions.
 fn fixed_base_seed(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    splitmix64(h)
+    splitmix64(fnv1a(FNV1A_OFFSET, name.as_bytes()))
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -48,6 +48,18 @@ pub fn splitmix64(x: u64) -> u64 {
     SplitMix64::new(x).next_u64()
 }
 
+/// The 64-bit FNV-1a offset basis: the `acc` a fresh [`fnv1a`] digest
+/// starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes`, continuing from `acc` (chain calls to hash a
+/// stream fragment by fragment). The workspace's one content digest:
+/// property base seeds, plan digests, loadgen response digests.
+#[inline]
+pub fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(acc, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// xoshiro256++ 1.0 (Blackman & Vigna, 2019).
 ///
 /// Reference: <https://prng.di.unimi.it/xoshiro256plusplus.c> (public
@@ -261,6 +273,15 @@ mod tests {
         assert_eq!(sm.next_u64(), 6457827717110365317);
         assert_eq!(sm.next_u64(), 3203168211198807973);
         assert_eq!(sm.next_u64(), 9817491932198370423);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors_and_chains() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a(FNV1A_OFFSET, b""), FNV1A_OFFSET);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV1A_OFFSET, b"foo"), b"bar"), fnv1a(FNV1A_OFFSET, b"foobar"));
     }
 
     #[test]

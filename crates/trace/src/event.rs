@@ -147,20 +147,22 @@ pub enum EventKind {
     /// Stall breakdown of one retired instruction (emitted only when some
     /// component is non-zero): IF bubbles (TLB + fetch beyond 1 cycle),
     /// MA bubbles (data access beyond 1 cycle), load-use hazard, branch
-    /// flush, and EX extension (mul/div).
+    /// flush, and EX extension (mul/div). The counts are `u16`, saturated
+    /// by the emitter, so this variant is no wider than the others and a
+    /// [`TraceEvent`] stays 24 bytes.
     PipeStall {
         /// Core that stalled.
         core: u32,
         /// IF-stage bubble cycles.
-        if_stall: u32,
+        if_stall: u16,
         /// MA-stage bubble cycles.
-        ma_stall: u32,
+        ma_stall: u16,
         /// Load-use hazard cycles.
-        hazard: u32,
+        hazard: u16,
         /// Branch-flush cycles.
-        flush: u32,
+        flush: u16,
         /// EX extension cycles (mul/div).
-        ex: u32,
+        ex: u16,
     },
     /// Instruction fetch served at `level`.
     Fetch {
@@ -358,6 +360,12 @@ mod tests {
             assert!(!s.name().is_empty());
         }
         assert!(seen.iter().all(|&s| s), "every category reachable: {seen:?}");
+    }
+
+    #[test]
+    fn an_event_is_24_bytes() {
+        // A full /trace capture ring is 2^18 of these.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 24);
     }
 
     #[test]

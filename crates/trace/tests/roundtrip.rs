@@ -18,11 +18,11 @@ fn arb_kind(g: &mut G) -> EventKind {
     match g.weighted(&[2, 4, 4, 3, 3, 2, 2, 1, 2, 2, 2, 2, 1, 1, 2]) {
         0 => EventKind::PipeStall {
             core,
-            if_stall: g.u32_in(0..4),
-            ma_stall: g.u32_in(0..4),
-            hazard: g.u32_in(0..2),
-            flush: g.u32_in(0..3),
-            ex: g.u32_in(0..32),
+            if_stall: g.u32_in(0..4) as u16,
+            ma_stall: g.u32_in(0..4) as u16,
+            hazard: g.u32_in(0..2) as u16,
+            flush: g.u32_in(0..3) as u16,
+            ex: g.u32_in(0..32) as u16,
         },
         1 => EventKind::Fetch { core, level: arb_level(g) },
         2 => EventKind::Load { core, level: arb_level(g) },

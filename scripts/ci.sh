@@ -43,7 +43,7 @@ tr_seq=$(mktemp)
 tr_par=$(mktemp)
 sp_seq=$(mktemp)
 sp_par=$(mktemp)
-trap 'rm -f "$seq_out" "$par_out" "$serve_log" "$lg_seq" "$lg_par" "$lg_seq.det" "$lg_par.det" "$chk_seq" "$chk_par" "$tr_seq" "$tr_par" "$sp_seq" "$sp_par" "$sp_seq.det" "$sp_par.det"' EXIT
+trap 'rm -f "$seq_out" "$par_out" "$serve_log" "$lg_seq" "$lg_par" "$lg_seq.det" "$lg_par.det" "$chk_seq" "$chk_par" "$tr_seq" "$tr_par" "$sp_seq" "$sp_par" "$sp_seq.det" "$sp_par.det" "$sp_seq.again" "$sp_par.again" "$sp_seq.again.det" "$sp_par.again.det"' EXIT
 L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin fig7 -- --quick > "$seq_out"
 L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin fig7 -- --quick > "$par_out"
 diff -u "$seq_out" "$par_out"
@@ -71,44 +71,45 @@ cmp "$tr_seq" "$tr_par"
 cargo run --release --offline -q -p l15-bench --bin l15-trace -- validate "$tr_seq"
 echo "trace artifacts are byte-identical across worker counts and schema-clean"
 
-echo "==> serve smoke (l15-serve + loadgen, L15_JOBS=1 vs 4 determinism)"
-# A deliberately tiny queue so the loadgen burst saturates it: the run must
-# shed load (503 + Retry-After) and still complete with exact accounting.
-cargo run --release --offline -q -p l15-serve --bin l15-serve -- \
-    --queue 4 --batch 2 > "$serve_log" &
-serve_pid=$!
-port=""
-for _ in $(seq 1 100); do
-    port=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$serve_log")
-    [ -n "$port" ] && break
-    sleep 0.1
-done
-[ -n "$port" ] || { echo "l15-serve did not come up"; cat "$serve_log"; exit 1; }
-L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin loadgen -- \
-    --smoke --port "$port" > "$lg_seq"
-L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin loadgen -- \
-    --smoke --port "$port" > "$lg_par"
-# The online tier: two sporadic streams into /submit (each starts with a
-# session reset, so both replay the same decisions); the second one drains
-# the server. Reconciliation against l15_online_total is exact.
-cargo run --release --offline -q -p l15-bench --bin loadgen -- \
-    --smoke --sporadic --port "$port" > "$sp_seq"
-cargo run --release --offline -q -p l15-bench --bin loadgen -- \
-    --smoke --sporadic --port "$port" --shutdown > "$sp_par"
-wait "$serve_pid"
-grep -q "drained and stopped" "$serve_log" || { echo "server did not drain cleanly"; cat "$serve_log"; exit 1; }
-grep -q "^reconcile=ok$" "$lg_seq"
-grep -q "^reconcile=ok$" "$lg_par"
-grep -q "^reconcile=ok$" "$sp_seq"
-grep -q "^reconcile=ok$" "$sp_par"
-# Timing lines (prefixed ~) differ run to run; everything else must not.
-grep -v '^~' "$lg_seq" > "$lg_seq.det"
-grep -v '^~' "$lg_par" > "$lg_par.det"
+echo "==> serve smoke (l15-serve + loadgen, server at L15_JOBS=1 vs 4 determinism)"
+# One server per slot count (the gate runs L15_JOBS requests at once), each
+# with a one-place waiting room so the four-thread loadgen burst can
+# saturate it: a run that sheds load (503 + Retry-After) must still
+# complete with exact accounting, and everything loadgen prints apart from
+# its timing lines (prefixed ~) must not depend on the server's slot count.
+serve_smoke() { # server-jobs closed-loop-out sporadic-out
+    L15_JOBS=$1 cargo run --release --offline -q -p l15-serve --bin l15-serve -- \
+        --queue 1 > "$serve_log" &
+    serve_pid=$!
+    port=""
+    for _ in $(seq 1 100); do
+        port=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$serve_log")
+        [ -n "$port" ] && break
+        sleep 0.1
+    done
+    [ -n "$port" ] || { echo "l15-serve did not come up"; cat "$serve_log"; exit 1; }
+    L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin loadgen -- \
+        --smoke --port "$port" > "$2"
+    # The online tier: two sporadic streams into /submit (each starts with
+    # a session reset, so both replay the same decisions); the second one
+    # drains the server. Reconciliation against l15_online_total is exact.
+    cargo run --release --offline -q -p l15-bench --bin loadgen -- \
+        --smoke --sporadic --port "$port" > "$3"
+    cargo run --release --offline -q -p l15-bench --bin loadgen -- \
+        --smoke --sporadic --port "$port" --shutdown > "$3.again"
+    wait "$serve_pid"
+    grep -q "drained and stopped" "$serve_log" || { echo "server did not drain cleanly"; cat "$serve_log"; exit 1; }
+    for out in "$2" "$3" "$3.again"; do
+        grep -q "^reconcile=ok$" "$out"
+        grep -v '^~' "$out" > "$out.det"
+    done
+    diff -u "$3.det" "$3.again.det"
+}
+serve_smoke 1 "$lg_seq" "$sp_seq"
+serve_smoke 4 "$lg_par" "$sp_par"
 diff -u "$lg_seq.det" "$lg_par.det"
-grep -v '^~' "$sp_seq" > "$sp_seq.det"
-grep -v '^~' "$sp_par" > "$sp_par.det"
 diff -u "$sp_seq.det" "$sp_par.det"
-echo "loadgen deterministic output (closed-loop and sporadic) is byte-identical"
+echo "loadgen deterministic output (closed-loop and sporadic) is byte-identical at either slot count"
 
 echo "==> fuzz regression (l15-fuzz, fixed seed, L15_JOBS=1 vs 4 determinism)"
 # Fixed-seed smoke sweep on the quick profile: the clean tree must report

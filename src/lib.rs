@@ -17,7 +17,8 @@
 //!   over the emitted kernel streams, with a trace-replay mode.
 //! * [`area`] — the Sec. 5.4 area model.
 //! * [`serve`] — scheduling-as-a-service: a zero-dependency HTTP layer
-//!   exposing the pipeline with batching, backpressure and metrics.
+//!   exposing the pipeline with bounded admission, backpressure and
+//!   metrics.
 //! * [`trace`] — cycle-level flight recorder, span model and the
 //!   deterministic Chrome/Perfetto trace exporters.
 //! * [`testkit`] — in-tree PRNG, property-testing engine and differential
