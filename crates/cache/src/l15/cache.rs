@@ -428,6 +428,11 @@ impl L15Cache {
         Ok(self.purge_way(way))
     }
 
+    /// Ways currently owned: [`utilisation`](Self::utilisation)'s numerator.
+    pub fn owned_ways(&self) -> usize {
+        self.regs.owned_ways()
+    }
+
     /// Utilisation: fraction of ways currently owned (Fig. 8(c) metric).
     pub fn utilisation(&self) -> f64 {
         self.regs.utilisation()

@@ -113,11 +113,15 @@ impl ControlRegs {
         WayMask::first_n(self.n_ways).difference(owned)
     }
 
+    /// Number of ways currently owned by some core.
+    pub fn owned_ways(&self) -> usize {
+        self.ow.iter().map(|m| m.count()).sum()
+    }
+
     /// Fraction of ways currently owned (the utilisation metric of
     /// Fig. 8(c)).
     pub fn utilisation(&self) -> f64 {
-        let owned: usize = self.ow.iter().map(|m| m.count()).sum();
-        owned as f64 / self.n_ways as f64
+        self.owned_ways() as f64 / self.n_ways as f64
     }
 
     /// Grants `way` to `core` (Walloc write). Clears any previous owner's OW

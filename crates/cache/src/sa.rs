@@ -180,6 +180,26 @@ impl SetAssocCache {
         self.stats.record_hit();
     }
 
+    /// [`access`](Self::access) if it hits — `(way, latency)` — else nothing
+    /// at all, not even a counted miss.
+    #[inline]
+    pub fn access_if_hit(&mut self, addr: u64, kind: AccessKind) -> Option<(usize, u32)> {
+        let way = self.find(addr, addr, ALL_WAYS)?;
+        self.hit(self.set_of(addr), way, kind);
+        Some((way, self.latency[way]))
+    }
+
+    /// A hit in `way` of `set`: touch, dirty on a write, count.
+    #[inline]
+    fn hit(&mut self, set: usize, way: usize, kind: AccessKind) {
+        self.plru[set].touch(way);
+        if kind == AccessKind::Write {
+            let slot = self.slot(set, way);
+            self.meta[slot].dirty = true;
+        }
+        self.stats.record_hit();
+    }
+
     /// [`access`](Self::access) with the set taken from `index_addr`, the
     /// tag from `tag_addr`, and only the ways in `allowed` checked.
     #[inline]
@@ -190,16 +210,10 @@ impl SetAssocCache {
         allowed: WayMask,
         kind: AccessKind,
     ) -> AccessOutcome {
-        let set = self.set_of(index_addr);
         let way = self.find(index_addr, tag_addr, allowed);
         let depth = match way {
             Some(way) => {
-                self.plru[set].touch(way);
-                if kind == AccessKind::Write {
-                    let slot = self.slot(set, way);
-                    self.meta[slot].dirty = true;
-                }
-                self.stats.record_hit();
+                self.hit(self.set_of(index_addr), way, kind);
                 way
             }
             None => {

@@ -83,21 +83,17 @@ impl MustCache {
         let set = self.set_of(addr);
         let entries = &mut self.lines[set];
         let old_age = entries.get(&line).copied();
-        let hit = old_age.is_some();
-        let threshold = old_age.unwrap_or(self.capacity);
-        let mut next = BTreeMap::new();
-        for (&l, &age) in entries.iter() {
-            if l == line {
-                continue;
-            }
-            let aged = if age < threshold { age + 1 } else { age };
-            if aged < self.capacity {
-                next.insert(l, aged);
-            }
+        // Already the youngest (most fetches): nothing ages.
+        if old_age == Some(0) {
+            return true;
         }
-        next.insert(line, 0);
-        *entries = next;
-        hit
+        let (threshold, capacity) = (old_age.unwrap_or(self.capacity), self.capacity);
+        entries.retain(|_, age| {
+            *age += (*age < threshold) as usize;
+            *age < capacity
+        });
+        entries.insert(line, 0);
+        old_age.is_some()
     }
 
     /// Removes the line containing `addr` (invalidation).

@@ -17,10 +17,14 @@
 //! specific ways, returning the capacity to the pool.
 //!
 //! The kernel doubles as the **cycle-accurate monitor** of Sec. 5.3: it
-//! samples the L1.5 way utilisation every scheduling step and measures the
-//! misconfiguration ratio φ — the fraction of task execution that ran
+//! integrates the L1.5 way utilisation over the global clock and measures
+//! the misconfiguration ratio φ — the fraction of task execution that ran
 //! before the one-way-per-cycle Walloc finished applying the demanded
 //! configuration.
+//!
+//! One loop: dispatch, account what ran ahead ([`Soc::next_real`]), step,
+//! react — and only then let the stepped core, if its configuration is
+//! settled, run ahead privately ([`Soc::run_ahead`]; `DESIGN.md` §4.7).
 
 use std::error::Error;
 use std::fmt;
@@ -194,21 +198,32 @@ pub fn run_task(
     let mut config_done_cycle: Vec<Option<u64>> = vec![None; soc.n_cores()];
     let mut owned_before = vec![WayMask::EMPTY; soc.n_cores()];
 
-    // Monitor accumulators.
+    // Monitor accumulators. Utilisation integrates owned ways × cycles in
+    // an integer: one sample covers any steps during which no way moved.
     let start_cycle = soc.global_cycle();
-    let mut last_sample = start_cycle;
-    let mut util_weighted = 0.0f64;
-    // Way utilisation, and the grant + revoke count it was read at: way
+    let (mut last_sample, mut way_cycles) = (start_cycle, 0u64);
+    // Owned ways, and the grant + revoke count they were read at: way
     // ownership only moves with one of those two counters.
-    let (mut util, mut util_moves) = (0.0f64, u64::MAX);
+    let (mut owned, mut owned_moves) = (0u64, u64::MAX);
+    let mut sample = |soc: &Soc| {
+        let nowc = soc.global_cycle();
+        if has_l15 && nowc > last_sample {
+            let counters = soc.uncore().trace().counters();
+            let moves = counters.grants + counters.revokes;
+            let l15 = soc.uncore().l15(cfg.cluster).expect("has_l15 checked");
+            if moves != owned_moves {
+                (owned, owned_moves) = (l15.owned_ways() as u64, moves);
+            }
+            debug_assert_eq!(owned, l15.owned_ways() as u64, "a way moved uncounted");
+            way_cycles += owned * (nowc - last_sample);
+            last_sample = nowc;
+        }
+    };
     let mut phi_sum = 0.0f64;
     let mut phi_nodes = 0usize;
 
+    // Left early on a timeout, or (alike) if nothing runs but nodes remain.
     while done < n {
-        if soc.global_cycle() - start_cycle > cfg.max_cycles {
-            return Err(KernelError::Timeout { completed: done, total: n });
-        }
-
         // --- Dispatch ready nodes to idle cores ------------------------
         while ready > 0 && idle > 0 {
             let Some(core) =
@@ -282,27 +297,17 @@ pub fn run_task(
             }
         }
 
-        // --- Advance the laggard busy core -----------------------------
-        let Some(core) = soc.laggard(cores.clone()) else {
-            // Nothing runs but nodes remain: dependency stall should be
-            // impossible — treat as timeout-level failure.
-            return Err(KernelError::Timeout { completed: done, total: n });
-        };
-        soc.step_core(core);
-
-        // --- Monitor sampling -------------------------------------------
-        let nowc = soc.global_cycle();
-        if has_l15 && nowc > last_sample {
-            let counters = soc.uncore().trace().counters();
-            let moves = counters.grants + counters.revokes;
-            let l15 = soc.uncore().l15(cfg.cluster).expect("has_l15 checked");
-            if moves != util_moves {
-                (util, util_moves) = (l15.utilisation(), moves);
-            }
-            debug_assert_eq!(util, l15.utilisation(), "a way moved without a grant or revoke");
-            util_weighted += util * (nowc - last_sample) as f64;
-            last_sample = nowc;
+        // --- Account what ran ahead, then advance the laggard ------------
+        // No way moves while queued cycles are accounted, so one sample
+        // covers them, and the per-step timeout check they skip is monotone
+        // in the clock: made once, after them, it decides alike.
+        let Some(core) = soc.next_real(cores.clone()) else { break };
+        sample(soc);
+        if soc.global_cycle() - start_cycle > cfg.max_cycles {
+            break;
         }
+        soc.step_core(core);
+        sample(soc);
         if has_l15 && config_done_cycle[core].is_none() {
             let supplied = soc
                 .uncore()
@@ -393,43 +398,42 @@ pub fn run_task(
                 }
             }
             if has_l15 {
-                for &(_, p) in dag.predecessors(v) {
-                    consumers_left[p.0] -= 1;
-                    if consumers_left[p.0] == 0 {
-                        if !node_ways[p.0].is_empty() {
-                            soc.uncore_mut().trace_mut().emit_at(
-                                finish,
-                                EventKind::Section {
-                                    core: core as u32,
-                                    node: p.0 as u32,
-                                    kind: SectionKind::Reclaim,
-                                },
-                            );
-                        }
-                        for w in node_ways[p.0].iter() {
-                            soc.uncore_mut()
-                                .kernel_revoke_way(cfg.cluster, w)
-                                .expect("way index from supply bitmap");
-                        }
+                // Back to the pool: a producer's ways after its last consumer.
+                let reclaim = |soc: &mut Soc, node: usize| {
+                    if node_ways[node].is_empty() {
+                        return;
                     }
-                }
-                if dag.out_degree(v) == 0 && !node_ways[v.0].is_empty() {
+                    let kind = SectionKind::Reclaim;
                     soc.uncore_mut().trace_mut().emit_at(
                         finish,
-                        EventKind::Section {
-                            core: core as u32,
-                            node: v.0 as u32,
-                            kind: SectionKind::Reclaim,
-                        },
+                        EventKind::Section { core: core as u32, node: node as u32, kind },
                     );
-                    for w in node_ways[v.0].iter() {
+                    for w in node_ways[node].iter() {
                         soc.uncore_mut()
                             .kernel_revoke_way(cfg.cluster, w)
                             .expect("way index from supply bitmap");
                     }
+                };
+                for &(_, p) in dag.predecessors(v) {
+                    consumers_left[p.0] -= 1;
+                    if consumers_left[p.0] == 0 {
+                        reclaim(soc, p.0);
+                    }
+                }
+                if dag.out_degree(v) == 0 {
+                    reclaim(soc, v.0);
                 }
             }
+        } else if !has_l15 || config_done_cycle[core].is_some() {
+            // Still running and settled: execute ahead what only it can see.
+            // Here, after all post-step work, not in a step (`DESIGN.md` §4.7).
+            soc.run_ahead(core);
         }
+    }
+    if done < n {
+        // Leave no core with executed but unaccounted instructions.
+        soc.settle(cores);
+        return Err(KernelError::Timeout { completed: done, total: n });
     }
 
     // End-to-end data-flow check: every producer's buffer holds data.
@@ -452,7 +456,8 @@ pub fn run_task(
         node_start,
         node_finish,
         l15_utilisation: if end_cycle > start_cycle {
-            util_weighted / (end_cycle - start_cycle) as f64
+            let ways = soc.uncore().l15(cfg.cluster).map_or(1, |l15| l15.config().ways) as u64;
+            way_cycles as f64 / (ways * (end_cycle - start_cycle)) as f64
         } else {
             0.0
         },

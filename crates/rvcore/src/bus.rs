@@ -64,6 +64,29 @@ pub trait SystemBus {
     /// `gv_get`/`ip_set`) for `core` with operand `arg` (a way count for
     /// `demand`, a bitmap for `gv_set`, a policy selector for `ip_set`).
     fn l15_ctrl(&mut self, core: usize, op: L15Op, arg: u32) -> CtrlAccess;
+
+    // The private side (`Core::step_private`): each answers only if the access
+    // touches `core`'s own state alone, else returns `None` **having changed
+    // nothing**. By default, never.
+
+    /// What [`fetch`](Self::fetch) would return, uncounted until
+    /// [`fetch_commit`](Self::fetch_commit) (the instruction retired).
+    fn fetch_peek(&self, _core: usize, _paddr: u32) -> Option<Fetched> {
+        None
+    }
+
+    /// Counts the fetch last peeked for `core` as `fetch` would have.
+    fn fetch_commit(&mut self, _core: usize) {}
+
+    /// [`load`](Self::load), if `core`'s own first-level cache serves it.
+    fn load_private(&mut self, _core: usize, _paddr: u32, _size: u32) -> Option<MemAccess> {
+        None
+    }
+
+    /// [`store`](Self::store), if it ends in `core`'s own first-level cache.
+    fn store_private(&mut self, _core: usize, _paddr: u32, _size: u32, _value: u32) -> Option<u32> {
+        None
+    }
 }
 
 /// A flat, fixed-latency bus for unit tests and bare-metal program tests:

@@ -294,37 +294,71 @@ impl Core {
     /// Returns the cycles consumed and the event. A halted core returns
     /// 1 idle cycle with [`StepEvent::Halted`].
     pub fn step<B: SystemBus + ?Sized>(&mut self, bus: &mut B) -> StepOutcome {
-        if self.halted {
-            self.stats.cycles += 1;
-            self.csr.cycle += 1;
-            return StepOutcome { cycles: 1, event: StepEvent::Halted, stalls: Stalls::default() };
-        }
+        self.execute::<B, false>(bus).expect("only a private step refuses")
+    }
 
+    /// [`step`](Self::step), cycles and every core-side update alike, if the
+    /// instruction touches only this core and what `bus` holds for it alone:
+    /// machine mode, a fetch the bus can peek, then `lui` / `auipc` / `jal` /
+    /// `jalr` / a branch / an ALU or M op / `fence`, or an aligned load or
+    /// store the bus serves privately. Anything else (`csr*`, L1.5 control,
+    /// `ecall` / `ebreak` / `mret` / `wfi`, whatever would trap) returns
+    /// `None` with core and bus exactly as they were.
+    pub fn step_private<B: SystemBus + ?Sized>(&mut self, bus: &mut B) -> Option<u32> {
+        self.execute::<B, true>(bus).map(|out| out.cycles)
+    }
+
+    /// The one execute body. `PRIVATE` takes the private side of the bus and
+    /// refuses shared events, writing nothing before the last refusal point.
+    #[inline]
+    fn execute<B: SystemBus + ?Sized, const PRIVATE: bool>(
+        &mut self,
+        bus: &mut B,
+    ) -> Option<StepOutcome> {
+        if PRIVATE && (self.halted || self.priv_level != PrivLevel::Machine) {
+            return None;
+        }
         let mut cycles = 1u32;
         let mut stalls = Stalls::default();
         let mut next_hazard = HazardState::default();
+        if self.halted {
+            self.stats.cycles += 1;
+            self.csr.cycle += 1;
+            return Some(StepOutcome { cycles, event: StepEvent::Halted, stalls });
+        }
+
+        macro_rules! take_trap {
+            ($code:expr, $tval:expr) => {{
+                if PRIVATE {
+                    return None;
+                }
+                let ev = self.trap($code, $tval);
+                self.finish(cycles, &stalls, next_hazard);
+                return Some(StepOutcome { cycles, event: ev, stalls });
+            }};
+        }
 
         // --- IF: translate + fetch ---------------------------------------
         let (ppc, tlb_cost) = match self.translate(self.pc) {
             Ok(v) => v,
-            Err(_) => {
-                let ev = self.trap(cause::INSTRUCTION_PAGE_FAULT, self.pc);
-                self.finish(cycles, next_hazard);
-                return StepOutcome { cycles, event: ev, stalls };
-            }
+            Err(_) => take_trap!(cause::INSTRUCTION_PAGE_FAULT, self.pc),
         };
         cycles += tlb_cost;
         stalls.if_stall += tlb_cost;
-        let fetch = bus.fetch(self.id, self.pc, ppc);
+        let fetch =
+            if PRIVATE { bus.fetch_peek(self.id, ppc)? } else { bus.fetch(self.id, self.pc, ppc) };
         cycles += fetch.cycles.saturating_sub(1);
         stalls.if_stall += fetch.cycles.saturating_sub(1);
 
         // --- ID: the bus decoded the word ---------------------------------
         let Some(instr) = fetch.instr else {
-            let ev = self.trap(cause::ILLEGAL_INSTRUCTION, fetch.word);
-            self.finish(cycles, next_hazard);
-            return StepOutcome { cycles, event: ev, stalls };
+            take_trap!(cause::ILLEGAL_INSTRUCTION, fetch.word);
         };
+        let system = matches!(instr, Instr::Ecall | Instr::Ebreak | Instr::Mret | Instr::Wfi)
+            || matches!(instr, Instr::Csr { .. } | Instr::L15 { .. });
+        if PRIVATE && system {
+            return None;
+        }
 
         // Load-use hazard against the previous instruction.
         if let Some(rd) = self.hazard.last_load_rd {
@@ -340,21 +374,12 @@ impl Core {
                 };
                 cycles += stall;
                 stalls.hazard += stall;
-                self.stats.hazard_stalls += stall as u64;
             }
         }
 
         // --- EX/MA/WB -------------------------------------------------------
         let mut next_pc = self.pc.wrapping_add(4);
         let mut event = StepEvent::Retired(instr);
-
-        macro_rules! take_trap {
-            ($code:expr, $tval:expr) => {{
-                let ev = self.trap($code, $tval);
-                self.finish(cycles, next_hazard);
-                return StepOutcome { cycles, event: ev, stalls };
-            }};
-        }
 
         match instr {
             Instr::Lui { rd, imm } => self.set_reg(rd as usize, imm as u32),
@@ -403,7 +428,11 @@ impl Core {
                 };
                 cycles += tlb;
                 stalls.ma_stall += tlb;
-                let access = bus.load(self.id, vaddr, paddr, op.size());
+                let access = if PRIVATE {
+                    bus.load_private(self.id, paddr, op.size())?
+                } else {
+                    bus.load(self.id, vaddr, paddr, op.size())
+                };
                 cycles += access.cycles.saturating_sub(1);
                 stalls.ma_stall += access.cycles.saturating_sub(1);
                 let value = match op {
@@ -430,7 +459,12 @@ impl Core {
                 };
                 cycles += tlb;
                 stalls.ma_stall += tlb;
-                let cost = bus.store(self.id, vaddr, paddr, op.size(), self.regs[rs2 as usize]);
+                let value = self.regs[rs2 as usize];
+                let cost = if PRIVATE {
+                    bus.store_private(self.id, paddr, op.size(), value)?
+                } else {
+                    bus.store(self.id, vaddr, paddr, op.size(), value)
+                };
                 cycles += cost.saturating_sub(1);
                 stalls.ma_stall += cost.saturating_sub(1);
             }
@@ -461,9 +495,7 @@ impl Core {
                         PrivLevel::User => cause::ECALL_FROM_U,
                         PrivLevel::Machine => cause::ECALL_FROM_M,
                     };
-                    let ev = self.trap(code, 0);
-                    self.finish(cycles, next_hazard);
-                    return StepOutcome { cycles, event: ev, stalls };
+                    take_trap!(code, 0);
                 }
             }
             Instr::Ebreak => {
@@ -531,16 +563,20 @@ impl Core {
             }
         }
 
+        if PRIVATE {
+            bus.fetch_commit(self.id);
+        }
         self.pc = next_pc;
         self.stats.instructions += 1;
         self.csr.instret += 1;
-        self.finish(cycles, next_hazard);
+        self.finish(cycles, &stalls, next_hazard);
         debug_assert_eq!(cycles, 1 + stalls.total(), "stall breakdown must account every cycle");
-        StepOutcome { cycles, event, stalls }
+        Some(StepOutcome { cycles, event, stalls })
     }
 
-    fn finish(&mut self, cycles: u32, next_hazard: HazardState) {
+    fn finish(&mut self, cycles: u32, stalls: &Stalls, next_hazard: HazardState) {
         self.hazard = next_hazard;
+        self.stats.hazard_stalls += stalls.hazard as u64;
         self.stats.cycles += cycles as u64;
         self.csr.cycle += cycles as u64;
     }

@@ -6,14 +6,48 @@
 //! the FPGA prototype's common clock does, and advances each cluster's
 //! Walloc FSM by the elapsed cycles (one way-reconfiguration per cycle, per
 //! cluster).
+//!
+//! # Run ahead, account in order
+//!
+//! [`Soc::run_ahead`] executes a core's next instructions that touch only
+//! its own state in one tight loop and queues only their *cycles*; no clock
+//! moves. [`Soc::step_core`] accounts a queued entry exactly as it does an
+//! executed instruction, so whatever observes time sees one instruction at
+//! a time; [`Soc::next_real`] accounts many at once (`DESIGN.md` §4.7).
 
 use std::ops::Range;
 
-use l15_rvcore::core::{Core, StepEvent, StepOutcome, TimingConfig};
+use l15_rvcore::core::{Core, Stalls, StepEvent, StepOutcome, TimingConfig};
+use l15_rvcore::isa::Instr;
 use l15_trace::EventKind;
 
 use crate::config::SocConfig;
 use crate::uncore::Uncore;
+
+/// The cycles of each instruction a core executed ahead of its clock:
+/// entries before `head` are accounted, the `left` cycles of the rest not.
+#[derive(Debug, Clone, Default)]
+struct Ahead {
+    cycles: Vec<u32>,
+    head: usize,
+    left: u32,
+}
+
+impl Ahead {
+    /// Accounts the entries starting less than `limit` cycles after the head
+    /// entry does (`1`: that entry alone); returns their cycles. Linear: a
+    /// cluster accounts a dozen entries between two executed steps.
+    #[inline]
+    fn pop_before(&mut self, limit: u64) -> u32 {
+        let mut sum = 0;
+        while self.head < self.cycles.len() && (sum as u64) < limit {
+            sum += self.cycles[self.head];
+            self.head += 1;
+        }
+        self.left -= sum;
+        sum
+    }
+}
 
 /// A full SoC instance.
 #[derive(Debug, Clone)]
@@ -28,6 +62,9 @@ pub struct Soc {
     /// run, [`HALTED`] after a step that left it halted, or [`STALE`] since
     /// [`Soc::core_mut`] handed it out (the next scan looks the core up).
     keys: Vec<u64>,
+    /// Per core: what it executed ahead of `clocks`.
+    ahead: Vec<Ahead>,
+    ran_ahead: (u64, u64),
 }
 
 /// Scheduling keys no clock reaches; a runnable core's key is below both.
@@ -51,6 +88,8 @@ impl Soc {
             clocks: vec![0; n],
             global: 0,
             keys: vec![0; n],
+            ahead: vec![Ahead::default(); n],
+            ran_ahead: (0, 0),
         }
     }
 
@@ -59,7 +98,7 @@ impl Soc {
         self.cores.len()
     }
 
-    /// Immutable core access.
+    /// Immutable core access: with a run-ahead queue, the state after it.
     ///
     /// # Panics
     ///
@@ -70,12 +109,13 @@ impl Soc {
 
     /// Mutable core access (kernel-level: set PC, registers, mappings). The
     /// caller may halt or resume the core, so this makes its scheduling key
-    /// stale — the only thing that does.
+    /// stale — the only thing that does. Not while it has a run-ahead queue.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn core_mut(&mut self, i: usize) -> &mut Core {
+        debug_assert_eq!(self.ahead[i].left, 0, "core {i} has run-ahead entries to account");
         self.keys[i] = STALE;
         &mut self.cores[i]
     }
@@ -121,14 +161,21 @@ impl Soc {
     }
 
     /// Steps core `i` one instruction, advancing the Walloc FSMs by the
-    /// elapsed cycles.
+    /// elapsed cycles. With [`run_ahead`](Self::run_ahead) entries queued it
+    /// accounts the oldest instead: the outcome has its cycles and, the
+    /// instruction not being kept, a retired `fence` and no stall breakdown.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn step_core(&mut self, i: usize) -> StepOutcome {
-        self.uncore.trace_mut().set_now(self.clocks[i]);
-        let out = self.cores[i].step(&mut self.uncore);
+        let out = if self.ahead[i].left != 0 {
+            let (event, stalls) = (StepEvent::Retired(Instr::Fence), Stalls::default());
+            StepOutcome { cycles: self.ahead[i].pop_before(1), event, stalls }
+        } else {
+            self.uncore.trace_mut().set_now(self.clocks[i]);
+            self.cores[i].step(&mut self.uncore)
+        };
         if out.stalls.any() && self.uncore.trace().recording() {
             // The per-instruction stall breakdown. The event carries `u16`
             // counts (memory latency is hundreds of cycles), so saturate.
@@ -150,6 +197,65 @@ impl Soc {
         out
     }
 
+    /// Executes, now, the instructions core `i` executes next that touch
+    /// only its own state ([`Core::step_private`]), queueing their cycles
+    /// for [`step_core`](Self::step_core) / [`next_real`](Self::next_real)
+    /// to account. For the SoC's driver, once it has reacted to a step; till
+    /// the queue is accounted it must neither touch the core nor make a way
+    /// of its lane inclusive. Does nothing while a Walloc may be pending
+    /// (every cycle's order matters), events are recorded or `i` has a queue.
+    pub fn run_ahead(&mut self, i: usize) {
+        let ahead = &mut self.ahead[i];
+        if self.uncore.walloc_maybe_pending || self.uncore.trace().recording() || ahead.left != 0 {
+            return;
+        }
+        ahead.cycles.clear();
+        ahead.head = 0;
+        // At most a page of queue per run.
+        while ahead.cycles.len() < 1024 {
+            let Some(cycles) = self.cores[i].step_private(&mut self.uncore) else { break };
+            ahead.cycles.push(cycles);
+            ahead.left += cycles;
+        }
+        self.ran_ahead.0 += !ahead.cycles.is_empty() as u64;
+        self.ran_ahead.1 += ahead.cycles.len() as u64;
+    }
+
+    /// `(run_ahead calls that executed something, instructions they did)`.
+    pub fn run_ahead_stats(&self) -> (u64, u64) {
+        self.ran_ahead
+    }
+
+    /// The core of `cores` that executes the next instruction, with every
+    /// queued entry before it in (clock, index) order accounted: what
+    /// [`laggard`](Self::laggard) + [`step_core`](Self::step_core) leave
+    /// behind, repeated until a step executes. While a Walloc may be pending
+    /// (each entry ticks it) just `laggard`. `None` when all have halted.
+    pub fn next_real(&mut self, cores: Range<usize>) -> Option<usize> {
+        let bulk = !self.uncore.walloc_maybe_pending;
+        let (at, lead) = self.earliest(cores.clone(), bulk);
+        for i in cores {
+            if bulk && self.ahead[i].left != 0 {
+                // Starting before `at`, or at it on a core `laggard` meets first.
+                let limit = (at + (i <= lead) as u64).saturating_sub(self.clocks[i]);
+                self.clocks[i] += self.ahead[i].pop_before(limit) as u64;
+                self.keys[i] = self.clocks[i];
+                self.global = self.global.max(self.clocks[i]);
+            }
+        }
+        (at < STALE).then_some(lead)
+    }
+
+    /// Accounts everything `cores` executed ahead, core by core rather
+    /// than in (clock, index) order: for a caller that stops stepping.
+    pub fn settle(&mut self, cores: Range<usize>) {
+        for i in cores {
+            while self.ahead[i].left != 0 {
+                self.step_core(i);
+            }
+        }
+    }
+
     /// The core of `cores` that is furthest behind: the first one with the
     /// smallest clock among those not halted, `None` when all are.
     ///
@@ -158,16 +264,26 @@ impl Soc {
     /// Panics if `cores` reaches past the last core.
     #[inline]
     pub fn laggard(&mut self, cores: Range<usize>) -> Option<usize> {
+        let (key, i) = self.earliest(cores, false);
+        (key < STALE).then_some(i)
+    }
+
+    /// The one scan: the first core of `cores` with the smallest key — plus,
+    /// if `queued`, its run-ahead cycles (a halted core has none): where it
+    /// next executes. The key is `STALE` or more when all have halted.
+    #[inline]
+    fn earliest(&mut self, cores: Range<usize>, queued: bool) -> (u64, usize) {
         let mut best = (STALE, 0);
         for i in cores {
             if self.keys[i] == STALE {
                 self.keys[i] = if self.cores[i].is_halted() { HALTED } else { self.clocks[i] };
             }
-            if self.keys[i] < best.0 {
-                best = (self.keys[i], i);
+            let at = self.keys[i] + if queued { self.ahead[i].left as u64 } else { 0 };
+            if at < best.0 {
+                best = (at, i);
             }
         }
-        (best.0 < STALE).then_some(best.1)
+        best
     }
 
     /// Steps the core that is furthest behind (skipping halted cores).

@@ -185,7 +185,7 @@ pub struct Uncore {
     /// that can create or change a demand, lowered only when
     /// [`advance`](Self::advance) has seen every SDU settled. It may be
     /// spuriously up, never spuriously down.
-    walloc_maybe_pending: bool,
+    pub(crate) walloc_maybe_pending: bool,
     trace: Trace,
 }
 
@@ -605,18 +605,32 @@ impl Uncore {
 impl SystemBus for Uncore {
     #[inline]
     fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> Fetched {
-        let (front, addr) = (&mut self.front[core], paddr as u64);
-        let geo = front.l1i.geometry();
-        let window = front.windows[geo.index_of(addr) as usize];
-        if window.base == geo.line_base(addr) && paddr.is_multiple_of(4) {
-            let off = geo.offset_of(addr) as usize;
-            let word = value_at(front.l1i.line(addr, window.way), off, 4);
-            let instr = front.decoded[front.word(addr, window.way)];
-            front.l1i.record_hit();
-            self.trace.record(EventKind::Fetch { core: core as u32, level: Level::L1 });
-            return Fetched { word, cycles: window.latency, instr };
+        if let Some(fetched) = self.fetch_peek(core, paddr) {
+            self.fetch_commit(core);
+            return fetched;
         }
         self.fetch_probed(core, vaddr, paddr)
+    }
+
+    /// The window compare: the set's most recent touch is this line.
+    #[inline]
+    fn fetch_peek(&self, core: usize, paddr: u32) -> Option<Fetched> {
+        let (front, addr) = (&self.front[core], paddr as u64);
+        let geo = front.l1i.geometry();
+        let window = front.windows[geo.index_of(addr) as usize];
+        if window.base != geo.line_base(addr) || !paddr.is_multiple_of(4) {
+            return None;
+        }
+        let off = geo.offset_of(addr) as usize;
+        let word = value_at(front.l1i.line(addr, window.way), off, 4);
+        let instr = front.decoded[front.word(addr, window.way)];
+        Some(Fetched { word, cycles: window.latency, instr })
+    }
+
+    #[inline]
+    fn fetch_commit(&mut self, core: usize) {
+        self.front[core].l1i.record_hit();
+        self.trace.record(EventKind::Fetch { core: core as u32, level: Level::L1 });
     }
 
     fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess {
@@ -625,7 +639,40 @@ impl SystemBus for Uncore {
         access
     }
 
+    #[inline]
+    fn load_private(&mut self, core: usize, paddr: u32, size: u32) -> Option<MemAccess> {
+        let paddr = paddr as u64;
+        let (way, cycles) = self.l1d[core].access_if_hit(paddr, AccessKind::Read)?;
+        let off = (paddr & (self.line_bytes - 1)) as usize;
+        let value = value_at(self.l1d[core].line(paddr, way), off, size as usize);
+        self.trace.record(EventKind::Load { core: core as u32, level: Level::L1 });
+        Some(MemAccess { value, cycles, from_l15: false })
+    }
+
+    /// Private while the IPU does not route the lane's stores. Reading that
+    /// ahead of time is safe: with the lane's demand met, only a revocation
+    /// can change it, and that turns "routed" into "conventional" only.
+    #[inline]
+    fn store_private(&mut self, core: usize, paddr: u32, size: u32, value: u32) -> Option<u32> {
+        let (cluster, lane) = self.cluster_of(core);
+        if self.l15[cluster].as_ref().is_some_and(|l15| l15.routes_stores(lane).unwrap_or(false)) {
+            return None;
+        }
+        let (paddr, bytes) = (paddr as u64, &value.to_le_bytes()[..size as usize]);
+        let (way, cycles) = self.l1d[core].access_if_hit(paddr, AccessKind::Write)?;
+        let off = (paddr & (self.line_bytes - 1)) as usize;
+        if let Some(dst) = self.l1d[core].line_mut(paddr, way).get_mut(off..off + bytes.len()) {
+            dst.copy_from_slice(bytes);
+        }
+        self.trace.record(EventKind::Store { core: core as u32, via_l15: false });
+        Some(cycles)
+    }
+
     fn store(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32, value: u32) -> u32 {
+        // The conventional path's L1D hit is the private store.
+        if let Some(cycles) = self.store_private(core, paddr, size, value) {
+            return cycles;
+        }
         let (cluster, lane) = self.cluster_of(core);
         let vaddr = vaddr as u64;
         let paddr = paddr as u64;
@@ -684,15 +731,9 @@ impl SystemBus for Uncore {
             return cycles;
         }
 
-        // Conventional write-back / write-allocate L1 path.
+        // Conventional write-back / write-allocate L1 path, on a miss.
         let out = self.l1d[core].access(paddr, AccessKind::Write);
-        if let Some(way) = out.way {
-            let off = (paddr & (self.line_bytes - 1)) as usize;
-            if let Some(dst) = self.l1d[core].line_mut(paddr, way).get_mut(off..off + bytes.len()) {
-                dst.copy_from_slice(bytes);
-            }
-            return out.latency;
-        }
+        debug_assert!(!out.hit, "a hit was a private store");
         let (below, _) = self.refill_l1(core, false, vaddr, paddr);
         let ok = self.l1d[core].write_bytes(paddr, bytes);
         debug_assert!(ok, "line was just filled");

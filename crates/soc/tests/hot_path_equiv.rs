@@ -14,14 +14,25 @@
 //!   uncore whose every `advance` is forced to scan all clusters must be
 //!   indistinguishable from one left to its flag, and an `advance` of at
 //!   least one cycle must perform a Walloc action wherever one was owed
-//!   (the flag is never spuriously down).
+//!   (the flag is never spuriously down);
+//! * `Soc::run_ahead` executes early and `next_real` / `step_core` account
+//!   late — a SoC driven *account → step → run ahead* must show, at every
+//!   executed step, the clocks of one stepped an instruction at a time, and
+//!   end in the same registers, counters, masks and memory;
+//! * `Core::step_private` either does exactly what `Core::step` does or
+//!   refuses without a trace.
 
 use l15_cache::geometry::{Geometry, WayMask};
-use l15_cache::l15::L15ConfigState;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use l15_cache::l15::{L15Config, L15ConfigState};
 use l15_cache::sa::{AccessKind, SetAssocCache};
 use l15_rvcore::asm::Assembler;
 use l15_rvcore::bus::SystemBus;
+use l15_rvcore::core::Core;
+use l15_rvcore::csr::{addr as csr, PrivLevel};
 use l15_rvcore::isa::{self, L15Op};
+use l15_rvcore::mmu::Segment;
 use l15_soc::{Soc, SocConfig, Uncore};
 use l15_testkit::prop::{self, Config, G};
 use l15_trace::{FlightRecorder, TraceEvent};
@@ -309,4 +320,249 @@ fn advance_behind_the_pending_flag_equals_a_forced_scan() {
         assert_eq!(flagged.memory_nonzero_bytes(), scanned.memory_nonzero_bytes());
         assert_eq!(recording(&mut flagged), recording(&mut scanned));
     });
+}
+
+// --- Run-ahead -----------------------------------------------------------
+
+/// Where a trap lands: skip the faulting instruction and return.
+const HANDLER: u32 = 0x200;
+/// A few lines every core loads from and stores to (the L1s are not
+/// coherent; both sides of a comparison see the same stale data).
+const POOL: u32 = 0x8000;
+const POOL_WORDS: i32 = 96;
+
+fn code_of(core: usize) -> u32 {
+    0x1000 + core as u32 * 0x400
+}
+
+fn trap_handler() -> Vec<u32> {
+    let mut a = Assembler::new();
+    a.csrr(30, csr::MEPC).addi(30, 30, 4).csrw_reg(csr::MEPC, 30).mret();
+    a.finish().expect("handler assembles")
+}
+
+/// A short counted loop over a random body: ALU / `mul` / forward
+/// branches, loads and stores over the pool in every width, L1.5 control
+/// operations, the odd unaligned access and illegal word. `x20` counts,
+/// `x16` holds the pool base, the body writes `x5..=x12` only.
+fn arb_program(g: &mut G) -> Vec<u32> {
+    let mut a = Assembler::new();
+    a.li(16, POOL as i32);
+    for r in 5..=12 {
+        a.li(r, g.i32_in(-3000..3000));
+    }
+    a.li(20, g.i32_in(2..6));
+    a.label("loop");
+    for k in 0..g.usize_in(8..48) {
+        let (rd, rs1, rs2) = (g.u8_in(5..=12), g.u8_in(5..=12), g.u8_in(5..=12));
+        let word = g.i32_in(0..POOL_WORDS) * 4;
+        match g.weighted(&[8, 2, 3, 7, 7, 2, 1, 1]) {
+            0 => match g.weighted(&[1, 1, 1, 1, 1, 1]) {
+                0 => a.add(rd, rs1, rs2),
+                1 => a.sub(rd, rs1, rs2),
+                2 => a.xor(rd, rs1, rs2),
+                3 => a.sltu(rd, rs1, rs2),
+                4 => a.addi(rd, rs1, g.i32_in(-64..64)),
+                _ => a.slli(rd, rs1, g.i32_in(0..8)),
+            },
+            1 => a.mul(rd, rs1, rs2),
+            2 => {
+                let over = format!("over{k}");
+                if g.bool() {
+                    a.bne(rs1, rs2, &over)
+                } else {
+                    a.bltu(rs1, rs2, &over)
+                };
+                a.addi(rd, rd, 1).label(&over)
+            }
+            3 => match g.weighted(&[3, 1, 1, 1]) {
+                0 => a.lw(rd, 16, word),
+                1 => a.lb(rd, 16, word + g.i32_in(0..4)),
+                2 => a.lbu(rd, 16, word + g.i32_in(0..4)),
+                _ => a.lh(rd, 16, word + 2 * g.i32_in(0..2)),
+            },
+            4 => match g.weighted(&[3, 1, 1]) {
+                0 => a.sw(16, rs2, word),
+                1 => a.sb(16, rs2, word + g.i32_in(0..4)),
+                _ => a.sh(16, rs2, word + 2 * g.i32_in(0..2)),
+            },
+            5 => match g.weighted(&[2, 2, 1, 1]) {
+                0 => a.li(28, g.i32_in(0..=5)).demand(28),
+                1 => a.li(28, g.i32_in(0..=1)).ip_set(28),
+                2 => a.li(28, g.any_u16() as i32).gv_set(28),
+                _ => a.supply(29),
+            },
+            6 if g.bool() => a.lw(rd, 16, word + 2),
+            6 => a.sw(16, rs2, word + 1),
+            _ => a.raw(0xffff_ffff),
+        };
+    }
+    a.addi(20, 20, -1).bne(20, 0, "loop").ebreak();
+    a.finish().expect("generated program assembles")
+}
+
+/// Loads the handler and one program per core.
+fn load(u: &mut Uncore, programs: &[Vec<u32>]) {
+    u.load_program(HANDLER, &trap_handler());
+    for (i, program) in programs.iter().enumerate() {
+        u.load_program(code_of(i), program);
+    }
+}
+
+/// Points core `i` at its program; a `user` core runs it in user mode
+/// behind an identity segment (its `demand`s trap).
+fn boot(core: &mut Core, i: usize, user: bool) {
+    core.set_pc(code_of(i));
+    core.csr_mut().write(csr::MTVEC, HANDLER);
+    if user {
+        core.csr_mut().write(csr::SASID, 5);
+        core.mmu_mut().map(5, Segment { vbase: 0, pbase: 0, len: 0x1_0000 });
+        core.set_priv_level(PrivLevel::User);
+    }
+}
+
+#[test]
+fn run_ahead_accounts_what_single_stepping_executes() {
+    let pre_executed = AtomicU64::new(0);
+    prop::run_with(Config::with_cases(32), "run_ahead_accounts_in_order", |g| {
+        // Latency bands deep enough that the way a hit came from shows.
+        let mut cfg = SocConfig::proposed_8core();
+        (cfg.l1i.ways, cfg.l1i.lat_max) = (*g.pick(&[2, 4]), g.u32_in(2..=9));
+        (cfg.l1d.ways, cfg.l1d.lat_max) = (*g.pick(&[2, 4]), g.u32_in(2..=9));
+        let n = cfg.total_cores();
+        let mut stepped = Soc::new(cfg, 0);
+        let programs: Vec<Vec<u32>> = (0..n).map(|_| arb_program(g)).collect();
+        load(stepped.uncore_mut(), &programs);
+        let user = g.usize_in(0..n);
+        for i in 0..n {
+            boot(stepped.core_mut(i), i, i == user);
+        }
+        let mut ahead = stepped.clone();
+
+        while let Some(core) = ahead.next_real(0..n) {
+            ahead.step_core(core);
+            // The reference catches up: the step just taken is `core`
+            // reaching this clock.
+            for taken in 0.. {
+                let (i, _) = stepped.step().expect("the reference has this step to take");
+                if i == core && stepped.clock(core) == ahead.clock(core) {
+                    break;
+                }
+                assert!(taken < 4096, "the reference never reaches core {core}'s step");
+            }
+            let clocks = |soc: &Soc| (0..n).map(|i| soc.clock(i)).collect::<Vec<_>>();
+            assert_eq!(clocks(&ahead), clocks(&stepped), "after a step of core {core}");
+            assert_eq!(ahead.global_cycle(), stepped.global_cycle());
+
+            // The kernel's side, between steps: it may take ways away and
+            // touch the L1.5 (which raises the Walloc flag), nothing that
+            // could make a lane's stores routed behind its back.
+            let (action, cluster, way) = (g.weighted(&[60, 2, 1, 1]), core / 4, g.usize_in(0..16));
+            for soc in [&mut ahead, &mut stepped] {
+                match action {
+                    1 => drop(soc.uncore_mut().kernel_revoke_way(cluster, way)),
+                    2 => drop(soc.uncore_mut().l15_mut(cluster)),
+                    3 => {
+                        let l15 = soc.uncore_mut().l15_mut(cluster).expect("proposed preset");
+                        let _ = l15.demand(way % 4, way / 4);
+                    }
+                    _ => {}
+                }
+            }
+            ahead.run_ahead(core);
+        }
+        assert!(stepped.step().is_none(), "both ran every core to its ebreak");
+        pre_executed.fetch_add(ahead.run_ahead_stats().1, Ordering::Relaxed);
+
+        for i in 0..n {
+            let (a, s) = (ahead.core(i), stepped.core(i));
+            let regs = |c: &Core| (0..32).map(|r| c.reg(r)).collect::<Vec<_>>();
+            assert_eq!((regs(a), a.pc(), a.stats()), (regs(s), s.pc(), s.stats()), "core {i}");
+        }
+        let (a, s) = (ahead.uncore_mut(), stepped.uncore_mut());
+        assert_eq!(a.per_cluster_stats(), s.per_cluster_stats());
+        assert_eq!(a.stats(), s.stats());
+        assert_eq!(a.trace().counters(), s.trace().counters());
+        assert_eq!(masks(a), masks(s));
+        a.flush_all();
+        s.flush_all();
+        assert_eq!(a.memory_nonzero_bytes(), s.memory_nonzero_bytes());
+    });
+    assert!(pre_executed.into_inner() > 10_000, "the property never ran anything ahead");
+}
+
+/// One cluster of two cores over caches of a few lines each, so a whole
+/// `Uncore` prints in a few dozen kilobytes.
+fn tiny_config() -> SocConfig {
+    let level =
+        |capacity| l15_soc::LevelConfig { capacity, ways: 2, ..SocConfig::proposed_8core().l1d };
+    SocConfig {
+        clusters: 1,
+        cores_per_cluster: 2,
+        l1i: level(512),
+        l1d: level(512),
+        l15: Some(L15Config { way_bytes: 256, ways: 4, cores: 2, ..L15Config::default() }),
+        l2: l15_soc::LevelConfig { lat_min: 15, lat_max: 25, ..level(2048) },
+        mem_latency: 100,
+    }
+}
+
+#[test]
+fn a_private_step_is_a_step_or_leaves_no_trace() {
+    prop::run_with(Config::with_cases(12), "a_private_step_is_a_step_or_nothing", |g| {
+        let mut uncore = Uncore::new(tiny_config());
+        let programs = [arb_program(g), arb_program(g)];
+        load(&mut uncore, &programs);
+        let user = g.usize_in(0..3);
+        let mut cores = [Core::new(0, 0), Core::new(1, 0)];
+        for (i, core) in cores.iter_mut().enumerate() {
+            boot(core, i, i == user);
+        }
+        let (mut private, mut refused) = (0, 0);
+        loop {
+            let running: Vec<usize> = (0..2).filter(|&i| !cores[i].is_halted()).collect();
+            let Some(&i) = running.get(g.usize_in(0..2) % running.len().max(1)) else { break };
+            let (mut core, mut bus) = (cores[i].clone(), uncore.clone());
+            let ahead = core.step_private(&mut bus);
+            let print = |core: &Core, bus: &Uncore| format!("{core:?} {bus:?}");
+            if ahead.is_none() {
+                refused += 1;
+                assert_eq!(print(&core, &bus), print(&cores[i], &uncore), "a refusal left a trace");
+            }
+            let out = cores[i].step(&mut uncore);
+            if let Some(cycles) = ahead {
+                private += 1;
+                assert_eq!(cycles, out.cycles, "{:?}", out.event);
+                assert_eq!(print(&core, &bus), print(&cores[i], &uncore), "{:?}", out.event);
+            }
+            uncore.advance(out.cycles);
+        }
+        assert!(private > 0 && refused > 0, "{private} private, {refused} refused");
+    });
+}
+
+#[test]
+fn a_store_stops_being_private_once_its_way_is_inclusive() {
+    let mut uncore = Uncore::new(SocConfig::proposed_8core());
+    let l15 = uncore.l15_mut(0).expect("proposed preset");
+    l15.demand(0, 1).expect("one of sixteen ways");
+    l15.settle();
+    let mut a = Assembler::new();
+    a.li(5, POOL as i32).li(6, 1).sw(5, 6, 0).sw(5, 6, 4).ip_set(6).sw(5, 6, 8).ebreak();
+    uncore.load_program(0x100, &a.finish().expect("assembles"));
+    let mut core = Core::new(0, 0x100);
+    // `lui`, `addi`, and the first store, which fills the line.
+    for _ in 0..3 {
+        core.step(&mut uncore);
+    }
+    // The second store hits the line the first one brought in.
+    let before = *uncore.trace().counters();
+    assert!(core.step_private(&mut uncore).is_some(), "an L1D hit on the conventional path");
+    assert_eq!(uncore.trace().counters().stores_conventional, before.stores_conventional + 1);
+    // `ip_set` is a shared event, and after it the IPU routes the lane.
+    assert!(core.step_private(&mut uncore).is_none());
+    core.step(&mut uncore);
+    assert!(core.step_private(&mut uncore).is_none(), "the third store is routed");
+    core.step(&mut uncore);
+    assert_eq!(uncore.trace().counters().stores_via_l15, 1);
 }

@@ -214,6 +214,11 @@ done
 # verdict plus a plan digest: the session's memo (DESIGN.md §8) must agree
 # with the from-scratch partition on inputs it was not developed against.
 digest_gate online_admission 2
+# And of the three engine-backed workloads: an engine change (DESIGN.md
+# §4.7) is checked on the seed it was not developed on in every build.
+digest_gate cluster_32core 2
+digest_gate fullstack_8core 2
+digest_gate serve_simulate 2
 
 echo "==> bench binaries (--quick smoke)"
 for bin in crates/bench/src/bin/*.rs; do
