@@ -29,7 +29,7 @@ use std::fmt;
 
 use l15_cache::plru::TreePlru;
 use l15_core::plan::SchedulePlan;
-use l15_dag::{analysis, DagTask};
+use l15_dag::DagTask;
 use l15_runtime::layout::TaskLayout;
 use l15_runtime::workgen::{node_program, WorkScale};
 use l15_soc::SocConfig;
@@ -162,7 +162,7 @@ pub fn certify_task(
     // node completes.
     let mut guaranteed: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); dag.node_count()];
 
-    for &v in &analysis::topological_order(dag) {
+    for &v in dag.topological_order() {
         let program = match node_program(dag, v, &layout, scale) {
             Ok(p) => p,
             Err(e) => {

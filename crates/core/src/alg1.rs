@@ -15,16 +15,18 @@
 //!    longest path first.
 //! 3. **λ update (line 20).** All `λ_j` are recomputed by dynamic
 //!    programming with the ETM-reduced edge costs implied by the allocation
-//!    so far, so subsequent rounds chase the *residual* long paths.
+//!    so far, so subsequent rounds chase the *residual* long paths. A grant
+//!    is final, so a round rewrites only its own grantees' out-edges in the
+//!    per-edge cost table.
 //! 4. **Frontier update (line 21).** `Q` becomes the set of unexamined
-//!    nodes whose predecessors have all been examined.
+//!    nodes whose predecessors have all been examined — [`next_frontier`].
 //!
 //! The returned [`SchedulePlan`] carries, per node, the priority and the
 //! number of local ways; the makespan simulator applies
 //! `ET(e_{j,k}, n_j)` to each edge accordingly.
 
 use l15_dag::analysis;
-use l15_dag::{DagTask, ExecutionTimeModel, NodeId};
+use l15_dag::{Dag, DagTask, ExecutionTimeModel, NodeId};
 
 use crate::plan::{SchedulePlan, WayGroup, WayGroupKind};
 
@@ -83,19 +85,20 @@ pub fn schedule_with_l15_with(
 
     let mut priorities = vec![0u32; n];
     let mut local_ways = vec![0usize; n];
-    let mut examined = vec![false; n];
+    let mut preds_left: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
     let mut rounds: Vec<Vec<NodeId>> = Vec::new();
 
     // Ω: currently allocated way groups.
     let mut omega: Vec<WayGroup> = Vec::new();
     let mut pri = n as u32;
 
-    // λ with current allocation (initially no ways anywhere).
-    let mut lambda = analysis::lambda_with(dag, |e| etm.edge_cost_in(dag, e, 0));
+    // `ET(e, n_from)` and λ under the current allocation (initially none).
+    let mut costs: Vec<f64> = dag.edge_ids().map(|e| etm.edge_cost_in(dag, e, 0)).collect();
+    let mut lambda = analysis::lambda_from(dag, &costs);
 
-    let mut queue: Vec<NodeId> = vec![dag.source()];
+    let mut round: Vec<NodeId> = vec![dag.source()];
 
-    while !queue.is_empty() {
+    while !round.is_empty() {
         // --- lines 4–10: flip locals to global, free globals -------------
         let mut next_omega = Vec::with_capacity(omega.len());
         for mut group in omega.drain(..) {
@@ -113,7 +116,6 @@ pub fn schedule_with_l15_with(
         omega = next_omega;
 
         // --- lines 11–19: examine Q in decreasing λ ----------------------
-        let mut round = queue.clone();
         round.sort_by(|&a, &b| {
             lambda.lambda[b.0]
                 .partial_cmp(&lambda.lambda[a.0])
@@ -142,26 +144,47 @@ pub fn schedule_with_l15_with(
             }
             priorities[v.0] = pri;
             pri -= 1;
-            examined[v.0] = true;
-        }
-        rounds.push(round);
-
-        // --- line 20: λ update via DP with current allocation ------------
-        if opts.update_lambda {
-            lambda = analysis::lambda_with(dag, |e| {
-                let from = dag.edge(e).from;
-                etm.edge_cost_in(dag, e, local_ways[from.0])
-            });
         }
 
         // --- line 21: next frontier --------------------------------------
-        queue = dag
-            .node_ids()
-            .filter(|&v| !examined[v.0] && dag.predecessors(v).iter().all(|&(_, p)| examined[p.0]))
-            .collect();
+        let next = next_frontier(dag, &round, &mut preds_left);
+
+        // --- line 20: λ update via DP (no reader after the last round) ---
+        if opts.update_lambda && !next.is_empty() {
+            for &v in round.iter().filter(|v| local_ways[v.0] > 0) {
+                for &(e, _) in dag.successors(v) {
+                    costs[e.0] = etm.edge_cost_in(dag, e, local_ways[v.0]);
+                }
+            }
+            debug_assert!(
+                dag.edge_ids()
+                    .all(|e| costs[e.0]
+                        == etm.edge_cost_in(dag, e, local_ways[dag.edge(e).from.0])),
+                "the cost table is edge_cost_in under the allocation so far"
+            );
+            lambda = analysis::lambda_from(dag, &costs);
+        }
+
+        rounds.push(std::mem::replace(&mut round, next));
     }
 
     SchedulePlan { priorities, local_ways, rounds }
+}
+
+/// Alg. 1 line 21: the nodes whose last unexamined predecessor (counted in
+/// `preds_left`, initially the in-degrees) was in `round`, in no particular
+/// order — a round is sorted before use.
+pub(crate) fn next_frontier(dag: &Dag, round: &[NodeId], preds_left: &mut [usize]) -> Vec<NodeId> {
+    let mut next = Vec::new();
+    for &v in round {
+        for &(_, s) in dag.successors(v) {
+            preds_left[s.0] -= 1;
+            if preds_left[s.0] == 0 {
+                next.push(s);
+            }
+        }
+    }
+    next
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use l15_testkit::rng::Rng;
 
 use l15_dag::{analysis, DagTask, ExecutionTimeModel, NodeId};
 
-use crate::alg1::schedule_with_l15;
+use crate::alg1::{next_frontier, schedule_with_l15};
 use crate::makespan::{simulate, SimResult};
 use crate::plan::SchedulePlan;
 
@@ -145,9 +145,10 @@ impl SystemModel {
         }
     }
 
-    /// Warm-up level of instance `k` (0-based; 0 = cold).
+    /// Warm-up level of instance `k` (0-based; 0 = cold); the exponent
+    /// saturates at `i32::MAX`, so the level stays in `[0, 1]`.
     pub fn warm(&self, k: usize) -> f64 {
-        1.0 - (1.0 - self.warm_rate).powi(k as i32)
+        1.0 - (1.0 - self.warm_rate).powi(i32::try_from(k).unwrap_or(i32::MAX))
     }
 
     /// Effective execution time of a node with WCET `wcet`, given the
@@ -285,6 +286,10 @@ impl SystemModel {
     /// Simulates the first `instances` releases of `task`, returning the
     /// per-instance makespans (the paper evaluates "the first 10 instances
     /// of 500 DAGs").
+    ///
+    /// The proposed system without node contention reads neither the warm
+    /// level nor the contention draw, so instance 0 is simulated and its
+    /// makespan repeated; `rng` still advances one draw per instance.
     pub fn evaluate<R: Rng + ?Sized>(
         &self,
         task: &DagTask,
@@ -293,9 +298,17 @@ impl SystemModel {
         rng: &mut R,
     ) -> Vec<f64> {
         let plan = self.plan(task);
-        (0..instances)
-            .map(|k| self.simulate_instance(task, cores, &plan, k, rng).makespan)
-            .collect()
+        let steady = self.kind == SystemKind::Proposed && self.node_contention == 0.0;
+        let mut spans = Vec::with_capacity(instances);
+        for k in 0..instances {
+            if steady && k > 0 {
+                let _: f64 = rng.gen_range(0.0..1.0);
+                spans.push(spans[0]);
+            } else {
+                spans.push(self.simulate_instance(task, cores, &plan, k, rng).makespan);
+            }
+        }
+        spans
     }
 }
 
@@ -308,12 +321,11 @@ pub fn baseline_priorities(task: &DagTask) -> SchedulePlan {
     let lambda = analysis::lambda(dag);
 
     let mut priorities = vec![0u32; n];
-    let mut examined = vec![false; n];
+    let mut preds_left: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
     let mut rounds = Vec::new();
     let mut pri = n as u32;
-    let mut queue = vec![dag.source()];
-    while !queue.is_empty() {
-        let mut round = queue.clone();
+    let mut round = vec![dag.source()];
+    while !round.is_empty() {
         round.sort_by(|&a: &NodeId, &b: &NodeId| {
             lambda.lambda[b.0]
                 .partial_cmp(&lambda.lambda[a.0])
@@ -323,13 +335,9 @@ pub fn baseline_priorities(task: &DagTask) -> SchedulePlan {
         for &v in &round {
             priorities[v.0] = pri;
             pri -= 1;
-            examined[v.0] = true;
         }
-        rounds.push(round);
-        queue = dag
-            .node_ids()
-            .filter(|&v| !examined[v.0] && dag.predecessors(v).iter().all(|&(_, p)| examined[p.0]))
-            .collect();
+        let next = next_frontier(dag, &round, &mut preds_left);
+        rounds.push(std::mem::replace(&mut round, next));
     }
     SchedulePlan { priorities, local_ways: vec![0; n], rounds }
 }
@@ -380,6 +388,53 @@ mod tests {
         let mp = SystemModel::proposed();
         assert_eq!(mp.warm(0), 0.0);
         assert_eq!(mp.warm(9), 0.0, "no warm-up concept for the L1.5");
+    }
+
+    #[test]
+    fn warm_stays_in_range_for_any_instance_index() {
+        // `k as i32` used to wrap: 2^31 became a negative exponent and the
+        // "warm level" left [0, 1].
+        for rate in [0.0, 0.01, 0.4, 0.5, 1.0] {
+            let m = SystemModel { warm_rate: rate, ..SystemModel::cmp_l1() };
+            let ks = [0, 1, 9, i32::MAX as usize, i32::MAX as usize + 1, 1 << 32, usize::MAX];
+            let levels: Vec<f64> = ks.iter().map(|&k| m.warm(k)).collect();
+            assert!(levels.iter().all(|w| (0.0..=1.0).contains(w)), "rate {rate}: {levels:?}");
+            assert!(levels.windows(2).all(|w| w[0] <= w[1]), "rate {rate}: {levels:?}");
+            assert_eq!(m.warm(usize::MAX), if rate == 0.0 { 0.0 } else { 1.0 }, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn evaluate_is_simulate_instance_per_instance() {
+        let contended = SystemModel { node_contention: 0.3, ..SystemModel::proposed() };
+        let models = [
+            SystemModel::proposed(),
+            SystemModel::cmp_l1(),
+            SystemModel::cmp_l2(),
+            SystemModel::cmp_shared_l1(),
+            contended,
+        ];
+        for seed in 0..6 {
+            let t = task(seed);
+            for m in &models {
+                for (cores, instances) in [(1, 0), (3, 1), (8, 10)] {
+                    let mut got_rng = SmallRng::seed_from_u64(seed);
+                    let mut want_rng = SmallRng::seed_from_u64(seed);
+                    let got = m.evaluate(&t, cores, instances, &mut got_rng);
+                    let plan = m.plan(&t);
+                    let want: Vec<f64> = (0..instances)
+                        .map(|k| m.simulate_instance(&t, cores, &plan, k, &mut want_rng).makespan)
+                        .collect();
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                    assert_eq!(bits(&got), bits(&want), "{:?} seed {seed}", m.kind);
+                    assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "rng state, {:?}", m.kind);
+                }
+            }
+        }
+        // The contended proposed model is not steady: it took the general
+        // path and its instances differ.
+        let spans = models[4].evaluate(&task(0), 8, 10, &mut SmallRng::seed_from_u64(0));
+        assert!(spans.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! whose cost may depend on whether producer and consumer share a core
 //! (conventional caches) or on the L1.5 allocation (the proposed system) —
 //! both expressed through the caller-supplied cost closures.
+//!
+//! The closures are taken to be **pure**: a node's dependent data arrives at
+//! the same time on every idle core that ran none of its producers, so that
+//! arrival is priced once per dispatched node (DESIGN.md §4.8) — bit for bit
+//! the schedule per-core pricing gives, which the test-only oracle holds.
 
 use l15_dag::{DagTask, EdgeId, NodeId};
 
@@ -31,6 +36,9 @@ pub struct SimResult {
 /// * `exec_time(v)` — effective computation time of `v`;
 /// * `comm_cost(e, same_core)` — effective communication cost of edge `e`
 ///   given whether its producer ran on the consumer's core.
+///
+/// Both closures must be pure: how often and in which order they are called
+/// is unspecified.
 ///
 /// # Panics
 ///
@@ -58,6 +66,9 @@ where
 
     let mut core_free = vec![0.0f64; cores];
     let mut core_busy = vec![false; cores];
+    // `ran_producer[c] == v.0 + 1`: core `c` ran a producer of the node `v`
+    // being dispatched (a stamp, so nothing is cleared between nodes).
+    let mut ran_producer = vec![0usize; cores];
     // Running nodes: (finish_time, node, core).
     let mut running: Vec<(f64, NodeId, usize)> = Vec::new();
     let mut ready: Vec<NodeId> = vec![dag.source()];
@@ -76,17 +87,27 @@ where
                 })
                 .expect("ready is non-empty");
             // Choose the idle core minimising the start time (accounting
-            // for data locality), tie-break on lowest index.
+            // for data locality), tie-break on lowest index. Only a core
+            // that ran a producer sees a same-core edge.
+            let preds = dag.predecessors(v);
+            let mut remote_ready = 0.0f64;
+            for &(e, p) in preds {
+                remote_ready = remote_ready.max(finish[p.0] + comm_cost(e, false));
+                ran_producer[on_core[p.0]] = v.0 + 1;
+            }
             let mut best: Option<(f64, usize)> = None;
             for c in 0..cores {
                 if core_busy[c] {
                     continue;
                 }
-                let data_ready = dag
-                    .predecessors(v)
-                    .iter()
-                    .map(|&(e, p)| finish[p.0] + comm_cost(e, on_core[p.0] == c))
-                    .fold(0.0f64, f64::max);
+                let data_ready = if ran_producer[c] == v.0 + 1 {
+                    preds
+                        .iter()
+                        .map(|&(e, p)| finish[p.0] + comm_cost(e, on_core[p.0] == c))
+                        .fold(0.0f64, f64::max)
+                } else {
+                    remote_ready
+                };
                 let s = now.max(core_free[c]).max(data_ready);
                 if best.is_none_or(|(bs, _)| s < bs - 1e-12) {
                     best = Some((s, c));
@@ -133,6 +154,129 @@ mod tests {
     use super::*;
     use l15_dag::analysis;
     use l15_dag::{DagBuilder, Node};
+
+    /// `simulate` as it was before the cross-core arrival was priced once
+    /// per node: every idle core folds over every predecessor. Kept as the
+    /// reference the rewritten body must match field by field.
+    fn simulate_oracle<X, E>(
+        task: &DagTask,
+        cores: usize,
+        priorities: &[u32],
+        mut exec_time: X,
+        mut comm_cost: E,
+    ) -> SimResult
+    where
+        X: FnMut(NodeId) -> f64,
+        E: FnMut(EdgeId, bool) -> f64,
+    {
+        let dag = task.graph();
+        let n = dag.node_count();
+        let mut start = vec![f64::NAN; n];
+        let mut finish = vec![f64::NAN; n];
+        let mut on_core = vec![usize::MAX; n];
+        let mut preds_left: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
+        let mut core_free = vec![0.0f64; cores];
+        let mut core_busy = vec![false; cores];
+        let mut running: Vec<(f64, NodeId, usize)> = Vec::new();
+        let mut ready: Vec<NodeId> = vec![dag.source()];
+        let mut now = 0.0f64;
+        loop {
+            while !ready.is_empty() {
+                let Some(_) = core_busy.iter().position(|&b| !b) else { break };
+                let (ri, &v) = ready
+                    .iter()
+                    .enumerate()
+                    .max_by(|(_, &a), (_, &b)| {
+                        priorities[a.0].cmp(&priorities[b.0]).then(b.0.cmp(&a.0))
+                    })
+                    .expect("ready is non-empty");
+                let mut best: Option<(f64, usize)> = None;
+                for c in 0..cores {
+                    if core_busy[c] {
+                        continue;
+                    }
+                    let data_ready = dag
+                        .predecessors(v)
+                        .iter()
+                        .map(|&(e, p)| finish[p.0] + comm_cost(e, on_core[p.0] == c))
+                        .fold(0.0f64, f64::max);
+                    let s = now.max(core_free[c]).max(data_ready);
+                    if best.is_none_or(|(bs, _)| s < bs - 1e-12) {
+                        best = Some((s, c));
+                    }
+                }
+                let (s, c) = best.expect("an idle core exists");
+                ready.swap_remove(ri);
+                let f = s + exec_time(v);
+                start[v.0] = s;
+                finish[v.0] = f;
+                on_core[v.0] = c;
+                core_busy[c] = true;
+                core_free[c] = f;
+                running.push((f, v, c));
+            }
+            if running.is_empty() {
+                break;
+            }
+            let (idx, _) = running
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.0.partial_cmp(&b.0).expect("finite times"))
+                .expect("running is non-empty");
+            let (f, v, c) = running.swap_remove(idx);
+            now = f;
+            core_busy[c] = false;
+            for &(_, s) in dag.successors(v) {
+                preds_left[s.0] -= 1;
+                if preds_left[s.0] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        SimResult { makespan: finish[dag.sink().0], start, finish, core: on_core }
+    }
+
+    #[test]
+    fn matches_the_per_core_oracle_field_by_field() {
+        use l15_dag::gen::{DagGenParams, DagGenerator};
+        use l15_testkit::rng::{Rng, SmallRng};
+        // Same-core cheaper, dearer and equal to cross-core; a zero-cost
+        // and a `u32::MAX`-scale case.
+        let shapes: [(f64, f64); 5] =
+            [(0.25, 1.0), (1.5, 1.0), (1.0, 1.0), (0.0, 0.0), (0.5, u32::MAX as f64)];
+        let mut rng = SmallRng::seed_from_u64(0x6f72_6163);
+        for case in 0..200usize {
+            let params = DagGenParams {
+                layers: (1, 6),
+                max_width: 2 + case % 9,
+                edge_prob: [0.0, 0.2, 0.6, 1.0][case % 4],
+                ..DagGenParams::default()
+            };
+            let t = DagGenerator::new(params).generate(&mut rng).unwrap();
+            let g = t.graph();
+            // A handful of levels, so most ready sets hold ties.
+            let levels = rng.gen_range(1..=5u32);
+            let p: Vec<u32> = g.node_ids().map(|_| rng.gen_range(0..levels)).collect();
+            for cores in 1..=16 {
+                let (same, cross) = shapes[(case + cores) % shapes.len()];
+                let exec = |v: NodeId| g.node(v).wcet * cross.max(1.0);
+                let comm = |e: EdgeId, same_core: bool| {
+                    g.edge(e).cost * if same_core { same } else { cross }
+                };
+                let got = simulate(&t, cores, &p, exec, comm);
+                let want = simulate_oracle(&t, cores, &p, exec, comm);
+                let bits = |ts: &[f64]| ts.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(
+                    got.makespan.to_bits(),
+                    want.makespan.to_bits(),
+                    "case {case} m {cores}"
+                );
+                assert_eq!(bits(&got.start), bits(&want.start), "case {case} m {cores}");
+                assert_eq!(bits(&got.finish), bits(&want.finish), "case {case} m {cores}");
+                assert_eq!(got.core, want.core, "case {case} m {cores}");
+            }
+        }
+    }
 
     fn chain(costs: &[(f64, f64)]) -> DagTask {
         // Alternating node wcet / edge cost chain.

@@ -30,7 +30,7 @@
 //! [`SystemModel::worst_case_edge_cost`]: crate::baseline::SystemModel::worst_case_edge_cost
 //! [`SystemModel::worst_case_exec`]: crate::baseline::SystemModel::worst_case_exec
 
-use l15_dag::{analysis, DagTask, EdgeId, NodeId};
+use l15_dag::{DagTask, EdgeId, NodeId};
 
 /// Result of the single-task bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,10 +75,9 @@ where
     // Longest path under occupancy weights (edge costs are already folded
     // into the consumer's occupancy, so edges weigh zero here — but a path
     // only sees *one* of the incoming edges, hence this is conservative).
-    let order = analysis::topological_order(dag);
     let mut dist = vec![0.0f64; dag.node_count()];
     let mut longest = 0.0f64;
-    for &v in &order {
+    for &v in dag.topological_order() {
         let best_in = dag.predecessors(v).iter().map(|&(_, p)| dist[p.0]).fold(0.0f64, f64::max);
         dist[v.0] = best_in + occupancy[v.0];
         longest = longest.max(dist[v.0]);
@@ -124,9 +123,9 @@ pub fn certified_makespan_bound(
     let makespan = makespan_bound(task, m, |v| node_cycles[v.0] as f64, |_| 0.0);
 
     // Longest certified path through each node (forward + backward chains).
-    let order = analysis::topological_order(dag);
+    let order = dag.topological_order();
     let mut fwd = vec![0.0f64; dag.node_count()];
-    for &v in &order {
+    for &v in order {
         let best_in = dag.predecessors(v).iter().map(|&(_, p)| fwd[p.0]).fold(0.0f64, f64::max);
         fwd[v.0] = best_in + node_cycles[v.0] as f64;
     }

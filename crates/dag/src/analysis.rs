@@ -1,44 +1,32 @@
-//! Path analysis: topological orders, longest-path lengths `λ_j`, critical
-//! paths and makespan bounds.
+//! Path analysis: longest-path lengths `λ_j`, critical paths, width
+//! profiles, reachability and makespan bounds.
 //!
 //! `λ_j` is defined in Sec. 4.1 as the length of the longest path that
 //! *contains* `v_j`, counting node computation times and edge communication
 //! costs along the path. Alg. 1 (line 20) re-computes all `λ_j` by dynamic
 //! programming each round, with edge costs replaced by their ETM-reduced
 //! values `ET(e_{j,k}, n_j)` once `n_j` ways have been allocated to the
-//! producer; [`lambda_with`] supports that by taking an arbitrary per-edge
-//! cost function.
+//! producer; [`lambda_from`] takes that per-edge cost table directly and
+//! [`lambda_with`] tabulates an arbitrary per-edge cost function first.
+//!
+//! Nothing here sorts the graph: every sweep borrows
+//! [`Dag::topological_order`], computed once where `DagBuilder::build`
+//! proves acyclicity, and the critical path is read off the
+//! [`PathLengths`] the caller already holds (DESIGN.md §4.8).
 
 use crate::model::{Dag, EdgeId, NodeId};
 
-/// A topological order of the nodes (Kahn's algorithm, deterministic:
-/// lowest-index-first among ready nodes).
+/// The DAG's topological order (Kahn's algorithm, deterministic:
+/// lowest-index-first among ready nodes), as an owned copy of
+/// [`Dag::topological_order`].
 ///
 /// The returned vector contains every node exactly once, and every edge goes
 /// from an earlier to a later position.
 pub fn topological_order(dag: &Dag) -> Vec<NodeId> {
-    let n = dag.node_count();
-    let mut indeg: Vec<usize> = (0..n).map(|i| dag.in_degree(NodeId(i))).collect();
-    // Binary heap would be overkill; a sorted ready list keeps determinism.
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    ready.sort_unstable_by(|a, b| b.cmp(a)); // pop from the back = smallest
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = ready.pop() {
-        order.push(NodeId(v));
-        for &(_, w) in dag.successors(NodeId(v)) {
-            indeg[w.0] -= 1;
-            if indeg[w.0] == 0 {
-                // Insert keeping descending order so pop() yields smallest.
-                let pos = ready.partition_point(|&x| x > w.0);
-                ready.insert(pos, w.0);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "Dag invariant guarantees acyclicity");
-    order
+    dag.topological_order().to_vec()
 }
 
-/// Per-node longest-path decomposition produced by [`lambda_with`].
+/// Per-node longest-path decomposition produced by [`lambda_from`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathLengths {
     /// `head[j]`: longest path length from the source up to and including `v_j`.
@@ -63,24 +51,50 @@ impl PathLengths {
     pub fn lambda_of(&self, v: NodeId) -> f64 {
         self.lambda[v.0]
     }
+
+    /// One critical path (source → sink) as a node sequence, walked off
+    /// `tail`. `edge_cost` must be the cost function these lengths were
+    /// computed under.
+    pub fn critical_path<F>(&self, dag: &Dag, mut edge_cost: F) -> Vec<NodeId>
+    where
+        F: FnMut(EdgeId) -> f64,
+    {
+        let mut path = vec![dag.source()];
+        let mut v = dag.source();
+        while v != dag.sink() {
+            // Follow the successor on the longest remaining path.
+            let (_, next) = dag
+                .successors(v)
+                .iter()
+                .copied()
+                .max_by(|&(e1, s1), &(e2, s2)| {
+                    let a = edge_cost(e1) + self.tail[s1.0];
+                    let b = edge_cost(e2) + self.tail[s2.0];
+                    a.partial_cmp(&b).expect("path lengths are finite")
+                })
+                .expect("non-sink node has a successor");
+            path.push(next);
+            v = next;
+        }
+        path
+    }
 }
 
-/// Computes `λ_j` for every node with per-edge costs supplied by `edge_cost`
-/// (e.g. the ETM-reduced cost given currently allocated ways).
+/// Computes `λ_j` for every node from a per-edge cost table (`costs[e]` for
+/// `EdgeId(e)`, e.g. the ETM-reduced costs given currently allocated ways).
 ///
 /// Runs two linear DAG sweeps (forward and backward) in `O(|V| + |E|)`.
-pub fn lambda_with<F>(dag: &Dag, mut edge_cost: F) -> PathLengths
-where
-    F: FnMut(EdgeId) -> f64,
-{
+///
+/// # Panics
+///
+/// Panics if `costs` is not one cost per edge.
+pub fn lambda_from(dag: &Dag, costs: &[f64]) -> PathLengths {
+    assert_eq!(costs.len(), dag.edge_count(), "one cost per edge");
     let n = dag.node_count();
-    let order = topological_order(dag);
-    // Cache edge costs so forward and backward sweeps agree even if the
-    // closure is not pure.
-    let costs: Vec<f64> = (0..dag.edge_count()).map(|i| edge_cost(EdgeId(i))).collect();
+    let order = dag.topological_order();
 
     let mut head = vec![0.0f64; n];
-    for &v in &order {
+    for &v in order {
         let c = dag.node(v).wcet;
         let best_in =
             dag.predecessors(v).iter().map(|&(e, p)| head[p.0] + costs[e.0]).fold(0.0f64, f64::max);
@@ -99,42 +113,25 @@ where
     PathLengths { head, tail, lambda }
 }
 
+/// [`lambda_from`] with the costs supplied by `edge_cost`, called once per
+/// edge in index order.
+pub fn lambda_with<F>(dag: &Dag, edge_cost: F) -> PathLengths
+where
+    F: FnMut(EdgeId) -> f64,
+{
+    let costs: Vec<f64> = dag.edge_ids().map(edge_cost).collect();
+    lambda_from(dag, &costs)
+}
+
 /// `λ_j` with the full (unaccelerated) edge costs `μ`.
 pub fn lambda(dag: &Dag) -> PathLengths {
     lambda_with(dag, |e| dag.edge(e).cost)
 }
 
-/// Extracts one critical path (source → sink) under the given edge costs,
+/// Extracts one critical path (source → sink) under the full edge costs,
 /// as a node sequence.
-pub fn critical_path_with<F>(dag: &Dag, mut edge_cost: F) -> Vec<NodeId>
-where
-    F: FnMut(EdgeId) -> f64,
-{
-    let costs: Vec<f64> = (0..dag.edge_count()).map(|i| edge_cost(EdgeId(i))).collect();
-    let lengths = lambda_with(dag, |e| costs[e.0]);
-    let mut path = vec![dag.source()];
-    let mut v = dag.source();
-    while v != dag.sink() {
-        // Follow the successor on the longest remaining path.
-        let (_, next) = dag
-            .successors(v)
-            .iter()
-            .copied()
-            .max_by(|&(e1, s1), &(e2, s2)| {
-                let a = costs[e1.0] + lengths.tail[s1.0];
-                let b = costs[e2.0] + lengths.tail[s2.0];
-                a.partial_cmp(&b).expect("path lengths are finite")
-            })
-            .expect("non-sink node has a successor");
-        path.push(next);
-        v = next;
-    }
-    path
-}
-
-/// Extracts one critical path under the full edge costs.
 pub fn critical_path(dag: &Dag) -> Vec<NodeId> {
-    critical_path_with(dag, |e| dag.edge(e).cost)
+    lambda(dag).critical_path(dag, |e| dag.edge(e).cost)
 }
 
 /// Per-node slack under full edge costs: how much a node's λ falls short
@@ -149,10 +146,9 @@ pub fn slack(dag: &Dag) -> Vec<f64> {
 /// from the source), how many nodes sit at that depth — the DAG's maximum
 /// exploitable parallelism per phase.
 pub fn width_profile(dag: &Dag) -> Vec<usize> {
-    let order = topological_order(dag);
     let mut depth = vec![0usize; dag.node_count()];
     let mut max_depth = 0;
-    for &v in &order {
+    for &v in dag.topological_order() {
         let d = dag.predecessors(v).iter().map(|&(_, p)| depth[p.0] + 1).max().unwrap_or(0);
         depth[v.0] = d;
         max_depth = max_depth.max(d);
@@ -162,12 +158,6 @@ pub fn width_profile(dag: &Dag) -> Vec<usize> {
         widths[d] += 1;
     }
     widths
-}
-
-/// Maximum width over the profile: the core count beyond which adding
-/// cores cannot help this DAG.
-pub fn max_parallelism(dag: &Dag) -> usize {
-    width_profile(dag).into_iter().max().unwrap_or(0)
 }
 
 /// Lower bound on the makespan of `dag` on `m` cores:
@@ -205,7 +195,7 @@ impl Reachability {
         let n = dag.node_count();
         let words = n.div_ceil(64);
         let mut ancestors = vec![0u64; n * words];
-        for &v in &topological_order(dag) {
+        for &v in dag.topological_order() {
             // Union every predecessor's ancestor set, plus the predecessor.
             for &(_, p) in dag.predecessors(v) {
                 for w in 0..words {
@@ -319,6 +309,21 @@ mod tests {
     }
 
     #[test]
+    fn lambda_from_is_lambda_with_tabulated() {
+        let dag = fig1_like();
+        let costs: Vec<f64> = dag.edge_ids().map(|e| 0.25 + e.0 as f64).collect();
+        let from = lambda_from(&dag, &costs);
+        assert_eq!(from, lambda_with(&dag, |e| costs[e.0]));
+        // The path walked off those lengths is a longest one under them.
+        let path = from.critical_path(&dag, |e| costs[e.0]);
+        let len: f64 = path.iter().map(|&v| dag.node(v).wcet).sum::<f64>()
+            + path.windows(2).map(|w| costs[dag.find_edge(w[0], w[1]).unwrap().0]).sum::<f64>();
+        assert!((len - from.critical_path_length()).abs() < 1e-12);
+        // One cost per edge, or a panic.
+        assert!(std::panic::catch_unwind(|| lambda_from(&dag, &costs[1..])).is_err());
+    }
+
+    #[test]
     fn critical_path_nodes_are_connected_and_span() {
         let dag = fig1_like();
         let path = critical_path(&dag);
@@ -368,7 +373,6 @@ mod tests {
         assert_eq!(w.iter().sum::<usize>(), dag.node_count());
         // Fig. 1 shape: 1 source, 3 middle, 2 join, 1 sink.
         assert_eq!(w, vec![1, 3, 2, 1]);
-        assert_eq!(max_parallelism(&dag), 3);
     }
 
     #[test]

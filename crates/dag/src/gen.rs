@@ -21,12 +21,14 @@
 //! On top of the layered topology we add a dedicated source and sink so that
 //! the single-source/single-sink assumption holds; connectivity fix-ups
 //! guarantee every non-source node has a predecessor in the previous layer and
-//! every non-sink node a successor in the next one.
+//! every non-sink node a successor in the next one. The `cpr` steering runs
+//! one path analysis per round on the order the build computed (DESIGN.md
+//! §4.8).
 
 use l15_testkit::rng::Rng;
 
 use crate::analysis;
-use crate::model::{DagBuilder, DagTask, Node, NodeId};
+use crate::model::{Dag, DagBuilder, DagTask, EdgeId, Node, NodeId};
 use crate::DagError;
 
 /// Parameters of the synthetic generator. Defaults mirror Sec. 5.1.
@@ -257,7 +259,7 @@ impl DagGenerator {
                 *c *= s;
             }
             for (i, c) in costs.into_iter().enumerate() {
-                let e = dag.edge_mut(crate::model::EdgeId(i));
+                let e = dag.edge_mut(EdgeId(i));
                 e.cost = c;
                 // α ∈ (0, alpha_max]
                 e.alpha = rng.gen_range(f64::EPSILON..=p.alpha_max);
@@ -286,18 +288,18 @@ impl DagGenerator {
 ///
 /// Infeasibly small `cpr` values (the longest chain cannot shrink further
 /// without another path taking over) converge to the achievable minimum.
-fn steer_critical_path(dag: &mut crate::model::Dag, workload: f64, cpr: f64) {
+fn steer_critical_path(dag: &mut Dag, workload: f64, cpr: f64) {
     let target = cpr * workload;
+    let no_comm = vec![0.0; dag.edge_count()];
     for _ in 0..32 {
-        let lengths = analysis::lambda_with(dag, |_| 0.0);
+        let lengths = analysis::lambda_from(dag, &no_comm);
         let current = lengths.critical_path_length();
         if (current - target).abs() <= 1e-6 * workload {
             break;
         }
         // Scale nodes on the current critical path towards the target and
         // renormalise everything back to the workload.
-        let path = analysis::critical_path_with(dag, |_| 0.0);
-        let on_path: std::collections::HashSet<usize> = path.iter().map(|v| v.0).collect();
+        let path = lengths.critical_path(dag, |_| 0.0);
         let path_work: f64 = path.iter().map(|&v| dag.node(v).wcet).sum();
         if path_work <= 0.0 {
             break;
@@ -305,15 +307,12 @@ fn steer_critical_path(dag: &mut crate::model::Dag, workload: f64, cpr: f64) {
         // Damped adjustment avoids oscillation between competing paths.
         let f = (target / current).clamp(0.25, 4.0);
         let f = 1.0 + 0.8 * (f - 1.0);
-        for v in dag.node_ids().collect::<Vec<_>>() {
-            if on_path.contains(&v.0) {
-                dag.node_mut(v).wcet *= f;
-            }
+        for v in path {
+            dag.node_mut(v).wcet *= f;
         }
-        let sum: f64 = dag.node_ids().map(|v| dag.node(v).wcet).sum();
-        let renorm = workload / sum;
-        for v in dag.node_ids().collect::<Vec<_>>() {
-            dag.node_mut(v).wcet *= renorm;
+        let renorm = workload / dag.total_work();
+        for v in 0..dag.node_count() {
+            dag.node_mut(NodeId(v)).wcet *= renorm;
         }
     }
 }

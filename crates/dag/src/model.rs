@@ -8,6 +8,8 @@
 //! `α_{j,k}`. Following the paper (and ref. \[8\]), the DAG has exactly one
 //! source and one sink.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::DagError;
@@ -80,6 +82,8 @@ pub struct Edge {
 ///
 /// Construct one through [`DagBuilder`], which validates acyclicity and the
 /// single-source/single-sink property required by the paper's model.
+/// Topology is immutable after `build` (the setters touch payloads only), so
+/// the order that proved it acyclic stays valid (DESIGN.md §4.8).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dag {
     nodes: Vec<Node>,
@@ -88,6 +92,7 @@ pub struct Dag {
     succ: Vec<Vec<(EdgeId, NodeId)>>,
     /// Incoming `(edge, producer)` pairs per node.
     pred: Vec<Vec<(EdgeId, NodeId)>>,
+    order: Vec<NodeId>,
     source: NodeId,
     sink: NodeId,
 }
@@ -111,6 +116,12 @@ impl Dag {
     /// The unique sink node `v_sin` (no successors).
     pub fn sink(&self) -> NodeId {
         self.sink
+    }
+
+    /// The topological order every analysis sweeps in: Kahn's algorithm,
+    /// lowest index first among ready nodes.
+    pub fn topological_order(&self) -> &[NodeId] {
+        &self.order
     }
 
     /// Returns the node payload for `id`.
@@ -335,20 +346,22 @@ impl DagBuilder {
             pred[e.to.0].push((EdgeId(ix), e.from));
         }
 
-        // Kahn's algorithm to verify acyclicity.
+        // Kahn's algorithm, lowest index first: proves acyclicity and is
+        // the one topological order every analysis sweeps in.
         let mut indeg: Vec<usize> = pred.iter().map(Vec::len).collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(v) = queue.pop() {
-            seen += 1;
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(v)) = ready.pop() {
+            order.push(NodeId(v));
             for &(_, w) in &succ[v] {
                 indeg[w.0] -= 1;
                 if indeg[w.0] == 0 {
-                    queue.push(w.0);
+                    ready.push(Reverse(w.0));
                 }
             }
         }
-        if seen != n {
+        if order.len() != n {
             return Err(DagError::Cycle);
         }
 
@@ -366,6 +379,7 @@ impl DagBuilder {
             edges: self.edges,
             succ,
             pred,
+            order,
             source: sources[0],
             sink: sinks[0],
         })

@@ -315,7 +315,8 @@ fn analyze(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
     let cores = int_param(req, "cores", 8, limits.max_cores as u64)? as usize;
     let dag = task.graph();
     let lengths = analysis::lambda(dag);
-    let path = analysis::critical_path(dag);
+    let path = lengths.critical_path(dag, |e| dag.edge(e).cost);
+    let widths = analysis::width_profile(dag);
     let bound = rta::makespan_bound(task, cores, |v| dag.node(v).wcet, |e| dag.edge(e).cost);
 
     let mut o = Obj::new();
@@ -329,11 +330,8 @@ fn analyze(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
     o.num("total_comm_cost", dag.total_comm_cost());
     o.num("critical_path_length", lengths.critical_path_length());
     o.raw("critical_path", &json::int_array(path.iter().map(|v| v.0 as u64)));
-    o.raw(
-        "width_profile",
-        &json::int_array(analysis::width_profile(dag).into_iter().map(|w| w as u64)),
-    );
-    o.int("max_parallelism", analysis::max_parallelism(dag) as u64);
+    o.raw("width_profile", &json::int_array(widths.iter().map(|&w| w as u64)));
+    o.int("max_parallelism", widths.iter().copied().max().unwrap_or(0) as u64);
     o.num("makespan_lower_bound", analysis::makespan_lower_bound(dag, cores));
     o.num("makespan_upper_bound", analysis::makespan_upper_bound(dag));
     let mut r = Obj::new();

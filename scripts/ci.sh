@@ -219,6 +219,12 @@ digest_gate online_admission 2
 digest_gate cluster_32core 2
 digest_gate fullstack_8core 2
 digest_gate serve_simulate 2
+# And of the two analytic workloads: a rewrite of the generator, Alg. 1 or
+# the list-scheduling simulator (DESIGN.md §4.8) must keep every makespan's
+# bits on the seed it was not developed on — every workload is now gated
+# on both seeds.
+digest_gate analytic_sweep 2
+digest_gate serve_analytic 2
 
 echo "==> bench binaries (--quick smoke)"
 for bin in crates/bench/src/bin/*.rs; do
