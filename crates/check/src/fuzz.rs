@@ -39,7 +39,7 @@ use l15_rvcore::isa::L15Op;
 use l15_soc::trace::TraceCounters;
 use l15_soc::{LevelConfig, SocConfig, Uncore};
 use l15_testkit::fuzz::{draw_case, CoreOp, FuzzCase, FuzzKnobs, SeqOracle};
-use l15_testkit::{pool, prop};
+use l15_testkit::{cli, pool, prop};
 use l15_trace::FlightRecorder;
 
 use crate::fsm::{check_walloc_model, FsmBounds, WallocModel};
@@ -399,14 +399,20 @@ pub fn sweep(
     })
 }
 
-/// The property the `l15-fuzz` binary hands to the [`prop`] shrinker: a
+/// The property `l15 fuzz` hands to the [`prop`] shrinker: a
 /// drawn case must check clean. Shrinking the choice stream shrinks the
 /// case towards the minimal failing interleaving while staying legal.
 pub fn clean_case_property(knobs: &FuzzKnobs) -> impl Fn(&mut prop::G) + Sync + '_ {
     move |g| {
         let case = draw_case(g, knobs);
         let verdict = check_case(&case);
-        assert!(verdict.is_clean(), "{}", verdict.headline());
+        assert!(
+            verdict.is_clean(),
+            "{}\n    case: {}\n    steps: {:?}",
+            verdict.headline(),
+            case.summary(),
+            case.steps
+        );
     }
 }
 
@@ -451,7 +457,7 @@ pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
             .split_once('=')
             .ok_or_else(|| format!("line {}: expected `key = value`, got {line:?}", i + 1))?;
         let (key, value) = (key.trim(), value.trim());
-        let number = parse_number(value)
+        let number = cli::parse_u64(value)
             .ok_or_else(|| format!("line {}: `{key}` needs a number, got {value:?}", i + 1))?;
         match key {
             "seed" => seed = Some(number),
@@ -467,14 +473,6 @@ pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
     }
     let seed = seed.ok_or_else(|| "missing `seed`".to_owned())?;
     Ok(CorpusEntry { seed, knobs })
-}
-
-fn parse_number(raw: &str) -> Option<u64> {
-    if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -23,11 +23,11 @@
 //! * [`rules::check_streams`] — R1–R5 over the streams;
 //! * [`fsm::check_walloc`] — R6, exhaustive over small geometries;
 //! * [`replay::check_counters`] — the trace-replay conservation checks;
-//! * the `l15-check` binary lints generated corpora, case-study programs
+//! * `l15 check` lints generated corpora, case-study programs
 //!   and `.dag` files (with optional embedded `plan` lines).
 //!
 //! Findings render through the shared `l15-testkit` diagnostic formatter,
-//! so the binary, the `POST /check` endpoint of `l15-serve` and the tests
+//! so `l15 check`, the `POST /check` endpoint of `l15-serve` and the tests
 //! print byte-identical lines.
 //!
 //! # Example

@@ -30,11 +30,13 @@ use std::error::Error;
 use std::fmt;
 
 use l15_cache::WayMask;
+use l15_core::alg1::schedule_with_l15;
+use l15_core::baseline::baseline_priorities;
 use l15_core::plan::SchedulePlan;
-use l15_dag::{DagTask, NodeId};
+use l15_dag::{DagTask, ExecutionTimeModel, NodeId};
 use l15_rvcore::bus::SystemBus;
 use l15_rvcore::isa::L15Op;
-use l15_soc::Soc;
+use l15_soc::{Soc, SocConfig};
 use l15_trace::{EventKind, SectionKind};
 
 use crate::layout::TaskLayout;
@@ -63,6 +65,24 @@ impl Default for KernelConfig {
             max_cycles: 50_000_000,
         }
     }
+}
+
+/// The plan and configuration a preset SoC runs `task` under: Alg. 1
+/// over the L1.5's ways (2 KiB way size) with the L1.5 driven, or the
+/// baseline priorities in legacy mode. `/simulate`, `/trace`, `/certify`,
+/// `l15 trace` and `l15 absint` all derive their run from it.
+pub fn preset_plan(
+    task: &DagTask,
+    cfg: &SocConfig,
+    scale: WorkScale,
+    max_cycles: u64,
+) -> (SchedulePlan, KernelConfig) {
+    let etm = ExecutionTimeModel::new(2048).expect("2 KiB is a valid way size");
+    let plan = match cfg.l15 {
+        Some(l15) => schedule_with_l15(task, l15.ways, &etm),
+        None => baseline_priorities(task),
+    };
+    (plan, KernelConfig { cluster: 0, use_l15: cfg.l15.is_some(), scale, max_cycles })
 }
 
 /// Errors from a kernel run.

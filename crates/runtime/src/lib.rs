@@ -55,7 +55,7 @@ pub mod workgen;
 pub use capture::{run_task_traced, DEFAULT_CAPTURE_EVENTS};
 pub use coresidency::{run_cluster_plan, AppOutcome, CoResidencyReport};
 pub use emit::{emit_kernel_streams, EmitOptions, KernelStreams, NodeStream};
-pub use kernel::{run_task, KernelConfig, KernelError, RunReport};
+pub use kernel::{preset_plan, run_task, KernelConfig, KernelError, RunReport};
 pub use layout::TaskLayout;
 pub use quiesce::{quiesce_cluster, QuiesceReport};
 pub use workgen::{node_program, WorkScale, WorkgenError};

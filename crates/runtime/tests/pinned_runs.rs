@@ -18,12 +18,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use l15_core::alg1::schedule_with_l15;
-use l15_core::baseline::baseline_priorities;
-use l15_core::plan::SchedulePlan;
 use l15_dag::gen::{DagGenParams, DagGenerator};
-use l15_dag::{DagTask, ExecutionTimeModel};
-use l15_runtime::kernel::{run_task, KernelConfig, KernelError};
+use l15_dag::DagTask;
+use l15_runtime::kernel::{preset_plan, run_task, KernelConfig, KernelError};
 use l15_runtime::WorkScale;
 use l15_soc::{Soc, SocConfig};
 use l15_testkit::rng::{fnv1a, SmallRng, FNV1A_OFFSET};
@@ -47,39 +44,24 @@ fn dag(seed: u64) -> DagTask {
 struct System {
     name: &'static str,
     cfg: SocConfig,
-    use_l15: bool,
 }
 
+/// Each runs under its preset plan: Alg. 1 over the L1.5's 16 ways on
+/// `proposed_8core`, baseline priorities in legacy mode on the CMPs.
 fn systems() -> [System; 3] {
     [
-        System { name: "proposed_8core", cfg: SocConfig::proposed_8core(), use_l15: true },
-        System { name: "cmp_l2_8core", cfg: SocConfig::cmp_l2_8core(), use_l15: false },
-        System { name: "cmp_l1_8core", cfg: SocConfig::cmp_l1_8core(), use_l15: false },
+        System { name: "proposed_8core", cfg: SocConfig::proposed_8core() },
+        System { name: "cmp_l2_8core", cfg: SocConfig::cmp_l2_8core() },
+        System { name: "cmp_l1_8core", cfg: SocConfig::cmp_l1_8core() },
     ]
-}
-
-fn plan_for(task: &DagTask, sys: &System) -> SchedulePlan {
-    if sys.use_l15 {
-        schedule_with_l15(task, 16, &ExecutionTimeModel::new(2048).expect("valid way size"))
-    } else {
-        baseline_priorities(task)
-    }
-}
-
-fn kernel_config(sys: &System, iters: u32, max_cycles: u64) -> KernelConfig {
-    KernelConfig {
-        use_l15: sys.use_l15,
-        scale: WorkScale { compute_iters: iters },
-        max_cycles,
-        ..KernelConfig::default()
-    }
 }
 
 /// One table row: the headline numbers in clear, everything in the digest.
 fn run_row(task: &DagTask, sys: &System, iters: u32) -> (String, u64) {
     let mut soc = Soc::new(sys.cfg.clone(), 0);
-    let cfg = kernel_config(sys, iters, KernelConfig::default().max_cycles);
-    let r = run_task(&mut soc, task, &plan_for(task, sys), &cfg).expect("pinned runs complete");
+    let scale = WorkScale { compute_iters: iters };
+    let (plan, cfg) = preset_plan(task, &sys.cfg, scale, KernelConfig::default().max_cycles);
+    let r = run_task(&mut soc, task, &plan, &cfg).expect("pinned runs complete");
     let cores: Vec<_> = (0..soc.n_cores()).map(|i| (*soc.core(i).stats(), soc.clock(i))).collect();
     let instructions: u64 = cores.iter().map(|(s, _)| s.instructions).sum();
     let memory = soc.uncore().memory_fingerprint();
@@ -112,12 +94,12 @@ fn run_row(task: &DagTask, sys: &System, iters: u32) -> (String, u64) {
 
 /// `max_cycles` from 0 to just past `makespan`: `ok` or the completed count.
 fn sweep_row(task: &DagTask, sys: &System, iters: u32, makespan: u64) -> String {
-    let plan = plan_for(task, sys);
+    let (plan, cfg) = preset_plan(task, &sys.cfg, WorkScale { compute_iters: iters }, 0);
     let mut row = String::new();
     for k in 0..=SWEEP_STEPS {
         let max_cycles = makespan * k / (SWEEP_STEPS - 2);
         let mut soc = Soc::new(sys.cfg.clone(), 0);
-        match run_task(&mut soc, task, &plan, &kernel_config(sys, iters, max_cycles)) {
+        match run_task(&mut soc, task, &plan, &KernelConfig { max_cycles, ..cfg }) {
             Ok(r) => write!(row, " ok:{}", r.makespan_cycles),
             Err(KernelError::Timeout { completed, total }) => write!(row, " {completed}/{total}"),
             Err(other) => panic!("unexpected error at max_cycles={max_cycles}: {other}"),

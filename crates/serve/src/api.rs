@@ -18,7 +18,7 @@ use l15_core::makespan::simulate;
 use l15_core::rta;
 use l15_dag::{analysis, textio, DagTask, ExecutionTimeModel};
 use l15_runtime::emit::EmitOptions;
-use l15_runtime::kernel::{run_task, KernelConfig, KernelError};
+use l15_runtime::kernel::{preset_plan, run_task, KernelError};
 use l15_runtime::{run_task_traced, WorkScale};
 use l15_soc::{Soc, SocConfig};
 use l15_trace::{chrome, Category};
@@ -405,27 +405,6 @@ fn sim_preset(req: &Request) -> Result<(&str, SocConfig), Response> {
     }
 }
 
-/// Derives the plan and kernel configuration a preset runs under — the
-/// single definition `/simulate` and `/trace` share, so a trace capture
-/// observes exactly the run the simulation endpoint reports on.
-fn sim_plan(
-    task: &DagTask,
-    cfg: &SocConfig,
-    max_cycles: u64,
-    compute_iters: u32,
-) -> (l15_core::plan::SchedulePlan, KernelConfig) {
-    let use_l15 = cfg.l15.is_some();
-    let plan = if use_l15 {
-        let etm = ExecutionTimeModel::new(2048).expect("valid way size");
-        let zeta = cfg.l15.map(|c| c.ways).unwrap_or(16);
-        schedule_with_l15(task, zeta, &etm)
-    } else {
-        baseline_priorities(task)
-    };
-    let kcfg = KernelConfig { cluster: 0, use_l15, scale: WorkScale { compute_iters }, max_cycles };
-    (plan, kcfg)
-}
-
 fn kernel_error_response(e: KernelError, max_cycles: u64) -> Response {
     match e {
         KernelError::Timeout { completed, total } => Response::error(
@@ -443,7 +422,7 @@ fn simulate_soc(task: &DagTask, req: &Request, limits: &Limits) -> Result<Respon
     let max_cycles = int_param(req, "max_cycles", 5_000_000, limits.max_sim_cycles)?;
     let compute_iters = int_param(req, "compute_iters", 8, 256)? as u32;
 
-    let (plan, kcfg) = sim_plan(task, &cfg, max_cycles, compute_iters);
+    let (plan, kcfg) = preset_plan(task, &cfg, WorkScale { compute_iters }, max_cycles);
     let mut soc = Soc::new(cfg, 0);
     let report =
         run_task(&mut soc, task, &plan, &kcfg).map_err(|e| kernel_error_response(e, max_cycles))?;
@@ -485,7 +464,7 @@ fn trace_capture(task: &DagTask, req: &Request, limits: &Limits) -> Result<Respo
         limits.max_trace_events as u64,
     )? as usize;
 
-    let (plan, kcfg) = sim_plan(task, &cfg, max_cycles, compute_iters);
+    let (plan, kcfg) = preset_plan(task, &cfg, WorkScale { compute_iters }, max_cycles);
     let mut soc = Soc::new(cfg, 0);
     let (_report, rec) = run_task_traced(&mut soc, task, &plan, &kcfg, max_events)
         .map_err(|e| kernel_error_response(e, max_cycles))?;
@@ -536,8 +515,9 @@ fn certify(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
     let (preset_name, cfg) = sim_preset(req)?;
     let compute_iters = int_param(req, "compute_iters", 8, 256)? as u32;
 
-    let (plan, kcfg) = sim_plan(task, &cfg, 0, compute_iters);
-    let report = l15_check::certify_task(task, &plan, &cfg, kcfg.scale);
+    let scale = WorkScale { compute_iters };
+    let (plan, _) = preset_plan(task, &cfg, scale, 0);
+    let report = l15_check::certify_task(task, &plan, &cfg, scale);
     let certified = report.certified();
     let cores = cfg.cores_per_cluster;
 
@@ -605,9 +585,9 @@ fn certify(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
 /// `POST /check` — the `l15-check` static rules (R1–R5) over a submitted
 /// program: the `.dag` task text, optionally extended with embedded
 /// `plan <node> pri=<p> ways=<w> [tid=<t>]` lines. Without plan lines the
-/// service derives an Alg. 1 plan (`zeta` query parameter), mirroring the
-/// checker binary. Findings carry the canonical `text` rendering of the
-/// shared testkit formatter, byte-identical to the binary's output.
+/// service derives an Alg. 1 plan (`zeta` query parameter), mirroring
+/// `l15 check`. Findings carry the canonical `text` rendering of the
+/// shared testkit formatter, byte-identical to `l15 check`'s output.
 fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
     let cores = int_param(req, "cores", 4, limits.max_cores as u64)? as usize;
     let zeta = int_param(req, "zeta", 16, 64)? as usize;
@@ -964,7 +944,7 @@ edge 2 3 cost=1 alpha=0.6
         // per-node observed cycles against the certified table.
         let cfg = SocConfig::preset("proposed_8core").unwrap();
         let task = parse_body(SAMPLE.as_bytes(), &Limits::default()).unwrap();
-        let (plan, kcfg) = sim_plan(&task, &cfg, 5_000_000, 4);
+        let (plan, kcfg) = preset_plan(&task, &cfg, WorkScale { compute_iters: 4 }, 5_000_000);
         let report = l15_check::certify_task(&task, &plan, &cfg, kcfg.scale);
         assert!(report.certified(), "{:?}", report.findings);
 

@@ -1,6 +1,6 @@
 //! Canonical rendering of checker diagnostics.
 //!
-//! Every surface that prints a protocol finding — the `l15-check` binary,
+//! Every surface that prints a protocol finding — `l15 check`,
 //! the `POST /check` endpoint of `l15-serve`, the seeded-mutation tests —
 //! formats it through [`format_diagnostic`], so the same finding is
 //! byte-identical everywhere. That is what lets CI diff checker output

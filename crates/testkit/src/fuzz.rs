@@ -29,7 +29,7 @@
 //!
 //! # Determinism
 //!
-//! A case is a pure function of `(knobs, seed)`: the binary derives
+//! A case is a pure function of `(knobs, seed)`: `l15 fuzz` derives
 //! per-case seeds via [`crate::pool::item_seed`] and decodes through
 //! [`crate::prop::seeded_g`], so findings are byte-identical at any
 //! `L15_JOBS` and every reported seed replays bit-for-bit.

@@ -23,11 +23,11 @@
 //!   the experiment sweeps, the differential harness and the parallel
 //!   property runner; `L15_JOBS=1` reproduces the sequential behaviour
 //!   bit-for-bit.
-//! * [`cli`] — the unified flag grammar of every workspace binary
-//!   (`--quick`, declared boolean and numeric value flags; unknown flags
-//!   exit 2 with usage).
+//! * [`cli`] — the unified flag grammar of every `l15` subcommand
+//!   (`--quick`, declared boolean, number and string flags, positionals;
+//!   unknown flags are usage errors).
 //! * [`diag`] — the canonical single-line rendering of checker
-//!   diagnostics, shared by the `l15-check` binary, the `POST /check`
+//!   diagnostics, shared by `l15 check`, the `POST /check`
 //!   endpoint and the mutation tests so a finding is byte-identical on
 //!   every surface.
 //! * [`arrivals`] — seeded sporadic arrival-stream generator (integer

@@ -1,5 +1,5 @@
 //! A deterministic, zero-dependency thread pool for embarrassingly
-//! parallel sweeps (the experiment binaries, the differential harness and
+//! parallel sweeps (the `l15` experiments, the differential harness and
 //! the property-test runner all build on it).
 //!
 //! # Determinism contract
@@ -147,7 +147,7 @@ where
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn payload_message(payload: &dyn std::any::Any) -> String {
+pub fn payload_message(payload: &dyn std::any::Any) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -428,21 +428,16 @@ fn shrink(
 /// or `0x`-prefixed hex).
 pub const SEED_ENV: &str = "L15_PROP_SEED";
 
-fn env_seed() -> Option<u64> {
+/// The replay seed in [`SEED_ENV`], if set and parsable
+/// ([`crate::cli::parse_u64`]); an unparsable value is reported on stderr
+/// and ignored.
+pub fn env_seed() -> Option<u64> {
     let raw = std::env::var(SEED_ENV).ok()?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    match parsed {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("[l15-testkit] ignoring unparsable {SEED_ENV}={raw:?}");
-            None
-        }
+    let parsed = crate::cli::parse_u64(&raw);
+    if parsed.is_none() {
+        eprintln!("[l15-testkit] ignoring unparsable {SEED_ENV}={raw:?}");
     }
+    parsed
 }
 
 /// Runs `property` for [`Config::default`] cases. See [`run_with`].
@@ -516,7 +511,7 @@ pub fn run_with(cfg: Config, name: &str, property: impl Fn(&mut G) + Sync) {
 }
 
 /// A fresh draw context seeded exactly like an exploration case or an
-/// `L15_PROP_SEED` replay. External drivers (the `l15-fuzz` binary) use
+/// `L15_PROP_SEED` replay. External drivers (`l15 fuzz`) use
 /// this to decode a value from a reported seed bit-for-bit as
 /// [`check_seed`] would, without going through the runner.
 pub fn seeded_g(seed: u64) -> G {

@@ -1,7 +1,6 @@
 //! One slice of the Sec. 5.2 case study: DAG-ified PARSEC workloads on an
 //! 8-core SoC, success ratios of the proposed system vs the comparators at
-//! a few target utilisations (the full sweep lives in the `fig8ab` bench
-//! binary).
+//! a few target utilisations (the full sweep is `l15 fig8ab`).
 //!
 //! ```sh
 //! cargo run --release --example parsec_case_study

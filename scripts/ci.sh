@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
 # Offline CI gate: build, test, check formatting, then smoke-run every
-# experiment binary in its --quick configuration. No network access is
+# `l15` subcommand in its --quick configuration. No network access is
 # required at any step (the workspace has zero external dependencies).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> build (release)"
-cargo build --release --offline
+echo "==> build (release: the facade and the one l15 binary)"
+cargo build --release --offline -p l15 -p l15-bench
+l15="${CARGO_TARGET_DIR:-target}/release/l15"
 
 echo "==> size (non-test lines per crate)"
 scripts/loc.sh
@@ -44,42 +45,49 @@ tr_par=$(mktemp)
 sp_seq=$(mktemp)
 sp_par=$(mktemp)
 trap 'rm -f "$seq_out" "$par_out" "$serve_log" "$lg_seq" "$lg_par" "$lg_seq.det" "$lg_par.det" "$chk_seq" "$chk_par" "$tr_seq" "$tr_par" "$sp_seq" "$sp_par" "$sp_seq.det" "$sp_par.det" "$sp_seq.again" "$sp_par.again" "$sp_seq.again.det" "$sp_par.again.det"' EXIT
-L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin fig7 -- --quick > "$seq_out"
-L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin fig7 -- --quick > "$par_out"
+L15_JOBS=1 "$l15" fig7 --quick > "$seq_out"
+L15_JOBS=4 "$l15" fig7 --quick > "$par_out"
 diff -u "$seq_out" "$par_out"
 echo "fig7 output is byte-identical across worker counts"
 
-echo "==> protocol lint (l15-check --quick, L15_JOBS=1 vs 4 determinism)"
-L15_JOBS=1 cargo run --release --offline -q -p l15-check --bin l15-check -- --quick > "$chk_seq"
-L15_JOBS=4 cargo run --release --offline -q -p l15-check --bin l15-check -- --quick > "$chk_par"
+echo "==> experiment_results.txt (the five figure sections regenerate byte for byte)"
+for s in fig7 table2 fig8ab fig8c area; do
+    echo "===== $s ====="
+    "$l15" "$s"
+done > "$seq_out"
+diff -u experiment_results.txt "$seq_out"
+echo "experiment_results.txt is reproduced exactly"
+
+echo "==> protocol lint (l15 check --quick, L15_JOBS=1 vs 4 determinism)"
+L15_JOBS=1 "$l15" check --quick > "$chk_seq"
+L15_JOBS=4 "$l15" check --quick > "$chk_par"
 diff -u "$chk_seq" "$chk_par"
 grep -q "all programs clean" "$chk_seq"
-echo "l15-check output is clean and byte-identical across worker counts"
+echo "l15 check output is clean and byte-identical across worker counts"
 
-echo "==> trace determinism (l15-trace capture + bench artifact, L15_JOBS=1 vs 4)"
+echo "==> trace determinism (l15 trace capture + bench artifact, L15_JOBS=1 vs 4)"
 # Preset capture: the Chrome JSON must be byte-identical at any worker
 # count and pass the in-tree schema checker.
-L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin l15-trace -- capture --out "$tr_seq"
-L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin l15-trace -- capture --out "$tr_par"
+L15_JOBS=1 "$l15" trace capture --out "$tr_seq"
+L15_JOBS=4 "$l15" trace capture --out "$tr_par"
 cmp "$tr_seq" "$tr_par"
-cargo run --release --offline -q -p l15-bench --bin l15-trace -- validate "$tr_seq"
+"$l15" trace validate "$tr_seq"
 # The fig7 trace artifact: DAG instances fan across the pool, assembly is
 # index-ordered, so the bytes must not depend on L15_JOBS either.
-L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin l15-trace -- bench --out "$tr_seq" > /dev/null
-L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin l15-trace -- bench --out "$tr_par" > /dev/null
+L15_JOBS=1 "$l15" trace bench --out "$tr_seq" > /dev/null
+L15_JOBS=4 "$l15" trace bench --out "$tr_par" > /dev/null
 cmp "$tr_seq" "$tr_par"
-cargo run --release --offline -q -p l15-bench --bin l15-trace -- validate "$tr_seq"
+"$l15" trace validate "$tr_seq"
 echo "trace artifacts are byte-identical across worker counts and schema-clean"
 
-echo "==> serve smoke (l15-serve + loadgen, server at L15_JOBS=1 vs 4 determinism)"
+echo "==> serve smoke (l15 serve + l15 loadgen, server at L15_JOBS=1 vs 4 determinism)"
 # One server per slot count (the gate runs L15_JOBS requests at once), each
 # with a one-place waiting room so the four-thread loadgen burst can
 # saturate it: a run that sheds load (503 + Retry-After) must still
 # complete with exact accounting, and everything loadgen prints apart from
 # its timing lines (prefixed ~) must not depend on the server's slot count.
 serve_smoke() { # server-jobs closed-loop-out sporadic-out
-    L15_JOBS=$1 cargo run --release --offline -q -p l15-serve --bin l15-serve -- \
-        --queue 1 > "$serve_log" &
+    L15_JOBS=$1 "$l15" serve --queue 1 > "$serve_log" &
     serve_pid=$!
     port=""
     for _ in $(seq 1 100); do
@@ -87,16 +95,13 @@ serve_smoke() { # server-jobs closed-loop-out sporadic-out
         [ -n "$port" ] && break
         sleep 0.1
     done
-    [ -n "$port" ] || { echo "l15-serve did not come up"; cat "$serve_log"; exit 1; }
-    L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin loadgen -- \
-        --smoke --port "$port" > "$2"
+    [ -n "$port" ] || { echo "l15 serve did not come up"; cat "$serve_log"; exit 1; }
+    L15_JOBS=4 "$l15" loadgen --smoke --port "$port" > "$2"
     # The online tier: two sporadic streams into /submit (each starts with
     # a session reset, so both replay the same decisions); the second one
     # drains the server. Reconciliation against l15_online_total is exact.
-    cargo run --release --offline -q -p l15-bench --bin loadgen -- \
-        --smoke --sporadic --port "$port" > "$3"
-    cargo run --release --offline -q -p l15-bench --bin loadgen -- \
-        --smoke --sporadic --port "$port" --shutdown > "$3.again"
+    "$l15" loadgen --smoke --sporadic --port "$port" > "$3"
+    "$l15" loadgen --smoke --sporadic --port "$port" --shutdown > "$3.again"
     wait "$serve_pid"
     grep -q "drained and stopped" "$serve_log" || { echo "server did not drain cleanly"; cat "$serve_log"; exit 1; }
     for out in "$2" "$3" "$3.again"; do
@@ -111,63 +116,59 @@ diff -u "$lg_seq.det" "$lg_par.det"
 diff -u "$sp_seq.det" "$sp_par.det"
 echo "loadgen deterministic output (closed-loop and sporadic) is byte-identical at either slot count"
 
-echo "==> fuzz regression (l15-fuzz, fixed seed, L15_JOBS=1 vs 4 determinism)"
+echo "==> fuzz regression (l15 fuzz, fixed seed, L15_JOBS=1 vs 4 determinism)"
 # Fixed-seed smoke sweep on the quick profile: the clean tree must report
 # zero findings, and the findings report (like every sweep artifact) must
 # be byte-identical at any worker count.
 fz_seq=$(mktemp)
 fz_par=$(mktemp)
-L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin l15-fuzz -- \
-    run --quick --seed 1 > "$fz_seq"
-L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin l15-fuzz -- \
-    run --quick --seed 1 > "$fz_par"
+L15_JOBS=1 "$l15" fuzz run --quick --seed 1 > "$fz_seq"
+L15_JOBS=4 "$l15" fuzz run --quick --seed 1 > "$fz_par"
 diff -u "$fz_seq" "$fz_par"
 grep -q "0 finding(s)" "$fz_seq"
 # The seeded regression corpus replays clean.
-cargo run --release --offline -q -p l15-bench --bin l15-fuzz -- \
-    corpus crates/testkit/corpus/fuzz > "$fz_seq"
+"$l15" fuzz corpus crates/testkit/corpus/fuzz > "$fz_seq"
 grep -q "14 case(s), 0 finding(s)" "$fz_seq"
 rm -f "$fz_seq" "$fz_par"
-echo "l15-fuzz is clean and byte-identical across worker counts"
+echo "l15 fuzz is clean and byte-identical across worker counts"
 
-echo "==> static bounds (l15-absint --quick, L15_JOBS=1 vs 4 determinism)"
+echo "==> static bounds (l15 absint --quick, L15_JOBS=1 vs 4 determinism)"
 # The abstract-interpretation certifier sweeps (preset, workload) pairs,
 # compares every static per-node bound against the cycle-accurate run
-# (any exceedance aborts with a non-zero exit), and reports precision.
+# (any exceedance is reported and exits 1), and reports precision.
 # The table must be byte-identical at any worker count.
 ab_seq=$(mktemp)
 ab_par=$(mktemp)
-L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin l15-absint -- --quick > "$ab_seq"
-L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin l15-absint -- --quick > "$ab_par"
+L15_JOBS=1 "$l15" absint --quick > "$ab_seq"
+L15_JOBS=4 "$l15" absint --quick > "$ab_par"
 diff -u "$ab_seq" "$ab_par"
 grep -q "0 soundness violation(s)" "$ab_seq"
 rm -f "$ab_seq" "$ab_par"
-echo "l15-absint bounds are sound and byte-identical across worker counts"
+echo "l15 absint bounds are sound and byte-identical across worker counts"
 
-echo "==> soundness sweep (l15-fuzz, 200 fresh seeded cases)"
+echo "==> soundness sweep (l15 fuzz, 200 fresh seeded cases)"
 # Every generated case also checks the fourth (soundness) verdict:
 # observed memory-system cycles never exceed the static per-core bound.
 # A violation prints a shrunk L15_PROP_SEED replay and fails the gate.
 sw_out=$(mktemp)
-cargo run --release --offline -q -p l15-bench --bin l15-fuzz -- \
-    run --quick --cases 200 --seed 7 > "$sw_out"
+"$l15" fuzz run --quick --cases 200 --seed 7 > "$sw_out"
 grep -q "200 case(s), 0 finding(s)" "$sw_out"
 rm -f "$sw_out"
 echo "static bounds hold on 200 fresh fuzz cases"
 
-echo "==> cluster sweep (l15-cluster --quick, fixed seed, L15_JOBS=1 vs 4)"
+echo "==> cluster sweep (l15 cluster --quick, fixed seed, L15_JOBS=1 vs 4)"
 # Fixed-seed federated success-ratio sweep over the 4/8/16-core platforms
 # (1, 2 and 4 clusters): the artifact must be byte-identical at any
 # worker count.
 cl_seq=$(mktemp)
 cl_par=$(mktemp)
-L15_SEED=1 L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin l15-cluster -- --quick > "$cl_seq"
-L15_SEED=1 L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin l15-cluster -- --quick > "$cl_par"
+L15_SEED=1 L15_JOBS=1 "$l15" cluster --quick > "$cl_seq"
+L15_SEED=1 L15_JOBS=4 "$l15" cluster --quick > "$cl_par"
 diff -u "$cl_seq" "$cl_par"
 rm -f "$cl_seq" "$cl_par"
-echo "l15-cluster output is byte-identical across worker counts"
+echo "l15 cluster output is byte-identical across worker counts"
 
-echo "==> online tier (l15-online --quick, L15_JOBS=1 vs 4 + BENCH_online.json)"
+echo "==> online tier (l15 online --quick, L15_JOBS=1 vs 4 + BENCH_online.json)"
 # Admission latencies are virtual cycles and the success-ratio trials fan
 # across the pool with position-stable seeds, so both the report and the
 # JSON artifact must be byte-identical at any worker count.
@@ -175,15 +176,13 @@ on_seq=$(mktemp)
 on_par=$(mktemp)
 on_art_seq=$(mktemp)
 on_art_par=$(mktemp)
-L15_SEED=1 L15_JOBS=1 cargo run --release --offline -q -p l15-bench --bin l15-online -- \
-    --quick --out "$on_art_seq" > "$on_seq"
-L15_SEED=1 L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin l15-online -- \
-    --quick --out "$on_art_par" > "$on_par"
+L15_SEED=1 L15_JOBS=1 "$l15" online --quick --out "$on_art_seq" > "$on_seq"
+L15_SEED=1 L15_JOBS=4 "$l15" online --quick --out "$on_art_par" > "$on_par"
 diff -u "$on_seq" "$on_par"
 cmp "$on_art_seq" "$on_art_par"
 grep -q '"schema":"l15-online-bench-v1"' "$on_art_seq"
 rm -f "$on_seq" "$on_par" "$on_art_seq" "$on_art_par"
-echo "l15-online report and BENCH_online.json are byte-identical across worker counts"
+echo "l15 online report and BENCH_online.json are byte-identical across worker counts"
 
 echo "==> benchmark (run.sh --quick: every output check; then its own tests)"
 # Six workloads in their smoke configuration: each op is checked against a
@@ -226,13 +225,14 @@ digest_gate serve_simulate 2
 digest_gate analytic_sweep 2
 digest_gate serve_analytic 2
 
-echo "==> bench binaries (--quick smoke)"
-for bin in crates/bench/src/bin/*.rs; do
-    name=$(basename "$bin" .rs)
-    # loadgen needs a live server; it is exercised by the serve smoke above.
-    [ "$name" = "loadgen" ] && continue
-    echo "--- $name --quick"
-    cargo run --release --offline -q -p l15-bench --bin "$name" -- --quick
+echo "==> every l15 subcommand (--quick smoke)"
+# The names come from the usage table `l15` prints, so a new subcommand
+# is smoked without touching this script. loadgen needs a live server and
+# serve runs until shut down; the serve smoke above exercises both.
+for name in $("$l15" 2>&1 | awk '$1 == "l15" { print $2 }' | uniq); do
+    case "$name" in loadgen | serve) continue ;; esac
+    echo "--- l15 $name --quick"
+    "$l15" "$name" --quick
 done
 
 echo "==> ci OK"
