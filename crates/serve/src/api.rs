@@ -1,7 +1,7 @@
-//! The service endpoints: request routing, validation and the pure
-//! handlers over the existing pipeline (`l15-dag` parsing and analysis,
-//! `l15-core` Alg. 1 / baselines / RTA, `l15-runtime` + `l15-soc` for the
-//! cycle-accurate run).
+//! The service endpoints: the table [`ROWS`], the one place an endpoint is
+//! named, and the pure handlers it routes to over the existing pipeline
+//! (`l15-dag` parsing and analysis, `l15-core` Alg. 1 / baselines / RTA,
+//! `l15-runtime` + `l15-soc` for the cycle-accurate run).
 //!
 //! Handlers are **deterministic**: no RNG, no clocks — a response is a
 //! pure function of the request bytes. The makespan predictions therefore
@@ -10,18 +10,22 @@
 //! identical requests always produce byte-identical responses, which is
 //! what lets `loadgen` diff whole runs across `L15_JOBS` worker counts.
 
+use std::fmt::Display;
+
 use l15_check::program::{CheckProgram, ParseProgramError};
 use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::{baseline_priorities, SystemModel};
 use l15_core::federated::{federated_partition, ClusterTopology};
 use l15_core::makespan::simulate;
+use l15_core::plan::SchedulePlan;
 use l15_core::rta;
-use l15_dag::{analysis, textio, DagTask, ExecutionTimeModel};
+use l15_dag::textio::{self, ParseDagError};
+use l15_dag::{analysis, DagTask, ExecutionTimeModel};
 use l15_runtime::emit::EmitOptions;
-use l15_runtime::kernel::{preset_plan, run_task, KernelError};
+use l15_runtime::kernel::{preset_plan, run_task, KernelConfig, KernelError};
 use l15_runtime::{run_task_traced, WorkScale};
 use l15_soc::{Soc, SocConfig};
-use l15_trace::{chrome, Category};
+use l15_trace::chrome;
 
 use crate::http::{Request, Response};
 use crate::json::{self, Obj};
@@ -72,94 +76,107 @@ impl Default for Limits {
     }
 }
 
-/// Where a request goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// Served on the connection thread (cheap, never gated).
-    Healthz,
-    /// Served on the connection thread.
-    Metrics,
-    /// Starts the graceful drain.
-    Shutdown,
+/// A compute handler: a pure function of the request; `Err` is the 4xx.
+pub type Handler = fn(&Request, &Limits) -> Result<Response, Response>;
+
+/// How a row is served.
+#[derive(Debug, Clone, Copy)]
+pub enum Serve {
     /// Admitted through the gate, then run on the connection thread.
-    Compute(Endpoint),
-    /// `POST /submit` — stateful online admission; serialised on the
-    /// session mutex, handled inline on the connection thread.
+    Compute(Endpoint, Handler),
+    /// Liveness probe, inline.
+    Healthz,
+    /// The exposition page, inline.
+    Metrics,
+    /// Stateful online admission, inline on the session mutex.
     Submit,
-    /// `GET /jobs` — the online session's job ledger; inline.
+    /// The online session's job ledger, inline.
     Jobs,
-    /// Unknown path (404).
-    NotFound,
-    /// Known path, wrong method (405).
-    MethodNotAllowed,
+    /// Answers, then starts the graceful drain.
+    Shutdown,
 }
 
-/// Routes a request by method and path.
-pub fn route(method: &str, path: &str) -> Route {
-    match (method, path) {
-        ("GET", "/healthz") => Route::Healthz,
-        ("GET", "/metrics") => Route::Metrics,
-        ("POST", "/shutdown") => Route::Shutdown,
-        ("POST", "/schedule") => Route::Compute(Endpoint::Schedule),
-        ("POST", "/analyze") => Route::Compute(Endpoint::Analyze),
-        ("POST", "/simulate") => Route::Compute(Endpoint::Simulate),
-        ("POST", "/check") => Route::Compute(Endpoint::Check),
-        ("POST", "/trace") => Route::Compute(Endpoint::Trace),
-        ("POST", "/certify") => Route::Compute(Endpoint::Certify),
-        ("POST", "/submit") => Route::Submit,
-        ("GET", "/jobs") => Route::Jobs,
-        (
-            _,
-            "/healthz" | "/metrics" | "/shutdown" | "/schedule" | "/analyze" | "/simulate"
-            | "/check" | "/trace" | "/certify" | "/submit" | "/jobs",
-        ) => Route::MethodNotAllowed,
-        _ => Route::NotFound,
+/// One endpoint.
+#[derive(Debug)]
+pub struct Row {
+    /// The one method the path accepts.
+    pub method: &'static str,
+    /// The path, which is also the metric label without its `/`.
+    pub path: &'static str,
+    /// How a request is served.
+    pub serve: Serve,
+}
+
+/// Every endpoint, in `/metrics` order: the compute rows first, so
+/// `Endpoint as usize` is the row index.
+pub const ROWS: [Row; 11] = [
+    Row { method: "POST", path: "/schedule", serve: Serve::Compute(Endpoint::Schedule, schedule) },
+    Row { method: "POST", path: "/analyze", serve: Serve::Compute(Endpoint::Analyze, analyze) },
+    Row {
+        method: "POST",
+        path: "/simulate",
+        serve: Serve::Compute(Endpoint::Simulate, simulate_soc),
+    },
+    Row { method: "POST", path: "/check", serve: Serve::Compute(Endpoint::Check, check) },
+    Row { method: "POST", path: "/trace", serve: Serve::Compute(Endpoint::Trace, trace_capture) },
+    Row { method: "POST", path: "/certify", serve: Serve::Compute(Endpoint::Certify, certify) },
+    Row { method: "GET", path: "/healthz", serve: Serve::Healthz },
+    Row { method: "GET", path: "/metrics", serve: Serve::Metrics },
+    Row { method: "POST", path: "/submit", serve: Serve::Submit },
+    Row { method: "GET", path: "/jobs", serve: Serve::Jobs },
+    Row { method: "POST", path: "/shutdown", serve: Serve::Shutdown },
+];
+
+impl Row {
+    /// The `endpoint` label on the exposition page.
+    pub fn name(&self) -> &'static str {
+        &self.path[1..]
+    }
+}
+
+/// Routes a request to the index of its row in [`ROWS`]; an unknown path is
+/// a `404`, a known path with the wrong method a `405` naming the method
+/// it allows.
+pub fn route(method: &str, path: &str) -> Result<usize, Response> {
+    match ROWS.iter().position(|row| row.path == path) {
+        Some(ix) if ROWS[ix].method == method => Ok(ix),
+        Some(ix) => Err(Response::error(405, "method not allowed for this path")
+            .with_header("Allow", ROWS[ix].method.to_owned())),
+        None => Err(Response::error(404, "no such endpoint")),
     }
 }
 
 /// Executes a compute endpoint. Pure and deterministic; called from
 /// connection threads, one call per admitted request.
 pub fn handle_compute(endpoint: Endpoint, req: &Request, limits: &Limits) -> Response {
-    match handle_inner(endpoint, req, limits) {
-        Ok(resp) => resp,
-        Err(resp) => resp,
+    match ROWS[endpoint as usize].serve {
+        Serve::Compute(_, handler) => handler(req, limits).unwrap_or_else(|resp| resp),
+        _ => unreachable!("the first rows are the compute endpoints"),
     }
 }
 
-fn handle_inner(endpoint: Endpoint, req: &Request, limits: &Limits) -> Result<Response, Response> {
-    // `/check` parses the extended program format (task + `plan` lines)
-    // itself; the other endpoints share the plain-task parse.
-    if endpoint == Endpoint::Check {
-        return check(req, limits);
-    }
-    // `/schedule?clusters=N` is the federated tier: it accepts a body of
-    // *several* task blocks and partitions them over N clusters.
-    if endpoint == Endpoint::Schedule && req.query_param("clusters").is_some() {
-        return schedule_federated(req, limits);
-    }
-    let task = parse_body(&req.body, limits)?;
-    match endpoint {
-        Endpoint::Schedule => schedule(&task, req, limits),
-        Endpoint::Analyze => analyze(&task, req, limits),
-        Endpoint::Simulate => simulate_soc(&task, req, limits),
-        Endpoint::Trace => trace_capture(&task, req, limits),
-        Endpoint::Certify => certify(&task, req, limits),
-        Endpoint::Check => unreachable!("handled above"),
+/// The body as text; `what` names the expected format in the `400`.
+fn utf8<'b>(body: &'b [u8], what: &str) -> Result<&'b str, Response> {
+    std::str::from_utf8(body)
+        .map_err(|_| Response::error(400, &format!("body must be UTF-8 {what}")))
+}
+
+/// A `.dag` parse error: a resource cap (`TooLarge`) is `413`, any other
+/// error `422` with `context` before its message.
+fn dag_error(e: &ParseDagError, context: impl Display) -> Response {
+    match e {
+        ParseDagError::TooLarge { .. } => Response::error(413, &e.to_string()),
+        _ => Response::error(422, &format!("{context}{e}")),
     }
 }
 
+/// Parses a one-task `.dag` body under the analytic node cap.
 pub(crate) fn parse_body(body: &[u8], limits: &Limits) -> Result<DagTask, Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Response::error(400, "body must be UTF-8 `.dag` task text"))?;
-    let task = textio::parse_task(text).map_err(|e| match e {
-        textio::ParseDagError::TooLarge { .. } => Response::error(413, &format!("{e}")),
-        e => Response::error(422, &format!("{e}")),
-    })?;
-    if task.graph().node_count() > limits.max_nodes {
-        return Err(Response::error(
-            413,
-            &format!("task has {} nodes; limit {}", task.graph().node_count(), limits.max_nodes),
-        ));
+    let task =
+        textio::parse_task(utf8(body, "`.dag` task text")?).map_err(|e| dag_error(&e, ""))?;
+    let (n, cap) = (task.graph().node_count(), limits.max_nodes);
+    if n > cap {
+        return Err(Response::error(413, &format!("task has {n} nodes; limit {cap}")));
     }
     Ok(task)
 }
@@ -169,8 +186,7 @@ pub(crate) fn parse_body(body: &[u8], limits: &Limits) -> Result<DagTask, Respon
 /// A single-task body parses to a one-element set, so the federated path
 /// accepts everything the plain path does.
 fn parse_multi_body(body: &[u8], limits: &Limits) -> Result<Vec<DagTask>, Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Response::error(400, "body must be UTF-8 `.dag` task text"))?;
+    let text = utf8(body, "`.dag` task text")?;
     let mut chunks: Vec<String> = Vec::new();
     for line in text.lines() {
         let fresh = line.trim_start().starts_with("task")
@@ -193,10 +209,8 @@ fn parse_multi_body(body: &[u8], limits: &Limits) -> Result<Vec<DagTask>, Respon
     let mut tasks = Vec::with_capacity(chunks.len());
     let mut nodes = 0usize;
     for (i, chunk) in chunks.iter().enumerate() {
-        let task = textio::parse_task(chunk).map_err(|e| match e {
-            textio::ParseDagError::TooLarge { .. } => Response::error(413, &format!("{e}")),
-            e => Response::error(422, &format!("task block {i}: {e}")),
-        })?;
+        let task = textio::parse_task(chunk)
+            .map_err(|e| dag_error(&e, format_args!("task block {i}: ")))?;
         nodes += task.graph().node_count();
         tasks.push(task);
     }
@@ -209,44 +223,8 @@ fn parse_multi_body(body: &[u8], limits: &Limits) -> Result<Vec<DagTask>, Respon
     Ok(tasks)
 }
 
-/// Renders one federated [`TaskAssignment`](l15_core::federated::TaskAssignment)
-/// as a JSON object.
-fn assignment_obj(a: &l15_core::federated::TaskAssignment) -> String {
-    let mut o = Obj::new();
-    o.int("task", a.task as u64);
-    o.bool("heavy", a.heavy);
-    o.num("density", a.density);
-    o.raw("clusters", &json::int_array(a.clusters.iter().map(|&c| c as u64)));
-    o.num("bound", a.bound);
-    o.int("tid", u64::from(a.tid));
-    o.finish()
-}
-
-/// `POST /schedule?clusters=N` — the federated tier over a multi-task
-/// body: heavy/light classification, dedicated clusters for heavy tasks,
-/// first-fit packing for light ones. An infeasible set is a 422 carrying
-/// the typed verdict's message, never a panic.
-fn schedule_federated(req: &Request, limits: &Limits) -> Result<Response, Response> {
-    let clusters = int_param(req, "clusters", 2, limits.max_clusters as u64)? as usize;
-    let cores_per_cluster = int_param(req, "cores_per_cluster", 4, 16)? as usize;
-    let tasks = parse_multi_body(&req.body, limits)?;
-    let topo = ClusterTopology { clusters, cores_per_cluster };
-    let model = SystemModel::proposed();
-    let plan = federated_partition(&tasks, topo, &model)
-        .map_err(|e| Response::error(422, &format!("infeasible: {e}")))?;
-
-    let items: Vec<String> = plan.assignments.iter().map(assignment_obj).collect();
-    let mut o = Obj::new();
-    o.int("clusters", clusters as u64);
-    o.int("cores_per_cluster", cores_per_cluster as u64);
-    o.int("tasks", tasks.len() as u64);
-    o.bool("feasible", true);
-    o.raw("assignments", &format!("[{}]", items.join(",")));
-    Ok(Response::json(200, o.finish()))
-}
-
 /// Parses an integer query parameter in `[1, max]`, with a default.
-fn int_param(req: &Request, key: &str, default: u64, max: u64) -> Result<u64, Response> {
+pub(crate) fn int_param(req: &Request, key: &str, default: u64, max: u64) -> Result<u64, Response> {
     match req.query_param(key) {
         None => Ok(default),
         Some(raw) => match raw.parse::<u64>() {
@@ -256,32 +234,38 @@ fn int_param(req: &Request, key: &str, default: u64, max: u64) -> Result<u64, Re
     }
 }
 
-fn schedule(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, Response> {
+/// `POST /schedule` — Alg. 1 against the baseline priorities on one task;
+/// `clusters=N` selects the federated tier.
+fn schedule(req: &Request, limits: &Limits) -> Result<Response, Response> {
+    if req.query_param("clusters").is_some() {
+        return schedule_federated(req, limits);
+    }
+    let task = parse_body(&req.body, limits)?;
     let cores = int_param(req, "cores", 8, limits.max_cores as u64)? as usize;
     let zeta = int_param(req, "zeta", 16, 64)? as usize;
     let etm = ExecutionTimeModel::new(2048).expect("2 KiB is a valid way size");
     let dag = task.graph();
 
-    let plan = schedule_with_l15(task, zeta, &etm);
+    let plan = schedule_with_l15(&task, zeta, &etm);
     let proposed = simulate(
-        task,
+        &task,
         cores,
         &plan.priorities,
         |v| dag.node(v).wcet,
         |e, _| etm.edge_cost_in(dag, e, plan.local_ways[dag.edge(e).from.0]),
     );
     let proposed_bound = rta::makespan_bound(
-        task,
+        &task,
         cores,
         |v| dag.node(v).wcet,
         |e| etm.edge_cost_in(dag, e, plan.local_ways[dag.edge(e).from.0]),
     );
 
-    let base = baseline_priorities(task);
+    let base = baseline_priorities(&task);
     let baseline =
-        simulate(task, cores, &base.priorities, |v| dag.node(v).wcet, |e, _| dag.edge(e).cost);
+        simulate(&task, cores, &base.priorities, |v| dag.node(v).wcet, |e, _| dag.edge(e).cost);
     let baseline_bound =
-        rta::makespan_bound(task, cores, |v| dag.node(v).wcet, |e| dag.edge(e).cost);
+        rta::makespan_bound(&task, cores, |v| dag.node(v).wcet, |e| dag.edge(e).cost);
 
     let mut p = Obj::new();
     p.num("makespan", proposed.makespan);
@@ -311,13 +295,48 @@ fn schedule(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, 
     Ok(Response::json(200, o.finish()))
 }
 
-fn analyze(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, Response> {
+/// `POST /schedule?clusters=N` — the federated tier over a multi-task
+/// body: heavy/light classification, dedicated clusters for heavy tasks,
+/// first-fit packing for light ones. An infeasible set is a 422 carrying
+/// the typed verdict's message, never a panic.
+fn schedule_federated(req: &Request, limits: &Limits) -> Result<Response, Response> {
+    let clusters = int_param(req, "clusters", 2, limits.max_clusters as u64)? as usize;
+    let cores_per_cluster = int_param(req, "cores_per_cluster", 4, 16)? as usize;
+    let tasks = parse_multi_body(&req.body, limits)?;
+    let topo = ClusterTopology { clusters, cores_per_cluster };
+    let model = SystemModel::proposed();
+    let plan = federated_partition(&tasks, topo, &model)
+        .map_err(|e| Response::error(422, &format!("infeasible: {e}")))?;
+
+    let mut o = Obj::new();
+    o.int("clusters", clusters as u64);
+    o.int("cores_per_cluster", cores_per_cluster as u64);
+    o.int("tasks", tasks.len() as u64);
+    o.bool("feasible", true);
+    o.raw(
+        "assignments",
+        &json::obj_array(&plan.assignments, |ao, a| {
+            ao.int("task", a.task as u64)
+                .bool("heavy", a.heavy)
+                .num("density", a.density)
+                .raw("clusters", &json::int_array(a.clusters.iter().map(|&c| c as u64)))
+                .num("bound", a.bound)
+                .int("tid", u64::from(a.tid));
+        }),
+    );
+    Ok(Response::json(200, o.finish()))
+}
+
+/// `POST /analyze` — critical path, width profile and the RTA bound;
+/// `clusters=N` adds the task's federated verdict.
+fn analyze(req: &Request, limits: &Limits) -> Result<Response, Response> {
+    let task = parse_body(&req.body, limits)?;
     let cores = int_param(req, "cores", 8, limits.max_cores as u64)? as usize;
     let dag = task.graph();
     let lengths = analysis::lambda(dag);
     let path = lengths.critical_path(dag, |e| dag.edge(e).cost);
     let widths = analysis::width_profile(dag);
-    let bound = rta::makespan_bound(task, cores, |v| dag.node(v).wcet, |e| dag.edge(e).cost);
+    let bound = rta::makespan_bound(&task, cores, |v| dag.node(v).wcet, |e| dag.edge(e).cost);
 
     let mut o = Obj::new();
     o.int("nodes", dag.node_count() as u64);
@@ -346,7 +365,7 @@ fn analyze(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
     if req.query_param("clusters").is_some() {
         let clusters = int_param(req, "clusters", 2, limits.max_clusters as u64)? as usize;
         let topo = ClusterTopology { clusters, cores_per_cluster: 4 };
-        let plan = federated_partition(std::slice::from_ref(task), topo, &SystemModel::proposed())
+        let plan = federated_partition(std::slice::from_ref(&task), topo, &SystemModel::proposed())
             .map_err(|e| Response::error(422, &format!("infeasible: {e}")))?;
         let a = &plan.assignments[0];
         let mut fo = Obj::new();
@@ -360,49 +379,51 @@ fn analyze(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
     Ok(Response::json(200, o.finish()))
 }
 
-/// The shared `/simulate`-class caps: node count and per-node data bytes
-/// (a cycle-accurate run is far more expensive than the analytic path).
-fn sim_caps(task: &DagTask, limits: &Limits, what: &str) -> Result<(), Response> {
-    let dag = task.graph();
-    if dag.node_count() > limits.max_sim_nodes {
-        return Err(Response::error(
-            413,
-            &format!(
-                "{what} accepts at most {} nodes (cycle-accurate run), got {}",
-                limits.max_sim_nodes,
-                dag.node_count()
-            ),
-        ));
-    }
-    for v in dag.node_ids() {
-        if dag.node(v).data_bytes > limits.max_sim_data_bytes {
-            return Err(Response::error(
-                413,
-                &format!(
-                    "node {v} carries {} data bytes; {what} caps at {}",
-                    dag.node(v).data_bytes,
-                    limits.max_sim_data_bytes
-                ),
-            ));
-        }
-    }
-    Ok(())
+/// What `/simulate`, `/trace` and `/certify` share: the task under the
+/// cycle-accurate caps, its SoC preset and the plan the kernel runs.
+struct Engine<'r> {
+    task: DagTask,
+    preset: &'r str,
+    cfg: SocConfig,
+    plan: SchedulePlan,
+    kcfg: KernelConfig,
 }
 
-/// Resolves the `preset` query parameter to a [`SocConfig`].
-fn sim_preset(req: &Request) -> Result<(&str, SocConfig), Response> {
-    let preset_name = req.query_param("preset").unwrap_or("proposed_8core");
-    match SocConfig::preset(preset_name) {
-        Some(cfg) => Ok((preset_name, cfg)),
-        None => Err(Response::error(
-            400,
-            &format!(
-                "unknown preset {:?}; valid: {}",
-                preset_name,
-                SocConfig::preset_names().join(", ")
-            ),
-        )),
+/// The engine endpoints' shared prelude: parse the body, cap its nodes and
+/// per-node data (a cycle-accurate run is far more expensive than the
+/// analytic path), resolve `preset`, read `max_cycles` (not for
+/// `/certify`, which runs nothing) and `compute_iters`, derive the plan.
+fn engine_request<'r>(
+    req: &'r Request,
+    limits: &Limits,
+    endpoint: Endpoint,
+) -> Result<Engine<'r>, Response> {
+    let what = endpoint.name();
+    let task = parse_body(&req.body, limits)?;
+    let dag = task.graph();
+    let (n, cap) = (dag.node_count(), limits.max_sim_nodes);
+    if n > cap {
+        let message = format!("{what} accepts at most {cap} nodes (cycle-accurate run), got {n}");
+        return Err(Response::error(413, &message));
     }
+    let cap = limits.max_sim_data_bytes;
+    if let Some(v) = dag.node_ids().find(|&v| dag.node(v).data_bytes > cap) {
+        let bytes = dag.node(v).data_bytes;
+        let message = format!("node {v} carries {bytes} data bytes; {what} caps at {cap}");
+        return Err(Response::error(413, &message));
+    }
+    let preset = req.query_param("preset").unwrap_or("proposed_8core");
+    let cfg = SocConfig::preset(preset).ok_or_else(|| {
+        let valid = SocConfig::preset_names().join(", ");
+        Response::error(400, &format!("unknown preset {preset:?}; valid: {valid}"))
+    })?;
+    let max_cycles = match endpoint {
+        Endpoint::Certify => 0,
+        _ => int_param(req, "max_cycles", 5_000_000, limits.max_sim_cycles)?,
+    };
+    let compute_iters = int_param(req, "compute_iters", 8, 256)? as u32;
+    let (plan, kcfg) = preset_plan(&task, &cfg, WorkScale { compute_iters }, max_cycles);
+    Ok(Engine { task, preset, cfg, plan, kcfg })
 }
 
 fn kernel_error_response(e: KernelError, max_cycles: u64) -> Response {
@@ -415,21 +436,16 @@ fn kernel_error_response(e: KernelError, max_cycles: u64) -> Response {
     }
 }
 
-fn simulate_soc(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, Response> {
-    let dag = task.graph();
-    sim_caps(task, limits, "simulate")?;
-    let (preset_name, cfg) = sim_preset(req)?;
-    let max_cycles = int_param(req, "max_cycles", 5_000_000, limits.max_sim_cycles)?;
-    let compute_iters = int_param(req, "compute_iters", 8, 256)? as u32;
-
-    let (plan, kcfg) = preset_plan(task, &cfg, WorkScale { compute_iters }, max_cycles);
-    let mut soc = Soc::new(cfg, 0);
-    let report =
-        run_task(&mut soc, task, &plan, &kcfg).map_err(|e| kernel_error_response(e, max_cycles))?;
+/// `POST /simulate` — a bounded cycle-accurate run on a SoC preset.
+fn simulate_soc(req: &Request, limits: &Limits) -> Result<Response, Response> {
+    let run = engine_request(req, limits, Endpoint::Simulate)?;
+    let mut soc = Soc::new(run.cfg, 0);
+    let report = run_task(&mut soc, &run.task, &run.plan, &run.kcfg)
+        .map_err(|e| kernel_error_response(e, run.kcfg.max_cycles))?;
 
     let mut o = Obj::new();
-    o.str("preset", preset_name);
-    o.int("nodes", dag.node_count() as u64);
+    o.str("preset", run.preset);
+    o.int("nodes", run.task.graph().node_count() as u64);
     o.int("makespan_cycles", report.makespan_cycles);
     o.raw("node_finish", &json::int_array(report.node_finish.iter().copied()));
     o.int("l15_hits", report.l15_hits);
@@ -452,51 +468,32 @@ fn simulate_soc(task: &DagTask, req: &Request, limits: &Limits) -> Result<Respon
 /// `X-L15-Trace-Events` / `X-L15-Trace-Dropped` headers (plus
 /// `X-L15-Trace-Dropped-By` with `category=count` pairs when non-zero);
 /// the server folds those into `l15_trace_dropped_events_total`.
-fn trace_capture(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, Response> {
-    sim_caps(task, limits, "trace")?;
-    let (preset_name, cfg) = sim_preset(req)?;
-    let max_cycles = int_param(req, "max_cycles", 5_000_000, limits.max_sim_cycles)?;
-    let compute_iters = int_param(req, "compute_iters", 8, 256)? as u32;
-    let max_events = int_param(
-        req,
-        "max_events",
-        limits.max_trace_events as u64,
-        limits.max_trace_events as u64,
-    )? as usize;
-
-    let (plan, kcfg) = preset_plan(task, &cfg, WorkScale { compute_iters }, max_cycles);
-    let mut soc = Soc::new(cfg, 0);
-    let (_report, rec) = run_task_traced(&mut soc, task, &plan, &kcfg, max_events)
-        .map_err(|e| kernel_error_response(e, max_cycles))?;
+fn trace_capture(req: &Request, limits: &Limits) -> Result<Response, Response> {
+    let run = engine_request(req, limits, Endpoint::Trace)?;
+    let cap = limits.max_trace_events as u64;
+    let max_events = int_param(req, "max_events", cap, cap)? as usize;
+    let mut soc = Soc::new(run.cfg, 0);
+    let (_report, rec) = run_task_traced(&mut soc, &run.task, &run.plan, &run.kcfg, max_events)
+        .map_err(|e| kernel_error_response(e, run.kcfg.max_cycles))?;
 
     let dropped = rec.dropped();
-    let by: Vec<String> = Category::ALL
-        .iter()
-        .filter(|&&c| dropped.of(c) > 0)
-        .map(|&c| format!("{}={}", c.name(), dropped.of(c)))
-        .collect();
     let with_trace_headers = |resp: Response| {
-        let resp = resp
-            .with_header("X-L15-Trace-Events", rec.recorded().to_string())
-            .with_header("X-L15-Trace-Dropped", dropped.total().to_string());
-        if by.is_empty() {
-            resp
-        } else {
-            resp.with_header("X-L15-Trace-Dropped-By", by.join(","))
-        }
+        resp.with_header("X-L15-Trace-Events", rec.recorded().to_string())
+            .with_header("X-L15-Trace-Dropped", dropped.total().to_string())
     };
-    if dropped.total() > 0 {
-        return Err(with_trace_headers(Response::error(
-            413,
-            &format!(
-                "capture overflowed: {} of {} events dropped; raise max_events (cap {})",
-                dropped.total(),
-                rec.recorded(),
-                limits.max_trace_events
-            ),
-        )));
+    if dropped.total() == 0 {
+        return Ok(with_trace_headers(Response::json(200, chrome::export(run.preset, &rec))));
     }
-    Ok(with_trace_headers(Response::json(200, chrome::export(preset_name, &rec))))
+    let by: Vec<String> =
+        dropped.iter().filter(|&(_, n)| n > 0).map(|(c, n)| format!("{}={n}", c.name())).collect();
+    let message = format!(
+        "capture overflowed: {} of {} events dropped; raise max_events (cap {})",
+        dropped.total(),
+        rec.recorded(),
+        limits.max_trace_events
+    );
+    Err(with_trace_headers(Response::error(413, &message))
+        .with_header("X-L15-Trace-Dropped-By", by.join(",")))
 }
 
 /// `POST /certify` — the `l15-check` abstract-interpretation certifier
@@ -509,66 +506,22 @@ fn trace_capture(task: &DagTask, req: &Request, limits: &Limits) -> Result<Respo
 /// Walloc settle horizon, a program is untraceable — the response carries
 /// machine-readable findings and `certified:false` instead of a makespan.
 /// Pure analysis: nothing is simulated.
-fn certify(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, Response> {
-    let dag = task.graph();
-    sim_caps(task, limits, "certify")?;
-    let (preset_name, cfg) = sim_preset(req)?;
-    let compute_iters = int_param(req, "compute_iters", 8, 256)? as u32;
-
-    let scale = WorkScale { compute_iters };
-    let (plan, _) = preset_plan(task, &cfg, scale, 0);
-    let report = l15_check::certify_task(task, &plan, &cfg, scale);
+fn certify(req: &Request, limits: &Limits) -> Result<Response, Response> {
+    let Engine { task, preset, cfg, plan, kcfg } = engine_request(req, limits, Endpoint::Certify)?;
+    let report = l15_check::certify_task(&task, &plan, &cfg, kcfg.scale);
     let certified = report.certified();
     let cores = cfg.cores_per_cluster;
 
     let (makespan, slack) = if certified {
-        let rta = rta::certified_makespan_bound(task, cores, &report.bounds());
+        let rta = rta::certified_makespan_bound(&task, cores, &report.bounds());
         (Some(rta.makespan.bound), rta.node_slack)
     } else {
         (None, Vec::new())
     };
 
-    let items: Vec<String> = report
-        .node_bounds
-        .iter()
-        .enumerate()
-        .map(|(i, nb)| {
-            let mut b = Obj::new();
-            b.int("node", nb.node as u64);
-            match nb.bound_cycles {
-                u64::MAX => b.raw("bound_cycles", "null"),
-                c => b.int("bound_cycles", c),
-            };
-            b.int("ah", nb.ah);
-            b.int("am", nb.am);
-            b.int("nc", nb.nc);
-            b.bool("routed", nb.routed_justified);
-            match slack.get(i) {
-                Some(&s) => b.num("slack_cycles", s),
-                None => b.raw("slack_cycles", "null"),
-            };
-            b.finish()
-        })
-        .collect();
-    let findings: Vec<String> = report
-        .findings
-        .iter()
-        .map(|f| {
-            let mut fo = Obj::new();
-            fo.str("code", f.code);
-            match f.node {
-                Some(v) => fo.int("node", v as u64),
-                None => fo.raw("node", "null"),
-            };
-            fo.str("message", &f.message);
-            fo.str("text", &f.to_string());
-            fo.finish()
-        })
-        .collect();
-
     let mut o = Obj::new();
-    o.str("preset", preset_name);
-    o.int("nodes", dag.node_count() as u64);
+    o.str("preset", preset);
+    o.int("nodes", task.graph().node_count() as u64);
     o.int("cores", cores as u64);
     o.int("zeta", cfg.l15.map_or(0, |c| c.ways) as u64);
     o.raw("ways", &json::int_array(plan.local_ways.iter().map(|&x| x as u64)));
@@ -577,8 +530,33 @@ fn certify(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
         Some(m) => o.num("makespan_bound_cycles", m),
         None => o.raw("makespan_bound_cycles", "null"),
     };
-    o.raw("node_bounds", &format!("[{}]", items.join(",")));
-    o.raw("findings", &format!("[{}]", findings.join(",")));
+    o.raw(
+        "node_bounds",
+        &json::obj_array(report.node_bounds.iter().enumerate(), |b, (i, nb)| {
+            b.int("node", nb.node as u64);
+            match nb.bound_cycles {
+                u64::MAX => b.raw("bound_cycles", "null"),
+                c => b.int("bound_cycles", c),
+            };
+            b.int("ah", nb.ah).int("am", nb.am).int("nc", nb.nc);
+            b.bool("routed", nb.routed_justified);
+            match slack.get(i) {
+                Some(&s) => b.num("slack_cycles", s),
+                None => b.raw("slack_cycles", "null"),
+            };
+        }),
+    );
+    o.raw(
+        "findings",
+        &json::obj_array(&report.findings, |fo, f| {
+            fo.str("code", f.code);
+            match f.node {
+                Some(v) => fo.int("node", v as u64),
+                None => fo.raw("node", "null"),
+            };
+            fo.str("message", &f.message).str("text", &f.to_string());
+        }),
+    );
     Ok(Response::json(200, o.finish()))
 }
 
@@ -591,20 +569,14 @@ fn certify(task: &DagTask, req: &Request, limits: &Limits) -> Result<Response, R
 fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
     let cores = int_param(req, "cores", 4, limits.max_cores as u64)? as usize;
     let zeta = int_param(req, "zeta", 16, 64)? as usize;
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| Response::error(400, "body must be UTF-8 program text"))?;
-    let spec = l15_check::parse_program_text(text).map_err(|e| match &e {
-        ParseProgramError::Dag(textio::ParseDagError::TooLarge { .. }) => {
-            Response::error(413, &format!("{e}"))
-        }
-        _ => Response::error(422, &format!("{e}")),
-    })?;
-    let n = spec.task.graph().node_count();
-    if n > limits.max_check_nodes {
-        return Err(Response::error(
-            413,
-            &format!("check accepts at most {} nodes, got {n}", limits.max_check_nodes),
-        ));
+    let spec =
+        l15_check::parse_program_text(utf8(&req.body, "program text")?).map_err(|e| match &e {
+            ParseProgramError::Dag(d) => dag_error(d, ""),
+            _ => Response::error(422, &e.to_string()),
+        })?;
+    let (n, cap) = (spec.task.graph().node_count(), limits.max_check_nodes);
+    if n > cap {
+        return Err(Response::error(413, &format!("check accepts at most {cap} nodes, got {n}")));
     }
     let plan = match spec.plan {
         Some(p) => p,
@@ -616,10 +588,14 @@ fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
     let opts = EmitOptions { cores, ways: zeta, tids: spec.tids };
     let findings = CheckProgram::new(spec.task, plan, &opts).check();
 
-    let items: Vec<String> = findings
-        .iter()
-        .map(|f| {
-            let mut fo = Obj::new();
+    let mut o = Obj::new();
+    o.int("nodes", n as u64);
+    o.int("cores", cores as u64);
+    o.int("zeta", zeta as u64);
+    o.bool("clean", findings.is_empty());
+    o.raw(
+        "findings",
+        &json::obj_array(&findings, |fo, f| {
             fo.str("rule", f.rule.name());
             fo.raw("nodes", &json::int_array(f.nodes.iter().map(|v| v.0 as u64)));
             match f.line {
@@ -627,15 +603,8 @@ fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
                 None => fo.raw("line", "null"),
             };
             fo.str("text", &f.render());
-            fo.finish()
-        })
-        .collect();
-    let mut o = Obj::new();
-    o.int("nodes", n as u64);
-    o.int("cores", cores as u64);
-    o.int("zeta", zeta as u64);
-    o.bool("clean", findings.is_empty());
-    o.raw("findings", &format!("[{}]", items.join(",")));
+        }),
+    );
     Ok(Response::json(200, o.finish()))
 }
 
@@ -664,25 +633,60 @@ edge 2 3 cost=1 alpha=0.6
         }
     }
 
+    /// The served kind of `method path`, or the refusal's status and `Allow`.
+    fn routed(method: &str, path: &str) -> Result<&'static str, (u16, Option<String>)> {
+        match route(method, path) {
+            Ok(ix) => Ok(match ROWS[ix].serve {
+                Serve::Compute(ep, _) => ep.name(),
+                Serve::Healthz => "healthz",
+                Serve::Metrics => "metrics",
+                Serve::Submit => "submit",
+                Serve::Jobs => "jobs",
+                Serve::Shutdown => "shutdown",
+            }),
+            Err(resp) => Err((resp.status, resp.header("Allow").map(str::to_owned))),
+        }
+    }
+
     #[test]
     fn routing_table() {
-        assert_eq!(route("GET", "/healthz"), Route::Healthz);
-        assert_eq!(route("GET", "/metrics"), Route::Metrics);
-        assert_eq!(route("POST", "/shutdown"), Route::Shutdown);
-        assert_eq!(route("POST", "/schedule"), Route::Compute(Endpoint::Schedule));
-        assert_eq!(route("POST", "/analyze"), Route::Compute(Endpoint::Analyze));
-        assert_eq!(route("POST", "/simulate"), Route::Compute(Endpoint::Simulate));
-        assert_eq!(route("POST", "/check"), Route::Compute(Endpoint::Check));
-        assert_eq!(route("POST", "/certify"), Route::Compute(Endpoint::Certify));
-        assert_eq!(route("POST", "/trace"), Route::Compute(Endpoint::Trace));
-        assert_eq!(route("POST", "/submit"), Route::Submit);
-        assert_eq!(route("GET", "/jobs"), Route::Jobs);
-        assert_eq!(route("GET", "/submit"), Route::MethodNotAllowed);
-        assert_eq!(route("POST", "/jobs"), Route::MethodNotAllowed);
-        assert_eq!(route("GET", "/trace"), Route::MethodNotAllowed);
-        assert_eq!(route("POST", "/healthz"), Route::MethodNotAllowed);
-        assert_eq!(route("GET", "/schedule"), Route::MethodNotAllowed);
-        assert_eq!(route("GET", "/nope"), Route::NotFound);
+        assert_eq!(routed("GET", "/healthz"), Ok("healthz"));
+        assert_eq!(routed("GET", "/metrics"), Ok("metrics"));
+        assert_eq!(routed("POST", "/shutdown"), Ok("shutdown"));
+        assert_eq!(routed("POST", "/schedule"), Ok("schedule"));
+        assert_eq!(routed("POST", "/analyze"), Ok("analyze"));
+        assert_eq!(routed("POST", "/simulate"), Ok("simulate"));
+        assert_eq!(routed("POST", "/check"), Ok("check"));
+        assert_eq!(routed("POST", "/certify"), Ok("certify"));
+        assert_eq!(routed("POST", "/trace"), Ok("trace"));
+        assert_eq!(routed("POST", "/submit"), Ok("submit"));
+        assert_eq!(routed("GET", "/jobs"), Ok("jobs"));
+        let not_allowed = |allow: &str| Err((405, Some(allow.to_owned())));
+        assert_eq!(routed("GET", "/submit"), not_allowed("POST"));
+        assert_eq!(routed("POST", "/jobs"), not_allowed("GET"));
+        assert_eq!(routed("GET", "/trace"), not_allowed("POST"));
+        assert_eq!(routed("POST", "/healthz"), not_allowed("GET"));
+        assert_eq!(routed("GET", "/schedule"), not_allowed("POST"));
+        assert_eq!(routed("GET", "/nope"), Err((404, None)));
+    }
+
+    #[test]
+    fn compute_rows_come_first_in_endpoint_order() {
+        for ep in Endpoint::ALL {
+            let row = &ROWS[ep as usize];
+            assert!(matches!(row.serve, Serve::Compute(e, _) if e == ep), "{ep:?}");
+            assert_eq!(row.name(), ep.name());
+        }
+        assert!(ROWS[Endpoint::ALL.len()..].iter().all(|r| !matches!(r.serve, Serve::Compute(..))));
+    }
+
+    #[test]
+    fn the_readme_lists_every_row() {
+        let readme = include_str!("../README.md");
+        for row in &ROWS {
+            let cell = format!("`{} {}`", row.method, row.path);
+            assert!(readme.contains(&cell), "crates/serve/README.md lacks {cell}");
+        }
     }
 
     #[test]

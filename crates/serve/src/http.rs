@@ -215,9 +215,10 @@ pub fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
-        408 => "Request Timeout",
+        409 => "Conflict",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
+        429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -310,6 +311,34 @@ mod tests {
         assert_eq!(r.header("x-l15-trace-dropped"), Some("7"));
         assert_eq!(r.header("X-L15-TRACE-DROPPED"), Some("7"));
         assert_eq!(r.header("x-missing"), None);
+    }
+
+    /// Every status literal a response is built with, in the crate's
+    /// sources, has a reason phrase.
+    #[test]
+    fn every_status_the_crate_returns_has_a_phrase() {
+        let sources = [
+            include_str!("api.rs"),
+            include_str!("online.rs"),
+            include_str!("server.rs"),
+            include_str!("http.rs"),
+        ];
+        let mut statuses: Vec<u16> = Vec::new();
+        for src in sources {
+            for prefix in ["error(", "json(", "text(", "=> "] {
+                for (at, _) in src.match_indices(prefix) {
+                    let rest = src[at + prefix.len()..].trim_start();
+                    let digits = &rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(0)];
+                    statuses.extend(digits.parse::<u16>().ok().filter(|s| (100..600).contains(s)));
+                }
+            }
+        }
+        for want in [200, 400, 404, 405, 409, 413, 422, 429, 431, 500, 503] {
+            assert!(statuses.contains(&want), "the scan misses {want}");
+        }
+        for status in statuses {
+            assert_ne!(status_text(status), "Unknown", "{status} has no reason phrase");
+        }
     }
 
     #[test]

@@ -95,30 +95,41 @@ impl Obj {
     }
 }
 
-/// Renders a `u64` slice as a JSON array.
-pub fn int_array(values: impl IntoIterator<Item = u64>) -> String {
+/// Renders `items` as a JSON array, each element written by `item`.
+fn array<T>(items: impl IntoIterator<Item = T>, mut item: impl FnMut(&mut String, T)) -> String {
     let mut out = String::from("[");
-    for (i, v) in values.into_iter().enumerate() {
+    for (i, v) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{v}");
+        item(&mut out, v);
     }
     out.push(']');
     out
 }
 
+/// Renders a `u64` slice as a JSON array.
+pub fn int_array(values: impl IntoIterator<Item = u64>) -> String {
+    array(values, |out, v| {
+        let _ = write!(out, "{v}");
+    })
+}
+
 /// Renders an `f64` slice as a JSON array.
 pub fn num_array(values: impl IntoIterator<Item = f64>) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&number(v));
-    }
-    out.push(']');
-    out
+    array(values, |out, v| out.push_str(&number(v)))
+}
+
+/// Renders `items` as a JSON array of objects, each filled by `fill`.
+pub fn obj_array<T>(
+    items: impl IntoIterator<Item = T>,
+    mut fill: impl FnMut(&mut Obj, T),
+) -> String {
+    array(items, |out, v| {
+        let mut o = Obj::new();
+        fill(&mut o, v);
+        out.push_str(&o.finish());
+    })
 }
 
 #[cfg(test)]
@@ -156,5 +167,12 @@ mod tests {
     fn empty_object_and_array() {
         assert_eq!(Obj::new().finish(), "{}");
         assert_eq!(int_array([]), "[]");
+        assert_eq!(obj_array([(); 0], |_, ()| ()), "[]");
+    }
+
+    #[test]
+    fn arrays_of_objects() {
+        let zs = obj_array([1, 2], |o, v| _ = o.int("v", v).bool("odd", v % 2 == 1));
+        assert_eq!(zs, "[{\"v\":1,\"odd\":true},{\"v\":2,\"odd\":false}]");
     }
 }

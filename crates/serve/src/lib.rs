@@ -1,24 +1,12 @@
 //! `l15-serve` — scheduling-as-a-service over the L1.5 pipeline.
 //!
 //! A long-running, zero-dependency HTTP/1.1 service (std `TcpListener`
-//! only) that exposes the repo's scheduling and analysis pipeline:
+//! only) that exposes the repo's scheduling and analysis pipeline. Its
+//! endpoints are the rows of [`api::ROWS`]; `crates/serve/README.md`
+//! documents each one (a unit test holds the two in step) and the wire
+//! protocol.
 //!
-//! | Endpoint          | Body            | Result                                      |
-//! |-------------------|-----------------|---------------------------------------------|
-//! | `POST /schedule`  | `.dag` text     | Alg. 1 vs baseline plan + predicted makespan |
-//! | `POST /analyze`   | `.dag` text     | RTA bound + critical-path analysis           |
-//! | `POST /simulate`  | `.dag` text     | bounded cycle-accurate run on a SoC preset   |
-//! | `POST /check`     | program text    | static protocol verdict (rules R1–R5)        |
-//! | `POST /trace`     | `.dag` text     | Chrome/Perfetto trace of a simulated run     |
-//! | `POST /certify`   | `.dag` text     | static per-node cycle bounds + certified RTA |
-//! | `POST /submit`    | `.dag` text     | online admission into the persistent session |
-//! | `GET /jobs`       | —               | the online session's job ledger + metrics    |
-//! | `GET /metrics`    | —               | plaintext counters + latency histograms      |
-//! | `GET /healthz`    | —               | liveness probe                               |
-//! | `POST /shutdown`  | —               | graceful drain and exit                      |
-//!
-//! Operational properties (see `crates/serve/README.md` for the wire
-//! protocol):
+//! Operational properties:
 //!
 //! * **validated & capped** — body size, node/edge counts and query
 //!   parameters are bounded; every rejection is a 4xx, never a panic;

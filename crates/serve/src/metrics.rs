@@ -28,8 +28,10 @@ use std::time::Duration;
 
 use l15_trace::Category;
 
-/// The compute endpoints (gated); indexes into per-endpoint
-/// counter arrays.
+use crate::api::{Serve, ROWS};
+
+/// The compute endpoints (gated): the first rows of [`ROWS`], in order;
+/// indexes into per-endpoint counter arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// `POST /schedule`.
@@ -59,14 +61,7 @@ impl Endpoint {
 
     /// The label value used on the exposition page.
     pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::Schedule => "schedule",
-            Endpoint::Analyze => "analyze",
-            Endpoint::Simulate => "simulate",
-            Endpoint::Check => "check",
-            Endpoint::Trace => "trace",
-            Endpoint::Certify => "certify",
-        }
+        ROWS[self as usize].name()
     }
 }
 
@@ -159,13 +154,10 @@ impl Histogram {
 /// Every metric the service exposes.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
-    /// Admitted requests per compute endpoint.
-    pub requests: [Counter; 6],
-    /// Served inline `GET /healthz` requests.
-    pub healthz: Counter,
-    /// Served inline `GET /metrics` requests (incremented *before*
+    /// Requests per row of [`ROWS`]: admitted through the gate (compute
+    /// rows) or served (inline rows; a `/metrics` fetch counts *before*
     /// rendering, so the page includes the request that fetched it).
-    pub metrics_fetches: Counter,
+    pub requests: [Counter; ROWS.len()],
     /// Responses by status code class — exact codes the service emits.
     pub responses_200: Counter,
     /// 4xx responses (bad request, not found, oversized, …).
@@ -185,10 +177,6 @@ pub struct ServeMetrics {
     /// Flight-recorder events dropped by `/trace` captures, per
     /// `l15_trace::Category` (indexes match `Category::ALL`).
     pub trace_dropped: [Counter; Category::COUNT],
-    /// Served inline `POST /submit` requests (any outcome).
-    pub submit: Counter,
-    /// Served inline `GET /jobs` requests.
-    pub jobs_fetches: Counter,
     /// Arrivals the online session evaluated (excludes resets, mode
     /// changes and 4xx bodies).
     pub online_submitted: Counter,
@@ -226,26 +214,12 @@ impl ServeMetrics {
     pub fn render(&self, queue_depth: usize) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("# TYPE l15_requests_total counter\n");
-        for ep in Endpoint::ALL {
-            out.push_str(&format!(
-                "l15_requests_total{{endpoint=\"{}\"}} {}\n",
-                ep.name(),
-                self.requests[ep as usize].get()
-            ));
+        for (row, c) in ROWS.iter().zip(&self.requests) {
+            if !matches!(row.serve, Serve::Shutdown) {
+                let name = row.name();
+                out.push_str(&format!("l15_requests_total{{endpoint=\"{name}\"}} {}\n", c.get()));
+            }
         }
-        out.push_str(&format!(
-            "l15_requests_total{{endpoint=\"healthz\"}} {}\n",
-            self.healthz.get()
-        ));
-        out.push_str(&format!(
-            "l15_requests_total{{endpoint=\"metrics\"}} {}\n",
-            self.metrics_fetches.get()
-        ));
-        out.push_str(&format!("l15_requests_total{{endpoint=\"submit\"}} {}\n", self.submit.get()));
-        out.push_str(&format!(
-            "l15_requests_total{{endpoint=\"jobs\"}} {}\n",
-            self.jobs_fetches.get()
-        ));
         out.push_str("# TYPE l15_responses_total counter\n");
         for (label, c) in [
             ("200", &self.responses_200),
@@ -370,7 +344,7 @@ mod tests {
         m.online_admitted.add(3);
         m.online_rejected.add(2);
         m.online_mode_changes.inc();
-        m.submit.add(6);
+        m.requests[ROWS.iter().position(|r| r.name() == "submit").unwrap()].add(6);
         let page = m.render(0);
         assert_eq!(scrape(&page, "l15_online_total{event=\"submitted\"}"), Some(5));
         assert_eq!(scrape(&page, "l15_online_total{event=\"admitted\"}"), Some(3));

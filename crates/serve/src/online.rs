@@ -26,9 +26,9 @@ use std::sync::Mutex;
 
 use l15_online::{Decision, ModeError, OnlineConfig, OnlineSession};
 
-use crate::api::{parse_body, Limits};
+use crate::api::{int_param, parse_body, Limits};
 use crate::http::{Request, Response};
-use crate::json::Obj;
+use crate::json::{self, Obj};
 use crate::metrics::ServeMetrics;
 
 /// The persistent online session behind `/submit` and `/jobs`.
@@ -100,23 +100,17 @@ impl OnlineState {
     pub fn jobs(&self) -> Response {
         let session = self.session.lock().expect("online session lock poisoned");
         let m = session.metrics();
-        let jobs: Vec<String> = session
-            .jobs()
-            .iter()
-            .map(|job| {
-                let mut o = Obj::new();
-                o.int("id", job.id as u64)
-                    .int("arrival_cycle", job.arrival_cycle)
-                    .int("decision_cycle", job.decision_cycle)
-                    .bool("admitted", job.decision.admitted())
-                    .bool("retired", job.retired)
-                    .str("plan_digest", &format!("{:016x}", job.plan_digest));
-                if let Decision::Rejected { code, .. } = &job.decision {
-                    o.str("code", code);
-                }
-                o.finish()
-            })
-            .collect();
+        let jobs = json::obj_array(session.jobs(), |o, job| {
+            o.int("id", job.id as u64)
+                .int("arrival_cycle", job.arrival_cycle)
+                .int("decision_cycle", job.decision_cycle)
+                .bool("admitted", job.decision.admitted())
+                .bool("retired", job.retired)
+                .str("plan_digest", &format!("{:016x}", job.plan_digest));
+            if let Decision::Rejected { code, .. } = &job.decision {
+                o.str("code", code);
+            }
+        });
         let mut metrics_obj = Obj::new();
         metrics_obj
             .int("submitted", m.submitted)
@@ -133,7 +127,7 @@ impl OnlineState {
             .int("virtual_now", session.virtual_now())
             .int("active", session.active().len() as u64)
             .raw("metrics", &metrics_obj.finish())
-            .raw("jobs", &format!("[{}]", jobs.join(",")));
+            .raw("jobs", &jobs);
         Response::json(200, o.finish())
     }
 }
@@ -150,25 +144,16 @@ fn mode_change(
     if name.is_empty() || name.len() > 64 {
         return Response::error(400, "`mode` must be a name of 1..=64 characters");
     }
-    let keep: Vec<usize> = match req.query_param("keep") {
-        None | Some("") => Vec::new(),
-        Some(raw) => {
-            let parsed: Result<Vec<usize>, _> =
-                raw.split(',').map(|s| s.trim().parse::<usize>()).collect();
-            match parsed {
-                Ok(ids) => ids,
-                Err(_) => {
-                    return Response::error(400, "`keep` must be comma-separated job ids");
-                }
-            }
-        }
+    let keep = match req.query_param("keep").filter(|raw| !raw.is_empty()) {
+        None => Ok(Vec::new()),
+        Some(raw) => raw.split(',').map(|s| s.trim().parse::<usize>()).collect(),
     };
-    let zeta = match req.query_param("zeta") {
-        None => session.mode().zeta_cap,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(v) if (1..=64).contains(&v) => v,
-            _ => return Response::error(400, "`zeta` must be an integer in [1, 64]"),
-        },
+    let Ok(keep) = keep else {
+        return Response::error(400, "`keep` must be comma-separated job ids");
+    };
+    let zeta = match int_param(req, "zeta", session.mode().zeta_cap as u64, 64) {
+        Ok(zeta) => zeta as usize,
+        Err(resp) => return resp,
     };
     match session.switch_mode(name, &keep, zeta) {
         Ok(report) => {

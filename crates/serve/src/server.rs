@@ -2,21 +2,21 @@
 //! gate.
 //!
 //! ```text
-//!  TcpListener ── acceptor ── connection thread
-//!                               ├─ inline: /healthz /metrics /shutdown /submit /jobs
-//!                               └─ compute: gate.admit ─ (503 when full) ─ gate.wait ─ handler
+//!  TcpListener ── acceptor ── connection thread ── its row: api::route(method, path)
+//!                               ├─ inline row: handler
+//!                               └─ compute row: gate.admit ─ (503 when full) ─ gate.wait ─ handler
 //! ```
 //!
-//! A compute request (`/schedule`, `/analyze`, `/simulate`, `/check`,
-//! `/trace`, `/certify`) runs on the connection thread that read it, behind
-//! the [`Gate`]: `l15_testkit::pool::jobs()` (`L15_JOBS`) of them run at
-//! once, up to `queue_capacity` more wait their turn in arrival order, and
-//! a full gate sheds load with `503 Retry-After` at admission. Handlers are
-//! pure functions of the request bytes and share no state, so nothing else
-//! is synchronised. Graceful shutdown (`POST /shutdown` or
-//! [`Handle::shutdown`]) closes the gate, lets every admitted request
-//! finish, and waits for all connection threads — admitted work is never
-//! dropped.
+//! Every handler runs under `run_handler`, so a panic costs its one
+//! response (`500`). A compute request runs on the connection thread that
+//! read it, behind the [`Gate`]: `l15_testkit::pool::jobs()` (`L15_JOBS`)
+//! of them run at once, up to `queue_capacity` more wait their turn in
+//! arrival order, and a full gate sheds load with `503 Retry-After` at
+//! admission. Compute handlers are pure functions of the request bytes and
+//! share no state, so nothing else is synchronised. Graceful shutdown
+//! (`POST /shutdown` or [`Handle::shutdown`]) closes the gate, lets every
+//! admitted request finish, and waits for all connection threads —
+//! admitted work is never dropped.
 //!
 //! The online endpoints (`POST /submit`, `GET /jobs`) are stateful and
 //! bypass the gate entirely: they serialise on the persistent
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use l15_testkit::pool;
 
-use crate::api::{self, Limits, Route};
+use crate::api::{self, Limits, Serve};
 use crate::gate::{AdmitError, Gate};
 use crate::http::{read_request, Request, RequestError, Response};
 use crate::metrics::{Endpoint, ServeMetrics};
@@ -214,51 +214,48 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(stream);
     let request = match read_request(&mut reader, shared.cfg.max_body) {
         Ok(r) => r,
-        Err(RequestError::Io(_)) => return, // peer gone; nobody to answer
         Err(e) => {
             let resp = match e {
+                RequestError::Io(_) => return, // peer gone; nobody to answer
                 RequestError::BadRequest(msg) => Response::error(400, &msg),
                 RequestError::HeadTooLarge => Response::error(431, "request head too large"),
                 RequestError::BodyTooLarge { limit } => {
                     Response::error(413, &format!("body exceeds {limit} bytes"))
                 }
-                RequestError::Io(_) => unreachable!("handled above"),
             };
-            write_response(reader.into_inner(), &resp, shared);
-            return;
+            return write_response(reader.into_inner(), &resp, shared);
         }
     };
     let stream = reader.into_inner();
-    let route = api::route(&request.method, &request.path);
-    let resp = match route {
-        Route::Healthz => {
-            shared.metrics.healthz.inc();
-            Response::text(200, "ok\n")
+    let ix = match api::route(&request.method, &request.path) {
+        Ok(ix) => ix,
+        Err(refusal) => return write_response(stream, &refusal, shared),
+    };
+    // An inline row counts first, so a `/metrics` page includes the fetch
+    // that produced it.
+    let inline = |handler: &dyn Fn() -> Response| {
+        shared.metrics.requests[ix].inc();
+        run_handler(handler)
+    };
+    let serve = api::ROWS[ix].serve;
+    let resp = match serve {
+        Serve::Compute(endpoint, _) => serve_compute(endpoint, &request, shared),
+        Serve::Healthz => inline(&|| Response::text(200, "ok\n")),
+        Serve::Metrics => {
+            inline(&|| Response::text(200, shared.metrics.render(shared.gate.waiting())))
         }
-        Route::Metrics => {
-            // Count first so the page includes the fetch that produced it.
-            shared.metrics.metrics_fetches.inc();
-            Response::text(200, shared.metrics.render(shared.gate.waiting()))
+        // Stateful: serialised on the session mutex, never gated — each
+        // decision depends on the jobs already resident.
+        Serve::Submit => {
+            inline(&|| shared.online.submit(&request, &shared.cfg.limits, &shared.metrics))
         }
-        Route::Shutdown => Response::json(200, "{\"draining\":true}".to_owned()),
-        Route::Submit => {
-            // Stateful: serialised on the session mutex, never gated —
-            // each decision depends on the jobs already resident.
-            shared.metrics.submit.inc();
-            shared.online.submit(&request, &shared.cfg.limits, &shared.metrics)
-        }
-        Route::Jobs => {
-            shared.metrics.jobs_fetches.inc();
-            shared.online.jobs()
-        }
-        Route::NotFound => Response::error(404, "no such endpoint"),
-        Route::MethodNotAllowed => Response::error(405, "method not allowed for this path"),
-        Route::Compute(endpoint) => serve_compute(endpoint, &request, shared),
+        Serve::Jobs => inline(&|| shared.online.jobs()),
+        Serve::Shutdown => inline(&|| Response::json(200, "{\"draining\":true}".to_owned())),
     };
     // Answer first, then start the drain — the shutdown caller always gets
     // its acknowledgement.
     write_response(stream, &resp, shared);
-    if route == Route::Shutdown {
+    if matches!(serve, Serve::Shutdown) {
         shared.trigger_shutdown();
     }
 }
@@ -295,8 +292,8 @@ fn serve_compute(endpoint: Endpoint, request: &Request, shared: &Shared) -> Resp
 /// Runs `handler`; a panic inside it costs this one response (`500`), not
 /// the connection thread's bookkeeping or the server.
 fn run_handler(handler: impl FnOnce() -> Response) -> Response {
-    // Handlers share no state, so there is nothing a panic can leave
-    // half-updated for a later request to observe.
+    // Compute handlers share no state. A panic inside `/submit` poisons the
+    // session mutex, so each later `/submit` or `/jobs` answers 500 as well.
     catch_unwind(AssertUnwindSafe(handler))
         .unwrap_or_else(|_| Response::error(500, "handler panicked"))
 }

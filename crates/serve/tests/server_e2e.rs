@@ -62,6 +62,7 @@ fn full_request_cycle_and_graceful_shutdown() {
     assert_eq!(r.status, 404);
     let r = client::get(addr, "/schedule", TIMEOUT).unwrap();
     assert_eq!(r.status, 405);
+    assert_eq!(r.header("allow"), Some("POST"));
     let r = client::post(addr, "/schedule", b"garbage\n", TIMEOUT).unwrap();
     assert_eq!(r.status, 422);
     let r = client::post(addr, "/schedule?cores=0", SAMPLE.as_bytes(), TIMEOUT).unwrap();
@@ -472,7 +473,9 @@ fn online_session_over_the_wire() {
     // Wrong methods on the online paths.
     let r = client::get(addr, "/submit", TIMEOUT).unwrap();
     assert_eq!(r.status, 405);
+    assert_eq!(r.header("allow"), Some("POST"));
     let r = client::post(addr, "/jobs", b"", TIMEOUT).unwrap();
     assert_eq!(r.status, 405);
+    assert_eq!(r.header("allow"), Some("GET"));
     handle.shutdown();
 }

@@ -33,11 +33,6 @@
 //! * [`arrivals`] — seeded sporadic arrival-stream generator (integer
 //!   cycle timestamps, enforced minimum separation) feeding the online
 //!   admission layer and its load generators deterministically.
-//! * [`diff`] — bookkeeping for the differential harness in
-//!   `tests/differential.rs`, which runs generated DAG workloads through
-//!   both the L1.5 SoC path and the shared-L1 baseline and checks the
-//!   paper's invariants (memory equivalence at quiesce, cache-stats
-//!   conservation, TID non-interference, Alg.1 makespan dominance).
 //!
 //! # Example
 //!
@@ -66,7 +61,6 @@
 pub mod arrivals;
 pub mod cli;
 pub mod diag;
-pub mod diff;
 pub mod fuzz;
 pub mod gen;
 pub mod pool;

@@ -1,6 +1,6 @@
 //! Differential / golden-trace harness: generated DAG workloads executed
 //! through the L1.5 path and the baseline path, checked against the four
-//! paper invariants (see [`l15_testkit::diff::Invariant`]):
+//! paper invariants (each assertion message names the one it checks):
 //!
 //! 1. **Memory equivalence** — the proposed SoC and the legacy SoC
 //!    produce byte-identical dependent-data images at quiesce; the
@@ -15,16 +15,12 @@
 //!    baseline priority assignment on cache-fit workloads (analytic
 //!    model, deterministic interference draw).
 //!
-//! The whole suite runs as one test so the [`DiffSummary`] aggregates and
-//! `assert_coverage` can fail loudly if an invariant is silently skipped.
-//!
-//! The property runner shards cases over the `L15_JOBS` pool workers:
-//! every case constructs its own `Soc`/`L15Cache` instances on whichever
-//! worker thread runs it (no simulator state is ever shared between
-//! threads), and the summary is a `Mutex` tally, so the suite is
-//! parallel yet byte-identically reproducible at any worker count.
-
-use std::sync::Mutex;
+//! The property runner runs every case it is configured for (a property
+//! cannot pass having checked fewer) and shards them over the `L15_JOBS`
+//! pool workers: every case constructs its own `Soc`/`L15Cache` instances
+//! on whichever worker thread runs it (no simulator state is ever shared
+//! between threads), so the suite is parallel yet byte-identically
+//! reproducible at any worker count.
 
 use l15_cache::l15::{L15Cache, L15Config};
 use l15_core::alg1::schedule_with_l15;
@@ -35,7 +31,6 @@ use l15_runtime::kernel::{run_task, KernelConfig};
 use l15_runtime::layout::TaskLayout;
 use l15_runtime::WorkScale;
 use l15_soc::{Soc, SocConfig};
-use l15_testkit::diff::{DiffSummary, Invariant};
 use l15_testkit::prop::{self, Config, G};
 use l15_testkit::rng::{Rng, SmallRng};
 
@@ -67,7 +62,7 @@ fn gen_task(g: &mut G, layers: (usize, usize), width: usize, data_range: (u64, u
 /// loses to the baseline priorities simulated on the same system — the
 /// paper's claim that the co-designed plan dominates on workloads whose
 /// dependent data fits the allocated ways.
-fn check_makespan_dominance(g: &mut G, summary: &Mutex<DiffSummary>) {
+fn check_makespan_dominance(g: &mut G) {
     // Cache-fit: every node's dependent data fits a single 2 KiB way.
     let width = g.usize_in(2..=5);
     let task = gen_task(g, (2, 4), width, (256, 2048));
@@ -80,11 +75,9 @@ fn check_makespan_dominance(g: &mut G, summary: &Mutex<DiffSummary>) {
         let b = model.simulate_instance(&task, 8, &base, k, &mut ConstRng(1 << 63)).makespan;
         assert!(
             a <= b * (1.0 + 1e-9),
-            "{}: Alg.1 makespan {a} > baseline {b} at instance {k}",
-            Invariant::MakespanDominance.label()
+            "makespan-dominance: Alg.1 makespan {a} > baseline {b} at instance {k}"
         );
     }
-    summary.lock().expect("summary lock poisoned").record(Invariant::MakespanDominance);
 }
 
 fn image_of(soc: &mut Soc, task: &DagTask, layout: &TaskLayout) -> Vec<Vec<u8>> {
@@ -103,8 +96,7 @@ fn check_level(stats: &l15_cache::stats::CacheStats, level: &str) {
     assert_eq!(
         stats.accesses(),
         stats.hits() + stats.misses(),
-        "{}: {level} accesses must equal hits + misses",
-        Invariant::StatsConservation.label()
+        "stats-conservation: {level} accesses must equal hits + misses"
     );
     // Note: no ordering between fills and misses is asserted — the L2
     // allocates on write-back (fill without a demand miss) and the L1.5
@@ -116,7 +108,7 @@ fn check_level(stats: &l15_cache::stats::CacheStats, level: &str) {
 /// proposed SoC (L1.5 path) and on the capacity-equalised legacy SoC
 /// (flush-to-L2 path). At quiesce the dependent-data images must match
 /// byte for byte, and the hierarchy counters must add up.
-fn check_memory_equivalence(g: &mut G, summary: &Mutex<DiffSummary>) {
+fn check_memory_equivalence(g: &mut G) {
     // Small topologies: each case is two cycle-accurate whole-SoC runs.
     let width = g.usize_in(2..=3);
     let task = gen_task(g, (2, 3), width, (2048, 4096));
@@ -142,11 +134,9 @@ fn check_memory_equivalence(g: &mut G, summary: &Mutex<DiffSummary>) {
     for (v, (a, b)) in img_p.iter().zip(&img_b).enumerate() {
         assert!(
             a == b,
-            "{}: node {v} output differs between L1.5 and legacy paths",
-            Invariant::MemoryEquivalence.label()
+            "memory-equivalence: node {v} output differs between L1.5 and legacy paths"
         );
     }
-    summary.lock().expect("summary lock poisoned").record(Invariant::MemoryEquivalence);
 
     // 2. Counter conservation on both hierarchies.
     for (soc, rep, l15_expected) in [(&soc_p, &rep_p, true), (&soc_b, &rep_b, false)] {
@@ -155,13 +145,13 @@ fn check_memory_equivalence(g: &mut G, summary: &Mutex<DiffSummary>) {
         check_level(&h.l15, "L1.5");
         check_level(&h.l2, "L2");
         if l15_expected {
-            assert_eq!(h.l15.hits(), rep.l15_hits, "monitor and hierarchy must agree");
-            assert_eq!(h.l15.misses(), rep.l15_misses);
+            let agree = "stats-conservation: monitor and hierarchy must agree";
+            assert_eq!(h.l15.hits(), rep.l15_hits, "{agree}");
+            assert_eq!(h.l15.misses(), rep.l15_misses, "{agree}");
         } else {
-            assert_eq!(h.l15.accesses(), 0, "legacy SoC has no L1.5 traffic");
+            assert_eq!(h.l15.accesses(), 0, "stats-conservation: legacy SoC has no L1.5 traffic");
         }
     }
-    summary.lock().expect("summary lock poisoned").record(Invariant::StatsConservation);
 }
 
 /// One step of the TID workload on its 4-line pool (all in one set, so a
@@ -219,7 +209,7 @@ fn protected_cache() -> L15Cache {
 /// Invariant 3 (+2 at cache level): core 0's hit/miss sequence and final
 /// data are identical whether or not core 1 runs an arbitrary interleaved
 /// workload under a different TID on its own ways.
-fn check_tid_non_interference(g: &mut G, summary: &Mutex<DiffSummary>) {
+fn check_tid_non_interference(g: &mut G) {
     let arb_op = |g: &mut G| -> TidOp {
         let k = g.usize_in(0..4);
         if g.bool() {
@@ -246,10 +236,8 @@ fn check_tid_non_interference(g: &mut G, summary: &Mutex<DiffSummary>) {
         replay(&mut shared, 1, 8, &[intruder]);
     }
     assert_eq!(
-        expected,
-        observed,
-        "{}: core 0's hit/miss sequence changed under interference",
-        Invariant::TidNonInterference.label()
+        expected, observed,
+        "tid-non-interference: core 0's hit/miss sequence changed under interference"
     );
 
     // Core 0's lines still hold core 0's data (no cross-TID leakage).
@@ -258,10 +246,9 @@ fn check_tid_non_interference(g: &mut G, summary: &Mutex<DiffSummary>) {
         let mut buf = [0u8; 8];
         let out = shared.read(0, addr, addr, &mut buf).expect("core in range");
         if out.hit {
-            assert_eq!(buf, [k as u8; 8], "core 0 data corrupted by core 1");
+            assert_eq!(buf, [k as u8; 8], "tid-non-interference: core 0 data corrupted by core 1");
         }
     }
-    summary.lock().expect("summary lock poisoned").record(Invariant::TidNonInterference);
 
     // Cache-level counter conservation: per-core tallies sum to the
     // aggregate.
@@ -273,24 +260,18 @@ fn check_tid_non_interference(g: &mut G, summary: &Mutex<DiffSummary>) {
         hits += s.hits();
         misses += s.misses();
     }
-    assert_eq!(agg.hits(), hits, "per-core hits must sum to the aggregate");
-    assert_eq!(agg.misses(), misses, "per-core misses must sum to the aggregate");
-    summary.lock().expect("summary lock poisoned").record(Invariant::StatsConservation);
+    assert_eq!(agg.hits(), hits, "stats-conservation: per-core hits must sum to the aggregate");
+    assert_eq!(
+        agg.misses(),
+        misses,
+        "stats-conservation: per-core misses must sum to the aggregate"
+    );
 }
 
 /// 100 generated DAG workloads through the analytic planners.
 #[test]
 fn differential_makespan_dominance() {
-    let summary = Mutex::new(DiffSummary::new());
-    prop::run_with(Config::with_cases(100), "diff_makespan_dominance", |g| {
-        check_makespan_dominance(g, &summary);
-    });
-    let summary = summary.into_inner().expect("summary lock poisoned");
-    println!("{summary}");
-    assert!(
-        summary.checked(Invariant::MakespanDominance) >= 100,
-        "harness must exercise at least 100 generated DAG workloads"
-    );
+    prop::run_with(Config::with_cases(100), "diff_makespan_dominance", check_makespan_dominance);
 }
 
 /// Full-stack cycle-level runs are expensive; a handful suffices for the
@@ -298,24 +279,11 @@ fn differential_makespan_dominance() {
 /// so a failure reports quickly instead of re-simulating for minutes.
 #[test]
 fn differential_memory_equivalence() {
-    let summary = Mutex::new(DiffSummary::new());
     let cfg = Config { max_shrink_iters: 16, ..Config::with_cases(4) };
-    prop::run_with(cfg, "diff_memory_equivalence", |g| {
-        check_memory_equivalence(g, &summary);
-    });
-    let summary = summary.into_inner().expect("summary lock poisoned");
-    println!("{summary}");
-    assert!(summary.checked(Invariant::MemoryEquivalence) >= 4);
-    assert!(summary.checked(Invariant::StatsConservation) >= 4);
+    prop::run_with(cfg, "diff_memory_equivalence", check_memory_equivalence);
 }
 
 #[test]
 fn differential_tid_non_interference() {
-    let summary = Mutex::new(DiffSummary::new());
-    prop::run_with(Config::with_cases(32), "diff_tid_non_interference", |g| {
-        check_tid_non_interference(g, &summary);
-    });
-    let summary = summary.into_inner().expect("summary lock poisoned");
-    println!("{summary}");
-    assert!(summary.checked(Invariant::TidNonInterference) >= 32);
+    prop::run_with(Config::with_cases(32), "diff_tid_non_interference", check_tid_non_interference);
 }

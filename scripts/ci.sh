@@ -32,6 +32,19 @@ for lib in crates/*/src/lib.rs; do
 done
 echo "all crates carry #![forbid(unsafe_code)]"
 
+echo "==> endpoint table gate (each serve path literal occurs once, in api::ROWS)"
+# The non-test part of crates/serve/src, cut as scripts/loc.sh cuts it:
+# a second routing list would name a path a second time.
+serve_src=$(find crates/serve/src -name '*.rs' -exec awk '
+    FNR == 1 { test = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+    !test' {} +)
+for path in schedule analyze simulate check trace certify healthz metrics submit jobs shutdown; do
+    n=$(printf '%s\n' "$serve_src" | grep -o "\"/$path\"" | wc -l)
+    [ "$n" -eq 1 ] || { echo "\"/$path\" occurs $n times in crates/serve/src (want 1)"; exit 1; }
+done
+echo "every endpoint path is named once"
+
 echo "==> sweep determinism (fig7 --quick, L15_JOBS=1 vs 4)"
 seq_out=$(mktemp)
 par_out=$(mktemp)
