@@ -98,20 +98,6 @@ pub fn planned_nodes(
         .collect()
 }
 
-/// Utilisation summary per core: fraction of the makespan each core was
-/// busy.
-pub fn core_utilisation(task: &DagTask, result: &SimResult, cores: usize) -> Vec<f64> {
-    let mut busy = vec![0.0f64; cores];
-    for v in task.graph().node_ids() {
-        let c = result.core[v.0];
-        if c < cores {
-            busy[c] += result.finish[v.0] - result.start[v.0];
-        }
-    }
-    let span = result.makespan.max(1e-12);
-    busy.iter().map(|b| b / span).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,14 +151,5 @@ mod tests {
         }
         let span = planned.iter().map(|p| p.finish).max().unwrap();
         assert_eq!(span, (r.makespan * 100.0).round() as u64);
-    }
-
-    #[test]
-    fn utilisation_sums_to_work_over_span() {
-        let (task, r) = schedule();
-        let u = core_utilisation(&task, &r, 3);
-        let total_busy: f64 = u.iter().sum::<f64>() * r.makespan;
-        assert!((total_busy - task.graph().total_work()).abs() < 1e-9);
-        assert!(u.iter().all(|&x| (0.0..=1.0 + 1e-9).contains(&x)));
     }
 }

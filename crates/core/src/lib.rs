@@ -17,7 +17,8 @@
 //!   both systems run on;
 //! * [`periodic`] — the multi-DAG periodic engine behind the success-ratio
 //!   case study (Fig. 8(a)/(b)) and the side-effects analysis (Fig. 8(c):
-//!   L1.5 utilisation and the misconfiguration ratio φ);
+//!   L1.5 utilisation and the misconfiguration ratio φ), on the same event
+//!   loop as `simulate` with its own ready order and way pools;
 //! * [`casestudy`] — DAG-ified PARSEC 3.0 workload shapes (Sec. 5.2);
 //! * [`hb`] — plan → happens-before: the deterministic dispatch order and
 //!   per-core vector clocks the `l15-check` race rule queries.
@@ -63,9 +64,6 @@ pub use federated::{
     federated_partition, ClusterPlan, ClusterTopology, FederatedError, TaskAssignment,
 };
 pub use makespan::{simulate, SimResult};
-pub use periodic::{
-    simulate_taskset, success_ratio, try_simulate_taskset, PeriodicOutcome, PeriodicParams,
-    TasksetError,
-};
+pub use periodic::{simulate_taskset, PeriodicOutcome, PeriodicParams};
 pub use plan::{SchedulePlan, WayGroup, WayGroupKind};
 pub use rta::{certified_makespan_bound, CertifiedMakespan};

@@ -14,8 +14,13 @@
 //! the same time on every idle core that ran none of its producers, so that
 //! arrival is priced once per dispatched node (DESIGN.md §4.8) — bit for bit
 //! the schedule per-core pricing gives, which the test-only oracle holds.
+//!
+//! The event loop, `list_schedule`, also runs [`crate::periodic`]'s jobs; a
+//! `Policy` supplies only what differs between the two callers.
 
-use l15_dag::{DagTask, EdgeId, NodeId};
+use std::cmp::Ordering;
+
+use l15_dag::{Dag, DagTask, EdgeId, NodeId};
 
 /// A simulated schedule of one DAG instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +52,8 @@ pub fn simulate<X, E>(
     task: &DagTask,
     cores: usize,
     priorities: &[u32],
-    mut exec_time: X,
-    mut comm_cost: E,
+    exec_time: X,
+    comm_cost: E,
 ) -> SimResult
 where
     X: FnMut(NodeId) -> f64,
@@ -56,58 +61,150 @@ where
 {
     assert!(cores > 0, "need at least one core");
     let dag = task.graph();
-    let n = dag.node_count();
-    assert_eq!(priorities.len(), n, "one priority per node");
+    assert_eq!(priorities.len(), dag.node_count(), "one priority per node");
+    let mut policy = OneInstance {
+        dag,
+        priorities,
+        exec_time,
+        comm_cost,
+        ran_producer: vec![0; cores],
+        remote_ready: 0.0,
+    };
+    // The sink completes last: the loop's end is its finish.
+    list_schedule(cores, &[(dag, 0.0)], &mut policy)
+}
 
+/// [`simulate`]'s policy: priority order and the caller's closures.
+struct OneInstance<'a, X, E> {
+    dag: &'a Dag,
+    priorities: &'a [u32],
+    exec_time: X,
+    comm_cost: E,
+    /// `ran_producer[c] == v.0 + 1`: core `c` ran a producer of the node `v`
+    /// being dispatched (a stamp, so nothing is cleared between nodes).
+    ran_producer: Vec<usize>,
+    /// When `v`'s data arrives on a core that ran none of its producers.
+    remote_ready: f64,
+}
+
+impl<X, E> Policy for OneInstance<'_, X, E>
+where
+    X: FnMut(NodeId) -> f64,
+    E: FnMut(EdgeId, bool) -> f64,
+{
+    fn order(&self, (_, a): (usize, NodeId), (_, b): (usize, NodeId)) -> Ordering {
+        self.priorities[a.0].cmp(&self.priorities[b.0]).then(b.0.cmp(&a.0))
+    }
+
+    fn price(&mut self, _: usize, v: NodeId, finish: &[f64], core: &[usize]) {
+        self.remote_ready = 0.0;
+        for &(e, p) in self.dag.predecessors(v) {
+            self.remote_ready = self.remote_ready.max(finish[p.0] + (self.comm_cost)(e, false));
+            self.ran_producer[core[p.0]] = v.0 + 1;
+        }
+    }
+
+    fn data_ready(&mut self, _: usize, v: NodeId, c: usize, finish: &[f64], core: &[usize]) -> f64 {
+        // Only a core that ran a producer sees a same-core edge.
+        if self.ran_producer[c] != v.0 + 1 {
+            return self.remote_ready;
+        }
+        self.dag
+            .predecessors(v)
+            .iter()
+            .map(|&(e, p)| finish[p.0] + (self.comm_cost)(e, core[p.0] == c))
+            .fold(0.0f64, f64::max)
+    }
+
+    fn dispatch(&mut self, _: usize, v: NodeId, _: usize, _: f64) -> f64 {
+        (self.exec_time)(v)
+    }
+}
+
+/// A node on a core: `(finish, job, node, core)`.
+pub(crate) type Running = (f64, usize, NodeId, usize);
+
+/// What the callers of [`list_schedule`] differ in. Nodes are named
+/// `(job, node)`; `finish` / `core` slices are the job's own, indexed by
+/// node (`NaN` / `usize::MAX` until dispatched).
+pub(crate) trait Policy {
+    /// Dispatch order: the greatest ready entry goes first, the last of
+    /// equals in ready-`Vec` order (`max_by`).
+    fn order(&self, a: (usize, NodeId), b: (usize, NodeId)) -> Ordering;
+
+    /// Node `v` of job `j` is about to be dispatched: called once, before
+    /// `data_ready` is asked about each idle core.
+    fn price(&mut self, _j: usize, _v: NodeId, _finish: &[f64], _core: &[usize]) {}
+
+    /// When every input of node `v` of job `j` is on idle core `c`; asked
+    /// about each idle core in index order.
+    fn data_ready(&mut self, j: usize, v: NodeId, c: usize, finish: &[f64], core: &[usize]) -> f64;
+
+    /// Node `v` of job `j` starts on core `c` (at `now` or later); returns
+    /// its execution time.
+    fn dispatch(&mut self, j: usize, v: NodeId, c: usize, now: f64) -> f64;
+
+    /// `done` finished (now is its finish time); `running` no longer holds
+    /// it, its ready successors are queued, and `core` is its job's.
+    fn complete(&mut self, _done: Running, _core: &[usize], _running: &[Running]) {}
+}
+
+/// The one list-scheduling event loop: non-preemptive, work-conserving,
+/// each dispatch to the idle core where the node starts earliest (`s <
+/// best − 1e-12`, cores in index order), each completion the first minimum
+/// finish. `jobs` holds `(graph, release)`; a job queues its source once
+/// `release <= now + 1e-12`, and an idle system jumps to the next release
+/// (earliest first, the higher index first among equal ones).
+///
+/// Returns every (job, node)'s start, finish and core, flat in job order,
+/// with the last completion time as `makespan`.
+pub(crate) fn list_schedule<P: Policy>(
+    cores: usize,
+    jobs: &[(&Dag, f64)],
+    policy: &mut P,
+) -> SimResult {
+    // Job `j`'s nodes are `base[j]..base[j + 1]` of the flat arrays.
+    let mut base = Vec::with_capacity(jobs.len() + 1);
+    let mut preds_left = Vec::new();
+    for (dag, _) in jobs {
+        base.push(preds_left.len());
+        preds_left.extend(dag.node_ids().map(|v| dag.in_degree(v)));
+    }
+    base.push(preds_left.len());
+    let n = preds_left.len();
     let mut start = vec![f64::NAN; n];
     let mut finish = vec![f64::NAN; n];
     let mut on_core = vec![usize::MAX; n];
-    let mut preds_left: Vec<usize> = dag.node_ids().map(|v| dag.in_degree(v)).collect();
 
     let mut core_free = vec![0.0f64; cores];
     let mut core_busy = vec![false; cores];
-    // `ran_producer[c] == v.0 + 1`: core `c` ran a producer of the node `v`
-    // being dispatched (a stamp, so nothing is cleared between nodes).
-    let mut ran_producer = vec![0usize; cores];
-    // Running nodes: (finish_time, node, core).
-    let mut running: Vec<(f64, NodeId, usize)> = Vec::new();
-    let mut ready: Vec<NodeId> = vec![dag.source()];
+    let mut pending: Vec<usize> = (0..jobs.len()).collect();
+    pending.sort_by(|&a, &b| jobs[b].1.total_cmp(&jobs[a].1)); // pop() yields the earliest
+    let mut ready: Vec<(usize, NodeId)> = Vec::new();
+    let mut running: Vec<Running> = Vec::new();
     let mut now = 0.0f64;
 
     loop {
-        // Dispatch as long as an idle core and a ready node exist.
-        while !ready.is_empty() {
-            let Some(_) = core_busy.iter().position(|&b| !b) else { break };
-            // Highest-priority ready node (deterministic tie-break).
-            let (ri, &v) = ready
+        while let Some(&j) = pending.last().filter(|&&j| jobs[j].1 <= now + 1e-12) {
+            pending.pop();
+            ready.push((j, jobs[j].0.source()));
+        }
+
+        while !ready.is_empty() && core_busy.contains(&false) {
+            let (ri, &(j, v)) = ready
                 .iter()
                 .enumerate()
-                .max_by(|(_, &a), (_, &b)| {
-                    priorities[a.0].cmp(&priorities[b.0]).then(b.0.cmp(&a.0))
-                })
+                .max_by(|(_, &a), (_, &b)| policy.order(a, b))
                 .expect("ready is non-empty");
-            // Choose the idle core minimising the start time (accounting
-            // for data locality), tie-break on lowest index. Only a core
-            // that ran a producer sees a same-core edge.
-            let preds = dag.predecessors(v);
-            let mut remote_ready = 0.0f64;
-            for &(e, p) in preds {
-                remote_ready = remote_ready.max(finish[p.0] + comm_cost(e, false));
-                ran_producer[on_core[p.0]] = v.0 + 1;
-            }
+            let (lo, hi) = (base[j], base[j + 1]);
+            let (job_finish, job_core) = (&finish[lo..hi], &on_core[lo..hi]);
+            policy.price(j, v, job_finish, job_core);
             let mut best: Option<(f64, usize)> = None;
             for c in 0..cores {
                 if core_busy[c] {
                     continue;
                 }
-                let data_ready = if ran_producer[c] == v.0 + 1 {
-                    preds
-                        .iter()
-                        .map(|&(e, p)| finish[p.0] + comm_cost(e, on_core[p.0] == c))
-                        .fold(0.0f64, f64::max)
-                } else {
-                    remote_ready
-                };
+                let data_ready = policy.data_ready(j, v, c, job_finish, job_core);
                 let s = now.max(core_free[c]).max(data_ready);
                 if best.is_none_or(|(bs, _)| s < bs - 1e-12) {
                     best = Some((s, c));
@@ -115,38 +212,40 @@ where
             }
             let (s, c) = best.expect("an idle core exists");
             ready.swap_remove(ri);
-            let f = s + exec_time(v);
-            start[v.0] = s;
-            finish[v.0] = f;
-            on_core[v.0] = c;
+            let f = s + policy.dispatch(j, v, c, now);
+            start[lo + v.0] = s;
+            finish[lo + v.0] = f;
+            on_core[lo + v.0] = c;
             core_busy[c] = true;
             core_free[c] = f;
-            running.push((f, v, c));
+            running.push((f, j, v, c));
         }
 
         if running.is_empty() {
-            break;
+            let Some(&j) = pending.last() else { break };
+            now = jobs[j].1; // idle until the next release
+            continue;
         }
 
-        // Advance to the earliest completion.
         let (idx, _) = running
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| a.0.partial_cmp(&b.0).expect("finite times"))
+            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
             .expect("running is non-empty");
-        let (f, v, c) = running.swap_remove(idx);
+        let (f, j, v, c) = running.swap_remove(idx);
         now = f;
         core_busy[c] = false;
-        for &(_, s) in dag.successors(v) {
-            preds_left[s.0] -= 1;
-            if preds_left[s.0] == 0 {
-                ready.push(s);
+        let (lo, hi) = (base[j], base[j + 1]);
+        for &(_, s) in jobs[j].0.successors(v) {
+            preds_left[lo + s.0] -= 1;
+            if preds_left[lo + s.0] == 0 {
+                ready.push((j, s));
             }
         }
+        policy.complete((f, j, v, c), &on_core[lo..hi], &running);
     }
 
-    let makespan = finish[dag.sink().0];
-    SimResult { makespan, start, finish, core: on_core }
+    SimResult { makespan: now, start, finish, core: on_core }
 }
 
 #[cfg(test)]

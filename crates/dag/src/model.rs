@@ -562,6 +562,20 @@ mod tests {
         assert!(DagTask::new(dag.clone(), 10.0, 10.0).is_ok());
         assert!(DagTask::new(dag.clone(), 10.0, 11.0).is_err());
         assert!(DagTask::new(dag.clone(), 0.0, 0.0).is_err());
+        // Every degenerate period and every deadline outside (0, T] is
+        // refused at construction, so no scheduler ever sees one.
+        for period in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                DagTask::new(dag.clone(), period, 5.0).unwrap_err(),
+                DagError::InvalidParameter { name: "period", .. }
+            ));
+        }
+        for deadline in [0.0, -2.0, f64::NAN, f64::INFINITY, 10.5] {
+            assert!(matches!(
+                DagTask::new(dag.clone(), 10.0, deadline).unwrap_err(),
+                DagError::InvalidParameter { name: "deadline", .. }
+            ));
+        }
         let t = DagTask::new(dag, 14.0, 14.0).unwrap();
         assert!((t.utilisation() - 0.5).abs() < 1e-12);
     }

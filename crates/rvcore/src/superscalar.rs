@@ -17,66 +17,29 @@
 //! * memory operations additionally need one of `mem_ports` ports and
 //!   issue **in program order among themselves** (a conservative LSQ);
 //! * latencies: 1 cycle ALU, `muldiv_latency` for M-ops, and each memory
-//!   op's recorded hierarchy latency.
+//!   op's recorded cost (its hierarchy latency, including any TLB walk).
 
 use std::collections::VecDeque;
 
-use crate::bus::{CtrlAccess, Fetched, MemAccess, SystemBus};
-use crate::isa::{Instr, L15Op};
+use crate::bus::SystemBus;
+use crate::core::{Core, StepEvent};
+use crate::isa::Instr;
 
 /// One traced instruction with its observed memory cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceOp {
     /// The retired instruction.
     pub instr: Instr,
-    /// Observed memory-hierarchy latency (loads/stores), if any.
+    /// Observed memory-stage cycles of a load or store (the hierarchy
+    /// latency, plus any data-TLB walk); `None` for every other op.
     pub mem_cycles: Option<u32>,
-    /// Whether the data came from the L1.5.
-    pub from_l15: bool,
-}
-
-/// A [`SystemBus`] wrapper that records per-access latencies while
-/// delegating to the wrapped bus.
-#[derive(Debug)]
-pub struct RecordingBus<'a, B: SystemBus + ?Sized> {
-    inner: &'a mut B,
-    /// Latency and origin of the most recent data access.
-    pub last_access: Option<(u32, bool)>,
-}
-
-impl<'a, B: SystemBus + ?Sized> RecordingBus<'a, B> {
-    /// Wraps `inner`.
-    pub fn new(inner: &'a mut B) -> Self {
-        RecordingBus { inner, last_access: None }
-    }
-}
-
-impl<B: SystemBus + ?Sized> SystemBus for RecordingBus<'_, B> {
-    fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> Fetched {
-        self.inner.fetch(core, vaddr, paddr)
-    }
-
-    fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess {
-        let a = self.inner.load(core, vaddr, paddr, size);
-        self.last_access = Some((a.cycles, a.from_l15));
-        a
-    }
-
-    fn store(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32, value: u32) -> u32 {
-        let c = self.inner.store(core, vaddr, paddr, size, value);
-        self.last_access = Some((c, false));
-        c
-    }
-
-    fn l15_ctrl(&mut self, core: usize, op: L15Op, arg: u32) -> CtrlAccess {
-        self.inner.l15_ctrl(core, op, arg)
-    }
 }
 
 /// Captures a trace by stepping `core` on `bus` until it halts or
-/// `max_steps` instructions retire.
+/// `max_steps` instructions retire. A load or store's cost is read off its
+/// own step: the MA stall beyond the base cycle, plus that cycle.
 pub fn capture_trace<B: SystemBus + ?Sized>(
-    core: &mut crate::core::Core,
+    core: &mut Core,
     bus: &mut B,
     max_steps: usize,
 ) -> Vec<TraceOp> {
@@ -85,16 +48,10 @@ pub fn capture_trace<B: SystemBus + ?Sized>(
         if core.is_halted() {
             break;
         }
-        let mut rec = RecordingBus::new(bus);
-        let out = core.step(&mut rec);
-        let last = rec.last_access;
-        if let crate::core::StepEvent::Retired(instr) = out.event {
+        let out = core.step(bus);
+        if let StepEvent::Retired(instr) = out.event {
             let is_mem = matches!(instr, Instr::Load { .. } | Instr::Store { .. });
-            trace.push(TraceOp {
-                instr,
-                mem_cycles: if is_mem { last.map(|(c, _)| c) } else { None },
-                from_l15: last.map(|(_, f)| f).unwrap_or(false),
-            });
+            trace.push(TraceOp { instr, mem_cycles: is_mem.then_some(out.stalls.ma_stall + 1) });
         }
     }
     trace

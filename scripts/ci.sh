@@ -45,6 +45,16 @@ for path in schedule analyze simulate check trace certify healthz metrics submit
 done
 echo "every endpoint path is named once"
 
+echo "==> list scheduler gate (one event loop in crates/core/src)"
+# makespan::simulate and periodic::simulate_taskset share one loop; a second
+# copy would declare its own running set.
+n=$(find crates/core/src -name '*.rs' -exec awk '
+    FNR == 1 { test = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+    !test' {} + | grep -c 'let mut running')
+[ "$n" -eq 1 ] || { echo "'let mut running' occurs $n times in crates/core/src (want 1)"; exit 1; }
+echo "one list-scheduling loop"
+
 echo "==> sweep determinism (fig7 --quick, L15_JOBS=1 vs 4)"
 seq_out=$(mktemp)
 par_out=$(mktemp)
