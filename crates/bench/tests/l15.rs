@@ -25,9 +25,18 @@ fn stdout(out: &Output) -> String {
 #[test]
 fn quick_runs_reproduce_the_golden() {
     let mut got = String::new();
-    for sub in
-        ["fig7", "table2", "fig8ab", "fig8c", "area", "ablation", "cluster", "online", "check"]
-    {
+    for sub in [
+        "fig7",
+        "table2",
+        "fig8ab",
+        "fig8c",
+        "area",
+        "ablation",
+        "cluster",
+        "online",
+        "check",
+        "fullstack",
+    ] {
         let out = l15(&[sub, "--quick"]);
         assert!(out.status.success(), "l15 {sub} --quick: {out:?}");
         got += &format!("===== {sub} --quick =====\n{}", stdout(&out));
