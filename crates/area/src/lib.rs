@@ -98,11 +98,6 @@ impl L15Geometry {
     pub fn logic_mm2(&self) -> f64 {
         self.logic_gates() as f64 * GATE_MM2
     }
-
-    /// Full L1.5 area: SRAM + management fabric.
-    pub fn total_mm2(&self) -> f64 {
-        self.capacity_kb() as f64 * SRAM_MM2_PER_KB + self.logic_mm2()
-    }
 }
 
 /// Specification of an SoC for area accounting.

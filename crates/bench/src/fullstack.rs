@@ -6,7 +6,10 @@
 //! differs.
 //!
 //! Also reports the Sec. 3.3 superscalar estimate for a producer kernel
-//! with single vs dual memory ports towards the L1.5.
+//! with single vs dual memory ports towards the L1.5, from the issue model
+//! in [`superscalar`] that only this experiment runs.
+
+mod superscalar;
 
 use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::baseline_priorities;
@@ -14,10 +17,10 @@ use l15_dag::topology::{fork_join, layered_mesh, UniformPayload};
 use l15_dag::{DagTask, ExecutionTimeModel};
 use l15_runtime::kernel::{run_task, KernelConfig};
 use l15_runtime::WorkScale;
-use l15_rvcore::superscalar::{capture_trace, estimate_cycles, SuperscalarConfig};
 use l15_soc::{Soc, SocConfig};
 use l15_testkit::cli::Parsed;
 
+use self::superscalar::{capture_trace, estimate_cycles, SuperscalarConfig};
 use crate::{env_usize, scaled, Outcome};
 
 /// Two small shapes with `data` dependent bytes per node.

@@ -1,10 +1,12 @@
-//! The L1.5 cache proper: ways, selectors, hit checkers and the new-ISA
+//! The L1.5 cache proper: the ways, the one masked hit check and the new-ISA
 //! control port (Sec. 2.3 / Sec. 3.1).
 //!
 //! Organisation: `ζ` ways, each a direct-mapped array of
 //! `κ / line_bytes` lines — equivalently a set-associative array of
 //! `κ / line_bytes` sets by `ζ` ways, which is how the Line Selectors (one
-//! per way) and Data Selectors (one per core) of Fig. 4 traverse it.
+//! per way) and Data Selectors (one per core) of Fig. 4 traverse it. The
+//! selectors' per-way hit checkers are modelled at word level: a lookup
+//! matches the tag only in the ways the core's read or write mask enables.
 //!
 //! Addressing is VIPT: the set index comes from the **virtual** address
 //! (available before translation) and the tag from the **physical** address

@@ -13,12 +13,11 @@
 //!   and the Walloc FSM that (re)assigns **one way per cycle** (Fig. 5) —
 //!   the very property Sec. 5.3 blames for the residual misconfiguration
 //!   ratio φ;
-//! * [`L15Cache`] — the cache ways, line/data selectors and hit checkers,
+//! * [`L15Cache`] — the cache ways and the one hit check: a tag lookup
+//!   gated by the core's read or write way mask, modelled at word level
+//!   rather than as Fig. 4's line/data selectors and per-way hit checkers;
 //!   plus the new-ISA control port (`demand`, `supply`, `gv_set`, `gv_get`,
 //!   `ip_set`);
-//! * [`RequestBuffer`] — the Sec. 3.3 in-flight request buffer that lets
-//!   superscalar out-of-order cores present multiple simultaneous
-//!   requests to the mask logic;
 //! * [`protocol`] — the checkable event/instruction vocabulary
 //!   ([`ProtocolOp`]) shared by the static kernel-stream emitter
 //!   (`l15-runtime`), the protocol verifier (`l15-check`) and trace
@@ -28,14 +27,10 @@ mod cache;
 mod mask;
 pub mod protocol;
 mod regs;
-mod reqbuf;
 mod sdu;
-mod selector;
 
 pub use cache::{InclusionPolicy, L15Cache, L15Config, L15ConfigState, L15Outcome};
 pub use mask::MaskLogic;
 pub use protocol::ProtocolOp;
 pub use regs::ControlRegs;
-pub use reqbuf::{PendingReq, RequestBuffer};
 pub use sdu::{Sdu, SduEvent};
-pub use selector::{DataSelector, HitChecker, LatchedLine};

@@ -16,7 +16,8 @@
 //!   [`l15::ControlRegs`] (TID/OW/GV registers), [`l15::MaskLogic`]
 //!   (dual-level AND/OR filtering with the cross-application protector),
 //!   [`l15::Sdu`] (Supply-Demand Unit with a one-way-per-cycle Walloc FSM)
-//!   and [`l15::L15Cache`] (ways, line/data selectors and hit checkers).
+//!   and [`l15::L15Cache`] (the ways and the one masked hit check, at word
+//!   level).
 //!
 //! The crate is deliberately free of any global simulation loop: each
 //! structure exposes cycle-costed operations, and the SoC composition layer

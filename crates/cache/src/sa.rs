@@ -116,11 +116,6 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// Resets the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_of(&self, addr: u64) -> usize {
         self.geo.index_of(addr) as usize
     }

@@ -57,13 +57,6 @@ pub struct StreamAnalysis {
     pub per_core: Vec<CoreBound>,
 }
 
-impl StreamAnalysis {
-    /// Total bound across all cores.
-    pub fn total_bound(&self) -> u64 {
-        self.per_core.iter().map(|c| c.bound_cycles).sum()
-    }
-}
-
 /// Per-lane view of the L1.5: must-facts about the lane's writable ways.
 #[derive(Debug, Clone)]
 struct LaneView {

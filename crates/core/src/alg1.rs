@@ -19,7 +19,7 @@
 //!    is final, so a round rewrites only its own grantees' out-edges in the
 //!    per-edge cost table.
 //! 4. **Frontier update (line 21).** `Q` becomes the set of unexamined
-//!    nodes whose predecessors have all been examined — [`next_frontier`].
+//!    nodes whose predecessors have all been examined (`next_frontier`).
 //!
 //! The returned [`SchedulePlan`] carries, per node, the priority and the
 //! number of local ways; the makespan simulator applies

@@ -21,7 +21,9 @@
 //!   inter-core interference `i` with a per-instance draw `u ~ U(0,1)`.
 //! * **CMP|Shared-L1** (ref. \[10\]) — a shared L1 with heuristic capacity
 //!   allocation: strong sharing both ways, but node execution pays a
-//!   contention penalty on the shared level.
+//!   contention penalty on the shared level. The heuristic allocation is
+//!   folded into the calibrated constants of
+//!   [`SystemModel::cmp_shared_l1`]; no allocator runs.
 //! * **Proposed** — the L1.5 co-design: every edge whose producer received
 //!   `n` ways costs `ET(e, n) = μ·(1 − α·n/⌈δ/κ⌉)`, **deterministically**:
 //!   the dependent data is placed in the L1.5 anew for every release, so

@@ -58,8 +58,9 @@ pub fn render(task: &DagTask, result: &SimResult, cores: usize, width: usize) ->
     out
 }
 
-/// Converts a simulated schedule into cycle-stamped [`Planned`] entries
-/// for the `l15-trace` Gantt diff (`l15_trace::gantt::diff`).
+/// Converts a simulated schedule into cycle-stamped
+/// [`Planned`](l15_trace::gantt::Planned) entries for the `l15-trace` Gantt
+/// diff (`l15_trace::gantt::diff`).
 ///
 /// The makespan simulator works in the DAG's abstract time units;
 /// `cycles_per_unit` scales them to the observed run's cycle clock. A

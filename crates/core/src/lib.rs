@@ -56,7 +56,6 @@ pub mod makespan;
 pub mod periodic;
 pub mod plan;
 pub mod rta;
-pub mod sharedl1;
 
 pub use alg1::schedule_with_l15;
 pub use baseline::{baseline_priorities, SystemKind, SystemModel};

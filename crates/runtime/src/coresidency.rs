@@ -51,11 +51,6 @@ impl CoResidencyReport {
     pub fn dataflow_ok(&self) -> bool {
         self.apps.iter().all(|a| a.report.dataflow_ok)
     }
-
-    /// Total makespan cycles across applications (they run back to back).
-    pub fn total_cycles(&self) -> u64 {
-        self.apps.iter().map(|a| a.report.makespan_cycles).sum()
-    }
 }
 
 /// Runs `tasks` co-resident on `soc` under the federated `plan`.

@@ -138,17 +138,6 @@ pub struct CoreStats {
     pub traps: u64,
 }
 
-impl CoreStats {
-    /// Cycles per instruction; 0 when nothing retired.
-    pub fn cpi(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.instructions as f64
-        }
-    }
-}
-
 /// One RV32 hart.
 #[derive(Debug, Clone)]
 pub struct Core {

@@ -18,8 +18,10 @@
 //! * [`csr`] — machine-mode CSRs, counters and privilege levels;
 //! * [`bus`] — the [`bus::SystemBus`] trait the SoC layer implements, plus a
 //!   flat test bus;
-//! * [`superscalar`] — the Sec. 3.3 out-of-order issue model (trace
-//!   capture + width/memory-port timing estimation).
+//! * [`disasm`] — the disassembler used by trace dumps.
+//!
+//! The crate models the single-width core only; the Sec. 3.3 superscalar
+//! issue model is private to the `l15 fullstack` experiment that prints it.
 //!
 //! # Example
 //!
@@ -51,7 +53,6 @@ pub mod csr;
 pub mod disasm;
 pub mod isa;
 pub mod mmu;
-pub mod superscalar;
 
 pub use crate::core::{Core, CoreStats, Stalls, StepEvent, StepOutcome, TimingConfig};
 pub use bus::{CtrlAccess, MemAccess, SystemBus};

@@ -6,7 +6,6 @@ use l15_rvcore::asm::Assembler;
 use l15_rvcore::bus::FlatBus;
 use l15_rvcore::core::Core;
 use l15_rvcore::isa::{decode, encode, AluOp, BranchOp, Instr, L15Op, LoadOp, MulOp, StoreOp};
-use l15_rvcore::superscalar::{capture_trace, estimate_cycles, SuperscalarConfig};
 use l15_testkit::prop::{self, Config, G};
 
 const CASES: u32 = 512;
@@ -186,54 +185,6 @@ fn store_load_roundtrip_via_core() {
         core.run(&mut bus, 100);
         assert_eq!(core.reg(3), value);
         assert_eq!(bus.read_u32(addr), value);
-    });
-}
-
-#[test]
-fn superscalar_estimate_is_bounded() {
-    prop::run_with(Config::with_cases(CASES), "superscalar_estimate_is_bounded", |g| {
-        let n_ops = g.usize_in(1..64);
-        let width = g.usize_in(1..=4);
-        let mem_ports = g.usize_in(1..=2);
-        let seed = g.any_u32();
-        // A mixed program: alternating ALU and memory ops with data reuse.
-        let mut asm = Assembler::new();
-        asm.li(1, 0x1000);
-        for i in 0..n_ops {
-            match (seed as usize + i) % 3 {
-                0 => {
-                    asm.addi((2 + (i % 8)) as u8, 1, i as i32);
-                }
-                1 => {
-                    asm.lw((2 + (i % 8)) as u8, 1, ((i % 64) * 4) as i32);
-                }
-                _ => {
-                    asm.add(10, (2 + (i % 8)) as u8, 1);
-                }
-            }
-        }
-        asm.ebreak();
-        let words = asm.finish().unwrap();
-        let mut bus = FlatBus::new(16384, 1);
-        bus.load_program(0, &words);
-        let mut core = Core::new(0, 0);
-        let trace = capture_trace(&mut core, &mut bus, 10_000);
-        let cfg = SuperscalarConfig { width, mem_ports, ..Default::default() };
-        let est = estimate_cycles(&trace, cfg);
-        // Lower bound: issue-width limit.
-        let n = trace.len() as u64;
-        assert!(est.cycles >= n.div_ceil(width as u64));
-        // Upper bound: fully serial execution with every latency paid.
-        let serial: u64 = trace
-            .iter()
-            .map(|t| match t.instr {
-                Instr::MulDiv { .. } => cfg.muldiv_latency as u64,
-                Instr::Load { .. } | Instr::Store { .. } => t.mem_cycles.unwrap_or(1).max(1) as u64,
-                _ => 1,
-            })
-            .sum();
-        assert!(est.cycles <= serial + n, "est {} vs serial {}", est.cycles, serial);
-        assert_eq!(est.instructions, n);
     });
 }
 

@@ -1,7 +1,7 @@
 //! The service metrics registry: lock-free counters and latency
 //! histograms, rendered as a plaintext exposition page on `GET /metrics`.
 //!
-//! Patterned after [`l15_cache::stats::CacheStats`] — a fixed, explicit
+//! Patterned after `l15_cache::stats::CacheStats` — a fixed, explicit
 //! set of counters rather than a dynamic map — but atomic, because every
 //! connection thread touches them.
 //! The exposition format is the Prometheus text convention

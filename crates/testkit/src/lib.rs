@@ -14,10 +14,9 @@
 //!   configurable case count, failure-seed reporting
 //!   (`L15_PROP_SEED=0x… cargo test <name>` reproduces the shrunk
 //!   counterexample deterministically) and greedy choice-stream
-//!   shrinking for ints, vectors and tuples.
-//! * [`gen`] — composable [`gen::Gen`] value combinators
-//!   (`map`/`flat_map`/`vec`/`one_of`/`weighted_of`), the analogue of
-//!   proptest strategies.
+//!   shrinking for ints, vectors and tuples. A property draws its inputs
+//!   straight from [`prop::G`]'s methods (`u32_in`, `vec_of`, `weighted`,
+//!   `pick`, …), which stand in for proptest strategies.
 //! * [`pool`] — a deterministic std-only thread pool (`L15_JOBS`
 //!   workers, per-item SplitMix64 seeds, index-ordered results) driving
 //!   the experiment sweeps, the differential harness and the parallel
@@ -62,7 +61,6 @@ pub mod arrivals;
 pub mod cli;
 pub mod diag;
 pub mod fuzz;
-pub mod gen;
 pub mod pool;
 pub mod prop;
 pub mod rng;

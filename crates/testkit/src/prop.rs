@@ -35,7 +35,6 @@ use std::ops::{Bound, RangeBounds};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
-use crate::gen::Gen;
 use crate::pool::{self, payload_message};
 use crate::rng::{fnv1a, splitmix64, Xoshiro256pp, FNV1A_OFFSET};
 
@@ -145,11 +144,6 @@ macro_rules! g_int_draw {
 }
 
 impl G {
-    /// The next raw 64-bit choice.
-    pub fn raw_u64(&mut self) -> u64 {
-        self.src.draw()
-    }
-
     g_int_draw!(
         u8_in: u8 [0, u8::MAX],
         u16_in: u16 [0, u16::MAX],
@@ -244,11 +238,6 @@ impl G {
     ) -> Vec<T> {
         let n = self.usize_in(len);
         (0..n).map(|_| f(self)).collect()
-    }
-
-    /// Draws one value from a [`Gen`] combinator.
-    pub fn draw<T: 'static>(&mut self, gen: &Gen<T>) -> T {
-        gen.generate(self)
     }
 }
 

@@ -194,11 +194,6 @@ pub trait Rng {
     /// The next raw 64-bit draw.
     fn next_u64(&mut self) -> u64;
 
-    /// The next raw 32-bit draw (upper half of a 64-bit draw).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw from `range` (`lo..hi` or `lo..=hi`).
     ///
     /// # Panics
@@ -223,23 +218,6 @@ pub trait Rng {
         for i in (1..slice.len()).rev() {
             let j = uniform_below(self, i as u64 + 1) as usize;
             slice.swap(i, j);
-        }
-    }
-
-    /// A uniformly chosen element, or `None` on an empty slice.
-    fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[uniform_below(self, slice.len() as u64) as usize])
-        }
-    }
-
-    /// Fills `buf` with random bytes.
-    fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
         }
     }
 }
@@ -380,13 +358,5 @@ mod tests {
         let mut borrow = &mut r;
         let w = takes_generic(&mut borrow);
         assert!(w < 100);
-    }
-
-    #[test]
-    fn fill_bytes_fills_every_byte_eventually() {
-        let mut r = SmallRng::seed_from_u64(13);
-        let mut buf = [0u8; 37];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

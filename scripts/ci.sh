@@ -25,6 +25,9 @@ cargo fmt --check
 echo "==> clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> rustdoc (workspace, warnings are errors: every intra-doc link resolves)"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "==> unsafe-code gate (every crate forbids unsafe)"
 for lib in crates/*/src/lib.rs; do
     grep -q '^#!\[forbid(unsafe_code)\]$' "$lib" \
