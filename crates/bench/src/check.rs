@@ -1,8 +1,8 @@
 //! `l15 check` — lint L1.5 programs against the six protocol rules.
 //!
 //! ```sh
-//! # the built-in sweep: generated corpus + case-study programs + the
-//! # Walloc FSM model check (--quick shrinks the sweep for CI)
+//! # the built-in sweep, each program run on proposed_8core: generated corpus
+//! # + case-study programs + the Walloc FSM model check (--quick: CI size)
 //! l15 check [--quick]
 //! # lint a directory of .dag files (optionally with embedded plan lines)
 //! l15 check lint <dir>
@@ -14,14 +14,14 @@
 
 use std::path::Path;
 
-use l15_check::program::{parse_program_text, CheckProgram};
+use l15_check::program::{parse_program_text, CheckProgram, ProgramSpec};
 use l15_check::{fsm, Finding};
-use l15_core::alg1::schedule_with_l15;
 use l15_core::casestudy::{generate_case_study, CaseStudyParams};
-use l15_core::plan::SchedulePlan;
 use l15_dag::gen::{DagGenParams, DagGenerator};
-use l15_dag::{DagTask, ExecutionTimeModel};
-use l15_runtime::emit::EmitOptions;
+use l15_dag::DagTask;
+use l15_runtime::kernel::{preset_plan, KernelConfig};
+use l15_runtime::WorkScale;
+use l15_soc::SocConfig;
 use l15_testkit::cli::Parsed;
 use l15_testkit::diag::format_report;
 use l15_testkit::pool;
@@ -35,18 +35,17 @@ fn render(name: &str, findings: &[Finding]) -> (String, usize) {
     (format_report(name, &diags), findings.len())
 }
 
-/// Checks one program, under an Alg. 1 plan when it carries none.
-fn check_program(
-    name: &str,
-    task: DagTask,
-    plan: Option<SchedulePlan>,
-    opts: &EmitOptions,
-) -> (String, usize) {
-    let plan = plan.unwrap_or_else(|| {
-        let etm = ExecutionTimeModel::new(2048).expect("2 KiB is a valid way size");
-        schedule_with_l15(&task, opts.ways, &etm)
-    });
-    render(name, &CheckProgram::new(task, plan, opts).check())
+/// Runs one program on `proposed_8core`, under its preset (Alg. 1) plan
+/// when it carries none, and checks the recording; a failed run counts one.
+fn check_program(name: &str, spec: ProgramSpec) -> (String, usize) {
+    let cfg = SocConfig::proposed_8core();
+    let max_cycles = KernelConfig::default().max_cycles;
+    let (preset, kcfg) = preset_plan(&spec.task, &cfg, WorkScale::default(), max_cycles);
+    let plan = spec.plan.unwrap_or(preset);
+    match CheckProgram::new(spec.task, &plan, spec.tids, &cfg, &kcfg) {
+        Ok(prog) => render(name, &prog.check()),
+        Err(e) => (format!("{name}: error: {e}\n"), 1),
+    }
 }
 
 /// Prints the reports in order; returns the total finding count.
@@ -73,14 +72,14 @@ fn verdict(total: usize) -> Outcome {
 /// shapes, FSM check.
 pub fn sweep(p: &Parsed) -> Outcome {
     let seed = env_seed();
-    let opts = EmitOptions::default();
+    let spec = |task: DagTask| ProgramSpec { task, plan: None, tids: None };
 
     let n_gen = if p.quick { 3 } else { 12 };
     let generator = DagGenerator::new(DagGenParams::default());
     let gen_reports = pool::run_seeded(seed, n_gen, |i, item_seed| {
         let mut rng = SmallRng::seed_from_u64(item_seed);
         let task = generator.generate(&mut rng).expect("default parameters are valid");
-        check_program(&format!("gen_{i:02}"), task, None, &opts)
+        check_program(&format!("gen_{i:02}"), spec(task))
     });
 
     // Case-study workload shapes (Sec. 5.2), generated up front (cheap),
@@ -89,9 +88,8 @@ pub fn sweep(p: &Parsed) -> Outcome {
     let n_cs = if p.quick { 2 } else { 4 };
     let tasks = generate_case_study(n_cs, 2.0, &CaseStudyParams::default(), &mut rng)
         .map_err(|e| format!("case-study generation: {e}"))?;
-    let cs_reports = pool::run(tasks.len(), |i| {
-        check_program(&format!("case_{i:02}"), tasks[i].clone(), None, &opts)
-    });
+    let cs_reports =
+        pool::run(tasks.len(), |i| check_program(&format!("case_{i:02}"), spec(tasks[i].clone())));
 
     let bounds = if p.quick {
         fsm::FsmBounds { max_cores: 2, max_ways: 3 }
@@ -119,8 +117,7 @@ pub fn lint_dir(dir: &Path) -> Result<usize, String> {
             Ok(s) => s,
             Err(e) => return (format!("{name}: error: {e}\n"), 1),
         };
-        let opts = EmitOptions { tids: spec.tids, ..EmitOptions::default() };
-        check_program(&name, spec.task, spec.plan, &opts)
+        check_program(&name, spec)
     });
     Ok(print_reports(reports))
 }

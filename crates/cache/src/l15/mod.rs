@@ -19,9 +19,8 @@
 //!   plus the new-ISA control port (`demand`, `supply`, `gv_set`, `gv_get`,
 //!   `ip_set`);
 //! * [`protocol`] — the checkable event/instruction vocabulary
-//!   ([`ProtocolOp`]) shared by the static kernel-stream emitter
-//!   (`l15-runtime`), the protocol verifier (`l15-check`) and trace
-//!   replay.
+//!   ([`ProtocolOp`]) the protocol verifier (`l15-check`) lifts a
+//!   recorded kernel run into.
 
 mod cache;
 mod mask;

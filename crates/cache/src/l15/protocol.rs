@@ -4,10 +4,9 @@
 //! the control instructions a kernel issues at dispatch (`demand`,
 //! `ip_set`, `gv_set`), the Walloc grant/revoke reconfigurations they
 //! trigger (Fig. 5), and the line-granular data accesses the node program
-//! performs — is expressible as one [`ProtocolOp`]. The static kernel
-//! emitter (`l15-runtime`), the protocol verifier (`l15-check`) and the
-//! trace-replay mode all speak this vocabulary, so a rule violation found
-//! statically names the same action a dynamic trace would show.
+//! performs — is expressible as one [`ProtocolOp`]. The protocol verifier
+//! (`l15-check`) lifts a recorded kernel run into this vocabulary, so a
+//! rule violation names the action the run's trace shows.
 //!
 //! The vocabulary deliberately abstracts two hardware details:
 //!
@@ -35,7 +34,8 @@ pub enum ProtocolOp {
     /// The `demand` instruction: the dispatched node wants `ways` L1.5
     /// ways in total.
     Demand {
-        /// Requested way count (the plan's `local_ways`).
+        /// Requested total way count (the kernel asks for the ways it
+        /// owns plus the plan's `local_ways`).
         ways: usize,
     },
     /// The `ip_set` instruction: switch the inclusion policy of the

@@ -31,9 +31,8 @@ use std::collections::BTreeMap;
 use l15_cache::l15::protocol::ProtocolOp;
 use l15_cache::l15::{ControlRegs, L15Config};
 use l15_cache::WayMask;
-use l15_core::hb::{vector_clocks_from, HbSchedule, VectorClocks};
+use l15_core::hb::{vector_clocks_from, VectorClocks};
 use l15_dag::NodeId;
-use l15_runtime::emit::{KernelStreams, NodeStream};
 use l15_rvcore::bus::SystemBus;
 use l15_rvcore::isa::L15Op;
 use l15_soc::trace::TraceCounters;
@@ -43,6 +42,7 @@ use l15_testkit::{cli, pool, prop};
 use l15_trace::FlightRecorder;
 
 use crate::fsm::{check_walloc_model, FsmBounds, WallocModel};
+use crate::lift::{KernelStreams, NodeStream};
 use crate::replay::{check_recorded, TraceExpectation};
 use crate::rules::{check_streams, sort_findings, Finding, RuleId};
 
@@ -673,7 +673,10 @@ struct NodeBuild {
 }
 
 /// Renders the case as [`KernelStreams`] plus happens-before clocks for
-/// the static rules.
+/// the static rules. The harness owns its ways from its initial `demand`
+/// and its produce episodes never grant, so a lift of its recording would
+/// judge a protocol it does not follow: this is a model of its actions,
+/// its ops numbered in stream order.
 ///
 /// Nodes are created in global step order: per-core runs of private ops
 /// form *segment* nodes, every produce is its own node, and every
@@ -811,26 +814,17 @@ fn build_streams(
         }
     }
 
-    let n = nodes.len();
     let core_of: Vec<usize> = nodes.iter().map(|b| b.core).collect();
     let preds: Vec<Vec<NodeId>> = nodes.iter().map(|b| b.preds.clone()).collect();
-    let mut start = vec![0.0f64; n];
-    let mut finish = vec![0.0f64; n];
-    for (pos, v) in order.iter().enumerate() {
-        start[v.0] = pos as f64;
-        finish[v.0] = (pos + 1) as f64;
-    }
-    let sched = HbSchedule {
-        cores: cores_total,
-        core: core_of.clone(),
-        order: order.clone(),
-        start,
-        finish,
-    };
     let vc = vector_clocks_from(cores_total, &core_of, &order, &preds);
+    let mut seq = 0u64..;
     let streams: Vec<NodeStream> = order
         .iter()
-        .map(|&v| NodeStream { node: v, core: nodes[v.0].core, ops: nodes[v.0].ops.clone() })
+        .map(|&v| {
+            let b = &nodes[v.0];
+            let ops = b.ops.iter().map(|&op| (seq.next().expect("unbounded"), op)).collect();
+            NodeStream { node: v, core: b.core, ops }
+        })
         .collect();
     let line_of: Vec<u64> = nodes
         .iter()
@@ -839,15 +833,7 @@ fn build_streams(
         .collect();
     let granted: Vec<Vec<usize>> = nodes.iter().map(|b| b.granted.clone()).collect();
     let tids_of: Vec<u8> = nodes.iter().map(|b| b.tid).collect();
-    let ks = KernelStreams {
-        cores: cores_total,
-        ways: knobs.ways,
-        tids: tids_of,
-        streams,
-        line_of,
-        granted,
-        sched,
-    };
+    let ks = KernelStreams { ways: knobs.ways, tids: tids_of, streams, line_of, granted };
     (ks, vc)
 }
 

@@ -1,61 +1,69 @@
-//! A checkable L1.5 program: task + plan + emitted kernel streams, the
-//! seeded mutations that inject PR-1-class bugs into it, and the on-disk
-//! text format (`.dag` plus `plan` lines).
+//! A checkable L1.5 program: task + plan + the kernel streams lifted from
+//! a recorded run of that pair, the seeded mutations that inject
+//! PR-1-class bugs into them, and the on-disk text format (`.dag` plus
+//! `plan` lines).
 
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
 use l15_cache::l15::protocol::ProtocolOp;
-use l15_core::hb::{vector_clocks, VectorClocks};
+use l15_core::hb::VectorClocks;
 use l15_core::plan::SchedulePlan;
 use l15_dag::{textio, DagTask, NodeId};
-use l15_runtime::emit::{emit_kernel_streams, EmitOptions, KernelStreams};
+use l15_runtime::kernel::{run_task, KernelConfig};
+use l15_soc::{Soc, SocConfig};
+use l15_trace::FlightRecorder;
 
+use crate::lift::{self, KernelStreams, LiftError};
 use crate::rules::{self, Finding};
 
-/// A program under analysis: the task, the plan it was scheduled with,
-/// the kernel streams the Sec. 4.3 protocol emits for that pair, and the
-/// happens-before clocks of the underlying schedule.
+/// A program under analysis: the task, the kernel streams lifted from
+/// running it under a plan, and the happens-before clocks of the dispatch
+/// the run made.
 #[derive(Debug, Clone)]
 pub struct CheckProgram {
     task: DagTask,
-    plan: SchedulePlan,
     streams: KernelStreams,
     vc: VectorClocks,
 }
 
 impl CheckProgram {
-    /// Emits the kernel streams of `(task, plan)` under `opts` and derives
-    /// the vector clocks (panics on the same invalid inputs as
-    /// [`emit_kernel_streams`]).
-    pub fn new(task: DagTask, plan: SchedulePlan, opts: &EmitOptions) -> Self {
-        let streams = emit_kernel_streams(&task, &plan, opts);
-        let vc = vector_clocks(&task, &streams.sched);
-        CheckProgram { task, plan, streams, vc }
+    /// Runs `(task, plan)` on a fresh `cfg` SoC under `kcfg` with a
+    /// recorder of the [`lift::lifted`] events attached and lifts the
+    /// recording ([`lift::lift`]); `tids` declares each node's application.
+    ///
+    /// # Errors
+    ///
+    /// A failed run, or a recording that dropped protocol events.
+    pub fn new(
+        task: DagTask,
+        plan: &SchedulePlan,
+        tids: Option<Vec<u8>>,
+        cfg: &SocConfig,
+        kcfg: &KernelConfig,
+    ) -> Result<Self, LiftError> {
+        let mut soc = Soc::new(cfg.clone(), 0);
+        let rec = FlightRecorder::keeping(lift::CAPTURE_EVENTS, lift::lifted);
+        soc.uncore_mut().trace_mut().attach(rec);
+        let run = run_task(&mut soc, &task, plan, kcfg);
+        let rec = soc.uncore_mut().trace_mut().detach().expect("attached above");
+        run.map_err(LiftError::Run)?;
+        let (streams, vc) = lift::lift(&task, tids, cfg, &rec)?;
+        Ok(CheckProgram { task, streams, vc })
     }
 
-    /// The task under analysis.
-    pub fn task(&self) -> &DagTask {
-        &self.task
-    }
-
-    /// The schedule plan under analysis.
-    pub fn plan(&self) -> &SchedulePlan {
-        &self.plan
-    }
-
-    /// The emitted kernel streams (mutations edit these in place).
+    /// The lifted kernel streams (mutations edit these in place).
     pub fn streams(&self) -> &KernelStreams {
         &self.streams
     }
 
-    /// The plan-derived vector clocks.
+    /// The vector clocks of the recorded dispatch.
     pub fn vc(&self) -> &VectorClocks {
         &self.vc
     }
 
-    /// Runs the static rules R1–R5 and returns the sorted findings.
+    /// Runs the rules R1–R5 and returns the sorted findings.
     pub fn check(&self) -> Vec<Finding> {
         rules::check_streams(&self.streams, &self.vc)
     }
@@ -69,7 +77,7 @@ impl CheckProgram {
         let mut out = Vec::new();
         for i in 0..n {
             let v = NodeId(i);
-            if !self.streams.granted[i].is_empty() {
+            if self.reissues_ip_set(v) {
                 out.push(Mutation::DropIpSetReissue { node: v });
             }
         }
@@ -82,11 +90,12 @@ impl CheckProgram {
         }
         for i in 0..n {
             let v = NodeId(i);
-            let has_publish = self
-                .streams
-                .stream_of(v)
-                .is_some_and(|s| s.ops.iter().any(|o| matches!(o, ProtocolOp::GvPublish { .. })));
-            if has_publish && !dag.successors(v).is_empty() {
+            let has_publish = self.streams.stream_of(v).is_some_and(|s| {
+                s.ops.iter().any(|&(_, o)| matches!(o, ProtocolOp::GvPublish { .. }))
+            });
+            // Only a publish of data held in ways matters to a reader.
+            let held = !self.streams.granted[i].is_empty() && dag.node(v).data_bytes > 0;
+            if has_publish && held && !dag.successors(v).is_empty() {
                 out.push(Mutation::SkipGvPublish { node: v });
             }
         }
@@ -97,7 +106,6 @@ impl CheckProgram {
             if reads || is_read {
                 out.push(Mutation::CrossTid { node: v });
             }
-            out.push(Mutation::UnbindTid { node: v });
         }
         for i in 0..n {
             for j in 0..n {
@@ -110,20 +118,35 @@ impl CheckProgram {
         out
     }
 
+    /// Whether `v`'s stream re-issues `ip_set` after its last grant and
+    /// then accesses data, so dropping the re-issue exposes the access. A
+    /// node that finishes before its Walloc settles has no re-issue.
+    fn reissues_ip_set(&self, v: NodeId) -> bool {
+        let Some(s) = self.streams.stream_of(v) else { return false };
+        let Some(lg) = s.ops.iter().rposition(|&(_, o)| matches!(o, ProtocolOp::Grant { .. }))
+        else {
+            return false;
+        };
+        let tail = &s.ops[lg..];
+        let reissue = tail.iter().position(|&(_, o)| o == ProtocolOp::IpSet { on: true });
+        reissue.is_some_and(|r| tail[r..].iter().any(|&(_, o)| o.is_access()))
+    }
+
     /// Applies `m` to the streams. Returns `false` (and leaves the program
     /// unchanged) when the mutation's precondition does not hold.
     pub fn apply(&mut self, m: &Mutation) -> bool {
         match *m {
             Mutation::DropIpSetReissue { node } => {
                 let Some(s) = self.streams.stream_of_mut(node) else { return false };
-                let Some(lg) = s.ops.iter().rposition(|o| matches!(o, ProtocolOp::Grant { .. }))
+                let Some(lg) =
+                    s.ops.iter().rposition(|&(_, o)| matches!(o, ProtocolOp::Grant { .. }))
                 else {
                     return false;
                 };
                 let before = s.ops.len();
                 let mut i = lg + 1;
                 while i < s.ops.len() {
-                    if matches!(s.ops[i], ProtocolOp::IpSet { .. }) {
+                    if matches!(s.ops[i].1, ProtocolOp::IpSet { .. }) {
                         s.ops.remove(i);
                     } else {
                         i += 1;
@@ -133,7 +156,7 @@ impl CheckProgram {
             }
             Mutation::DropGrant { node } => {
                 let Some(s) = self.streams.stream_of_mut(node) else { return false };
-                match s.ops.iter().position(|o| matches!(o, ProtocolOp::Grant { .. })) {
+                match s.ops.iter().position(|&(_, o)| matches!(o, ProtocolOp::Grant { .. })) {
                     Some(i) => {
                         s.ops.remove(i);
                         true
@@ -143,7 +166,7 @@ impl CheckProgram {
             }
             Mutation::DoubleGrant { node } => {
                 let Some(s) = self.streams.stream_of_mut(node) else { return false };
-                match s.ops.iter().position(|o| matches!(o, ProtocolOp::Grant { .. })) {
+                match s.ops.iter().position(|&(_, o)| matches!(o, ProtocolOp::Grant { .. })) {
                     Some(i) => {
                         let dup = s.ops[i];
                         s.ops.insert(i + 1, dup);
@@ -154,7 +177,7 @@ impl CheckProgram {
             }
             Mutation::SkipGvPublish { node } => {
                 let Some(s) = self.streams.stream_of_mut(node) else { return false };
-                match s.ops.iter().position(|o| matches!(o, ProtocolOp::GvPublish { .. })) {
+                match s.ops.iter().position(|&(_, o)| matches!(o, ProtocolOp::GvPublish { .. })) {
                     Some(i) => {
                         s.ops.remove(i);
                         true
@@ -163,23 +186,8 @@ impl CheckProgram {
                 }
             }
             Mutation::CrossTid { node } => {
-                let tid = self.streams.tids[node.0] ^ 1;
-                self.streams.tids[node.0] = tid;
-                if let Some(s) = self.streams.stream_of_mut(node) {
-                    if let Some(ProtocolOp::SetTid { tid: t }) = s.ops.first_mut() {
-                        *t = tid;
-                    }
-                }
+                self.streams.tids[node.0] ^= 1;
                 true
-            }
-            Mutation::UnbindTid { node } => {
-                let Some(s) = self.streams.stream_of_mut(node) else { return false };
-                if matches!(s.ops.first(), Some(ProtocolOp::SetTid { .. })) {
-                    s.ops.remove(0);
-                    true
-                } else {
-                    false
-                }
             }
             Mutation::ForeignWrite { node, victim } => {
                 if !self.vc.concurrent(node, victim) {
@@ -187,7 +195,10 @@ impl CheckProgram {
                 }
                 let line = self.streams.line_of[victim.0];
                 let Some(s) = self.streams.stream_of_mut(node) else { return false };
-                s.ops.push(ProtocolOp::Write { line });
+                // At dispatch, before any grant: the write races, and
+                // nothing else.
+                let at = s.ops.first().map_or(0, |&(at, _)| at);
+                s.ops.insert(0, (at, ProtocolOp::Write { line }));
                 true
             }
         }
@@ -195,12 +206,12 @@ impl CheckProgram {
 }
 
 /// A seeded protocol bug: each variant injects exactly one rule violation
-/// into the emitted streams, replicating a known historical bug class.
+/// into the lifted streams, replicating a known historical bug class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Removes the `ip_set` re-issued after the grants — a replica of the
     /// pre-PR-1 kernel, whose dispatch-time `ip_set` could not cover ways
-    /// granted later. Fires R1.
+    /// granted later. Fires R1 on the access after the re-issue.
     DropIpSetReissue {
         /// Mutated node.
         node: NodeId,
@@ -230,14 +241,8 @@ pub enum Mutation {
         /// Mutated node.
         node: NodeId,
     },
-    /// Removes the dispatch-time `set_tid`, so the protector compares
-    /// against whatever the core ran before. Fires R4.
-    UnbindTid {
-        /// Mutated node.
-        node: NodeId,
-    },
     /// Injects a write to a clock-concurrent victim's output line — a
-    /// data race the schedule permits. Fires R5.
+    /// data race the recorded dispatch permits. Fires R5.
     ForeignWrite {
         /// Mutated node (gains the write).
         node: NodeId,
@@ -254,7 +259,7 @@ impl Mutation {
             Mutation::DropIpSetReissue { .. } => RuleId::IpSetBeforeGrant,
             Mutation::DropGrant { .. } | Mutation::DoubleGrant { .. } => RuleId::WayBalance,
             Mutation::SkipGvPublish { .. } => RuleId::GvStaleness,
-            Mutation::CrossTid { .. } | Mutation::UnbindTid { .. } => RuleId::TidProtector,
+            Mutation::CrossTid { .. } => RuleId::TidProtector,
             Mutation::ForeignWrite { .. } => RuleId::HbRace,
         }
     }
@@ -316,6 +321,7 @@ impl From<textio::ParseDagError> for ParseProgramError {
 /// ```
 ///
 /// Nodes without a `plan` line default to priority 0, zero ways, tid 0.
+/// `ways` is at most 64, the width of a way mask.
 /// Files without any `plan` line parse to `plan: None` (callers derive a
 /// plan with Alg. 1).
 pub fn parse_program_text(text: &str) -> Result<ProgramSpec, ParseProgramError> {
@@ -369,8 +375,11 @@ pub fn parse_program_text(text: &str) -> Result<ProgramSpec, ParseProgramError> 
                     got_pri = true;
                 }
                 "ways" => {
-                    local_ways[node] =
-                        value.parse().map_err(|_| err(format!("bad ways {value:?}")))?;
+                    local_ways[node] = value
+                        .parse()
+                        .ok()
+                        .filter(|&w| w <= 64)
+                        .ok_or_else(|| err(format!("bad ways {value:?} (at most 64)")))?;
                     got_ways = true;
                 }
                 "tid" => {
@@ -426,12 +435,15 @@ mod tests {
         DagTask::new(b.build().unwrap(), 100.0, 100.0).unwrap()
     }
 
+    fn program(task: DagTask) -> CheckProgram {
+        let plan = schedule_with_l15(&task, 16, &ExecutionTimeModel::new(2048).unwrap());
+        let (cfg, kcfg) = (SocConfig::proposed_8core(), KernelConfig::default());
+        CheckProgram::new(task, &plan, None, &cfg, &kcfg).unwrap()
+    }
+
     #[test]
     fn valid_program_checks_clean() {
-        let task = diamond();
-        let plan = schedule_with_l15(&task, 16, &ExecutionTimeModel::new(2048).unwrap());
-        let prog = CheckProgram::new(task, plan, &EmitOptions::default());
-        assert_eq!(prog.check(), Vec::new());
+        assert_eq!(program(diamond()).check(), Vec::new());
     }
 
     #[test]
@@ -461,6 +473,8 @@ mod tests {
             ("plan 0 pri=1\n", "missing ways"),
             ("plan 0 pri=x ways=0\n", "bad pri"),
             ("plan 0 pri=1 ways=0 zap=3\n", "unknown field"),
+            ("plan 0 pri=1 ways=65\n", "wider than a way mask"),
+            ("plan 0 pri=1 ways=18446744073709551615\n", "overflows the kernel's demand"),
         ] {
             let text = format!("{plain}{bad}");
             assert!(
@@ -468,13 +482,19 @@ mod tests {
                 "{what}"
             );
         }
+        let text = format!("{plain}plan 0 pri=1 ways=64\n");
+        assert_eq!(parse_program_text(&text).unwrap().plan.unwrap().local_ways[0], 64);
+        let text = format!("{plain}plan 0 pri=1 ways=65\n");
+        let line = plain.lines().count() + 1;
+        assert_eq!(
+            parse_program_text(&text).unwrap_err().to_string(),
+            format!("line {line}: bad ways \"65\" (at most 64)")
+        );
     }
 
     #[test]
     fn mutations_enumerate_deterministically_and_apply() {
-        let task = diamond();
-        let plan = schedule_with_l15(&task, 16, &ExecutionTimeModel::new(2048).unwrap());
-        let prog = CheckProgram::new(task, plan, &EmitOptions::default());
+        let prog = program(diamond());
         let ms = prog.mutations();
         assert!(!ms.is_empty());
         assert_eq!(ms, prog.mutations(), "enumeration is deterministic");

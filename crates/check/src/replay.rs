@@ -1,20 +1,18 @@
-//! Trace-replay mode: checking a *dynamic* run's always-on counters
-//! against what the statically emitted streams promise.
+//! Trace-replay mode: checking a run's always-on counters against what
+//! its plan promises.
 //!
 //! The SoC's [`TraceCounters`] are maintained with or without a recorder
 //! attached, so every run — including long soak runs where a recorder's
 //! ring would wrap — leaves enough evidence for conservation checks. The
-//! expectation is derived from the same [`KernelStreams`] the static
-//! rules analyse, which is what makes a static finding and a replay
-//! finding name the same protocol action.
+//! expectation is derived from the plan, never from the run it judges, so
+//! the check cannot agree with a run merely because it read that run.
 //!
 //! The checks are deliberately *conservation* properties (equalities and
 //! lower bounds that hold for any legal interleaving), never exact
-//! counts: dynamic grant totals depend on contention timing the static
-//! emitter does not model.
+//! counts: dynamic grant totals depend on contention timing.
 
-use l15_cache::l15::protocol::ProtocolOp;
-use l15_runtime::emit::KernelStreams;
+use l15_core::plan::SchedulePlan;
+use l15_dag::DagTask;
 use l15_soc::trace::TraceCounters;
 use l15_trace::{Category, FlightRecorder, TraceEvent};
 
@@ -23,8 +21,8 @@ use crate::rules::{Finding, RuleId};
 /// What a dynamic run of the program must leave in the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceExpectation {
-    /// Nodes whose stream publishes a line (`gv_set` must take effect at
-    /// least once when positive).
+    /// Nodes that publish a line held in L1.5 ways (`gv_set` must take
+    /// effect at least once when positive).
     pub publishers: u64,
     /// Whether some node granted L1.5 ways writes dependent data (then at
     /// least one store must route via the L1.5).
@@ -35,21 +33,19 @@ pub struct TraceExpectation {
 }
 
 impl TraceExpectation {
-    /// Derives the expectation from emitted streams.
-    pub fn from_streams(ks: &KernelStreams) -> Self {
-        let publishers = ks
-            .streams
-            .iter()
-            .filter(|s| s.ops.iter().any(|o| matches!(o, ProtocolOp::GvPublish { .. })))
+    /// Derives the expectation from the plan: every node the plan gives
+    /// L1.5 ways and that produces dependent data publishes it from those
+    /// ways, and every dispatch issues `demand` and `ip_set`.
+    pub fn from_plan(task: &DagTask, plan: &SchedulePlan) -> Self {
+        let dag = task.graph();
+        let publishers = dag
+            .node_ids()
+            .filter(|&v| plan.local_ways[v.0] > 0 && dag.node(v).data_bytes > 0)
             .count() as u64;
-        let l15_stores_expected = ks.streams.iter().any(|s| {
-            !ks.granted[s.node.0].is_empty()
-                && s.ops.iter().any(|o| matches!(o, ProtocolOp::Write { .. }))
-        });
         TraceExpectation {
             publishers,
-            l15_stores_expected,
-            min_ctrl_ops: 2 * ks.streams.len() as u64,
+            l15_stores_expected: publishers > 0,
+            min_ctrl_ops: 2 * dag.node_count() as u64,
         }
     }
 }
@@ -157,10 +153,9 @@ pub fn check_recorded(rec: &FlightRecorder, expect: &TraceExpectation) -> Replay
 mod tests {
     use super::*;
     use l15_core::alg1::schedule_with_l15;
-    use l15_dag::{DagBuilder, DagTask, ExecutionTimeModel, Node};
-    use l15_runtime::emit::{emit_kernel_streams, EmitOptions};
+    use l15_dag::{DagBuilder, ExecutionTimeModel, Node};
 
-    fn chain3() -> (DagTask, l15_core::plan::SchedulePlan) {
+    fn chain3() -> (DagTask, SchedulePlan) {
         let mut b = DagBuilder::new();
         let a = b.add_node(Node::new(1.0, 2048));
         let m = b.add_node(Node::new(1.0, 2048));
@@ -174,8 +169,7 @@ mod tests {
 
     fn expectation() -> TraceExpectation {
         let (task, plan) = chain3();
-        let ks = emit_kernel_streams(&task, &plan, &EmitOptions::default());
-        TraceExpectation::from_streams(&ks)
+        TraceExpectation::from_plan(&task, &plan)
     }
 
     fn plausible_counters(e: &TraceExpectation) -> TraceCounters {
@@ -191,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn expectation_reflects_the_streams() {
+    fn expectation_reflects_the_plan() {
         let e = expectation();
         assert!(e.publishers >= 1, "{e:?}");
         assert!(e.l15_stores_expected);
@@ -211,8 +205,7 @@ mod tests {
         use l15_soc::{Soc, SocConfig};
 
         let (task, plan) = chain3();
-        let ks = emit_kernel_streams(&task, &plan, &EmitOptions::default());
-        let expect = TraceExpectation::from_streams(&ks);
+        let expect = TraceExpectation::from_plan(&task, &plan);
 
         let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
         let (_, rec) = run_task_traced(
@@ -239,8 +232,7 @@ mod tests {
         use l15_soc::{Soc, SocConfig};
 
         let (task, plan) = chain3();
-        let ks = emit_kernel_streams(&task, &plan, &EmitOptions::default());
-        let expect = TraceExpectation::from_streams(&ks);
+        let expect = TraceExpectation::from_plan(&task, &plan);
 
         let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
         let (_, rec) =

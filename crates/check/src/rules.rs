@@ -1,8 +1,9 @@
 //! The six static rules and their machine-readable findings.
 //!
-//! Rules R1–R5 run over emitted [`KernelStreams`] plus the plan-derived
-//! [`VectorClocks`]; R6 (Walloc liveness) lives in [`crate::fsm`] because
-//! it model-checks the hardware FSM rather than a program. Every finding
+//! Rules R1–R5 run over [`KernelStreams`] lifted from a recorded kernel
+//! run ([`crate::lift`]) plus the [`VectorClocks`] of the dispatch it
+//! recorded; R6 (Walloc liveness) lives in [`crate::fsm`] because it
+//! model-checks the hardware FSM rather than a program. Every finding
 //! names the rule, the nodes involved, the line address (when the rule is
 //! line-granular) and a witness ordering — enough to localise the bug
 //! without re-running the checker.
@@ -12,15 +13,16 @@ use std::fmt;
 use l15_cache::l15::protocol::ProtocolOp;
 use l15_core::hb::VectorClocks;
 use l15_dag::NodeId;
-use l15_runtime::emit::KernelStreams;
 use l15_testkit::diag::Diagnostic;
+
+use crate::lift::KernelStreams;
 
 /// Stable identifiers of the checker's rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// R1: every granted way must be covered by an `ip_set` issued after
-    /// the grant, before the node's data accesses (the PR-1 kernel fix:
-    /// the dispatch-time `ip_set` cannot cover ways granted later).
+    /// R1: a data access after a grant needs an `ip_set` issued after
+    /// the grant (the PR-1 kernel fix: the dispatch-time `ip_set` cannot
+    /// cover ways granted later).
     IpSetBeforeGrant,
     /// R2: way ownership must balance — no grant of an owned way, no
     /// release of an unowned way, no way still owned at quiesce.
@@ -28,8 +30,8 @@ pub enum RuleId {
     /// R3: a consumer reading a line held in a producer's L1.5 ways needs
     /// a `gv_set` publishing that line, ordered before the read.
     GvStaleness,
-    /// R4: dispatches must bind the TID register, and dependent-data reads
-    /// must not cross an application boundary behind the TID protector.
+    /// R4: dependent-data reads must not cross an application boundary
+    /// behind the TID protector.
     TidProtector,
     /// R5: clock-concurrent nodes must not make conflicting accesses to
     /// one line (happens-before data race).
@@ -120,16 +122,16 @@ pub fn check_streams(ks: &KernelStreams, vc: &VectorClocks) -> Vec<Finding> {
 }
 
 /// R1: walking each stream, a grant opens an *uncovered* window that only
-/// a later `ip_set(1)` closes; any data access inside the window — or a
-/// window still open at stream end — is a violation. One finding per
-/// stream (the first witness suffices to localise the bug).
+/// a later `ip_set(1)` closes; a data access inside the window is a
+/// violation. One finding per stream (the first witness suffices to
+/// localise the bug). A window nothing accesses harms nothing: a node
+/// that finishes before its Walloc settles is owed no re-issue.
 fn rule_ipset_before_grant(ks: &KernelStreams) -> Vec<Finding> {
     let mut findings = Vec::new();
     for s in &ks.streams {
         let mut uncovered: Option<(usize, usize)> = None; // (op index, way)
-        let mut hit = false;
-        for (i, op) in s.ops.iter().enumerate() {
-            match *op {
+        for (i, &(_, op)) in s.ops.iter().enumerate() {
+            match op {
                 ProtocolOp::Grant { way } if uncovered.is_none() => {
                     uncovered = Some((i, way));
                 }
@@ -146,81 +148,77 @@ fn rule_ipset_before_grant(ks: &KernelStreams) -> Vec<Finding> {
                                 s.node, op
                             ),
                         });
-                        hit = true;
                         break;
                     }
                 }
                 _ => {}
             }
         }
-        if !hit {
-            if let Some((gi, way)) = uncovered {
-                findings.push(Finding {
-                    rule: RuleId::IpSetBeforeGrant,
-                    nodes: vec![s.node],
-                    line: None,
-                    witness: format!(
-                        "{}: grant(w{way}) at op {gi} is never covered by a later ip_set",
-                        s.node
-                    ),
-                });
-            }
-        }
     }
     findings
 }
 
-/// R2: the global grant/release walk, in dispatch order. Each way has at
-/// most one owner; a grant of an owned way, a release of an unowned way,
-/// and a way still owned when the program quiesces are all violations.
+/// R2: the global grant/release walk, in recorded order (a node
+/// dispatched earlier may be granted a way a later-dispatched node's
+/// reclaim returned). Each way has at most one owner; a grant of an owned
+/// way, a release of an unowned way, and a way still owned when the
+/// program quiesces are all violations.
 fn rule_way_balance(ks: &KernelStreams) -> Vec<Finding> {
+    let mut walk: Vec<(u64, usize, usize)> = Vec::new(); // (event, stream, op)
+    for (k, s) in ks.streams.iter().enumerate() {
+        for (i, &(at, op)) in s.ops.iter().enumerate() {
+            if matches!(op, ProtocolOp::Grant { .. } | ProtocolOp::Release { .. }) {
+                walk.push((at, k, i));
+            }
+        }
+    }
+    walk.sort_unstable();
     let mut findings = Vec::new();
     let mut owner: Vec<Option<NodeId>> = vec![None; ks.ways];
-    for s in &ks.streams {
-        for (i, op) in s.ops.iter().enumerate() {
-            match *op {
-                ProtocolOp::Grant { way } => {
-                    let Some(slot) = owner.get_mut(way) else {
-                        findings.push(Finding {
-                            rule: RuleId::WayBalance,
-                            nodes: vec![s.node],
-                            line: None,
-                            witness: format!(
-                                "{}: grant(w{way}) at op {i} names a way outside the \
-                                 {}-way cluster",
-                                s.node, ks.ways
-                            ),
-                        });
-                        continue;
-                    };
-                    match *slot {
-                        Some(p) => findings.push(Finding {
-                            rule: RuleId::WayBalance,
-                            nodes: vec![p, s.node],
-                            line: None,
-                            witness: format!(
-                                "{}: grant(w{way}) at op {i} double-grants a way still \
-                                 owned by {p}",
-                                s.node
-                            ),
-                        }),
-                        None => *slot = Some(s.node),
-                    }
-                }
-                ProtocolOp::Release { way } => match owner.get_mut(way) {
-                    Some(slot @ Some(_)) => *slot = None,
-                    _ => findings.push(Finding {
+    for (_, k, i) in walk {
+        let s = &ks.streams[k];
+        match s.ops[i].1 {
+            ProtocolOp::Grant { way } => {
+                let Some(slot) = owner.get_mut(way) else {
+                    findings.push(Finding {
                         rule: RuleId::WayBalance,
                         nodes: vec![s.node],
                         line: None,
                         witness: format!(
-                            "{}: release(w{way}) at op {i} returns a way nobody owns",
+                            "{}: grant(w{way}) at op {i} names a way outside the \
+                             {}-way cluster",
+                            s.node, ks.ways
+                        ),
+                    });
+                    continue;
+                };
+                match *slot {
+                    Some(p) => findings.push(Finding {
+                        rule: RuleId::WayBalance,
+                        nodes: vec![p, s.node],
+                        line: None,
+                        witness: format!(
+                            "{}: grant(w{way}) at op {i} double-grants a way still \
+                             owned by {p}",
                             s.node
                         ),
                     }),
-                },
-                _ => {}
+                    None => *slot = Some(s.node),
+                }
             }
+            ProtocolOp::Release { way } => match owner.get_mut(way) {
+                Some(slot @ Some(_)) => *slot = None,
+                _ => findings.push(Finding {
+                    rule: RuleId::WayBalance,
+                    nodes: vec![s.node],
+                    line: None,
+                    witness: format!(
+                        "{}: release(w{way}) at op {i} returns a way nobody owns",
+                        s.node
+                    ),
+                }),
+            },
+            _ => {}
         }
     }
     for (way, slot) in owner.iter().enumerate() {
@@ -244,19 +242,20 @@ fn producer_of(ks: &KernelStreams, line: u64) -> Option<NodeId> {
 /// R3: a read of a line held in the producer's L1.5 ways (the producer was
 /// granted ways, so its stores routed into them) sees stale data unless
 /// the producer publishes the line with `gv_set` — and the publish must be
-/// ordered before the read by the schedule.
+/// ordered before the read by the recorded dispatch.
 fn rule_gv_staleness(ks: &KernelStreams, vc: &VectorClocks) -> Vec<Finding> {
     let mut findings = Vec::new();
     for s in &ks.streams {
-        for op in &s.ops {
-            let ProtocolOp::Read { line } = *op else { continue };
+        for &(_, op) in &s.ops {
+            let ProtocolOp::Read { line } = op else { continue };
             let Some(p) = producer_of(ks, line) else { continue };
             if p == s.node || ks.granted[p.0].is_empty() {
                 // Conventional-path data needs no global-visibility step.
                 continue;
             }
-            let published =
-                ks.stream_of(p).is_some_and(|ps| ps.ops.contains(&ProtocolOp::GvPublish { line }));
+            let published = ks
+                .stream_of(p)
+                .is_some_and(|ps| ps.ops.iter().any(|&(_, o)| o == ProtocolOp::GvPublish { line }));
             if !published {
                 findings.push(Finding {
                     rule: RuleId::GvStaleness,
@@ -284,30 +283,15 @@ fn rule_gv_staleness(ks: &KernelStreams, vc: &VectorClocks) -> Vec<Finding> {
     findings
 }
 
-/// R4: (a) every non-empty stream must open by binding the TID register to
-/// the node's application id; (b) a dependent-data read must not cross an
-/// application boundary — the TID protector would reject it (or, if
-/// bypassed, leak another application's data).
+/// R4: a dependent-data read must not cross an application boundary —
+/// the TID protector would reject it (or, if bypassed, leak another
+/// application's data).
 fn rule_tid_protector(ks: &KernelStreams) -> Vec<Finding> {
     let mut findings = Vec::new();
     for s in &ks.streams {
         let want = ks.tids[s.node.0];
-        match s.ops.first() {
-            Some(&ProtocolOp::SetTid { tid }) if tid == want => {}
-            Some(op) => findings.push(Finding {
-                rule: RuleId::TidProtector,
-                nodes: vec![s.node],
-                line: None,
-                witness: format!(
-                    "{} (application {want}) dispatches with first op {} instead of \
-                     set_tid({want}) — the protector compares against a stale id",
-                    s.node, op
-                ),
-            }),
-            None => {}
-        }
-        for op in &s.ops {
-            let ProtocolOp::Read { line } = *op else { continue };
+        for &(_, op) in &s.ops {
+            let ProtocolOp::Read { line } = op else { continue };
             let Some(p) = producer_of(ks, line) else { continue };
             let ptid = ks.tids[p.0];
             if p != s.node && ptid != want {
@@ -328,16 +312,18 @@ fn rule_tid_protector(ks: &KernelStreams) -> Vec<Finding> {
 }
 
 /// R5: conflicting accesses (at least one write) to one line by two nodes
-/// the vector clocks leave unordered — a genuine data race the schedule
+/// the vector clocks leave unordered — a genuine data race the dispatch
 /// permits, whatever the simulated interleaving happened to do.
 fn rule_hb_race(ks: &KernelStreams, vc: &VectorClocks) -> Vec<Finding> {
     // Per-node sorted (line, is_write) access sets, in node-id order.
     let n = ks.line_of.len();
+    let mut core = vec![0; n];
     let mut reads: Vec<Vec<u64>> = vec![Vec::new(); n];
     let mut writes: Vec<Vec<u64>> = vec![Vec::new(); n];
     for s in &ks.streams {
-        for op in &s.ops {
-            match *op {
+        core[s.node.0] = s.core;
+        for &(_, op) in &s.ops {
+            match op {
                 ProtocolOp::Read { line } => reads[s.node.0].push(line),
                 ProtocolOp::Write { line } => writes[s.node.0].push(line),
                 _ => {}
@@ -377,7 +363,7 @@ fn rule_hb_race(ks: &KernelStreams, vc: &VectorClocks) -> Vec<Finding> {
                     witness: format!(
                         "v{a} (core {}) and v{b} (core {}) are unordered by the plan \
                          and touch one line ({kind})",
-                        ks.sched.core[a], ks.sched.core[b]
+                        core[a], core[b]
                     ),
                 });
             }
@@ -389,6 +375,7 @@ fn rule_hb_race(ks: &KernelStreams, vc: &VectorClocks) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lift::NodeStream;
 
     #[test]
     fn rule_names_are_stable_and_ordered() {
@@ -423,6 +410,29 @@ mod tests {
             "R3_GV_STALENESS nodes=[0,2] line=0x01020000 witness: \
              producer v0 never publishes the line v2 reads"
         );
+    }
+
+    #[test]
+    fn way_balance_walks_the_recorded_order_not_the_dispatch_order() {
+        // v0 holds w0; v1, dispatched before v2, is granted w0 only after
+        // v2's completion reclaimed it. Walked dispatch-major, v1's grant
+        // would come while v0 still owns w0.
+        let stream = |node: usize, ops| NodeStream { node: NodeId(node), core: node, ops };
+        let ks = KernelStreams {
+            ways: 1,
+            tids: vec![0; 3],
+            streams: vec![
+                stream(0, vec![(0, ProtocolOp::Grant { way: 0 })]),
+                stream(
+                    1,
+                    vec![(3, ProtocolOp::Grant { way: 0 }), (4, ProtocolOp::Release { way: 0 })],
+                ),
+                stream(2, vec![(2, ProtocolOp::Release { way: 0 })]),
+            ],
+            line_of: vec![0, 64, 128],
+            granted: vec![vec![0], vec![0], Vec::new()],
+        };
+        assert_eq!(rule_way_balance(&ks), Vec::new());
     }
 
     #[test]

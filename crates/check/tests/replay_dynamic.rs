@@ -1,11 +1,10 @@
 //! Trace-replay against a real cycle-accurate run: the kernel executes a
 //! task on the simulated SoC, and the always-on counters must satisfy the
-//! conservation expectation derived from the statically emitted streams.
+//! conservation expectation derived from the plan.
 
 use l15_check::replay::{check_counters, TraceExpectation};
 use l15_core::alg1::schedule_with_l15;
 use l15_dag::{DagBuilder, DagTask, ExecutionTimeModel, Node};
-use l15_runtime::emit::{emit_kernel_streams, EmitOptions};
 use l15_runtime::kernel::{run_task, KernelConfig};
 use l15_soc::{Soc, SocConfig};
 
@@ -33,8 +32,7 @@ fn dynamic_counters_satisfy_the_static_expectation() {
     let report = run_task(&mut soc, &task, &plan, &KernelConfig::default()).expect("run completes");
     assert!(report.dataflow_ok, "consumers observed every producer's data");
 
-    let opts = EmitOptions { cores: soc.n_cores(), ways: zeta, tids: None };
-    let expect = TraceExpectation::from_streams(&emit_kernel_streams(&task, &plan, &opts));
+    let expect = TraceExpectation::from_plan(&task, &plan);
     assert!(expect.publishers > 0 && expect.l15_stores_expected, "{expect:?}");
 
     let counters = soc.uncore().trace().counters();

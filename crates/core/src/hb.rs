@@ -1,68 +1,27 @@
-//! Plan → happens-before: the deterministic dispatch order, per-node core
-//! assignment and per-core vector clocks implied by a schedule plan.
+//! Happens-before over one dispatch: per-core vector clocks built from
+//! the cores nodes ran on, the order they were dispatched in and the DAG
+//! edges between them.
 //!
-//! The checker (`l15-check`) must reason about *orderings the schedule
-//! guarantees*, not orderings one simulated run happened to produce
-//! (Tessler et al.'s observation that the schedule is part of the cache
-//! correctness argument). This module derives those guarantees from a
-//! [`SchedulePlan`]: the fixed-priority list schedule of
-//! [`crate::makespan::simulate`] is deterministic, so its per-node core
-//! assignment and start times are a pure function of (task, plan, cores).
-//! Two orderings follow:
+//! Two orderings hold in any such dispatch:
 //!
 //! * **program order** — nodes dispatched to the same core execute in
-//!   start-time order;
+//!   dispatch order;
 //! * **dependency order** — a DAG edge orders producer before consumer.
 //!
-//! [`vector_clocks`] closes both under transitivity with per-core vector
-//! clocks: node `a` happens-before node `b` iff `b`'s clock has seen
-//! `a`'s tick on `a`'s core. Accesses by clock-unordered nodes on
-//! different cores are genuinely concurrent — the precondition of the
-//! checker's data-race rule.
+//! [`vector_clocks_from`] closes both under transitivity with per-core
+//! vector clocks: node `a` happens-before node `b` iff `b`'s clock has
+//! seen `a`'s tick on `a`'s core. Accesses by clock-unordered nodes on
+//! different cores are concurrent in that dispatch — the precondition of
+//! the checker's data-race rule. The checker (`l15-check`) builds the
+//! clocks from the dispatch the kernel actually made (Tessler et al.: the
+//! schedule is part of the cache-correctness argument, and the schedule
+//! that matters is the one that executed).
 
-use l15_dag::{DagTask, NodeId};
+use l15_dag::NodeId;
 
-use crate::makespan::simulate;
-use crate::plan::SchedulePlan;
-
-/// The schedule facts happens-before is derived from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HbSchedule {
-    /// Core count the plan was laid out on.
-    pub cores: usize,
-    /// Per-node executing core.
-    pub core: Vec<usize>,
-    /// Nodes in dispatch order (start time, ties by node id — the list
-    /// scheduler never starts two nodes of one core at the same time).
-    pub order: Vec<NodeId>,
-    /// Per-node start times of the underlying list schedule.
-    pub start: Vec<f64>,
-    /// Per-node finish times of the underlying list schedule.
-    pub finish: Vec<f64>,
-}
-
-/// Lays the plan out on `cores` identical cores with the repo's list
-/// scheduler (WCET execution times, full edge costs) and extracts the
-/// dispatch order and core assignment.
+/// Per-node vector clocks over the dispatch's cores.
 ///
-/// # Panics
-///
-/// Panics if `cores == 0` or the plan length mismatches the task.
-pub fn hb_schedule(task: &DagTask, plan: &SchedulePlan, cores: usize) -> HbSchedule {
-    let dag = task.graph();
-    assert_eq!(plan.len(), dag.node_count(), "one plan entry per node");
-    let sim =
-        simulate(task, cores, &plan.priorities, |v| dag.node(v).wcet, |e, _| dag.edge(e).cost);
-    let mut order: Vec<NodeId> = dag.node_ids().collect();
-    order.sort_by(|&a, &b| {
-        sim.start[a.0].partial_cmp(&sim.start[b.0]).expect("finite start times").then(a.0.cmp(&b.0))
-    });
-    HbSchedule { cores, core: sim.core, order, start: sim.start, finish: sim.finish }
-}
-
-/// Per-node vector clocks over the schedule's cores.
-///
-/// Clocks are built by walking [`HbSchedule::order`]: each node joins the
+/// Clocks are built by walking the dispatch order: each node joins the
 /// clocks of its DAG predecessors and of the previous node on its core,
 /// then ticks its own core component. The result supports O(cores)
 /// happens-before queries via [`VectorClocks::happens_before`].
@@ -97,19 +56,11 @@ impl VectorClocks {
     }
 }
 
-/// Builds the per-node vector clocks of `sched` (see [`VectorClocks`]).
-pub fn vector_clocks(task: &DagTask, sched: &HbSchedule) -> VectorClocks {
-    let dag = task.graph();
-    let preds: Vec<Vec<NodeId>> = (0..dag.node_count())
-        .map(|i| dag.predecessors(NodeId(i)).iter().map(|&(_, p)| p).collect())
-        .collect();
-    vector_clocks_from(sched.cores, &sched.core, &sched.order, &preds)
-}
-
-/// [`vector_clocks`] from raw schedule facts — per-node core assignment,
-/// dispatch `order` and per-node predecessor lists — for callers whose
-/// ordering guarantees do not come from a [`DagTask`] (the fuzz harness
-/// builds synthetic producer→consumer edges for its generated streams).
+/// Builds the per-node vector clocks (see [`VectorClocks`]) from raw
+/// dispatch facts: `cores` clock components, per-node core assignment,
+/// dispatch `order` and per-node predecessor lists. The checker passes the
+/// dispatch a kernel run recorded; the fuzz harness builds synthetic
+/// producer→consumer edges for its generated streams.
 ///
 /// A predecessor dispatched *after* its successor contributes nothing to
 /// the successor's clock (its row is still zero when the successor is
@@ -143,9 +94,7 @@ pub fn vector_clocks_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg1::schedule_with_l15;
-    use l15_dag::topology;
-    use l15_dag::{analysis, DagBuilder, ExecutionTimeModel, Node};
+    use l15_dag::{analysis, topology, DagBuilder, DagTask, Node};
 
     fn diamond() -> DagTask {
         let mut b = DagBuilder::new();
@@ -160,32 +109,25 @@ mod tests {
         DagTask::new(b.build().unwrap(), 1e6, 1e6).unwrap()
     }
 
-    fn plan_of(task: &DagTask) -> SchedulePlan {
-        schedule_with_l15(task, 16, &ExecutionTimeModel::new(2048).unwrap())
-    }
-
-    #[test]
-    fn dispatch_order_is_a_topological_order() {
-        let task = diamond();
-        let sched = hb_schedule(&task, &plan_of(&task), 2);
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (i, v) in sched.order.iter().enumerate() {
-                p[v.0] = i;
-            }
-            p
-        };
-        for e in task.graph().edge_ids() {
-            let edge = task.graph().edge(e);
-            assert!(pos[edge.from.0] < pos[edge.to.0], "{edge:?}");
+    /// Clocks of `task` dispatched in topological order, round-robin over
+    /// `cores` cores.
+    fn clocks(task: &DagTask, cores: usize) -> (Vec<usize>, Vec<NodeId>, VectorClocks) {
+        let dag = task.graph();
+        let order: Vec<NodeId> = dag.topological_order().to_vec();
+        let mut core_of = vec![0; dag.node_count()];
+        for (i, v) in order.iter().enumerate() {
+            core_of[v.0] = i % cores;
         }
+        let preds: Vec<Vec<NodeId>> =
+            dag.node_ids().map(|v| dag.predecessors(v).iter().map(|&(_, p)| p).collect()).collect();
+        let vc = vector_clocks_from(cores, &core_of, &order, &preds);
+        (core_of, order, vc)
     }
 
     #[test]
     fn dag_edges_imply_happens_before() {
         let task = diamond();
-        let sched = hb_schedule(&task, &plan_of(&task), 2);
-        let vc = vector_clocks(&task, &sched);
+        let (_, _, vc) = clocks(&task, 2);
         let (src, sink) = (task.graph().source(), task.graph().sink());
         for v in task.graph().node_ids() {
             if v != src {
@@ -202,10 +144,9 @@ mod tests {
     #[test]
     fn parallel_branches_on_two_cores_are_concurrent() {
         let task = diamond();
-        let sched = hb_schedule(&task, &plan_of(&task), 2);
-        let vc = vector_clocks(&task, &sched);
+        let (core_of, _, vc) = clocks(&task, 2);
         let (a, c) = (NodeId(1), NodeId(2));
-        assert_ne!(sched.core[a.0], sched.core[c.0], "equal-length branches split");
+        assert_ne!(core_of[a.0], core_of[c.0], "the branches split");
         assert!(vc.concurrent(a, c));
         assert!(!vc.concurrent(a, a));
     }
@@ -213,11 +154,10 @@ mod tests {
     #[test]
     fn single_core_serialises_everything() {
         let task = diamond();
-        let sched = hb_schedule(&task, &plan_of(&task), 1);
-        let vc = vector_clocks(&task, &sched);
+        let (_, order, vc) = clocks(&task, 1);
         // On one core, program order totally orders the nodes.
-        for (i, &a) in sched.order.iter().enumerate() {
-            for &b in &sched.order[i + 1..] {
+        for (i, &a) in order.iter().enumerate() {
+            for &b in &order[i + 1..] {
                 assert!(vc.happens_before(a, b), "{a} before {b}");
                 assert!(!vc.concurrent(a, b));
             }
@@ -228,11 +168,10 @@ mod tests {
     fn happens_before_is_contained_in_reachability_union_program_order() {
         // On a wider topology: hb(a,b) must come from a DAG path or from
         // same-core ordering (transitively) — never relate two nodes the
-        // schedule could overlap.
+        // dispatch could overlap.
         let dag = topology::layered_mesh(4, 3, topology::UniformPayload::default()).unwrap();
         let task = DagTask::new(dag, 1e6, 1e6).unwrap();
-        let sched = hb_schedule(&task, &plan_of(&task), 3);
-        let vc = vector_clocks(&task, &sched);
+        let (_, _, vc) = clocks(&task, 3);
         let reach = analysis::Reachability::new(task.graph());
         for a in task.graph().node_ids() {
             for b in task.graph().node_ids() {

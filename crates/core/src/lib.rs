@@ -20,8 +20,8 @@
 //!   L1.5 utilisation and the misconfiguration ratio φ), on the same event
 //!   loop as `simulate` with its own ready order and way pools;
 //! * [`casestudy`] — DAG-ified PARSEC 3.0 workload shapes (Sec. 5.2);
-//! * [`hb`] — plan → happens-before: the deterministic dispatch order and
-//!   per-core vector clocks the `l15-check` race rule queries.
+//! * [`hb`] — dispatch → happens-before: the per-core vector clocks the
+//!   `l15-check` race rule queries.
 //!
 //! # Example
 //!

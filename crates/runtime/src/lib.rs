@@ -13,10 +13,10 @@
 //! * [`kernel::run_task`] — the dispatcher/monitor;
 //! * [`quiesce::quiesce_cluster`] — the mode-change quiescence protocol
 //!   (drain demands, settle the Walloc, verify the R2/R3
-//!   post-conditions) the online layer runs at each switch point;
-//! * [`emit::emit_kernel_streams`] — the same Sec. 4.3 protocol rendered
-//!   statically as checkable [`l15_cache::l15::protocol::ProtocolOp`]
-//!   streams for the `l15-check` verifier.
+//!   post-conditions) the online layer runs at each switch point.
+//!
+//! The `l15-check` verifier judges the protocol on a recorded
+//! [`kernel::run_task`], not on a model of it.
 //!
 //! # Example
 //!
@@ -46,7 +46,6 @@
 
 pub mod capture;
 pub mod coresidency;
-pub mod emit;
 pub mod kernel;
 pub mod layout;
 pub mod quiesce;
@@ -54,7 +53,6 @@ pub mod workgen;
 
 pub use capture::{run_task_traced, DEFAULT_CAPTURE_EVENTS};
 pub use coresidency::{run_cluster_plan, AppOutcome, CoResidencyReport};
-pub use emit::{emit_kernel_streams, EmitOptions, KernelStreams, NodeStream};
 pub use kernel::{preset_plan, run_task, KernelConfig, KernelError, RunReport};
 pub use layout::TaskLayout;
 pub use quiesce::{quiesce_cluster, QuiesceReport};

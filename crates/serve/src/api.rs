@@ -13,6 +13,7 @@
 use std::fmt::Display;
 
 use l15_check::program::{CheckProgram, ParseProgramError};
+use l15_check::LiftError;
 use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::{baseline_priorities, SystemModel};
 use l15_core::federated::{federated_partition, ClusterTopology};
@@ -20,8 +21,7 @@ use l15_core::makespan::simulate;
 use l15_core::plan::SchedulePlan;
 use l15_core::rta;
 use l15_dag::textio::{self, ParseDagError};
-use l15_dag::{analysis, DagTask, ExecutionTimeModel};
-use l15_runtime::emit::EmitOptions;
+use l15_dag::{analysis, Dag, DagTask, ExecutionTimeModel};
 use l15_runtime::kernel::{preset_plan, run_task, KernelConfig, KernelError};
 use l15_runtime::{run_task_traced, WorkScale};
 use l15_soc::{Soc, SocConfig};
@@ -37,14 +37,12 @@ use crate::metrics::Endpoint;
 pub struct Limits {
     /// Node cap for `/schedule` and `/analyze` (analytic pipeline).
     pub max_nodes: usize,
-    /// Node cap for `/simulate` (cycle-accurate, far more expensive).
+    /// Node cap for the engine endpoints (cycle-accurate, far costlier).
     pub max_sim_nodes: usize,
-    /// Per-node data cap for `/simulate`, bytes.
+    /// Per-node data cap for the engine endpoints, bytes.
     pub max_sim_data_bytes: u64,
-    /// Cycle budget cap for `/simulate`.
+    /// Cycle budget cap for the engine endpoints.
     pub max_sim_cycles: u64,
-    /// Node cap for `/check` (the race rule is quadratic in nodes).
-    pub max_check_nodes: usize,
     /// Cap on the `cores` query parameter.
     pub max_cores: usize,
     /// Cap on the `clusters` query parameter (federated scheduling).
@@ -66,7 +64,6 @@ impl Default for Limits {
             max_sim_nodes: 64,
             max_sim_data_bytes: 32 * 1024,
             max_sim_cycles: 20_000_000,
-            max_check_nodes: 1024,
             max_cores: 64,
             max_clusters: 16,
             max_federated_tasks: 64,
@@ -380,7 +377,7 @@ fn analyze(req: &Request, limits: &Limits) -> Result<Response, Response> {
 }
 
 /// What `/simulate`, `/trace` and `/certify` share: the task under the
-/// cycle-accurate caps, its SoC preset and the plan the kernel runs.
+/// [`engine_caps`], its SoC preset and the plan the kernel runs.
 struct Engine<'r> {
     task: DagTask,
     preset: &'r str,
@@ -389,18 +386,9 @@ struct Engine<'r> {
     kcfg: KernelConfig,
 }
 
-/// The engine endpoints' shared prelude: parse the body, cap its nodes and
-/// per-node data (a cycle-accurate run is far more expensive than the
-/// analytic path), resolve `preset`, read `max_cycles` (not for
-/// `/certify`, which runs nothing) and `compute_iters`, derive the plan.
-fn engine_request<'r>(
-    req: &'r Request,
-    limits: &Limits,
-    endpoint: Endpoint,
-) -> Result<Engine<'r>, Response> {
+/// The cycle-accurate run's caps on a task's nodes and per-node data.
+fn engine_caps(dag: &Dag, limits: &Limits, endpoint: Endpoint) -> Result<(), Response> {
     let what = endpoint.name();
-    let task = parse_body(&req.body, limits)?;
-    let dag = task.graph();
     let (n, cap) = (dag.node_count(), limits.max_sim_nodes);
     if n > cap {
         let message = format!("{what} accepts at most {cap} nodes (cycle-accurate run), got {n}");
@@ -412,6 +400,19 @@ fn engine_request<'r>(
         let message = format!("node {v} carries {bytes} data bytes; {what} caps at {cap}");
         return Err(Response::error(413, &message));
     }
+    Ok(())
+}
+
+/// The engine endpoints' shared prelude: parse the body under the
+/// [`engine_caps`], resolve `preset`, read `max_cycles` (not for
+/// `/certify`, which runs nothing) and `compute_iters`, derive the plan.
+fn engine_request<'r>(
+    req: &'r Request,
+    limits: &Limits,
+    endpoint: Endpoint,
+) -> Result<Engine<'r>, Response> {
+    let task = parse_body(&req.body, limits)?;
+    engine_caps(task.graph(), limits, endpoint)?;
     let preset = req.query_param("preset").unwrap_or("proposed_8core");
     let cfg = SocConfig::preset(preset).ok_or_else(|| {
         let valid = SocConfig::preset_names().join(", ");
@@ -560,12 +561,12 @@ fn certify(req: &Request, limits: &Limits) -> Result<Response, Response> {
     Ok(Response::json(200, o.finish()))
 }
 
-/// `POST /check` — the `l15-check` static rules (R1–R5) over a submitted
-/// program: the `.dag` task text, optionally extended with embedded
-/// `plan <node> pri=<p> ways=<w> [tid=<t>]` lines. Without plan lines the
-/// service derives an Alg. 1 plan (`zeta` query parameter), mirroring
-/// `l15 check`. Findings carry the canonical `text` rendering of the
-/// shared testkit formatter, byte-identical to `l15 check`'s output.
+/// `POST /check` — the `l15-check` rules (R1–R5) over a recorded run of a
+/// submitted program: `.dag` task text, optionally with embedded `plan`
+/// lines (else an Alg. 1 plan over `zeta` ways), run under the
+/// [`engine_caps`] on `proposed_8core` with `cores` cores per cluster and
+/// ζ = `zeta`. Findings carry the canonical `text` rendering of the shared
+/// testkit formatter, byte-identical to `l15 check`'s output.
 fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
     let cores = int_param(req, "cores", 4, limits.max_cores as u64)? as usize;
     let zeta = int_param(req, "zeta", 16, 64)? as usize;
@@ -574,19 +575,18 @@ fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
             ParseProgramError::Dag(d) => dag_error(d, ""),
             _ => Response::error(422, &e.to_string()),
         })?;
-    let (n, cap) = (spec.task.graph().node_count(), limits.max_check_nodes);
-    if n > cap {
-        return Err(Response::error(413, &format!("check accepts at most {cap} nodes, got {n}")));
-    }
-    let plan = match spec.plan {
-        Some(p) => p,
-        None => {
-            let etm = ExecutionTimeModel::new(2048).expect("2 KiB is a valid way size");
-            schedule_with_l15(&spec.task, zeta, &etm)
-        }
-    };
-    let opts = EmitOptions { cores, ways: zeta, tids: spec.tids };
-    let findings = CheckProgram::new(spec.task, plan, &opts).check();
+    let n = spec.task.graph().node_count();
+    engine_caps(spec.task.graph(), limits, Endpoint::Check)?;
+    let mut cfg = SocConfig { cores_per_cluster: cores, ..SocConfig::proposed_8core() };
+    cfg.l15.iter_mut().for_each(|l15| l15.ways = zeta);
+    let (preset, kcfg) = preset_plan(&spec.task, &cfg, WorkScale::default(), limits.max_sim_cycles);
+    let plan = spec.plan.unwrap_or(preset);
+    let findings = CheckProgram::new(spec.task, &plan, spec.tids, &cfg, &kcfg)
+        .map_err(|e| match e {
+            LiftError::Run(e) => kernel_error_response(e, kcfg.max_cycles),
+            e => Response::error(413, &e.to_string()),
+        })?
+        .check();
 
     let mut o = Obj::new();
     o.int("nodes", n as u64);
@@ -1047,9 +1047,46 @@ edge 2 3 cost=1 alpha=0.6
         let resp = handle_compute(Endpoint::Check, &post("/check", "", &bad), &Limits::default());
         assert_eq!(resp.status, 422, "{:?}", String::from_utf8(resp.body));
 
-        let tight = Limits { max_check_nodes: 2, ..Limits::default() };
+        let tight = Limits { max_sim_nodes: 2, ..Limits::default() };
         let resp = handle_compute(Endpoint::Check, &post("/check", "", SAMPLE), &tight);
         assert_eq!(resp.status, 413);
+
+        // A way count past the mask width never reaches the kernel.
+        let wide = format!("{SAMPLE}plan 0 pri=1 ways=18446744073709551615\n");
+        let resp = handle_compute(Endpoint::Check, &post("/check", "", &wide), &Limits::default());
+        assert_eq!(resp.status, 422, "{:?}", String::from_utf8(resp.body));
+
+        let tight = Limits { max_sim_cycles: 1000, ..Limits::default() };
+        let resp = handle_compute(Endpoint::Check, &post("/check", "", SAMPLE), &tight);
+        assert_eq!(resp.status, 422, "{:?}", String::from_utf8(resp.body));
+    }
+
+    #[test]
+    fn check_judges_a_program_that_over_demands_the_cluster() {
+        // Every node asks for all 16 ways of the cluster and four run at
+        // once, so the SDU stalls on an unmet demand for the whole run
+        // (≈ 1.7 M stall events); the lift keeps only the events it reads
+        // and still answers. The verdict is a real R2 leak: a node that
+        // finishes unsettled leaves its demand set, and the ways the Walloc
+        // later grants to its idle lane are never reclaimed.
+        let n = 16;
+        let mut program = String::from("task period=1000000 deadline=1000000\n");
+        for v in 0..n {
+            program += &format!("node {v} wcet=1 data=32768\n");
+        }
+        for v in 1..n - 1 {
+            program +=
+                &format!("edge 0 {v} cost=1 alpha=0.5\nedge {v} {} cost=1 alpha=0.5\n", n - 1);
+        }
+        for v in 0..n {
+            program += &format!("plan {v} pri={} ways=16\n", n - v);
+        }
+        let req = post("/check", "zeta=16", &program);
+        let resp = handle_compute(Endpoint::Check, &req, &Limits::default());
+        let body = String::from_utf8(resp.body).unwrap();
+        assert_eq!(resp.status, 200, "{body}");
+        let leaks = body.matches("is never released (leak at quiesce)").count();
+        assert!(leaks > 0 && leaks == body.matches("\"rule\":").count(), "{body}");
     }
 
     #[test]

@@ -100,6 +100,7 @@ fn requests() -> Vec<(&'static str, &'static str, Vec<u8>)> {
         ("POST", "/analyze", b"garbage\n".to_vec()),
         ("POST", "/schedule?clusters=2", format!("{SAMPLE}task period=0 deadline=0\n").into()),
         ("POST", "/check", format!("{SAMPLE}plan 0 pri=1\n").into()),
+        ("POST", "/check", format!("{SAMPLE}plan 0 pri=1 ways=18446744073709551615\n").into()),
         ("POST", "/schedule", long_line.clone()),
         ("POST", "/schedule?clusters=2", long_line.clone()),
         ("POST", "/check", long_line.clone()),

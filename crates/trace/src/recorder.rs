@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::event::{Category, TraceEvent};
+use crate::event::{Category, EventKind, TraceEvent};
 
 /// Per-category dropped-event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,12 +36,14 @@ impl DropCounts {
 }
 
 /// A bounded ring of cycle-stamped events with exact drop accounting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: DropCounts,
     recorded: u64,
+    /// Which events are kept; the rest are neither buffered nor accounted.
+    keep: fn(&EventKind) -> bool,
 }
 
 impl Default for FlightRecorder {
@@ -53,12 +55,21 @@ impl Default for FlightRecorder {
 impl FlightRecorder {
     /// Creates a recorder holding at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> Self {
+        FlightRecorder::keeping(capacity, |_| true)
+    }
+
+    /// [`new`](Self::new), keeping only the events `keep` accepts: any
+    /// other event is neither buffered nor accounted, so a reader of a few
+    /// event kinds of a long run does not lose them to the volume of the
+    /// rest.
+    pub fn keeping(capacity: usize, keep: fn(&EventKind) -> bool) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
             ring: VecDeque::with_capacity(capacity.min(1 << 16)),
             capacity,
             dropped: DropCounts::default(),
             recorded: 0,
+            keep,
         }
     }
 
@@ -87,7 +98,7 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// Total events ever emitted into the recorder.
+    /// Total kept events ever emitted into the recorder.
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
@@ -97,9 +108,12 @@ impl FlightRecorder {
         &self.dropped
     }
 
-    /// Records one event, evicting (and accounting) the oldest on
+    /// Records one kept event, evicting (and accounting) the oldest on
     /// saturation.
     pub fn record(&mut self, event: TraceEvent) {
+        if !(self.keep)(&event.kind) {
+            return;
+        }
         self.recorded += 1;
         if self.ring.len() >= self.capacity {
             let old = self.ring.pop_front().expect("capacity >= 1");
@@ -119,7 +133,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, Level};
+    use crate::event::Level;
 
     fn ev(cycle: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { cycle, kind }
@@ -139,6 +153,19 @@ mod tests {
         assert_eq!(r.dropped().total(), 2);
         assert_eq!(r.recorded(), 4);
         assert_eq!(r.recorded() as usize - r.len(), r.dropped().total() as usize);
+    }
+
+    #[test]
+    fn a_predicate_keeps_only_the_events_it_accepts() {
+        let mut r = FlightRecorder::keeping(2, |k| k.category() == Category::Node);
+        r.record(ev(0, EventKind::Fetch { core: 0, level: Level::L1 }));
+        r.record(ev(1, EventKind::NodeStart { node: 0, core: 0 }));
+        r.record(ev(2, EventKind::Load { core: 0, level: Level::L2 }));
+        r.record(ev(3, EventKind::NodeFinish { node: 0, core: 0 }));
+        let cycles: Vec<u64> = r.events().map(|e| e.cycle).collect();
+        assert_eq!(cycles, vec![1, 3], "only node events are kept");
+        assert_eq!(r.recorded(), 2);
+        assert_eq!(r.dropped().total(), 0, "ignored events are not drops");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`online`] — the online scheduling layer: sporadic arrivals,
 //!   incremental admission control and R6-gated mode changes on a
 //!   persistent SoC session.
-//! * [`check`] — static protocol verifier + happens-before race detector
-//!   over the emitted kernel streams, with a trace-replay mode.
+//! * [`check`] — protocol verifier + happens-before race detector over
+//!   the streams lifted from a recorded kernel run, with a trace-replay
+//!   mode.
 //! * [`area`] — the Sec. 5.4 area model.
 //! * [`serve`] — scheduling-as-a-service: a zero-dependency HTTP layer
 //!   exposing the pipeline with bounded admission, backpressure and
