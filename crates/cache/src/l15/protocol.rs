@@ -24,13 +24,6 @@ use std::fmt;
 /// One observable L1.5 protocol action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProtocolOp {
-    /// The kernel binds the core's TID register to an application
-    /// (`ControlRegs::set_tid`); the cross-application protector compares
-    /// against this value.
-    SetTid {
-        /// Application identifier.
-        tid: u8,
-    },
     /// The `demand` instruction: the dispatched node wants `ways` L1.5
     /// ways in total.
     Demand {
@@ -93,7 +86,6 @@ impl ProtocolOp {
 impl fmt::Display for ProtocolOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ProtocolOp::SetTid { tid } => write!(f, "set_tid({tid})"),
             ProtocolOp::Demand { ways } => write!(f, "demand({ways})"),
             ProtocolOp::IpSet { on } => write!(f, "ip_set({})", u8::from(on)),
             ProtocolOp::Grant { way } => write!(f, "grant(w{way})"),
@@ -111,7 +103,6 @@ mod tests {
 
     #[test]
     fn display_is_stable_and_compact() {
-        assert_eq!(ProtocolOp::SetTid { tid: 2 }.to_string(), "set_tid(2)");
         assert_eq!(ProtocolOp::Demand { ways: 3 }.to_string(), "demand(3)");
         assert_eq!(ProtocolOp::IpSet { on: true }.to_string(), "ip_set(1)");
         assert_eq!(ProtocolOp::Grant { way: 7 }.to_string(), "grant(w7)");

@@ -1,23 +1,26 @@
 //! The parallel regression fuzz harness: executes generated
 //! [`FuzzCase`]s (see [`l15_testkit::fuzz`]) on a real [`Uncore`] and
-//! checks every run three ways —
+//! judges only what that run shows —
 //!
 //! 1. **differentially** against the flat sequential [`SeqOracle`]:
 //!    every load must return the oracle's value at that step, and the
 //!    final memory image (after a full flush) must match byte for byte,
 //!    with per-address last-writer provenance on mismatch;
-//! 2. through the **always-on counter conservation laws** via
-//!    [`check_recorded`], against an expectation derived from the case's
-//!    clean contract (so an injected bug that under-delivers control ops
-//!    or publications is caught even when timing hides the data effect);
-//! 3. through the **static rules R1–R5** over synthetic
-//!    [`KernelStreams`] modelling the case's protocol actions, with
-//!    happens-before clocks built from the produce→consume edges (R6 is
-//!    the Walloc model check, driven with a broken double when injected).
+//! 2. through the **counter conservation laws** of [`check_counters`]
+//!    over the run's always-on [`TraceCounters`], against an expectation
+//!    derived from the case's clean contract (so an injected bug that
+//!    under-delivers control ops, publications or revocations is caught
+//!    even when timing hides the data effect), and on clean runs through
+//!    exact counter accounting and the soundness of the static bounds of
+//!    [`crate::absint::analyze_case`];
+//! 3. through **R6**, the Walloc model check, driven with a broken double
+//!    when that bug is injected.
 //!
-//! Generated cases are protocol-legal by construction, so on a healthy
-//! tree every check must come back clean; [`FuzzBug`] injects one
-//! representative mutation per rule class to prove each alarm fires.
+//! R1–R5 judge lifted kernel runs ([`crate::lift`]), not harness runs:
+//! the harness owns its ways from its initial `demand` and never grants
+//! per episode. Generated cases are protocol-legal by construction, so on
+//! a healthy tree every check must come back clean; [`FuzzBug`] injects
+//! one mutation per protocol step to prove the run shows it.
 //!
 //! With `knobs.clusters > 1` the same per-lane stream is replayed on
 //! every cluster as a **co-resident application** — each cluster under
@@ -28,78 +31,54 @@
 
 use std::collections::BTreeMap;
 
-use l15_cache::l15::protocol::ProtocolOp;
 use l15_cache::l15::{ControlRegs, L15Config};
-use l15_cache::WayMask;
-use l15_core::hb::{vector_clocks_from, VectorClocks};
-use l15_dag::NodeId;
 use l15_rvcore::bus::SystemBus;
 use l15_rvcore::isa::L15Op;
 use l15_soc::trace::TraceCounters;
 use l15_soc::{LevelConfig, SocConfig, Uncore};
 use l15_testkit::fuzz::{draw_case, CoreOp, FuzzCase, FuzzKnobs, SeqOracle};
 use l15_testkit::{cli, pool, prop};
-use l15_trace::FlightRecorder;
 
 use crate::fsm::{check_walloc_model, FsmBounds, WallocModel};
-use crate::lift::{KernelStreams, NodeStream};
-use crate::replay::{check_recorded, TraceExpectation};
-use crate::rules::{check_streams, sort_findings, Finding, RuleId};
+use crate::replay::{check_counters, TraceExpectation};
+use crate::rules::{sort_findings, Finding};
 
-/// Base address of the synthetic per-segment `line_of` entries. The
-/// region is never read or written, so these dummy lines can never alias
-/// a producer lookup (`producer_of` scans `line_of` by value).
-const SEGMENT_LINE_BASE: u64 = 0x0040_0000;
-
-/// One injectable mutation per l15-check rule class — the seeded bugs the
-/// fuzzer must rediscover through its three checks.
+/// One injectable mutation per protocol step — the seeded bugs the
+/// fuzzer must rediscover from the run it executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuzzBug {
-    /// R1: produce episodes skip `ip_set` (and the conventional-path
-    /// flush that would mask it), so supply writes bypass the granted
-    /// ways and consumers read stale data.
+    /// Produce episodes skip `ip_set` (and the conventional-path flush
+    /// that would mask it), so supply writes bypass the granted ways and
+    /// consumers read stale data. The run shows R1: too few control ops.
     DropIpSet,
-    /// R2: the core of the last produce episode never returns its ways at
-    /// quiesce (epilogue `demand(0)` skipped, `release` ops omitted).
+    /// The core of the last produce episode never returns its ways at
+    /// quiesce (epilogue `demand(0)` skipped). The run shows R2 (grants
+    /// outnumber revocations) when that core owned ways, R1 (one control
+    /// op short) always.
     LeakWays,
-    /// R3: produce episodes skip the `gv_set` publication, leaving the
-    /// dependent line invisible to the cluster.
+    /// Produce episodes skip the `gv_set` publication, leaving the
+    /// dependent line invisible to the cluster. The run shows R3: no
+    /// publication took effect.
     SkipGvSet,
-    /// R4: the first consuming core runs under a foreign TID, so its
-    /// reads cross the application boundary behind the protector.
+    /// The first consuming core runs under a foreign TID, so the
+    /// protector hides the lines it reads: oracle divergences.
     ForeignTid,
-    /// R5: a phantom writer touches a produced line with no ordering edge
-    /// — a data race the schedule permits.
-    RacyWrite,
-    /// R6: the Walloc FSM is replaced by a double that never grants.
+    /// The Walloc FSM is replaced by a double that never grants: R6.
     StuckWalloc,
 }
 
 impl FuzzBug {
-    /// Every injectable bug, in rule order.
-    pub const ALL: [FuzzBug; 6] = [
+    /// Every injectable bug, in protocol order.
+    pub const ALL: [FuzzBug; 5] = [
         FuzzBug::DropIpSet,
         FuzzBug::LeakWays,
         FuzzBug::SkipGvSet,
         FuzzBug::ForeignTid,
-        FuzzBug::RacyWrite,
         FuzzBug::StuckWalloc,
     ];
-
-    /// The rule class the mutation models.
-    pub fn rule(self) -> RuleId {
-        match self {
-            FuzzBug::DropIpSet => RuleId::IpSetBeforeGrant,
-            FuzzBug::LeakWays => RuleId::WayBalance,
-            FuzzBug::SkipGvSet => RuleId::GvStaleness,
-            FuzzBug::ForeignTid => RuleId::TidProtector,
-            FuzzBug::RacyWrite => RuleId::HbRace,
-            FuzzBug::StuckWalloc => RuleId::WallocLiveness,
-        }
-    }
 }
 
-/// The merged outcome of one case's three checks.
+/// The merged outcome of one case's checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzVerdict {
     /// Oracle divergences (inline load mismatches, then final-image
@@ -111,12 +90,9 @@ pub struct FuzzVerdict {
     /// (clean runs only — an injected bug invalidates the bound's
     /// protocol assumptions).
     pub soundness: Vec<String>,
-    /// Findings from the conservation laws and the static rules, in
-    /// canonical sorted order.
+    /// Findings from the conservation laws and R6, in canonical sorted
+    /// order.
     pub findings: Vec<Finding>,
-    /// Whether the flight recording covered every counter-relevant event
-    /// (the harness sizes the recorder so this always holds).
-    pub complete: bool,
     /// The run's always-on counters.
     pub counters: TraceCounters,
     /// Concrete memory-system cycles charged per global core — the value
@@ -126,13 +102,9 @@ pub struct FuzzVerdict {
 }
 
 impl FuzzVerdict {
-    /// No divergences, no soundness violations, no findings, complete
-    /// recording.
+    /// No divergences, no soundness violations, no findings.
     pub fn is_clean(&self) -> bool {
-        self.divergences.is_empty()
-            && self.soundness.is_empty()
-            && self.findings.is_empty()
-            && self.complete
+        self.divergences.is_empty() && self.soundness.is_empty() && self.findings.is_empty()
     }
 
     /// The first piece of trouble, for one-line assertion messages.
@@ -143,8 +115,6 @@ impl FuzzVerdict {
             format!("soundness: {s}")
         } else if let Some(f) = self.findings.first() {
             f.render()
-        } else if !self.complete {
-            "flight recording incomplete".to_owned()
         } else {
             "clean".to_owned()
         }
@@ -173,9 +143,6 @@ impl FuzzVerdict {
             out.push_str(&f.render());
             out.push('\n');
         }
-        if !self.complete {
-            out.push_str("  (flight recording incomplete: conservation checks skipped)\n");
-        }
         out
     }
 }
@@ -186,8 +153,8 @@ pub fn case_from_seed(knobs: &FuzzKnobs, seed: u64) -> FuzzCase {
     draw_case(&mut prop::seeded_g(seed), knobs)
 }
 
-/// Runs `case` on a fresh single-cluster SoC and applies all three
-/// checks. See [`check_case_with`] for bug injection.
+/// Runs `case` on a fresh SoC and judges the run. See
+/// [`check_case_with`] for bug injection.
 pub fn check_case(case: &FuzzCase) -> FuzzVerdict {
     check_case_with(case, None)
 }
@@ -212,9 +179,6 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
     }
 
     let mut u = small_soc(knobs);
-    let capacity = (case.steps.len() * 4 + knobs.ways * 64) * clusters + 4096;
-    u.trace_mut().attach(FlightRecorder::new(capacity));
-
     for (core, &tid) in tids.iter().enumerate() {
         u.set_tid(core, tid).expect("core in range");
     }
@@ -231,7 +195,6 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
 
     let mut oracle = SeqOracle::new();
     let mut divergences = Vec::new();
-    let mut produce_ways: Vec<Vec<usize>> = Vec::new();
 
     for (step, &(lane, op)) in case.steps.iter().enumerate() {
         match op {
@@ -288,9 +251,6 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
                     if !drop_ip {
                         observed[core] += u64::from(u.l15_ctrl(core, L15Op::IpSet, 0).cycles);
                     }
-                    if cl == 0 {
-                        produce_ways.push(WayMask::from(u64::from(supply)).iter().collect());
-                    }
                     oracle.write_u32(addr, value, core, step);
                 }
             }
@@ -343,29 +303,14 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
         }
     }
 
-    let rec = u.trace_mut().detach().expect("the fuzz harness attached a flight recorder");
-    let replay = check_recorded(&rec, &expectation_of(case));
-    let mut findings = replay.findings;
-
-    // The static-rule model covers cluster 0 (the mutated cluster); the
-    // replicas are protocol-identical, so one model speaks for all.
-    let (ks, vc) = build_streams(case, &tids[..knobs.cores], &produce_ways, bug);
-    findings.extend(check_streams(&ks, &vc));
-
+    let mut findings = check_counters(&counters, &expectation_of(case));
     if bug == Some(FuzzBug::StuckWalloc) {
         findings
             .extend(check_walloc_model(|_| StuckWalloc, &FsmBounds { max_cores: 2, max_ways: 2 }));
     }
     sort_findings(&mut findings);
 
-    FuzzVerdict {
-        divergences,
-        soundness,
-        findings,
-        complete: replay.complete,
-        counters,
-        observed_cycles: observed,
-    }
+    FuzzVerdict { divergences, soundness, findings, counters, observed_cycles: observed }
 }
 
 /// One sweep item: the case's identity plus its verdict.
@@ -377,7 +322,7 @@ pub struct CaseOutcome {
     pub seed: u64,
     /// Shape summary of the generated case.
     pub summary: String,
-    /// The three checks' merged outcome.
+    /// The checks' merged outcome.
     pub verdict: FuzzVerdict,
 }
 
@@ -444,10 +389,14 @@ impl CorpusEntry {
 /// # Errors
 ///
 /// Returns a line-numbered message for malformed lines, unknown keys,
-/// unparsable values and a missing `seed`.
+/// unparsable or out-of-range values, pools that do not fit their address
+/// regions and a missing `seed`.
 pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
     let mut seed = None;
     let mut knobs = FuzzKnobs::quick();
+    // The line that last sized a pool: the quick pools fit, so a misfit
+    // is that line's doing.
+    let mut pool_line = 0;
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -459,17 +408,40 @@ pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
         let (key, value) = (key.trim(), value.trim());
         let number = cli::parse_u64(value)
             .ok_or_else(|| format!("line {}: `{key}` needs a number, got {value:?}", i + 1))?;
-        match key {
-            "seed" => seed = Some(number),
-            "ops" => knobs.ops = number as usize,
-            "cores" => knobs.cores = number as usize,
-            "clusters" => knobs.clusters = number as usize,
-            "ways" => knobs.ways = number as usize,
-            "private" => knobs.private_slots = number as usize,
-            "shared" => knobs.shared_slots = number as usize,
-            "arrivals" => knobs.arrivals = number as usize,
+        // `draw_case` and `fuzz_soc_config` panic on zero cores, clusters
+        // or pool slots and on ways beyond the 64-bit way mask; the other
+        // upper bounds cap what one case allocates and runs.
+        let (knob, lo, hi) = match key {
+            "seed" => {
+                seed = Some(number);
+                continue;
+            }
+            "ops" => (&mut knobs.ops, 0, 1 << 16),
+            "cores" => (&mut knobs.cores, 1, 64),
+            "clusters" => (&mut knobs.clusters, 1, 16),
+            "ways" => (&mut knobs.ways, 1, 64),
+            "private" => (&mut knobs.private_slots, 1, 1 << 14),
+            "shared" => (&mut knobs.shared_slots, 1, 1 << 12),
+            "arrivals" => (&mut knobs.arrivals, 0, 1 << 12),
             other => return Err(format!("line {}: unknown key {other:?}", i + 1)),
+        };
+        if !(lo..=hi).contains(&number) {
+            return Err(format!("line {}: `{key}` must be in {lo}..={hi}, got {number}", i + 1));
         }
+        *knob = number as usize;
+        if matches!(key, "cores" | "clusters" | "private" | "shared") {
+            pool_line = i + 1;
+        }
+    }
+    if !knobs.pools_fit() {
+        return Err(format!(
+            "line {pool_line}: {} private lines on each of {} cores, or {} shared lines \
+             on each of {} clusters, do not fit their address regions",
+            knobs.private_slots,
+            knobs.total_cores(),
+            knobs.shared_slots,
+            knobs.clusters
+        ));
     }
     let seed = seed.ok_or_else(|| "missing `seed`".to_owned())?;
     Ok(CorpusEntry { seed, knobs })
@@ -659,187 +631,10 @@ fn exact_accounting(case: &FuzzCase, counters: &TraceCounters) -> Vec<String> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Synthetic kernel streams
-// ---------------------------------------------------------------------
-
-struct NodeBuild {
-    core: usize,
-    ops: Vec<ProtocolOp>,
-    line: Option<u64>,
-    granted: Vec<usize>,
-    preds: Vec<NodeId>,
-    tid: u8,
-}
-
-/// Renders the case as [`KernelStreams`] plus happens-before clocks for
-/// the static rules. The harness owns its ways from its initial `demand`
-/// and its produce episodes never grant, so a lift of its recording would
-/// judge a protocol it does not follow: this is a model of its actions,
-/// its ops numbered in stream order.
-///
-/// Nodes are created in global step order: per-core runs of private ops
-/// form *segment* nodes, every produce is its own node, and every
-/// consume *starts a fresh segment* — which puts each consuming node
-/// after its producer in creation (and thus dispatch) order, so the
-/// synthetic produce→consume edge genuinely orders the clocks. Segment
-/// nodes get unique never-accessed `line_of` entries so the rules'
-/// producer lookup cannot alias them.
-fn build_streams(
-    case: &FuzzCase,
-    tids: &[u32],
-    produce_ways: &[Vec<usize>],
-    bug: Option<FuzzBug>,
-) -> (KernelStreams, VectorClocks) {
-    let knobs = &case.knobs;
-    let tid_of_core: Vec<u8> = tids.iter().map(|&t| t as u8).collect();
-    let mut nodes: Vec<NodeBuild> = Vec::new();
-    let mut cur: Vec<Option<usize>> = vec![None; knobs.cores];
-    let mut producer_node: BTreeMap<usize, usize> = BTreeMap::new();
-    let leak_pi = if bug == Some(FuzzBug::LeakWays) && !produce_ways.is_empty() {
-        Some(produce_ways.len() - 1)
-    } else {
-        None
-    };
-    let drop_ip = bug == Some(FuzzBug::DropIpSet);
-    let mut pi = 0usize;
-
-    fn open_segment(
-        nodes: &mut Vec<NodeBuild>,
-        cur: &mut [Option<usize>],
-        core: usize,
-        tid: u8,
-    ) -> usize {
-        if let Some(id) = cur[core] {
-            return id;
-        }
-        let id = nodes.len();
-        nodes.push(NodeBuild {
-            core,
-            ops: vec![ProtocolOp::SetTid { tid }],
-            line: None,
-            granted: Vec::new(),
-            preds: Vec::new(),
-            tid,
-        });
-        cur[core] = Some(id);
-        id
-    }
-
-    for &(core, op) in &case.steps {
-        let tid = tid_of_core[core];
-        match op {
-            CoreOp::Load { slot } => {
-                let id = open_segment(&mut nodes, &mut cur, core, tid);
-                nodes[id].ops.push(ProtocolOp::Read { line: knobs.private_addr(core, slot) });
-            }
-            CoreOp::Store { slot, .. } => {
-                let id = open_segment(&mut nodes, &mut cur, core, tid);
-                nodes[id].ops.push(ProtocolOp::Write { line: knobs.private_addr(core, slot) });
-            }
-            CoreOp::Consume { slot } => {
-                // A consume always opens a fresh segment: the new node is
-                // created after its producer, so the edge orders the
-                // clocks (a pred later in dispatch order would be inert).
-                cur[core] = None;
-                let id = open_segment(&mut nodes, &mut cur, core, tid);
-                nodes[id].ops.push(ProtocolOp::Read { line: knobs.shared_addr(slot) });
-                let p = producer_node[&slot];
-                nodes[id].preds.push(NodeId(p));
-            }
-            CoreOp::Produce { slot, .. } => {
-                cur[core] = None;
-                let id = nodes.len();
-                let line = knobs.shared_addr(slot);
-                let granted = produce_ways[pi].clone();
-                let mut ops =
-                    vec![ProtocolOp::SetTid { tid }, ProtocolOp::Demand { ways: granted.len() }];
-                if !drop_ip {
-                    ops.push(ProtocolOp::IpSet { on: true });
-                }
-                for &w in &granted {
-                    ops.push(ProtocolOp::Grant { way: w });
-                }
-                if !drop_ip {
-                    ops.push(ProtocolOp::IpSet { on: true });
-                }
-                ops.push(ProtocolOp::Write { line });
-                if bug != Some(FuzzBug::SkipGvSet) {
-                    ops.push(ProtocolOp::GvPublish { line });
-                }
-                if leak_pi != Some(pi) {
-                    for &w in &granted {
-                        ops.push(ProtocolOp::Release { way: w });
-                    }
-                }
-                nodes.push(NodeBuild {
-                    core,
-                    ops,
-                    line: Some(line),
-                    granted,
-                    preds: Vec::new(),
-                    tid,
-                });
-                producer_node.insert(slot, id);
-                pi += 1;
-            }
-            CoreOp::Reconfig { ways, .. } => {
-                let id = open_segment(&mut nodes, &mut cur, core, tid);
-                nodes[id].ops.push(ProtocolOp::Demand { ways });
-            }
-            CoreOp::Advance { .. } => {}
-        }
-    }
-
-    // R5 injection: a phantom writer on a core of its own, dispatched
-    // first, with no edges — guaranteed concurrent with the produce node
-    // whose line it clobbers.
-    let mut cores_total = knobs.cores;
-    let mut order: Vec<NodeId> = (0..nodes.len()).map(NodeId).collect();
-    if bug == Some(FuzzBug::RacyWrite) {
-        if let Some((_, &target)) = producer_node.iter().next() {
-            let line = nodes[target].line.expect("produce nodes carry their line");
-            let tid = case.tid as u8;
-            let id = nodes.len();
-            nodes.push(NodeBuild {
-                core: cores_total,
-                ops: vec![ProtocolOp::SetTid { tid }, ProtocolOp::Write { line }],
-                line: None,
-                granted: Vec::new(),
-                preds: Vec::new(),
-                tid,
-            });
-            cores_total += 1;
-            order.insert(0, NodeId(id));
-        }
-    }
-
-    let core_of: Vec<usize> = nodes.iter().map(|b| b.core).collect();
-    let preds: Vec<Vec<NodeId>> = nodes.iter().map(|b| b.preds.clone()).collect();
-    let vc = vector_clocks_from(cores_total, &core_of, &order, &preds);
-    let mut seq = 0u64..;
-    let streams: Vec<NodeStream> = order
-        .iter()
-        .map(|&v| {
-            let b = &nodes[v.0];
-            let ops = b.ops.iter().map(|&op| (seq.next().expect("unbounded"), op)).collect();
-            NodeStream { node: v, core: b.core, ops }
-        })
-        .collect();
-    let line_of: Vec<u64> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, b)| b.line.unwrap_or(SEGMENT_LINE_BASE + i as u64 * knobs.line_bytes))
-        .collect();
-    let granted: Vec<Vec<usize>> = nodes.iter().map(|b| b.granted.clone()).collect();
-    let tids_of: Vec<u8> = nodes.iter().map(|b| b.tid).collect();
-    let ks = KernelStreams { ways: knobs.ways, tids: tids_of, streams, line_of, granted };
-    (ks, vc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::RuleId;
 
     fn tiny_knobs() -> FuzzKnobs {
         FuzzKnobs { private_slots: 8, shared_slots: 4, ops: 0, ..FuzzKnobs::quick() }
@@ -872,15 +667,34 @@ mod tests {
         assert_eq!(v.render("handwritten"), "handwritten: clean\n");
     }
 
+    /// The rule whose finding the run shows for `bug`; `None` for the
+    /// injection that shows only as oracle divergences.
+    fn run_rule(bug: FuzzBug) -> Option<RuleId> {
+        match bug {
+            FuzzBug::DropIpSet => Some(RuleId::IpSetBeforeGrant),
+            FuzzBug::LeakWays => Some(RuleId::WayBalance),
+            FuzzBug::SkipGvSet => Some(RuleId::GvStaleness),
+            FuzzBug::ForeignTid => None,
+            FuzzBug::StuckWalloc => Some(RuleId::WallocLiveness),
+        }
+    }
+
+    fn run_shows(bug: FuzzBug, v: &FuzzVerdict) -> bool {
+        match run_rule(bug) {
+            Some(rule) => v.findings.iter().any(|f| f.rule == rule),
+            None => !v.divergences.is_empty(),
+        }
+    }
+
     #[test]
     fn every_injected_bug_class_is_rediscovered() {
         let case = handwritten_case();
         for bug in FuzzBug::ALL {
             let v = check_case_with(&case, Some(bug));
             assert!(
-                v.findings.iter().any(|f| f.rule == bug.rule()),
-                "{bug:?} must surface a {} finding:\n{}",
-                bug.rule(),
+                run_shows(bug, &v),
+                "{bug:?} must surface {:?} from the run:\n{}",
+                run_rule(bug),
                 v.render("injected")
             );
         }
@@ -916,7 +730,7 @@ mod tests {
     fn cluster_zero_bugs_still_fire_under_coresidency() {
         // The clean replica on cluster 1 must not mask cluster 0's
         // mutation — each injected class still raises its rule finding
-        // (through the stream model or the conservation laws).
+        // or diverges from the oracle.
         let mut case = handwritten_case();
         case.knobs.clusters = 2;
         for bug in FuzzBug::ALL {
@@ -927,7 +741,7 @@ mod tests {
                 v.render("injected")
             );
             assert!(
-                v.findings.iter().any(|f| f.rule == bug.rule()) || !v.divergences.is_empty(),
+                run_shows(bug, &v) || !v.divergences.is_empty(),
                 "{bug:?} must surface its class:\n{}",
                 v.render("injected")
             );
@@ -1023,5 +837,53 @@ mod tests {
         assert!(parse_corpus_entry("seed = banana\n").unwrap_err().contains("needs a number"));
         assert!(parse_corpus_entry("seed = 1\nbogus = 2\n").unwrap_err().contains("unknown key"));
         assert!(parse_corpus_entry("just words\n").unwrap_err().contains("key = value"));
+    }
+
+    fn rejected(text: &str) -> String {
+        parse_corpus_entry(text).expect_err("the entry must be rejected")
+    }
+
+    #[test]
+    fn corpus_entries_reject_zero_cores() {
+        assert_eq!(rejected("seed = 1\ncores = 0\n"), "line 2: `cores` must be in 1..=64, got 0");
+    }
+
+    #[test]
+    fn corpus_entries_reject_zero_clusters() {
+        let err = rejected("seed = 1\nclusters = 0\n");
+        assert_eq!(err, "line 2: `clusters` must be in 1..=16, got 0");
+    }
+
+    #[test]
+    fn corpus_entries_reject_ways_beyond_the_way_mask() {
+        assert_eq!(rejected("seed = 1\nways = 200\n"), "line 2: `ways` must be in 1..=64, got 200");
+        assert!(rejected("ways = 0\nseed = 1\n").starts_with("line 1: `ways`"));
+        assert_eq!(parse_corpus_entry("seed = 1\nways = 64\n").unwrap().knobs.ways, 64);
+    }
+
+    #[test]
+    fn corpus_entries_reject_empty_or_misfit_private_pools() {
+        assert!(rejected("seed = 1\nprivate = 0\n").starts_with("line 2: `private` must be"));
+        // 64 cores x 512 private lines x 64 B is 2 MiB: twice the region.
+        let err = rejected("seed = 1\ncores = 64\nprivate = 512\n# done\n");
+        assert!(err.starts_with("line 3: ") && err.contains("do not fit"), "{err}");
+    }
+
+    #[test]
+    fn corpus_entries_reject_empty_shared_pools() {
+        assert!(rejected("seed = 1\nshared = 0\n").starts_with("line 2: `shared` must be"));
+        assert!(rejected("shared = 4097\nseed = 1\n").starts_with("line 1: `shared` must be"));
+    }
+
+    #[test]
+    fn corpus_entries_reject_unbounded_ops() {
+        let err = rejected("seed = 1\nops = 0xffffffffffffffff\n");
+        assert!(err.starts_with("line 2: `ops` must be in 0..=65536"), "{err}");
+    }
+
+    #[test]
+    fn corpus_entries_reject_unbounded_arrivals() {
+        let err = rejected("seed = 1\narrivals = 4097\n");
+        assert_eq!(err, "line 2: `arrivals` must be in 0..=4096, got 4097");
     }
 }

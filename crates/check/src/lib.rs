@@ -8,7 +8,7 @@
 //! crate checks the protocol the kernel actually ran: it runs a (task,
 //! plan) pair through `l15-runtime`'s `run_task` with a flight recorder
 //! attached, lifts the recording into per-node op streams, and judges
-//! those — plus a trace-replay mode over the SoC's always-on counters:
+//! those — plus conservation laws over the SoC's always-on counters:
 //!
 //! | Rule | Checks |
 //! |------|--------|
@@ -25,7 +25,12 @@
 //!   clocks; [`program::Mutation`] injects seeded PR-1-class bugs;
 //! * [`rules::check_streams`] — R1–R5 over the streams;
 //! * [`fsm::check_walloc`] — R6, exhaustive over small geometries;
-//! * [`replay::check_counters`] — the trace-replay conservation checks;
+//! * [`replay::check_counters`] — the conservation checks over a run's
+//!   always-on counters;
+//! * [`fuzz`] — the regression fuzz harness: generated cases run on a
+//!   real `Uncore` and judged by what the run shows (a sequential memory
+//!   oracle, the counters, the absint bounds' soundness and R6; R1–R5
+//!   judge only lifted kernel runs);
 //! * `l15 check` lints generated corpora, case-study programs
 //!   and `.dag` files (with optional embedded `plan` lines).
 //!
@@ -80,7 +85,5 @@ pub use fuzz::{
 };
 pub use lift::{KernelStreams, LiftError, NodeStream};
 pub use program::{parse_program_text, write_program, CheckProgram, Mutation, ProgramSpec};
-pub use replay::{
-    check_counters, check_recorded, counters_from_events, ReplayVerdict, TraceExpectation,
-};
+pub use replay::{check_counters, TraceExpectation};
 pub use rules::{check_streams, sort_findings, Finding, RuleId};

@@ -1,11 +1,12 @@
-//! Trace-replay mode: checking a run's always-on counters against what
-//! its plan promises.
+//! Conservation checks: a run's always-on counters against what its plan
+//! (or a fuzz case's clean contract) promises.
 //!
 //! The SoC's [`TraceCounters`] are maintained with or without a recorder
 //! attached, so every run — including long soak runs where a recorder's
 //! ring would wrap — leaves enough evidence for conservation checks. The
-//! expectation is derived from the plan, never from the run it judges, so
-//! the check cannot agree with a run merely because it read that run.
+//! expectation is derived from the plan or the case, never from the run
+//! it judges, so the check cannot agree with a run merely because it read
+//! that run.
 //!
 //! The checks are deliberately *conservation* properties (equalities and
 //! lower bounds that hold for any legal interleaving), never exact
@@ -14,7 +15,6 @@
 use l15_core::plan::SchedulePlan;
 use l15_dag::DagTask;
 use l15_soc::trace::TraceCounters;
-use l15_trace::{Category, FlightRecorder, TraceEvent};
 
 use crate::rules::{Finding, RuleId};
 
@@ -103,52 +103,6 @@ pub fn check_counters(c: &TraceCounters, expect: &TraceExpectation) -> Vec<Findi
     findings
 }
 
-/// Reconstructs the always-on [`TraceCounters`] from a flight-recorder
-/// event stream, by the monitor's own [`TraceCounters::observe`]. Events
-/// no counter follows (pipeline stalls, SDU stalls, GV consumption, kernel
-/// spans) are ignored.
-pub fn counters_from_events(events: &[TraceEvent]) -> TraceCounters {
-    let mut c = TraceCounters::default();
-    for e in events {
-        c.observe(&e.kind);
-    }
-    c
-}
-
-/// Outcome of replaying a recorded trace through the conservation rules.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayVerdict {
-    /// Conservation findings (empty when the trace is clean — or when the
-    /// recording is incomplete, see [`complete`](Self::complete)).
-    pub findings: Vec<Finding>,
-    /// Whether the recording covered every counter-relevant event. When
-    /// the ring dropped events in the access/ctrl/SDU/GV categories the
-    /// reconstructed counters undercount, so equality and lower-bound
-    /// rules would report spurious violations; the checks are skipped and
-    /// `findings` is empty.
-    pub complete: bool,
-    /// Counters reconstructed from the buffered events.
-    pub counters: TraceCounters,
-}
-
-/// Replays a [`FlightRecorder`] capture through [`check_counters`].
-///
-/// The event stream is reduced back to [`TraceCounters`] via
-/// [`counters_from_events`], which makes a recorded trace and a live run
-/// answer the same conservation questions — provided the ring kept every
-/// counter-relevant event (exact per-category drop accounting makes that
-/// decidable).
-pub fn check_recorded(rec: &FlightRecorder, expect: &TraceExpectation) -> ReplayVerdict {
-    let events = rec.to_vec();
-    let counters = counters_from_events(&events);
-    let d = rec.dropped();
-    let complete = [Category::Access, Category::Ctrl, Category::Sdu, Category::Gv]
-        .iter()
-        .all(|&cat| d.of(cat) == 0);
-    let findings = if complete { check_counters(&counters, expect) } else { Vec::new() };
-    ReplayVerdict { findings, complete, counters }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,81 +150,6 @@ mod tests {
     fn conforming_counters_are_clean() {
         let e = expectation();
         assert_eq!(check_counters(&plausible_counters(&e), &e), Vec::new());
-    }
-
-    #[test]
-    fn recorded_run_replays_clean() {
-        use l15_runtime::kernel::KernelConfig;
-        use l15_runtime::run_task_traced;
-        use l15_soc::{Soc, SocConfig};
-
-        let (task, plan) = chain3();
-        let expect = TraceExpectation::from_plan(&task, &plan);
-
-        let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
-        let (_, rec) = run_task_traced(
-            &mut soc,
-            &task,
-            &plan,
-            &KernelConfig::default(),
-            l15_runtime::DEFAULT_CAPTURE_EVENTS,
-        )
-        .unwrap();
-
-        let verdict = check_recorded(&rec, &expect);
-        assert!(verdict.complete, "capture must be loss-free: {:?}", rec.dropped());
-        assert_eq!(verdict.findings, Vec::new(), "{verdict:?}");
-        // The reconstruction agrees with the live always-on counters.
-        assert_eq!(&verdict.counters, soc.uncore().trace().counters());
-        assert!(verdict.counters.ctrl_ops >= expect.min_ctrl_ops);
-    }
-
-    #[test]
-    fn lossy_recording_is_flagged_incomplete() {
-        use l15_runtime::kernel::KernelConfig;
-        use l15_runtime::run_task_traced;
-        use l15_soc::{Soc, SocConfig};
-
-        let (task, plan) = chain3();
-        let expect = TraceExpectation::from_plan(&task, &plan);
-
-        let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
-        let (_, rec) =
-            run_task_traced(&mut soc, &task, &plan, &KernelConfig::default(), 16).unwrap();
-        assert!(rec.dropped().total() > 0);
-
-        let verdict = check_recorded(&rec, &expect);
-        assert!(!verdict.complete, "a 16-slot ring cannot hold a full run");
-        assert_eq!(verdict.findings, Vec::new(), "incomplete evidence must not accuse");
-    }
-
-    #[test]
-    fn counters_from_events_maps_every_counter_kind() {
-        use l15_trace::{CtrlKind, EventKind, Level};
-        let mk = |kind| TraceEvent { cycle: 0, kind };
-        let events = [
-            mk(EventKind::Fetch { core: 0, level: Level::L1 }),
-            mk(EventKind::Load { core: 0, level: Level::L15 }),
-            mk(EventKind::Load { core: 0, level: Level::Mem }),
-            mk(EventKind::Store { core: 0, via_l15: true }),
-            mk(EventKind::Store { core: 0, via_l15: false }),
-            mk(EventKind::Ctrl { core: 0, op: CtrlKind::Demand, arg: 2 }),
-            mk(EventKind::WayGrant { cluster: 0, lane: 0, way: 1 }),
-            mk(EventKind::WayRevoke { cluster: 0, way: 1 }),
-            mk(EventKind::GvPublish { cluster: 0, lane: 0, mask: 0b10 }),
-            // Outside the counter vocabulary: must be ignored.
-            mk(EventKind::NodeStart { node: 0, core: 0 }),
-            mk(EventKind::SduStall { cluster: 0, backlog: 1 }),
-        ];
-        let c = counters_from_events(&events);
-        assert_eq!(c.fetches, [1, 0, 0, 0]);
-        assert_eq!(c.loads, [0, 1, 0, 1]);
-        assert_eq!(c.stores_via_l15, 1);
-        assert_eq!(c.stores_conventional, 1);
-        assert_eq!(c.ctrl_ops, 1);
-        assert_eq!(c.grants, 1);
-        assert_eq!(c.revokes, 1);
-        assert_eq!(c.gv_updates, 1);
     }
 
     #[test]

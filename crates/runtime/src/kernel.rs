@@ -217,6 +217,13 @@ pub fn run_task(
     let mut want_ways = vec![0usize; soc.n_cores()];
     let mut config_done_cycle: Vec<Option<u64>> = vec![None; soc.n_cores()];
     let mut owned_before = vec![WayMask::EMPTY; soc.n_cores()];
+    // A node that finishes before its Walloc settles leaves its lane's
+    // demand set, so the Walloc may go on granting to the idle lane. Per
+    // core: that node and the lane's ways at its completion; anything the
+    // lane gains beyond them belongs to no node. Scanned when the grant
+    // count moves.
+    let mut unsettled: Vec<Option<(usize, WayMask)>> = vec![None; soc.n_cores()];
+    let mut seen_grants = soc.uncore().trace().counters().grants;
 
     // Monitor accumulators. Utilisation integrates owned ways × cycles in
     // an integer: one sample covers any steps during which no way moved.
@@ -264,6 +271,7 @@ pub fn run_task(
 
             let lane = core % cpc;
             if has_l15 {
+                unsettled[core] = None;
                 // Context-switch reconfiguration (Sec. 4.3): grow the
                 // core's ownership by the node's local ways, set them
                 // inclusive. The Walloc applies it one way per cycle while
@@ -351,6 +359,21 @@ pub fn run_task(
                 );
             }
         }
+        let grants = soc.uncore().trace().counters().grants;
+        if has_l15 && grants != seen_grants {
+            seen_grants = grants;
+            // Late grants to an idle lane go back before anything is
+            // dispatched there; the revoke also lowers the lane's demand.
+            for c in cores.clone() {
+                let Some((v, owned)) = unsettled[c] else { continue };
+                let l15 = soc.uncore().l15(cfg.cluster).expect("has_l15 checked");
+                let late = l15.supply(c % cpc).expect("lane in range").difference(owned);
+                if !late.is_empty() {
+                    reclaim(soc, cfg.cluster, c, v, late, soc.clock(core));
+                    unsettled[c] = None;
+                }
+            }
+        }
 
         // --- Completion handling -----------------------------------------
         if soc.core(core).is_halted() {
@@ -383,6 +406,9 @@ pub fn run_task(
                     .expect("lane in range");
                 let fresh = owned_now.difference(owned_before[core]);
                 node_ways[v.0] = fresh;
+                if config_done_cycle[core].is_none() {
+                    unsettled[core] = Some((v.0, owned_now));
+                }
                 // Stores issued during the misconfiguration window (before
                 // the Walloc finished granting ways) took the conventional
                 // L1D write-back path; push them down so consumers on
@@ -419,29 +445,14 @@ pub fn run_task(
             }
             if has_l15 {
                 // Back to the pool: a producer's ways after its last consumer.
-                let reclaim = |soc: &mut Soc, node: usize| {
-                    if node_ways[node].is_empty() {
-                        return;
-                    }
-                    let kind = SectionKind::Reclaim;
-                    soc.uncore_mut().trace_mut().emit_at(
-                        finish,
-                        EventKind::Section { core: core as u32, node: node as u32, kind },
-                    );
-                    for w in node_ways[node].iter() {
-                        soc.uncore_mut()
-                            .kernel_revoke_way(cfg.cluster, w)
-                            .expect("way index from supply bitmap");
-                    }
-                };
                 for &(_, p) in dag.predecessors(v) {
                     consumers_left[p.0] -= 1;
                     if consumers_left[p.0] == 0 {
-                        reclaim(soc, p.0);
+                        reclaim(soc, cfg.cluster, core, p.0, node_ways[p.0], finish);
                     }
                 }
                 if dag.out_degree(v) == 0 {
-                    reclaim(soc, v.0);
+                    reclaim(soc, cfg.cluster, core, v.0, node_ways[v.0], finish);
                 }
             }
         } else if !has_l15 || config_done_cycle[core].is_some() {
@@ -486,6 +497,19 @@ pub fn run_task(
         l15_misses: stats.l15.misses(),
         dataflow_ok,
     })
+}
+
+/// Returns `ways` of `node` to the pool under a reclaim section opened
+/// by `core` at `cycle`.
+fn reclaim(soc: &mut Soc, cluster: usize, core: usize, node: usize, ways: WayMask, cycle: u64) {
+    if ways.is_empty() {
+        return;
+    }
+    let (core, node, kind) = (core as u32, node as u32, SectionKind::Reclaim);
+    soc.uncore_mut().trace_mut().emit_at(cycle, EventKind::Section { core, node, kind });
+    for w in ways.iter() {
+        soc.uncore_mut().kernel_revoke_way(cluster, w).expect("way index from supply bitmap");
+    }
 }
 
 #[cfg(test)]

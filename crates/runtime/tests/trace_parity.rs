@@ -12,7 +12,6 @@
 //! at all, so they were invisible in every untraced run (the default in
 //! every experiment binary).
 
-use l15_check::replay::counters_from_events;
 use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::SystemModel;
 use l15_core::federated::{federated_partition, ClusterTopology};
@@ -98,7 +97,11 @@ fn a_complete_recording_folds_back_into_the_live_counters() {
     let (live, rec) = run_diamond(true);
     let rec = rec.expect("traced run");
     assert_eq!(rec.dropped().total(), 0, "capture must be loss-free: {:?}", rec.dropped());
-    assert_eq!(counters_from_events(&rec.to_vec()), live.counters);
+    let mut folded = TraceCounters::default();
+    for e in rec.events() {
+        folded.observe(&e.kind);
+    }
+    assert_eq!(folded, live.counters);
 }
 
 /// Two-application co-residency observables: the federated runner on a

@@ -59,13 +59,16 @@ n=$(find crates/core/src -name '*.rs' -exec awk '
 echo "one list-scheduling loop"
 
 echo "==> one protocol model gate (the checker reads the kernel's recorded run)"
-# R1-R5 judge streams lifted from a recorded run_task; a static mirror of
-# the kernel (an emitter, a predicted-schedule layout) must not come back.
-if grep -rn "emit_kernel_streams\|hb_schedule\|EmitOptions" crates src examples tests; then
-    echo "a static kernel mirror is named above"
+# R1-R5 judge streams lifted from a recorded run_task, and the fuzz harness
+# judges the run it executed; a static mirror of the kernel (an emitter, a
+# predicted-schedule layout), a synthetic fuzz stream model or a recording
+# replayed only to re-count live counters must not come back.
+if grep -rn "emit_kernel_streams\|hb_schedule\|EmitOptions\|build_streams\|check_recorded\|ReplayVerdict\|RacyWrite\|SetTid" \
+    crates src examples tests; then
+    echo "a protocol model beside the recorded run is named above"
     exit 1
 fi
-echo "no static kernel mirror"
+echo "no protocol model beside the recorded run"
 
 echo "==> sweep determinism (fig7 --quick, L15_JOBS=1 vs 4)"
 seq_out=$(mktemp)
@@ -169,8 +172,29 @@ grep -q "0 finding(s)" "$fz_seq"
 # The seeded regression corpus replays clean.
 "$l15" fuzz corpus crates/testkit/corpus/fuzz > "$fz_seq"
 grep -q "14 case(s), 0 finding(s)" "$fz_seq"
-rm -f "$fz_seq" "$fz_par"
 echo "l15 fuzz is clean and byte-identical across worker counts"
+
+echo "==> fuzz injections (l15 fuzz --bug, every class, L15_JOBS=1 vs 4)"
+# Each injected bug must be caught from the run alone (oracle, counters,
+# R6): exit 1, at least one finding, no clean case, and a report that is
+# byte-identical at any worker count. The classes come from the usage error.
+classes=$("$l15" fuzz run --bug none 2>&1 | sed -n 's/.*; valid: //p' | tr -d ',')
+[ -n "$classes" ] || { echo "no --bug classes listed"; exit 1; }
+for class in $classes; do
+    status=0
+    L15_JOBS=1 "$l15" fuzz run --quick --seed 1 --bug "$class" > "$fz_seq" || status=$?
+    [ "$status" -eq 1 ] || { echo "--bug $class exited $status (want 1)"; exit 1; }
+    status=0
+    L15_JOBS=4 "$l15" fuzz run --quick --seed 1 --bug "$class" > "$fz_par" || status=$?
+    [ "$status" -eq 1 ] || { echo "--bug $class at L15_JOBS=4 exited $status (want 1)"; exit 1; }
+    cmp "$fz_seq" "$fz_par"
+    if grep -q '^case .*: clean$' "$fz_seq" || grep -q ' 0 finding(s)$' "$fz_seq"; then
+        echo "--bug $class left a case clean"
+        exit 1
+    fi
+    echo "--bug $class: $(tail -n 1 "$fz_seq")"
+done
+rm -f "$fz_seq" "$fz_par"
 
 echo "==> static bounds (l15 absint --quick, L15_JOBS=1 vs 4 determinism)"
 # The abstract-interpretation certifier sweeps (preset, workload) pairs,
