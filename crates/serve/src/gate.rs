@@ -100,6 +100,12 @@ impl Gate {
         Slot(self)
     }
 
+    /// The most requests admitted at once: `slots` running plus `capacity`
+    /// waiting.
+    pub(crate) fn limit(&self) -> usize {
+        self.slots + self.capacity
+    }
+
     /// Admitted requests that cannot have a slot yet (the queue depth).
     pub fn waiting(&self) -> usize {
         let s = self.lock();

@@ -2,7 +2,8 @@
 //! protocol for the service endpoints, hardened for untrusted peers:
 //!
 //! * request line + headers are read with an explicit byte cap;
-//! * bodies require `Content-Length` (no chunked encoding) and are capped;
+//! * bodies require `Content-Length` (no chunked encoding; repeats must
+//!   agree) and are capped;
 //! * every parse failure maps to a 4xx status instead of a panic or an
 //!   unbounded allocation.
 //!
@@ -101,7 +102,7 @@ pub fn read_request<S: Read>(stream: &mut S, max_body: usize) -> Result<Request,
         None => (target.to_owned(), String::new()),
     };
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if line.is_empty() {
             break;
@@ -110,14 +111,22 @@ pub fn read_request<S: Read>(stream: &mut S, max_body: usize) -> Result<Request,
             return Err(RequestError::BadRequest(format!("malformed header {line:?}")));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let n = value
                 .trim()
                 .parse()
                 .map_err(|_| RequestError::BadRequest("bad Content-Length".into()))?;
+            // Repeats of one value frame the body one way (RFC 9110 §8.6
+            // lets a recipient accept them); two values would let a proxy
+            // and this server disagree on where the request ends.
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err(RequestError::BadRequest("conflicting Content-Length".into()));
+            }
+            content_length = Some(n);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(RequestError::BadRequest("chunked bodies are not supported".into()));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(RequestError::BodyTooLarge { limit: max_body });
     }
@@ -283,6 +292,20 @@ mod tests {
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap_err(),
             RequestError::BadRequest(_)
         ));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let e = parse("POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 6\r\n\r\nhello!")
+            .unwrap_err();
+        assert_eq!(e, RequestError::BadRequest("conflicting Content-Length".into()));
+    }
+
+    #[test]
+    fn repeated_equal_content_lengths_frame_one_body() {
+        let r = parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap();
+        assert_eq!(r.body, b"hello");
     }
 
     #[test]

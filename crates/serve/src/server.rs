@@ -1,11 +1,17 @@
-//! The server runtime: acceptor, per-connection threads and the admission
-//! gate.
+//! The server runtime: a warm, bounded set of connection threads and the
+//! admission gate.
 //!
 //! ```text
-//!  TcpListener ── acceptor ── connection thread ── its row: api::route(method, path)
-//!                               ├─ inline row: handler
-//!                               └─ compute row: gate.admit ─ (503 when full) ─ gate.wait ─ handler
+//!  TcpListener ── connection thread: accept ── its row: api::route(method, path) ── accept again
+//!                                                 ├─ inline row: handler
+//!                                                 └─ compute row: gate.admit ─ (503 when full) ─ gate.wait ─ handler
 //! ```
+//!
+//! Each connection thread loops — accept, serve that one connection,
+//! accept again — so no thread is spawned or exits per request. The last
+//! thread waiting in `accept()` spawns its successor before it serves, up
+//! to what the gate admits plus `SPARE_THREADS`; a thread that finishes
+//! while `IDLE_KEPT` peers wait in `accept()` retires.
 //!
 //! Every handler runs under `run_handler`, so a panic costs its one
 //! response (`500`). A compute request runs on the connection thread that
@@ -27,7 +33,7 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -70,43 +76,78 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counts live connection threads so shutdown can wait for them.
-#[derive(Default)]
-struct WaitGroup {
-    count: Mutex<usize>,
-    zero: Condvar,
+/// Threads beyond what the gate admits, so that an inline row (`/healthz`,
+/// `/metrics`) or a 503 refusal finds a thread while every admitted request
+/// holds one.
+const SPARE_THREADS: usize = 2;
+
+/// How many connection threads stay waiting in `accept()` between bursts:
+/// a thread that finishes while this many peers wait there retires. A
+/// client's next connection can arrive before the thread that answered
+/// its last one is back in `accept()`, so `c` closed-loop clients need
+/// about `c + 2` threads; at 2, two clients made a thread retire and its
+/// successor spawn every few requests.
+const IDLE_KEPT: usize = 4;
+
+/// Connection threads alive, and how many of them wait in `accept()`.
+struct Census {
+    live: usize,
+    idle: usize,
 }
 
-impl WaitGroup {
-    fn add(&self) {
-        *self.count.lock().expect("waitgroup lock poisoned") += 1;
-    }
+/// One connection thread's place in the [`Census`], counted before the
+/// thread starts and given back on drop — when it retires, when it unwinds,
+/// and when the OS refuses to start it (the closure holding it is dropped).
+struct Seat {
+    shared: Arc<Shared>,
+    /// Counted among the threads waiting in `accept()`.
+    idle: bool,
+}
 
-    fn wait(&self) {
-        let mut n = self.count.lock().expect("waitgroup lock poisoned");
-        while *n > 0 {
-            n = self.zero.wait(n).expect("waitgroup lock poisoned");
+impl Seat {
+    /// Leaves `accept()` with a connection. The last thread waiting there
+    /// gets the seat of a successor to spawn, unless the set is at its
+    /// bound or the server is stopping.
+    fn leave_accept(&mut self) -> Option<Seat> {
+        let shared = &self.shared;
+        let mut c = shared.census();
+        c.idle -= 1;
+        self.idle = false;
+        if c.idle > 0 || c.live == shared.max_threads || shared.stopping.load(Ordering::SeqCst) {
+            return None;
         }
+        c.live += 1;
+        c.idle += 1;
+        Some(Seat { shared: Arc::clone(shared), idle: true })
+    }
+
+    /// Goes back to `accept()`, or answers `false` (retire) when
+    /// [`IDLE_KEPT`] peers already wait there.
+    fn rejoin(&mut self) -> bool {
+        let mut c = self.shared.census();
+        if c.idle >= IDLE_KEPT {
+            return false;
+        }
+        c.idle += 1;
+        self.idle = true;
+        true
     }
 }
 
-/// Undoes one [`WaitGroup::add`] on drop — also when the thread holding it
-/// unwinds, so a panicking connection cannot hang [`WaitGroup::wait`].
-struct Done<'a>(&'a WaitGroup);
-
-impl Drop for Done<'_> {
+impl Drop for Seat {
     fn drop(&mut self) {
-        // A decrement cannot leave the count invalid, and `Drop` must not
-        // panic: take the lock even if it is poisoned.
-        let mut n = self.0.count.lock().unwrap_or_else(PoisonError::into_inner);
-        *n -= 1;
-        if *n == 0 {
-            self.0.zero.notify_all();
+        let mut c = self.shared.census();
+        c.live -= 1;
+        if self.idle {
+            c.idle -= 1;
+        }
+        if c.live == 0 {
+            self.shared.none_left.notify_all();
         }
     }
 }
 
-/// State shared by the acceptor and the connection threads.
+/// State shared by the connection threads.
 struct Shared {
     cfg: ServeConfig,
     addr: SocketAddr,
@@ -114,18 +155,34 @@ struct Shared {
     gate: Gate,
     online: OnlineState,
     stopping: AtomicBool,
-    conns: WaitGroup,
+    census: Mutex<Census>,
+    none_left: Condvar,
+    /// What the gate admits plus [`SPARE_THREADS`]: never more connection
+    /// threads are alive.
+    max_threads: usize,
 }
 
 impl Shared {
-    /// Starts the drain: close the gate, then poke the acceptor loose
-    /// from `accept()` with a throwaway connection. Idempotent. The gate
-    /// closes first, so once the acceptor is gone no request is admitted.
+    /// Nothing panics while holding the lock, so the census is valid even
+    /// if the lock is poisoned; taking it regardless keeps [`Seat`]'s
+    /// `Drop` from panicking.
+    fn census(&self) -> MutexGuard<'_, Census> {
+        self.census.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts the drain: close the gate, then poke a connection thread
+    /// loose from `accept()` with a throwaway connection. Idempotent. The
+    /// gate closes first, so no request accepted after the poke is
+    /// admitted.
     fn trigger_shutdown(&self) {
         self.gate.close();
         if self.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
+        self.poke();
+    }
+
+    fn poke(&self) {
         drop(TcpStream::connect(self.addr));
     }
 }
@@ -134,7 +191,6 @@ impl Shared {
 /// [`Handle::shutdown`] (or `POST /shutdown` + [`Handle::join`]).
 pub struct Handle {
     shared: Arc<Shared>,
-    acceptor: thread::JoinHandle<()>,
 }
 
 impl Handle {
@@ -155,56 +211,71 @@ impl Handle {
     }
 
     /// Waits until the server terminates (e.g. via `POST /shutdown`):
-    /// acceptor gone, every admitted request run, every connection
-    /// answered.
+    /// every admitted request run, every accepted connection answered,
+    /// every connection thread gone and the listener closed.
     pub fn join(self) {
-        self.acceptor.join().expect("acceptor panicked");
-        self.shared.conns.wait();
+        let mut c = self.shared.census();
+        while c.live > 0 {
+            c = self.shared.none_left.wait(c).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
-/// Binds `127.0.0.1:{port}` and starts the acceptor thread.
+/// Binds `127.0.0.1:{port}` and starts the first connection thread.
 ///
 /// # Errors
 ///
 /// The bind error, if the port is taken.
 pub fn start(cfg: ServeConfig) -> std::io::Result<Handle> {
-    let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
+    let listener = Arc::new(TcpListener::bind(("127.0.0.1", cfg.port))?);
     let addr = listener.local_addr()?;
+    let gate = Gate::new(pool::jobs(), cfg.queue_capacity);
     let shared = Arc::new(Shared {
-        gate: Gate::new(pool::jobs(), cfg.queue_capacity),
+        max_threads: gate.limit() + SPARE_THREADS,
+        gate,
         cfg,
         addr,
         online: OnlineState::default(),
         metrics: ServeMetrics::default(),
         stopping: AtomicBool::new(false),
-        conns: WaitGroup::default(),
+        census: Mutex::new(Census { live: 1, idle: 1 }),
+        none_left: Condvar::new(),
     });
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || accept_loop(&listener, &shared))
-    };
-    Ok(Handle { shared, acceptor })
+    spawn(Seat { shared: Arc::clone(&shared), idle: true }, listener);
+    Ok(Handle { shared })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// Starts a connection thread in `seat`; the one place the server spawns
+/// a thread (`scripts/ci.sh` holds it to one). Detached: [`Handle::join`]
+/// waits on the census instead, which a panicking thread's `Seat` leaves.
+fn spawn(seat: Seat, listener: Arc<TcpListener>) {
+    thread::spawn(move || connection_thread(seat, listener));
+}
+
+/// One connection thread: accept, serve, accept again, until it retires
+/// or the server stops. Once `stopping` is set, a thread that leaves
+/// `accept()` passes the poke on to the next waiting one, so the shutdown
+/// wakes them all in turn. It still serves what it accepted: the poke
+/// reads as an empty connection, and a client gets its answer (a compute
+/// request a 503 "draining").
+fn connection_thread(mut seat: Seat, listener: Arc<TcpListener>) {
+    let shared = Arc::clone(&seat.shared);
     loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(_) if shared.stopping.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        };
-        if shared.stopping.load(Ordering::SeqCst) {
-            // The shutdown poke (or a late client, who sees a reset).
-            break;
+        let accepted = listener.accept();
+        if let Some(successor) = seat.leave_accept() {
+            spawn(successor, Arc::clone(&listener));
         }
-        shared.conns.add();
-        let shared = Arc::clone(shared);
-        thread::spawn(move || {
-            let _done = Done(&shared.conns);
+        if shared.stopping.load(Ordering::SeqCst) {
+            shared.poke();
+        }
+        if let Ok((stream, _peer)) = accepted {
             serve_connection(stream, &shared);
-        });
+        }
+        if shared.stopping.load(Ordering::SeqCst) || !seat.rejoin() {
+            // `listener` drops before `seat`: the last thread closes the
+            // port before `Handle::join` can return.
+            return;
+        }
     }
 }
 
@@ -320,19 +391,91 @@ fn record_trace_drops(metrics: &ServeMetrics, resp: &Response) {
 mod tests {
     use super::*;
 
+    use std::sync::mpsc;
+
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// `(live, idle)` connection threads.
+    fn census(handle: &Handle) -> (usize, usize) {
+        let c = handle.shared.census();
+        (c.live, c.idle)
+    }
+
+    /// Polls the census until `done` holds for it.
+    fn await_census(handle: &Handle, done: impl Fn(usize, usize) -> bool) {
+        let t0 = Instant::now();
+        while !matches!(census(handle), (live, idle) if done(live, idle)) {
+            assert!(t0.elapsed() < TIMEOUT, "census stuck at {:?}", census(handle));
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs `handle.shutdown()` and fails, instead of hanging, if it does
+    /// not return within `limit`.
+    fn shutdown_within(handle: Handle, limit: Duration) {
+        let (done, returned) = mpsc::channel();
+        thread::spawn(move || {
+            handle.shutdown();
+            let _ = done.send(());
+        });
+        returned.recv_timeout(limit).expect("Handle::shutdown did not return");
+    }
+
     #[test]
-    fn a_guard_dropped_by_a_panicking_thread_still_releases_wait() {
-        let wg = Arc::new(WaitGroup::default());
-        wg.add();
-        let conn = {
-            let wg = Arc::clone(&wg);
-            thread::spawn(move || {
-                let _done = Done(&wg);
-                panic!("connection thread panicked");
-            })
-        };
+    fn a_seat_dropped_by_a_panicking_thread_still_releases_join() {
+        let handle = start(ServeConfig::default()).unwrap();
+        handle.shared.census().live += 1;
+        let seat = Seat { shared: Arc::clone(&handle.shared), idle: false };
+        let conn = thread::spawn(move || {
+            let _seat = seat;
+            panic!("connection thread panicked");
+        });
         assert!(conn.join().is_err());
-        wg.wait(); // would hang had the unwinding thread not checked out
+        // Would hang had the unwinding thread kept its place in the census.
+        shutdown_within(handle, TIMEOUT);
+    }
+
+    #[test]
+    fn a_flood_of_silent_connections_never_grows_the_set_past_its_bound() {
+        let cfg = ServeConfig {
+            queue_capacity: 1,
+            io_timeout: Duration::from_millis(200),
+            ..ServeConfig::default()
+        };
+        let handle = start(cfg).unwrap();
+        let (addr, bound) = (handle.addr(), handle.shared.max_threads);
+        assert_eq!(bound, pool::jobs().max(1) + 1 + SPARE_THREADS);
+        // Connected, never a byte sent: each one holds a thread until its
+        // read times out.
+        let silent: Vec<_> = (0..bound + 5).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        await_census(&handle, |live, _| live >= bound);
+        // Answered once the timeouts have freed the threads; the census is
+        // sampled all the while.
+        let healthz = thread::spawn(move || crate::client::get(addr, "/healthz", TIMEOUT));
+        while !healthz.is_finished() {
+            let (live, _) = census(&handle);
+            assert!(live <= bound, "{live} connection threads against a bound of {bound}");
+            thread::sleep(Duration::from_micros(200));
+        }
+        let r = healthz.join().unwrap().unwrap();
+        assert_eq!((r.status, r.text().as_str()), (200, "ok\n"));
+        drop(silent);
+        shutdown_within(handle, TIMEOUT);
+    }
+
+    #[test]
+    fn shutdown_wakes_every_idle_thread_through_the_chained_poke() {
+        let handle = start(ServeConfig::default()).unwrap();
+        let held: Vec<_> = (0..6).map(|_| TcpStream::connect(handle.addr()).unwrap()).collect();
+        // Six threads read a held connection; the last spawned waits.
+        await_census(&handle, |live, idle| live == 7 && idle == 1);
+        drop(held);
+        // Each reads end-of-stream: IDLE_KEPT go back to accept(), the
+        // rest retire.
+        await_census(&handle, |live, idle| live == IDLE_KEPT && idle == IDLE_KEPT);
+        // accept() has no timeout: only the poke, passed from thread to
+        // thread, lets every waiting one leave.
+        shutdown_within(handle, Duration::from_secs(2));
     }
 
     #[test]

@@ -48,6 +48,13 @@ for path in schedule analyze simulate check trace certify healthz metrics submit
 done
 echo "every endpoint path is named once"
 
+echo "==> connection thread gate (one thread::spawn in crates/serve/src)"
+# Connection threads are a warm, bounded set that spawns its own successor
+# (server::spawn); a spawn per connection or per request must not come back.
+n=$(printf '%s\n' "$serve_src" | grep -c 'thread::spawn')
+[ "$n" -eq 1 ] || { echo "'thread::spawn' occurs $n times in crates/serve/src (want 1)"; exit 1; }
+echo "one thread::spawn in the server"
+
 echo "==> list scheduler gate (one event loop in crates/core/src)"
 # makespan::simulate and periodic::simulate_taskset share one loop; a second
 # copy would declare its own running set.
@@ -140,6 +147,11 @@ serve_smoke() { # server-jobs closed-loop-out sporadic-out
     done
     [ -n "$port" ] || { echo "l15 serve did not come up"; cat "$serve_log"; exit 1; }
     L15_JOBS=4 "$l15" loadgen --smoke --port "$port" > "$2"
+    # The burst has passed: the main thread plus at most slots + queue + 2
+    # connection threads (server::SPARE_THREADS), here $1 + 1 + 2.
+    threads=$(sed -n 's/^Threads:[[:space:]]*//p' "/proc/$serve_pid/status")
+    [ "$threads" -le $(($1 + 4)) ] || { echo "l15 serve runs $threads threads at L15_JOBS=$1 --queue 1 (bound $(($1 + 4)))"; exit 1; }
+    echo "l15 serve at L15_JOBS=$1: $threads threads after the burst (bound $(($1 + 4)))"
     # The online tier: two sporadic streams into /submit (each starts with
     # a session reset, so both replay the same decisions); the second one
     # drains the server. Reconciliation against l15_online_total is exact.
