@@ -4,10 +4,17 @@ use std::fmt;
 
 use crate::CacheError;
 
+/// Ways the L1.5 control port can name. The Tab. 1 instructions (`demand`,
+/// `supply`, `gv_set`, `gv_get`, `ip_set`) pass a way mask in one RV32
+/// register, so an L1.5 has at most 32 ways (the paper runs `ζ = 16`).
+/// `SocConfig::validate` (in `l15-soc`) holds every L1.5 to it.
+pub const PORT_WAYS: usize = 32;
+
 /// A bitmap over cache ways (bit `i` = way `i`), as used by the paper's
 /// compacted ISA parameters (e.g. `gv_set 0x42` marks ways 1 and 6).
 ///
-/// Supports up to 64 ways, far above the paper's `ζ = 16`.
+/// Supports up to 64 ways, as the conventional levels may have; an L1.5
+/// mask crosses the control port as one [`port_word`](Self::port_word).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct WayMask(pub u64);
 
@@ -90,6 +97,17 @@ impl WayMask {
             bits &= bits - 1;
             Some(way)
         })
+    }
+
+    /// The mask as one RV32 control-port word ([`PORT_WAYS`] bits): what
+    /// `supply` and `gv_get` return and `gv_set` publishes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a way at or above [`PORT_WAYS`] is set, which no L1.5 of a
+    /// validated configuration has.
+    pub fn port_word(self) -> u32 {
+        u32::try_from(self.0).expect("way mask wider than the 32-bit control port")
     }
 
     /// The lowest contained way, if any.

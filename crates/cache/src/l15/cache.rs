@@ -68,6 +68,41 @@ impl Default for L15Config {
     }
 }
 
+impl L15Config {
+    /// The ways as a set-associative array (`way_bytes / line_bytes` sets
+    /// by `ways`), once the fields an [`L15Cache`] needs are checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::BadGeometry`] for zero cores, an inverted
+    /// latency band, a way size that is not a power-of-two multiple of the
+    /// line size, or a way count [`Geometry::new`] rejects.
+    pub fn geometry(&self) -> Result<Geometry, CacheError> {
+        if self.cores == 0 {
+            return Err(CacheError::BadGeometry {
+                name: "cores",
+                reason: "need at least one core".to_owned(),
+            });
+        }
+        if self.lat_min > self.lat_max {
+            return Err(CacheError::BadGeometry {
+                name: "lat_min",
+                reason: format!("latency band inverted: {} > {}", self.lat_min, self.lat_max),
+            });
+        }
+        if self.line_bytes == 0 || !self.way_bytes.is_multiple_of(self.line_bytes) {
+            return Err(CacheError::BadGeometry {
+                name: "way_bytes",
+                reason: format!(
+                    "way size {} must be a multiple of the line size {}",
+                    self.way_bytes, self.line_bytes
+                ),
+            });
+        }
+        Geometry::new(self.line_bytes, self.way_bytes / self.line_bytes, self.ways)
+    }
+}
+
 /// Architectural L1.5 configuration state (see [`L15Cache::snapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L15ConfigState {
@@ -104,33 +139,9 @@ impl L15Cache {
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::BadGeometry`] if `way_bytes` is not an exact
-    /// power-of-two multiple of `line_bytes`, or way/core counts are out of
-    /// range.
+    /// See [`L15Config::geometry`].
     pub fn new(cfg: L15Config) -> Result<Self, CacheError> {
-        if cfg.cores == 0 {
-            return Err(CacheError::BadGeometry {
-                name: "cores",
-                reason: "need at least one core".to_owned(),
-            });
-        }
-        if cfg.lat_min > cfg.lat_max {
-            return Err(CacheError::BadGeometry {
-                name: "lat_min",
-                reason: format!("latency band inverted: {} > {}", cfg.lat_min, cfg.lat_max),
-            });
-        }
-        if cfg.line_bytes == 0 || !cfg.way_bytes.is_multiple_of(cfg.line_bytes) {
-            return Err(CacheError::BadGeometry {
-                name: "way_bytes",
-                reason: format!(
-                    "way size {} must be a multiple of the line size {}",
-                    cfg.way_bytes, cfg.line_bytes
-                ),
-            });
-        }
-        let sets = cfg.way_bytes / cfg.line_bytes;
-        let geo = Geometry::new(cfg.line_bytes, sets, cfg.ways)?;
+        let geo = cfg.geometry()?;
         Ok(L15Cache {
             cfg,
             lines: SetAssocCache::new(geo, cfg.lat_min, cfg.lat_max),
@@ -283,6 +294,13 @@ impl L15Cache {
     /// Whether the SDU still has unsatisfied demands.
     pub fn reconfig_pending(&self) -> bool {
         self.sdu.pending()
+    }
+
+    /// Whether the Walloc is stalled on a demand no free way can serve
+    /// (see [`Sdu::stalled`]): ticking it changes nothing until a control
+    /// op, a transfer or a reclaim touches the cache.
+    pub fn reconfig_stalled(&self) -> bool {
+        self.sdu.stalled()
     }
 
     /// Outstanding reconfiguration backlog: `Σ |S − D|` over the lanes

@@ -42,6 +42,10 @@ pub struct Sdu {
     rr: usize,
     /// Total Walloc actions performed (for overhead accounting).
     actions: u64,
+    /// The last tick found a demand it could not serve. Nothing but a
+    /// demand or a resync can change that, so ticks are skipped until one
+    /// of them clears the mark.
+    stalled: bool,
 }
 
 impl Sdu {
@@ -52,7 +56,13 @@ impl Sdu {
     /// Panics if `n_cores == 0`.
     pub fn new(n_cores: usize) -> Self {
         assert!(n_cores > 0, "need at least one core");
-        Sdu { demand: vec![0; n_cores], supply: vec![0; n_cores], rr: 0, actions: 0 }
+        Sdu {
+            demand: vec![0; n_cores],
+            supply: vec![0; n_cores],
+            rr: 0,
+            actions: 0,
+            stalled: false,
+        }
     }
 
     /// Number of cores served.
@@ -76,6 +86,7 @@ impl Sdu {
             return Err(CacheError::DemandTooLarge { requested: n, total: regs.n_ways() });
         }
         self.demand[core] = n;
+        self.stalled = false;
         Ok(())
     }
 
@@ -108,6 +119,14 @@ impl Sdu {
         self.demand.iter().zip(&self.supply).map(|(&d, &s)| d.abs_diff(s)).sum()
     }
 
+    /// Whether the Walloc is stalled: a demand is outstanding but no way
+    /// is free, and no demand or resync has happened since it found that.
+    /// A stalled SDU is [`pending`](Self::pending), and [`tick`](Self::tick)
+    /// returns `None` at once until the mark clears.
+    pub fn stalled(&self) -> bool {
+        self.stalled
+    }
+
     /// Total Walloc actions executed so far.
     pub fn actions(&self) -> u64 {
         self.actions
@@ -118,25 +137,30 @@ impl Sdu {
     ///
     /// Shrinking cores are served before growing ones (a grant may need the
     /// way a shrink is about to free); among equals a round-robin pointer
-    /// provides fairness. Returns `None` when all comparators match or no
-    /// action is possible (demand exceeds free ways — best effort, retried
-    /// next cycle).
+    /// provides fairness. Returns `None`, changing nothing, when all
+    /// comparators match or no action is possible (demand exceeds free
+    /// ways — best effort; the SDU is [`stalled`](Self::stalled) until a
+    /// demand or a resync).
+    ///
+    /// `regs` is the bank this SDU shadows: each S register counts its
+    /// core's owned ways, which every out-of-band ownership change keeps
+    /// true through [`resync`](Self::resync).
     pub fn tick(&mut self, regs: &mut ControlRegs) -> Option<SduEvent> {
+        if self.stalled {
+            return None;
+        }
         let n = self.n_cores();
         // Pass 1: revocations (free capacity first).
         for i in 0..n {
             let core = (self.rr + i) % n;
             if self.supply[core] > self.demand[core] {
                 let owned = regs.ow(core).expect("core index checked by ctor");
-                if let Some(way) = owned.iter().last() {
-                    regs.revoke(way).expect("owned way is in range");
-                    self.supply[core] -= 1;
-                    self.actions += 1;
-                    self.rr = (core + 1) % n;
-                    return Some(SduEvent::Revoked { core, way });
-                }
-                // Shadow bank out of sync (should not happen): resync.
-                self.supply[core] = owned.count();
+                let way = owned.iter().last().expect("the S register counts owned ways");
+                regs.revoke(way).expect("owned way is in range");
+                self.supply[core] -= 1;
+                self.actions += 1;
+                self.rr = (core + 1) % n;
+                return Some(SduEvent::Revoked { core, way });
             }
         }
         // Pass 2: grants from the N/U pool.
@@ -151,6 +175,7 @@ impl Sdu {
                     return Some(SduEvent::Granted { core, way });
                 }
                 // No free way: best effort — leave pending.
+                self.stalled = true;
                 return None;
             }
         }
@@ -188,6 +213,7 @@ impl Sdu {
         }
         let owned = regs.ow(core)?.count();
         self.supply[core] = owned;
+        self.stalled = false;
         // A transfer also implies the core's demand includes those ways.
         if self.demand[core] < owned {
             self.demand[core] = owned;
@@ -305,6 +331,32 @@ mod tests {
         sdu.demand(&regs, 0, 1).unwrap();
         sdu.settle(&mut regs);
         assert_eq!(sdu.actions(), 5 + 4);
+    }
+
+    #[test]
+    fn a_stall_changes_nothing_until_a_demand_or_resync() {
+        let (mut sdu, mut regs) = setup(2, 4);
+        sdu.demand(&regs, 0, 4).unwrap();
+        sdu.settle(&mut regs);
+        sdu.demand(&regs, 1, 1).unwrap();
+        assert_eq!(sdu.tick(&mut regs), None);
+        assert!(sdu.stalled() && sdu.pending());
+        let (before, owners) = (sdu.clone(), regs.clone());
+        assert_eq!(sdu.tick(&mut regs), None);
+        assert_eq!((&sdu, &regs), (&before, &owners), "a stalled tick is inert");
+        sdu.demand(&regs, 0, 3).unwrap();
+        assert!(!sdu.stalled());
+        assert_eq!(sdu.tick(&mut regs), Some(SduEvent::Revoked { core: 0, way: 3 }));
+        assert_eq!(sdu.tick(&mut regs), Some(SduEvent::Granted { core: 1, way: 3 }));
+        assert!(!sdu.pending());
+
+        // An out-of-band revocation frees a way; its resync clears the mark.
+        sdu.demand(&regs, 1, 2).unwrap();
+        assert_eq!(sdu.tick(&mut regs), None);
+        regs.revoke(0).unwrap();
+        sdu.resync(&regs, 0).unwrap();
+        assert!(!sdu.stalled());
+        assert!(matches!(sdu.tick(&mut regs), Some(SduEvent::Granted { way: 0, .. })));
     }
 
     #[test]

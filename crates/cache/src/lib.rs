@@ -52,4 +52,4 @@ pub mod sa;
 pub mod stats;
 
 pub use error::CacheError;
-pub use geometry::{Geometry, WayMask};
+pub use geometry::{Geometry, WayMask, PORT_WAYS};

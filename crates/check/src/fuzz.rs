@@ -30,12 +30,14 @@
 //! leak into nor mask the mutated cluster's divergence.
 
 use std::collections::BTreeMap;
+use std::error::Error;
+use std::fmt;
 
 use l15_cache::l15::{ControlRegs, L15Config};
 use l15_rvcore::bus::SystemBus;
 use l15_rvcore::isa::L15Op;
 use l15_soc::trace::TraceCounters;
-use l15_soc::{LevelConfig, SocConfig, Uncore};
+use l15_soc::{ConfigError, LevelConfig, SocConfig, Uncore};
 use l15_testkit::fuzz::{draw_case, CoreOp, FuzzCase, FuzzKnobs, SeqOracle};
 use l15_testkit::{cli, pool, prop};
 
@@ -381,17 +383,46 @@ impl CorpusEntry {
     }
 }
 
+/// Why [`parse_corpus_entry`] rejects an entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CorpusError {
+    /// A malformed line, an unknown key, an unparsable or out-of-range
+    /// value, a pool that does not fit its address region or a missing
+    /// `seed`: the message, line-numbered where one line is to blame.
+    Entry(String),
+    /// The `cores`, `clusters` and `ways` knobs describe a SoC
+    /// ([`fuzz_soc_config`]) that [`SocConfig::validate`] rejects.
+    Config(ConfigError),
+}
+
+impl fmt::Display for CorpusError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CorpusError::Entry(message) => f.write_str(message),
+            CorpusError::Config(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for CorpusError {}
+
 /// Parses a `key = value` corpus entry (`#` comments, blank lines
 /// allowed). `seed` is required (decimal or `0x` hex); `ops`, `cores`,
 /// `clusters`, `ways`, `private`, `shared` and `arrivals` override the
 /// quick-profile knobs.
 ///
+/// `cores`, `clusters` and `ways` are geometry: the SoC they describe
+/// must pass [`SocConfig::validate`]. The pools then bound the core count
+/// (each core needs a private line in a 1 MiB region); the caps on the
+/// other knobs bound what one case allocates and runs.
+///
 /// # Errors
 ///
-/// Returns a line-numbered message for malformed lines, unknown keys,
+/// Returns [`CorpusError::Entry`] for malformed lines, unknown keys,
 /// unparsable or out-of-range values, pools that do not fit their address
-/// regions and a missing `seed`.
-pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
+/// regions and a missing `seed`, and [`CorpusError::Config`] for a
+/// geometry `validate` rejects.
+pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, CorpusError> {
     let mut seed = None;
     let mut knobs = FuzzKnobs::quick();
     // The line that last sized a pool: the quick pools fit, so a misfit
@@ -402,48 +433,49 @@ pub fn parse_corpus_entry(text: &str) -> Result<CorpusEntry, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let bad = |message: String| CorpusError::Entry(format!("line {}: {message}", i + 1));
         let (key, value) = line
             .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = value`, got {line:?}", i + 1))?;
+            .ok_or_else(|| bad(format!("expected `key = value`, got {line:?}")))?;
         let (key, value) = (key.trim(), value.trim());
         let number = cli::parse_u64(value)
-            .ok_or_else(|| format!("line {}: `{key}` needs a number, got {value:?}", i + 1))?;
-        // `draw_case` and `fuzz_soc_config` panic on zero cores, clusters
-        // or pool slots and on ways beyond the 64-bit way mask; the other
-        // upper bounds cap what one case allocates and runs.
+            .ok_or_else(|| bad(format!("`{key}` needs a number, got {value:?}")))?;
+        // `draw_case` panics on empty pools; `validate` below bounds the
+        // geometry knobs.
         let (knob, lo, hi) = match key {
             "seed" => {
                 seed = Some(number);
                 continue;
             }
+            "cores" => (&mut knobs.cores, 0, u64::MAX),
+            "clusters" => (&mut knobs.clusters, 0, u64::MAX),
+            "ways" => (&mut knobs.ways, 0, u64::MAX),
             "ops" => (&mut knobs.ops, 0, 1 << 16),
-            "cores" => (&mut knobs.cores, 1, 64),
-            "clusters" => (&mut knobs.clusters, 1, 16),
-            "ways" => (&mut knobs.ways, 1, 64),
             "private" => (&mut knobs.private_slots, 1, 1 << 14),
             "shared" => (&mut knobs.shared_slots, 1, 1 << 12),
             "arrivals" => (&mut knobs.arrivals, 0, 1 << 12),
-            other => return Err(format!("line {}: unknown key {other:?}", i + 1)),
+            other => return Err(bad(format!("unknown key {other:?}"))),
         };
         if !(lo..=hi).contains(&number) {
-            return Err(format!("line {}: `{key}` must be in {lo}..={hi}, got {number}", i + 1));
+            return Err(bad(format!("`{key}` must be in {lo}..={hi}, got {number}")));
         }
         *knob = number as usize;
         if matches!(key, "cores" | "clusters" | "private" | "shared") {
             pool_line = i + 1;
         }
     }
+    fuzz_soc_config(&knobs).validate().map_err(CorpusError::Config)?;
     if !knobs.pools_fit() {
-        return Err(format!(
+        return Err(CorpusError::Entry(format!(
             "line {pool_line}: {} private lines on each of {} cores, or {} shared lines \
              on each of {} clusters, do not fit their address regions",
             knobs.private_slots,
             knobs.total_cores(),
             knobs.shared_slots,
             knobs.clusters
-        ));
+        )));
     }
-    let seed = seed.ok_or_else(|| "missing `seed`".to_owned())?;
+    let seed = seed.ok_or_else(|| CorpusError::Entry("missing `seed`".to_owned()))?;
     Ok(CorpusEntry { seed, knobs })
 }
 
@@ -833,32 +865,49 @@ mod tests {
         assert_eq!(sporadic.knobs.arrivals, 4);
         assert_eq!(sporadic.case().steps.len(), 32 + 2 * 4);
 
-        assert!(parse_corpus_entry("ops = 64\n").unwrap_err().contains("missing `seed`"));
-        assert!(parse_corpus_entry("seed = banana\n").unwrap_err().contains("needs a number"));
-        assert!(parse_corpus_entry("seed = 1\nbogus = 2\n").unwrap_err().contains("unknown key"));
-        assert!(parse_corpus_entry("just words\n").unwrap_err().contains("key = value"));
+        assert!(rejected("ops = 64\n").contains("missing `seed`"));
+        assert!(rejected("seed = banana\n").contains("needs a number"));
+        assert!(rejected("seed = 1\nbogus = 2\n").contains("unknown key"));
+        assert!(rejected("just words\n").contains("key = value"));
     }
 
     fn rejected(text: &str) -> String {
-        parse_corpus_entry(text).expect_err("the entry must be rejected")
+        parse_corpus_entry(text).expect_err("the entry must be rejected").to_string()
+    }
+
+    fn misconfigured(text: &str) -> ConfigError {
+        match parse_corpus_entry(text) {
+            Err(CorpusError::Config(e)) => e,
+            other => panic!("want a configuration rejection, got {other:?}"),
+        }
     }
 
     #[test]
-    fn corpus_entries_reject_zero_cores() {
-        assert_eq!(rejected("seed = 1\ncores = 0\n"), "line 2: `cores` must be in 1..=64, got 0");
-    }
-
-    #[test]
-    fn corpus_entries_reject_zero_clusters() {
-        let err = rejected("seed = 1\nclusters = 0\n");
-        assert_eq!(err, "line 2: `clusters` must be in 1..=16, got 0");
-    }
-
-    #[test]
-    fn corpus_entries_reject_ways_beyond_the_way_mask() {
-        assert_eq!(rejected("seed = 1\nways = 200\n"), "line 2: `ways` must be in 1..=64, got 200");
-        assert!(rejected("ways = 0\nseed = 1\n").starts_with("line 1: `ways`"));
-        assert_eq!(parse_corpus_entry("seed = 1\nways = 64\n").unwrap().knobs.ways, 64);
+    fn corpus_geometry_is_the_soc_configs_to_validate() {
+        // A 64-way L1.5 behind the 32-bit control port diverged from the
+        // oracle (7 divergences, 1 soundness finding), and so did 40 ways.
+        for ways in [64, 40] {
+            let text =
+                format!("seed = 1\nways = {ways}\ncores = 40\nprivate = 4\nshared = 1\nops = 64\n");
+            let e = misconfigured(&text);
+            assert_eq!(e.field, "l15.ways");
+            assert!(e.reason.ends_with(&format!("got {ways}")), "{e}");
+        }
+        for (text, field) in [
+            ("ways = 0\nseed = 1\n", "l15.ways"),
+            ("seed = 1\ncores = 0\n", "cores_per_cluster"),
+            ("seed = 1\nclusters = 0\n", "clusters"),
+            // A core count no `u32` id can number, and one whose product
+            // with the cluster count overflows, are rejected before the
+            // pools are sized from them.
+            ("seed = 1\ncores = 0x100000000\n", "cores_per_cluster"),
+            ("seed = 1\ncores = 0xffffffffffffffff\nclusters = 2\n", "cores_per_cluster"),
+        ] {
+            assert_eq!(misconfigured(text).field, field, "{text}");
+        }
+        assert_eq!(parse_corpus_entry("seed = 1\nways = 32\n").unwrap().knobs.ways, 32);
+        let wide = rejected("seed = 1\nways = 33\n");
+        assert!(wide.contains("`l15.ways` must be in 1..=32"), "{wide}");
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use absint::{analyze_case, certify_task, CertifyReport, StreamAnalysis};
 pub use fsm::{check_walloc, FsmBounds, WallocModel};
 pub use fuzz::{
     case_from_seed, check_case, check_case_with, fuzz_soc_config, parse_corpus_entry, sweep,
-    CaseOutcome, CorpusEntry, FuzzBug, FuzzVerdict,
+    CaseOutcome, CorpusEntry, CorpusError, FuzzBug, FuzzVerdict,
 };
 pub use lift::{KernelStreams, LiftError, NodeStream};
 pub use program::{parse_program_text, write_program, CheckProgram, Mutation, ProgramSpec};

@@ -12,7 +12,7 @@ use l15_core::hb::VectorClocks;
 use l15_core::plan::SchedulePlan;
 use l15_dag::{textio, DagTask, NodeId};
 use l15_runtime::kernel::{run_task, KernelConfig};
-use l15_soc::{Soc, SocConfig};
+use l15_soc::{Soc, SocConfig, PORT_WAYS};
 use l15_trace::FlightRecorder;
 
 use crate::lift::{self, KernelStreams, LiftError};
@@ -321,7 +321,10 @@ impl From<textio::ParseDagError> for ParseProgramError {
 /// ```
 ///
 /// Nodes without a `plan` line default to priority 0, zero ways, tid 0.
-/// `ways` is at most 64, the width of a way mask.
+/// `ways` is at most [`PORT_WAYS`]: no L1.5 a validated configuration
+/// describes has more, so a larger demand could never be met. It is not
+/// held to the ζ of the configuration the program later runs on, because a
+/// plan that over-demands its cluster is a program the checker judges.
 /// Files without any `plan` line parse to `plan: None` (callers derive a
 /// plan with Alg. 1).
 pub fn parse_program_text(text: &str) -> Result<ProgramSpec, ParseProgramError> {
@@ -375,11 +378,10 @@ pub fn parse_program_text(text: &str) -> Result<ProgramSpec, ParseProgramError> 
                     got_pri = true;
                 }
                 "ways" => {
-                    local_ways[node] = value
-                        .parse()
-                        .ok()
-                        .filter(|&w| w <= 64)
-                        .ok_or_else(|| err(format!("bad ways {value:?} (at most 64)")))?;
+                    local_ways[node] =
+                        value.parse().ok().filter(|&w| w <= PORT_WAYS).ok_or_else(|| {
+                            err(format!("bad ways {value:?} (at most {PORT_WAYS})"))
+                        })?;
                     got_ways = true;
                 }
                 "tid" => {
@@ -473,7 +475,7 @@ mod tests {
             ("plan 0 pri=1\n", "missing ways"),
             ("plan 0 pri=x ways=0\n", "bad pri"),
             ("plan 0 pri=1 ways=0 zap=3\n", "unknown field"),
-            ("plan 0 pri=1 ways=65\n", "wider than a way mask"),
+            ("plan 0 pri=1 ways=33\n", "wider than the control port"),
             ("plan 0 pri=1 ways=18446744073709551615\n", "overflows the kernel's demand"),
         ] {
             let text = format!("{plain}{bad}");
@@ -482,13 +484,13 @@ mod tests {
                 "{what}"
             );
         }
-        let text = format!("{plain}plan 0 pri=1 ways=64\n");
-        assert_eq!(parse_program_text(&text).unwrap().plan.unwrap().local_ways[0], 64);
-        let text = format!("{plain}plan 0 pri=1 ways=65\n");
+        let text = format!("{plain}plan 0 pri=1 ways=32\n");
+        assert_eq!(parse_program_text(&text).unwrap().plan.unwrap().local_ways[0], 32);
+        let text = format!("{plain}plan 0 pri=1 ways=33\n");
         let line = plain.lines().count() + 1;
         assert_eq!(
             parse_program_text(&text).unwrap_err().to_string(),
-            format!("line {line}: bad ways \"65\" (at most 64)")
+            format!("line {line}: bad ways \"33\" (at most 32)")
         );
     }
 

@@ -420,7 +420,7 @@ pub fn run_task(
                     .expect("has_l15 checked")
                     .gv_get(lane)
                     .expect("lane in range");
-                soc.uncore_mut().l15_ctrl(core, L15Op::GvSet, published.union(fresh).0 as u32);
+                soc.uncore_mut().l15_ctrl(core, L15Op::GvSet, published.union(fresh).port_word());
                 soc.uncore_mut().trace_mut().emit_at(
                     finish,
                     EventKind::Section {

@@ -24,7 +24,7 @@ use l15_dag::textio::{self, ParseDagError};
 use l15_dag::{analysis, Dag, DagTask, ExecutionTimeModel};
 use l15_runtime::kernel::{preset_plan, run_task, KernelConfig, KernelError};
 use l15_runtime::{run_task_traced, WorkScale};
-use l15_soc::{Soc, SocConfig};
+use l15_soc::{Soc, SocConfig, PORT_WAYS};
 use l15_trace::chrome;
 
 use crate::http::{Request, Response};
@@ -239,7 +239,7 @@ fn schedule(req: &Request, limits: &Limits) -> Result<Response, Response> {
     }
     let task = parse_body(&req.body, limits)?;
     let cores = int_param(req, "cores", 8, limits.max_cores as u64)? as usize;
-    let zeta = int_param(req, "zeta", 16, 64)? as usize;
+    let zeta = int_param(req, "zeta", 16, PORT_WAYS as u64)? as usize;
     let etm = ExecutionTimeModel::new(2048).expect("2 KiB is a valid way size");
     let dag = task.graph();
 
@@ -565,11 +565,19 @@ fn certify(req: &Request, limits: &Limits) -> Result<Response, Response> {
 /// submitted program: `.dag` task text, optionally with embedded `plan`
 /// lines (else an Alg. 1 plan over `zeta` ways), run under the
 /// [`engine_caps`] on `proposed_8core` with `cores` cores per cluster and
-/// ζ = `zeta`. Findings carry the canonical `text` rendering of the shared
-/// testkit formatter, byte-identical to `l15 check`'s output.
+/// ζ = `zeta`, a configuration [`SocConfig::validate`] must accept (a 400
+/// names the field otherwise). Findings carry the canonical `text`
+/// rendering of the shared testkit formatter, byte-identical to
+/// `l15 check`'s output.
 fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
     let cores = int_param(req, "cores", 4, limits.max_cores as u64)? as usize;
-    let zeta = int_param(req, "zeta", 16, 64)? as usize;
+    let zeta = req
+        .query_param("zeta")
+        .map_or(Ok(16), str::parse)
+        .map_err(|_| Response::error(400, "`zeta` must be an integer"))?;
+    let mut cfg = SocConfig { cores_per_cluster: cores, ..SocConfig::proposed_8core() };
+    cfg.l15.iter_mut().for_each(|l15| l15.ways = zeta);
+    cfg.validate().map_err(|e| Response::error(400, &e.to_string()))?;
     let spec =
         l15_check::parse_program_text(utf8(&req.body, "program text")?).map_err(|e| match &e {
             ParseProgramError::Dag(d) => dag_error(d, ""),
@@ -577,8 +585,6 @@ fn check(req: &Request, limits: &Limits) -> Result<Response, Response> {
         })?;
     let n = spec.task.graph().node_count();
     engine_caps(spec.task.graph(), limits, Endpoint::Check)?;
-    let mut cfg = SocConfig { cores_per_cluster: cores, ..SocConfig::proposed_8core() };
-    cfg.l15.iter_mut().for_each(|l15| l15.ways = zeta);
     let (preset, kcfg) = preset_plan(&spec.task, &cfg, WorkScale::default(), limits.max_sim_cycles);
     let plan = spec.plan.unwrap_or(preset);
     let findings = CheckProgram::new(spec.task, &plan, spec.tids, &cfg, &kcfg)
@@ -1127,7 +1133,7 @@ edge 2 3 cost=1 alpha=0.6
 
     #[test]
     fn bad_query_params_are_400() {
-        for q in ["cores=0", "cores=abc", "cores=9999", "zeta=0"] {
+        for q in ["cores=0", "cores=abc", "cores=9999", "zeta=0", "zeta=33", "zeta=64"] {
             let resp = handle_compute(
                 Endpoint::Schedule,
                 &post("/schedule", q, SAMPLE),
@@ -1135,6 +1141,32 @@ edge 2 3 cost=1 alpha=0.6
             );
             assert_eq!(resp.status, 400, "{q}");
         }
+        let resp = handle_compute(
+            Endpoint::Schedule,
+            &post("/schedule", "zeta=32", SAMPLE),
+            &Limits::default(),
+        );
+        assert_eq!(resp.status, 200);
+    }
+
+    #[test]
+    fn check_holds_its_soc_to_the_validated_geometry() {
+        let check = |q: &str| {
+            let resp =
+                handle_compute(Endpoint::Check, &post("/check", q, SAMPLE), &Limits::default());
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+        for q in ["zeta=0", "zeta=33", "zeta=64"] {
+            let (status, body) = check(q);
+            assert_eq!(status, 400, "{q}: {body}");
+            assert!(body.contains("`l15.ways` must be in 1..=32"), "{q}: {body}");
+        }
+        for q in ["zeta=abc", "zeta=-1", "zeta=99999999999999999999", "cores=0", "cores=65"] {
+            assert_eq!(check(q).0, 400, "{q}");
+        }
+        let (status, body) = check("zeta=32");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"zeta\":32"), "{body}");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 use std::sync::Mutex;
 
 use l15_online::{Decision, ModeError, OnlineConfig, OnlineSession};
+use l15_soc::PORT_WAYS;
 
 use crate::api::{int_param, parse_body, Limits};
 use crate::http::{Request, Response};
@@ -151,7 +152,7 @@ fn mode_change(
     let Ok(keep) = keep else {
         return Response::error(400, "`keep` must be comma-separated job ids");
     };
-    let zeta = match int_param(req, "zeta", session.mode().zeta_cap as u64, 64) {
+    let zeta = match int_param(req, "zeta", session.mode().zeta_cap as u64, PORT_WAYS as u64) {
         Ok(zeta) => zeta as usize,
         Err(resp) => return resp,
     };
@@ -261,7 +262,9 @@ edge 0 1 cost=0.5 alpha=0.5
     fn invalid_mode_parameters_are_400() {
         let state = OnlineState::default();
         let metrics = ServeMetrics::default();
-        for query in ["mode=", "mode=x&zeta=0", "mode=x&zeta=nope", "mode=x&keep=a,b"] {
+        for query in
+            ["mode=", "mode=x&zeta=0", "mode=x&zeta=33", "mode=x&zeta=nope", "mode=x&keep=a,b"]
+        {
             let r = state.submit(&req(query, b""), &Limits::default(), &metrics);
             assert_eq!(r.status, 400, "query {query}: {}", String::from_utf8_lossy(&r.body));
         }

@@ -3,7 +3,12 @@
 //! L1 I/D caches (1–2 cycles), one L1.5 per cluster (16 × 2 KiB ways, 2–8
 //! cycles), a shared 512 KiB L2 (15–25 cycles) and external memory.
 
+use std::error::Error;
+use std::fmt;
+
 use l15_cache::l15::L15Config;
+pub use l15_cache::PORT_WAYS;
+use l15_cache::{CacheError, Geometry};
 
 /// Geometry + latency of one conventional cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +24,45 @@ pub struct LevelConfig {
     /// Maximum hit latency (cycles).
     pub lat_max: u32,
 }
+
+impl LevelConfig {
+    /// The level as a set-associative array (the set count derived from the
+    /// capacity), once its latency band is checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::BadGeometry`] for an inverted latency band or
+    /// a capacity, line size or way count [`Geometry::from_capacity`]
+    /// rejects.
+    pub fn geometry(&self) -> Result<Geometry, CacheError> {
+        if self.lat_min > self.lat_max {
+            return Err(CacheError::BadGeometry {
+                name: "lat_min",
+                reason: format!("latency band inverted: {} > {}", self.lat_min, self.lat_max),
+            });
+        }
+        Geometry::from_capacity(self.capacity, self.line_bytes, self.ways)
+    }
+}
+
+/// Why [`SocConfig::validate`] rejects a configuration: the field it
+/// blames and the bound that field breaks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field of [`SocConfig`], dotted (`"l15.ways"`); a
+    /// whole level (`"l1d"`) when its geometry as a whole is invalid.
+    pub field: &'static str,
+    /// The bound it breaks.
+    pub reason: String,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid SoC configuration: `{}` {}", self.field, self.reason)
+    }
+}
+
+impl Error for ConfigError {}
 
 /// Full SoC configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,6 +220,64 @@ impl SocConfig {
         }
     }
 
+    /// Checks every field against what the engine can build and the L1.5
+    /// control port can address. Callers that turn outside input into a
+    /// configuration call it once; the engine itself does not, and every
+    /// [`preset`](Self::preset) passes it.
+    ///
+    /// # Errors
+    ///
+    /// The first offending field, as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let bad = |field, reason: String| Err(ConfigError { field, reason });
+        for (field, value) in
+            [("clusters", self.clusters), ("cores_per_cluster", self.cores_per_cluster)]
+        {
+            if value == 0 {
+                return bad(field, "must be at least 1, got 0".to_owned());
+            }
+        }
+        // Core ids travel as `u32` (trace events, the hart id).
+        let cores = self.clusters.checked_mul(self.cores_per_cluster);
+        if cores.is_none_or(|n| u32::try_from(n).is_err()) {
+            let reason = format!(
+                "{} per cluster on {} clusters is 2^32 cores or more",
+                self.cores_per_cluster, self.clusters
+            );
+            return bad("cores_per_cluster", reason);
+        }
+        for (field, level) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
+            if let Err(e) = level.geometry() {
+                return bad(field, e.to_string());
+            }
+        }
+        let l2 = self.l2.line_bytes;
+        let l15_line = self.l15.map(|c| ("l15.line_bytes", c.line_bytes));
+        for (field, line_bytes) in
+            [("l1i.line_bytes", self.l1i.line_bytes), ("l1d.line_bytes", self.l1d.line_bytes)]
+                .into_iter()
+                .chain(l15_line)
+        {
+            if line_bytes != l2 {
+                return bad(field, format!("is {line_bytes} but the L2's line is {l2} bytes"));
+            }
+        }
+        if let Some(l15) = self.l15 {
+            if !(1..=PORT_WAYS).contains(&l15.ways) {
+                let reason = format!(
+                    "must be in 1..={PORT_WAYS} (one RV32 way-mask register), got {}",
+                    l15.ways
+                );
+                return bad("l15.ways", reason);
+            }
+            // Each cluster's L1.5 serves that cluster's cores.
+            if let Err(e) = (L15Config { cores: self.cores_per_cluster, ..l15 }).geometry() {
+                return bad("l15", e.to_string());
+            }
+        }
+        Ok(())
+    }
+
     /// Per-cluster L1.5 capacity in bytes (zero without an L1.5). The
     /// paper's configuration: 16 ways × 2 KiB = 32 KiB, the budget the
     /// CMP|L1 / CMP|L2 presets fold into conventional levels.
@@ -240,6 +342,56 @@ mod tests {
         }
         assert!(SocConfig::preset("bogus").is_none());
         assert!(SocConfig::preset("").is_none());
+    }
+
+    #[test]
+    fn every_preset_validates() {
+        for &name in SocConfig::preset_names() {
+            assert_eq!(SocConfig::preset(name).unwrap().validate(), Ok(()), "{name}");
+        }
+    }
+
+    #[test]
+    fn validate_names_the_field_it_rejects() {
+        let base = SocConfig::proposed_8core;
+        let with_l15 = |edit: fn(&mut L15Config)| {
+            let mut cfg = base();
+            cfg.l15.iter_mut().for_each(edit);
+            cfg
+        };
+        let cases: [(SocConfig, &str); 14] = [
+            (SocConfig { clusters: 0, ..base() }, "clusters"),
+            (SocConfig { cores_per_cluster: 0, ..base() }, "cores_per_cluster"),
+            (
+                SocConfig { clusters: 1 << 16, cores_per_cluster: 1 << 16, ..base() },
+                "cores_per_cluster",
+            ),
+            (SocConfig { cores_per_cluster: usize::MAX, ..base() }, "cores_per_cluster"),
+            (SocConfig { l1i: LevelConfig { ways: 0, ..base().l1i }, ..base() }, "l1i"),
+            (SocConfig { l1d: LevelConfig { capacity: 3000, ..base().l1d }, ..base() }, "l1d"),
+            (SocConfig { l2: LevelConfig { lat_min: 30, ..base().l2 }, ..base() }, "l2"),
+            (
+                SocConfig { l1d: LevelConfig { line_bytes: 32, ..base().l1d }, ..base() },
+                "l1d.line_bytes",
+            ),
+            (with_l15(|c| c.line_bytes = 32), "l15.line_bytes"),
+            (with_l15(|c| c.ways = 0), "l15.ways"),
+            (with_l15(|c| c.ways = PORT_WAYS + 1), "l15.ways"),
+            (with_l15(|c| c.ways = 64), "l15.ways"),
+            (with_l15(|c| c.way_bytes = 96), "l15"),
+            (with_l15(|c| c.lat_max = 1), "l15"),
+        ];
+        for (cfg, field) in cases {
+            let e = cfg.validate().expect_err(field);
+            assert_eq!(e.field, field, "{e}");
+            assert!(e.to_string().contains(&format!("`{field}`")), "{e}");
+        }
+        assert_eq!(with_l15(|c| c.ways = PORT_WAYS).validate(), Ok(()));
+        assert_eq!(
+            with_l15(|c| c.ways = 40).validate().unwrap_err().to_string(),
+            "invalid SoC configuration: `l15.ways` must be in 1..=32 \
+             (one RV32 way-mask register), got 40"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod soc;
 pub mod trace;
 pub mod uncore;
 
-pub use config::{LevelConfig, SocConfig};
+pub use config::{ConfigError, LevelConfig, SocConfig, PORT_WAYS};
 pub use soc::Soc;
 pub use trace::{Trace, TraceCounters};
 pub use uncore::{ClusterStats, HierarchyStats, Uncore};

@@ -18,7 +18,7 @@
 //! way holds the line, else they fall through to the L2; dirty L1.5 and L2
 //! victims fall through to L2 and memory respectively.
 
-use l15_cache::geometry::{Geometry, WayMask};
+use l15_cache::geometry::WayMask;
 use l15_cache::l15::{InclusionPolicy, L15Cache, L15Config, L15ConfigState, SduEvent};
 use l15_cache::mem::MainMemory;
 use l15_cache::sa::{AccessKind, EvictedLine, SetAssocCache};
@@ -32,8 +32,7 @@ use crate::config::{LevelConfig, SocConfig};
 use crate::trace::{ctrl_kind, Trace};
 
 fn build_level(cfg: &LevelConfig) -> SetAssocCache {
-    let geo = Geometry::from_capacity(cfg.capacity, cfg.line_bytes, cfg.ways)
-        .expect("level configuration must be a valid geometry");
+    let geo = cfg.geometry().expect("level configuration must be a valid geometry");
     SetAssocCache::new(geo, cfg.lat_min, cfg.lat_max)
 }
 
@@ -319,9 +318,8 @@ impl Uncore {
         let mut pending = false;
         for (cluster, l15) in self.l15.iter_mut().enumerate() {
             let Some(l15) = l15 else { continue };
-            let mut stall_reported = false;
             for _ in 0..cycles {
-                if !l15.reconfig_pending() {
+                if !l15.reconfig_pending() || l15.reconfig_stalled() {
                     break;
                 }
                 let (event, wbs) = l15.tick();
@@ -339,19 +337,16 @@ impl Uncore {
                             way: way as u32,
                         });
                     }
-                    None => {
-                        // Demand outstanding but no way free this cycle: a
-                        // reconfiguration stall. Reported once per advance —
-                        // the backlog cannot change until someone shrinks.
-                        if !stall_reported && self.trace.recording() {
-                            stall_reported = true;
-                            let backlog = l15.reconfig_backlog() as u32;
-                            self.trace
-                                .emit(EventKind::SduStall { cluster: cluster as u32, backlog });
-                        }
-                    }
+                    None => {}
                 }
                 self.below.write_back_all(wbs);
+            }
+            // Demand outstanding but no way free: a reconfiguration stall.
+            // Its remaining cycles are not ticked, and it is reported once
+            // per advance — the backlog cannot change until someone shrinks.
+            if cycles > 0 && l15.reconfig_stalled() && self.trace.recording() {
+                let backlog = l15.reconfig_backlog() as u32;
+                self.trace.emit(EventKind::SduStall { cluster: cluster as u32, backlog });
             }
             pending |= l15.reconfig_pending();
         }
@@ -754,18 +749,18 @@ impl SystemBus for Uncore {
                 self.walloc_maybe_pending = true;
                 0
             }
-            L15Op::Supply => l15.supply(lane).map(|m| m.0 as u32).unwrap_or(0),
+            L15Op::Supply => l15.supply(lane).map_or(0, WayMask::port_word),
             L15Op::GvSet => {
                 if let Ok(mask) = l15.gv_set(lane, WayMask::from(arg as u64)) {
                     self.trace.record(EventKind::GvPublish {
                         cluster: cluster as u32,
                         lane: lane as u32,
-                        mask: mask.0 as u32,
+                        mask: mask.port_word(),
                     });
                 }
                 0
             }
-            L15Op::GvGet => l15.gv_get(lane).map(|m| m.0 as u32).unwrap_or(0),
+            L15Op::GvGet => l15.gv_get(lane).map_or(0, WayMask::port_word),
             L15Op::IpSet => {
                 let policy = if arg != 0 {
                     InclusionPolicy::Inclusive
@@ -783,6 +778,7 @@ impl SystemBus for Uncore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PORT_WAYS;
     use l15_trace::FlightRecorder;
 
     fn uncore() -> Uncore {
@@ -972,6 +968,80 @@ mod tests {
         let rec = u.trace_mut().detach().expect("attached above");
         let grants = rec.events().filter(|e| matches!(e.kind, EventKind::WayGrant { .. })).count();
         assert_eq!(grants, 3);
+    }
+
+    #[test]
+    fn the_top_way_of_a_32_way_l15_round_trips_through_the_port() {
+        let mut cfg = SocConfig::proposed_8core();
+        cfg.l15.iter_mut().for_each(|c| c.ways = PORT_WAYS);
+        cfg.validate().expect("32 ways fit the port");
+        let mut u = Uncore::new(cfg);
+        u.trace_mut().attach(FlightRecorder::new(64));
+        // Lane 1 of cluster 1 (core 5) takes every way, way 31 included.
+        u.l15_ctrl(5, L15Op::Demand, PORT_WAYS as u32);
+        u.advance(PORT_WAYS as u32);
+        assert_eq!(u.l15_ctrl(5, L15Op::Supply, 0).value, u32::MAX);
+        u.l15_ctrl(5, L15Op::IpSet, 1);
+        assert_eq!(u.l15(1).unwrap().ip_of(31), Ok(InclusionPolicy::Inclusive));
+        let top = 1u32 << 31;
+        u.l15_ctrl(5, L15Op::GvSet, top);
+        assert_eq!(u.l15_ctrl(5, L15Op::GvGet, 0).value, top);
+        assert_eq!(u.l15(1).unwrap().gv_get(1), Ok(WayMask::single(31)));
+        let rec = u.trace_mut().detach().expect("attached above");
+        let published: Vec<EventKind> = rec
+            .events()
+            .map(|e| e.kind)
+            .filter(|k| matches!(k, EventKind::GvPublish { .. }))
+            .collect();
+        assert_eq!(published, [EventKind::GvPublish { cluster: 1, lane: 1, mask: top }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than the 32-bit control port")]
+    fn a_way_beyond_the_port_never_crosses_it_truncated() {
+        let mut cfg = SocConfig::proposed_8core();
+        cfg.l15.iter_mut().for_each(|c| c.ways = 40);
+        assert!(cfg.validate().is_err());
+        // Built without validation, the engine refuses to drop way 39.
+        let mut u = Uncore::new(cfg);
+        u.l15_ctrl(0, L15Op::Demand, 40);
+        u.advance(40);
+        u.l15_ctrl(0, L15Op::Supply, 0);
+    }
+
+    #[test]
+    fn a_stalled_walloc_is_not_ticked_and_reports_once_per_advance() {
+        let mut u = uncore();
+        u.trace_mut().attach(FlightRecorder::new(256));
+        // Lane 0 holds 12 of 16 ways; lane 1 wants 8 and gets the 4 free.
+        u.l15_ctrl(0, L15Op::Demand, 12);
+        u.advance(12);
+        u.l15_ctrl(1, L15Op::Demand, 8);
+        u.advance(100);
+        let l15 = u.l15(0).unwrap();
+        assert!(l15.reconfig_stalled() && l15.reconfig_pending());
+        let actions = l15.reconfig_actions();
+        assert_eq!(actions, 16);
+        for _ in 0..3 {
+            u.advance(1000);
+            u.advance(0);
+        }
+        assert_eq!(u.l15(0).unwrap().reconfig_actions(), actions);
+        let rec = u.trace_mut().detach().expect("attached above");
+        let stalls: Vec<EventKind> = rec
+            .events()
+            .map(|e| e.kind)
+            .filter(|k| matches!(k, EventKind::SduStall { .. }))
+            .collect();
+        // One per advance of at least one cycle: the first stalled one and
+        // the three that followed.
+        assert_eq!(stalls, [EventKind::SduStall { cluster: 0, backlog: 4 }; 4]);
+        // A control op clears the mark: lane 0 shrinks, lane 1 is served.
+        u.l15_ctrl(0, L15Op::Demand, 8);
+        u.advance(100);
+        let l15 = u.l15(0).unwrap();
+        assert!(!l15.reconfig_stalled() && !l15.reconfig_pending());
+        assert_eq!(l15.supply(1).unwrap().count(), 8);
     }
 
     #[test]

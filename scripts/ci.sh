@@ -55,6 +55,25 @@ n=$(printf '%s\n' "$serve_src" | grep -c 'thread::spawn')
 [ "$n" -eq 1 ] || { echo "'thread::spawn' occurs $n times in crates/serve/src (want 1)"; exit 1; }
 echo "one thread::spawn in the server"
 
+echo "==> way-width gate (one port conversion, no second way bound)"
+# An L1.5 way mask crosses the RV32 control port only through
+# WayMask::port_word, which refuses a way the port cannot carry; a bare
+# `.0 as u32` truncates (node ids, always `v`, are the one other `.0`).
+# L1.5 ways are bounded by PORT_WAYS through SocConfig::validate, so a
+# literal 64 next to `ways` or `zeta` in serve or check is a second bound.
+src_of() {
+    find "$@" -name '*.rs' -exec awk '
+        FNR == 1 { test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+        !test { print FILENAME ": " $0 }' {} +
+}
+casts=$(src_of crates/*/src | grep '\.0 as u32' | grep -v '\bv\.0 as u32' || true)
+[ -z "$casts" ] || { echo "a way mask cast to the port width outside port_word:"; echo "$casts"; exit 1; }
+bounds=$(src_of crates/serve/src crates/check/src | grep -E '(zeta|ways|\bw\b)' \
+    | grep -E '(<=|<|\.\.=|,|at most) ?64\b' || true)
+[ -z "$bounds" ] || { echo "a literal 64 way bound:"; echo "$bounds"; exit 1; }
+echo "way masks cross the port through port_word; ways are bounded by PORT_WAYS"
+
 echo "==> list scheduler gate (one event loop in crates/core/src)"
 # makespan::simulate and periodic::simulate_taskset share one loop; a second
 # copy would declare its own running set.
