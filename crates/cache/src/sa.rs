@@ -167,12 +167,12 @@ impl SetAssocCache {
         self.lookup(addr, addr, ALL_WAYS, kind)
     }
 
-    /// Counts a read hit the caller resolved without a probe: a repeat of
-    /// the most recent [`access`](Self::access) to its set changes nothing
+    /// Counts `n` read hits the caller resolved without a probe: repeats of
+    /// the most recent [`access`](Self::access) to their sets change nothing
     /// else, because tree-PLRU `touch` is idempotent.
     #[inline]
-    pub fn record_hit(&mut self) {
-        self.stats.record_hit();
+    pub fn record_hits(&mut self, n: u64) {
+        self.stats.record_hits(n);
     }
 
     /// [`access`](Self::access) if it hits — `(way, latency)` — else nothing

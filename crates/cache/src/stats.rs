@@ -20,6 +20,11 @@ impl CacheStats {
         self.hits += 1;
     }
 
+    /// Records `n` hits at once.
+    pub fn record_hits(&mut self, n: u64) {
+        self.hits += n;
+    }
+
     /// Records one miss.
     pub fn record_miss(&mut self) {
         self.misses += 1;

@@ -36,6 +36,30 @@ pub struct Fetched {
     pub instr: Option<Instr>,
 }
 
+/// A cursor over one instruction line of a bus: while it covers the PC, a
+/// private run fetches from it without asking the bus again
+/// ([`SystemBus::fetch_line`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FetchLine {
+    /// Physical address of the line's first byte.
+    pub base: u32,
+    /// Bytes in the line; zero (the default) covers no address.
+    pub bytes: u32,
+    /// The bus's slot of the line's first word.
+    pub slot: usize,
+    /// Cycles each fetch from the line occupies the memory pipeline.
+    pub cycles: u32,
+}
+
+impl FetchLine {
+    /// The slot of the word at `paddr`, if the line holds it word-aligned.
+    #[inline]
+    pub fn slot_of(&self, paddr: u32) -> Option<usize> {
+        let off = paddr.wrapping_sub(self.base);
+        (off < self.bytes && off.is_multiple_of(4)).then_some(self.slot + off as usize / 4)
+    }
+}
+
 /// Result of an L1.5 control operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtrlAccess {
@@ -65,18 +89,25 @@ pub trait SystemBus {
     /// `demand`, a bitmap for `gv_set`, a policy selector for `ip_set`).
     fn l15_ctrl(&mut self, core: usize, op: L15Op, arg: u32) -> CtrlAccess;
 
-    // The private side (`Core::step_private`): each answers only if the access
+    // The private side (`Core::run_private`): each answers only if the access
     // touches `core`'s own state alone, else returns `None` **having changed
     // nothing**. By default, never.
 
-    /// What [`fetch`](Self::fetch) would return, uncounted until
-    /// [`fetch_commit`](Self::fetch_commit) (the instruction retired).
-    fn fetch_peek(&self, _core: usize, _paddr: u32) -> Option<Fetched> {
+    /// The instruction line of `paddr`, if a fetch from it is a hit counted
+    /// and nothing else while `core` accesses only the private side.
+    fn fetch_line(&self, _core: usize, _paddr: u32) -> Option<FetchLine> {
         None
     }
 
-    /// Counts the fetch last peeked for `core` as `fetch` would have.
-    fn fetch_commit(&mut self, _core: usize) {}
+    /// The decode of the word in `slot` ([`FetchLine::slot_of`]) of a line
+    /// [`fetch_line`](Self::fetch_line) returned for `core`.
+    fn predecoded(&self, _core: usize, _slot: usize) -> Option<Instr> {
+        None
+    }
+
+    /// Counts `n` fetches from [`FetchLine`]s of `core` as
+    /// [`fetch`](Self::fetch) would have counted them.
+    fn count_line_fetches(&mut self, _core: usize, _n: u64) {}
 
     /// [`load`](Self::load), if `core`'s own first-level cache serves it.
     fn load_private(&mut self, _core: usize, _paddr: u32, _size: u32) -> Option<MemAccess> {

@@ -22,7 +22,7 @@
 //! * M-extension ops take 3 extra cycles;
 //! * TLB walks add their penalty to the access.
 
-use crate::bus::SystemBus;
+use crate::bus::{FetchLine, Fetched, SystemBus};
 use crate::csr::{cause, CsrFile, PrivLevel};
 use crate::isa::{AluOp, BranchOp, CsrOp, Instr, L15Op, LoadOp, MulOp};
 use crate::mmu::Mmu;
@@ -283,38 +283,79 @@ impl Core {
     /// Returns the cycles consumed and the event. A halted core returns
     /// 1 idle cycle with [`StepEvent::Halted`].
     pub fn step<B: SystemBus + ?Sized>(&mut self, bus: &mut B) -> StepOutcome {
-        self.execute::<B, false>(bus).expect("only a private step refuses")
+        if self.halted {
+            self.stats.cycles += 1;
+            self.csr.cycle += 1;
+            return StepOutcome { cycles: 1, event: StepEvent::Halted, stalls: Stalls::default() };
+        }
+        // --- IF: translate + fetch ---------------------------------------
+        let (ppc, tlb_cost) = match self.translate(self.pc) {
+            Ok(v) => v,
+            Err(_) => {
+                let event = self.trap(cause::INSTRUCTION_PAGE_FAULT, self.pc);
+                self.finish(1, &Stalls::default(), HazardState::default());
+                return StepOutcome { cycles: 1, event, stalls: Stalls::default() };
+            }
+        };
+        let fetch = bus.fetch(self.id, self.pc, ppc);
+        self.execute::<B, false>(bus, fetch, tlb_cost).expect("only a private step refuses")
     }
 
-    /// [`step`](Self::step), cycles and every core-side update alike, if the
-    /// instruction touches only this core and what `bus` holds for it alone:
-    /// machine mode, a fetch the bus can peek, then `lui` / `auipc` / `jal` /
-    /// `jalr` / a branch / an ALU or M op / `fence`, or an aligned load or
-    /// store the bus serves privately. Anything else (`csr*`, L1.5 control,
-    /// `ecall` / `ebreak` / `mret` / `wfi`, whatever would trap) returns
-    /// `None` with core and bus exactly as they were.
-    pub fn step_private<B: SystemBus + ?Sized>(&mut self, bus: &mut B) -> Option<u32> {
-        self.execute::<B, true>(bus).map(|out| out.cycles)
+    /// [`step`](Self::step)s, cycles and every core-side update alike, while
+    /// each touches only this core and what `bus` holds for it alone,
+    /// pushing their cycles onto `queue` up to `cap` entries; returns their
+    /// sum. Private: machine mode, a fetch from a [`FetchLine`], then `lui` /
+    /// `auipc` / `jal` / `jalr` / a branch / an ALU or M op / `fence`, or an
+    /// aligned load or store the bus serves privately. The first that is not
+    /// (`csr*`, L1.5 control, `ecall` / `ebreak` / `mret` / `wfi`, a trap)
+    /// leaves core and bus as it found them. No private access touches an
+    /// instruction line: one lookup per line, one fetch count per run.
+    pub fn run_private<B: SystemBus + ?Sized>(
+        &mut self,
+        bus: &mut B,
+        cap: usize,
+        queue: &mut Vec<u32>,
+    ) -> u32 {
+        if self.halted || self.priv_level != PrivLevel::Machine {
+            return 0;
+        }
+        let (first, mut total) = (queue.len(), 0);
+        let mut line = FetchLine::default();
+        while queue.len() < cap {
+            // Machine mode runs bare: the PC is the physical address.
+            let pc = self.pc;
+            let Some(slot) = line.slot_of(pc).or_else(|| {
+                line = bus.fetch_line(self.id, pc)?;
+                line.slot_of(pc)
+            }) else {
+                break;
+            };
+            // The word is read only by traps, and a private run refuses those.
+            let instr = bus.predecoded(self.id, slot);
+            let fetch = Fetched { word: 0, cycles: line.cycles, instr };
+            let Some(out) = self.execute::<B, true>(bus, fetch, 0) else { break };
+            queue.push(out.cycles);
+            total += out.cycles;
+        }
+        bus.count_line_fetches(self.id, (queue.len() - first) as u64);
+        total
     }
 
-    /// The one execute body. `PRIVATE` takes the private side of the bus and
-    /// refuses shared events, writing nothing before the last refusal point.
+    /// The one execute body, from ID on: `fetch` is what IF read after a
+    /// `tlb_cost`-cycle translation. `PRIVATE` takes the private side of the
+    /// bus and refuses shared events, writing nothing before the last
+    /// refusal point.
     #[inline]
     fn execute<B: SystemBus + ?Sized, const PRIVATE: bool>(
         &mut self,
         bus: &mut B,
+        fetch: Fetched,
+        tlb_cost: u32,
     ) -> Option<StepOutcome> {
-        if PRIVATE && (self.halted || self.priv_level != PrivLevel::Machine) {
-            return None;
-        }
-        let mut cycles = 1u32;
-        let mut stalls = Stalls::default();
+        let if_stall = tlb_cost + fetch.cycles.saturating_sub(1);
+        let mut cycles = 1 + if_stall;
+        let mut stalls = Stalls { if_stall, ..Stalls::default() };
         let mut next_hazard = HazardState::default();
-        if self.halted {
-            self.stats.cycles += 1;
-            self.csr.cycle += 1;
-            return Some(StepOutcome { cycles, event: StepEvent::Halted, stalls });
-        }
 
         macro_rules! take_trap {
             ($code:expr, $tval:expr) => {{
@@ -326,18 +367,6 @@ impl Core {
                 return Some(StepOutcome { cycles, event: ev, stalls });
             }};
         }
-
-        // --- IF: translate + fetch ---------------------------------------
-        let (ppc, tlb_cost) = match self.translate(self.pc) {
-            Ok(v) => v,
-            Err(_) => take_trap!(cause::INSTRUCTION_PAGE_FAULT, self.pc),
-        };
-        cycles += tlb_cost;
-        stalls.if_stall += tlb_cost;
-        let fetch =
-            if PRIVATE { bus.fetch_peek(self.id, ppc)? } else { bus.fetch(self.id, self.pc, ppc) };
-        cycles += fetch.cycles.saturating_sub(1);
-        stalls.if_stall += fetch.cycles.saturating_sub(1);
 
         // --- ID: the bus decoded the word ---------------------------------
         let Some(instr) = fetch.instr else {
@@ -552,9 +581,6 @@ impl Core {
             }
         }
 
-        if PRIVATE {
-            bus.fetch_commit(self.id);
-        }
         self.pc = next_pc;
         self.stats.instructions += 1;
         self.csr.instret += 1;

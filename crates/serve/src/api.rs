@@ -441,8 +441,12 @@ fn kernel_error_response(e: KernelError, max_cycles: u64) -> Response {
 fn simulate_soc(req: &Request, limits: &Limits) -> Result<Response, Response> {
     let run = engine_request(req, limits, Endpoint::Simulate)?;
     let mut soc = Soc::new(run.cfg, 0);
-    let report = run_task(&mut soc, &run.task, &run.plan, &run.kcfg)
-        .map_err(|e| kernel_error_response(e, run.kcfg.max_cycles))?;
+    let result = run_task(&mut soc, &run.task, &run.plan, &run.kcfg);
+    let ahead = soc.run_ahead_stats().1;
+    let all: u64 = (0..soc.n_cores()).map(|i| soc.core(i).stats().instructions).sum();
+    let simulated = [ahead, all - ahead];
+    let report = result
+        .map_err(|e| Response { simulated, ..kernel_error_response(e, run.kcfg.max_cycles) })?;
 
     let mut o = Obj::new();
     o.str("preset", run.preset);
@@ -454,7 +458,7 @@ fn simulate_soc(req: &Request, limits: &Limits) -> Result<Response, Response> {
     o.num("l15_utilisation", report.l15_utilisation);
     o.num("phi", report.phi);
     o.bool("dataflow_ok", report.dataflow_ok);
-    Ok(Response::json(200, o.finish()))
+    Ok(Response { simulated, ..Response::json(200, o.finish()) })
 }
 
 /// `POST /trace` — runs the submitted task on a preset SoC with an
@@ -846,6 +850,8 @@ edge 2 3 cost=1 alpha=0.6
             let req = post("/simulate", &format!("preset={preset}&compute_iters=4"), SAMPLE);
             let resp = handle_compute(Endpoint::Simulate, &req, &Limits::default());
             assert_eq!(resp.status, 200, "{preset}: {:?}", String::from_utf8(resp.body));
+            let [ahead, stepped] = resp.simulated;
+            assert!(ahead > 0 && stepped > 0, "{preset}: {ahead} ahead, {stepped} stepped");
             let body = String::from_utf8(resp.body).unwrap();
             assert!(body.contains("\"dataflow_ok\":true"), "{preset}: {body}");
             if preset == "cmp_l2_8core" {

@@ -146,6 +146,9 @@ pub struct Response {
     pub extra_headers: Vec<(String, String)>,
     /// Body bytes.
     pub body: Vec<u8>,
+    /// Instructions the cycle-accurate run behind the response executed,
+    /// `[ahead, stepped]`: for `/metrics`, never written to the client.
+    pub simulated: [u64; 2],
 }
 
 impl Response {
@@ -156,6 +159,7 @@ impl Response {
             content_type: "application/json",
             extra_headers: Vec::new(),
             body: body.into_bytes(),
+            simulated: [0; 2],
         }
     }
 
@@ -166,6 +170,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             extra_headers: Vec::new(),
             body: body.into().into_bytes(),
+            simulated: [0; 2],
         }
     }
 

@@ -19,6 +19,9 @@
 //! * `l15_online_total{event}` — online-session admission outcomes
 //!   (`submitted = admitted + rejected`; the sporadic loadgen mode
 //!   reconciles against these);
+//! * `l15_simulated_instructions_total{path=ahead|stepped}` — instructions
+//!   `/simulate` runs executed ahead of their core's clock or one step at a
+//!   time (`Soc::run_ahead_stats`), so the run-ahead share is live;
 //! * `l15_queue_depth` — admitted requests waiting for a slot, sampled as
 //!   the page renders (gauge);
 //! * `l15_latency_us{endpoint,phase=queue|handle}` — histograms.
@@ -188,6 +191,8 @@ pub struct ServeMetrics {
     pub online_mode_changes: Counter,
     /// `?reset=1` session reboots.
     pub online_resets: Counter,
+    /// Instructions `/simulate` runs executed `[ahead, stepped]`.
+    pub simulated: [Counter; 2],
 }
 
 impl ServeMetrics {
@@ -250,6 +255,11 @@ impl ServeMetrics {
             ("resets", &self.online_resets),
         ] {
             out.push_str(&format!("l15_online_total{{event=\"{event}\"}} {}\n", c.get()));
+        }
+        out.push_str("# TYPE l15_simulated_instructions_total counter\n");
+        for (path, c) in ["ahead", "stepped"].iter().zip(&self.simulated) {
+            let n = c.get();
+            out.push_str(&format!("l15_simulated_instructions_total{{path=\"{path}\"}} {n}\n"));
         }
         out.push_str("# TYPE l15_queue_depth gauge\n");
         out.push_str(&format!("l15_queue_depth {queue_depth}\n"));

@@ -357,6 +357,7 @@ fn serve_compute(endpoint: Endpoint, request: &Request, shared: &Shared) -> Resp
     let resp = run_handler(|| api::handle_compute(endpoint, request, &shared.cfg.limits));
     shared.metrics.handle_time[endpoint as usize].observe(t0.elapsed());
     record_trace_drops(&shared.metrics, &resp);
+    shared.metrics.simulated.iter().zip(resp.simulated).for_each(|(c, n)| c.add(n));
     resp
 }
 

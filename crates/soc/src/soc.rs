@@ -22,7 +22,7 @@ use l15_rvcore::isa::Instr;
 use l15_trace::EventKind;
 
 use crate::config::SocConfig;
-use crate::uncore::Uncore;
+use crate::uncore::{Uncore, Walloc};
 
 /// The cycles of each instruction a core executed ahead of its clock:
 /// entries before `head` are accounted, the `left` cycles of the rest not.
@@ -198,25 +198,22 @@ impl Soc {
     }
 
     /// Executes, now, the instructions core `i` executes next that touch
-    /// only its own state ([`Core::step_private`]), queueing their cycles
+    /// only its own state ([`Core::run_private`]), queueing their cycles
     /// for [`step_core`](Self::step_core) / [`next_real`](Self::next_real)
     /// to account. For the SoC's driver, once it has reacted to a step; till
     /// the queue is accounted it must neither touch the core nor make a way
-    /// of its lane inclusive. Does nothing while a Walloc may be pending
-    /// (every cycle's order matters), events are recorded or `i` has a queue.
+    /// of its lane inclusive. Does nothing while a Walloc can act (every
+    /// cycle's order matters), events are recorded (the uncore serves no
+    /// [`FetchLine`](l15_rvcore::bus::FetchLine) then) or `i` has a queue.
     pub fn run_ahead(&mut self, i: usize) {
         let ahead = &mut self.ahead[i];
-        if self.uncore.walloc_maybe_pending || self.uncore.trace().recording() || ahead.left != 0 {
+        if self.uncore.walloc == Walloc::Acting || ahead.left != 0 {
             return;
         }
         ahead.cycles.clear();
         ahead.head = 0;
         // At most a page of queue per run.
-        while ahead.cycles.len() < 1024 {
-            let Some(cycles) = self.cores[i].step_private(&mut self.uncore) else { break };
-            ahead.cycles.push(cycles);
-            ahead.left += cycles;
-        }
+        ahead.left = self.cores[i].run_private(&mut self.uncore, 1024, &mut ahead.cycles);
         self.ran_ahead.0 += !ahead.cycles.is_empty() as u64;
         self.ran_ahead.1 += ahead.cycles.len() as u64;
     }
@@ -229,10 +226,10 @@ impl Soc {
     /// The core of `cores` that executes the next instruction, with every
     /// queued entry before it in (clock, index) order accounted: what
     /// [`laggard`](Self::laggard) + [`step_core`](Self::step_core) leave
-    /// behind, repeated until a step executes. While a Walloc may be pending
-    /// (each entry ticks it) just `laggard`. `None` when all have halted.
+    /// behind, repeated until a step executes. While a Walloc can act (each
+    /// entry ticks it) just `laggard`. `None` when all have halted.
     pub fn next_real(&mut self, cores: Range<usize>) -> Option<usize> {
-        let bulk = !self.uncore.walloc_maybe_pending;
+        let bulk = self.uncore.walloc != Walloc::Acting;
         let (at, lead) = self.earliest(cores.clone(), bulk);
         for i in cores {
             if bulk && self.ahead[i].left != 0 {

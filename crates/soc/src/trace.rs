@@ -13,7 +13,7 @@
 //! event.
 
 use l15_rvcore::isa::L15Op;
-use l15_trace::{CtrlKind, EventKind, FlightRecorder, TraceEvent};
+use l15_trace::{CtrlKind, EventKind, FlightRecorder, Level, TraceEvent};
 
 /// Aggregate counters, maintained whether or not a recorder is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,6 +111,13 @@ impl Trace {
     pub fn record(&mut self, kind: EventKind) {
         self.counters.observe(&kind);
         self.emit(kind);
+    }
+
+    /// Counts `n` L1 fetches as `n` [`record`](Self::record)s would, for
+    /// fetches made while no recorder is attached.
+    #[inline]
+    pub(crate) fn count_l1_fetches(&mut self, n: u64) {
+        self.counters.fetches[Level::L1.index()] += n;
     }
 
     /// Records `kind` at the current cycle without counting it; nothing

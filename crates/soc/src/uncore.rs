@@ -24,7 +24,7 @@ use l15_cache::mem::MainMemory;
 use l15_cache::sa::{AccessKind, EvictedLine, SetAssocCache};
 use l15_cache::stats::CacheStats;
 use l15_cache::CacheError;
-use l15_rvcore::bus::{CtrlAccess, Fetched, MemAccess, SystemBus};
+use l15_rvcore::bus::{CtrlAccess, FetchLine, Fetched, MemAccess, SystemBus};
 use l15_rvcore::isa::{self, Instr, L15Op};
 use l15_trace::{EventKind, Level};
 
@@ -169,6 +169,18 @@ impl Frontend {
     }
 }
 
+/// How far the Walloc FSMs may be from settled (`DESIGN.md` §4.7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Walloc {
+    /// Every SDU is settled: [`Uncore::advance`] returns at once.
+    Settled,
+    /// Every pending SDU is stalled: no way moves until a `demand` or a
+    /// resync, which raise the state, whatever order cycles are counted in.
+    Stalled,
+    /// Some Walloc may grant or revoke on its next tick.
+    Acting,
+}
+
 /// The memory system shared by all cores.
 #[derive(Debug, Clone)]
 pub struct Uncore {
@@ -180,11 +192,11 @@ pub struct Uncore {
     line_bytes: u64,
     /// The line an L1 miss is refilling, so the miss path allocates nothing.
     line_buf: Vec<u8>,
-    /// Whether some cluster's Walloc may have work: raised by everything
-    /// that can create or change a demand, lowered only when
-    /// [`advance`](Self::advance) has seen every SDU settled. It may be
-    /// spuriously up, never spuriously down.
-    pub(crate) walloc_maybe_pending: bool,
+    /// What the clusters' Walloc FSMs may still do: raised to
+    /// [`Walloc::Acting`] by everything that can create or change a demand
+    /// or clear a stall, lowered only by what [`advance`](Self::advance)
+    /// saw. It may be spuriously high, never spuriously low.
+    pub(crate) walloc: Walloc,
     trace: Trace,
 }
 
@@ -227,7 +239,7 @@ impl Uncore {
             },
             line_bytes: cfg.l1d.line_bytes,
             line_buf: vec![0; cfg.l1d.line_bytes as usize],
-            walloc_maybe_pending: false,
+            walloc: Walloc::Settled,
             trace: Trace::default(),
             cfg,
         }
@@ -281,9 +293,9 @@ impl Uncore {
 
     /// Mutable L1.5 access (kernel-level operations such as
     /// [`L15Cache::transfer_way`]). The caller may change a demand behind
-    /// the uncore's back, so this raises the Walloc-pending flag.
+    /// the uncore's back, so this raises the Walloc state.
     pub fn l15_mut(&mut self, cluster: usize) -> Option<&mut L15Cache> {
-        self.walloc_maybe_pending = true;
+        self.walloc = Walloc::Acting;
         self.l15.get_mut(cluster).and_then(|o| o.as_mut())
     }
 
@@ -309,13 +321,13 @@ impl Uncore {
     /// Returns at once while no Walloc can have work.
     #[inline]
     pub fn advance(&mut self, cycles: u32) {
-        if self.walloc_maybe_pending {
+        if self.walloc != Walloc::Settled {
             self.run_wallocs(cycles);
         }
     }
 
     fn run_wallocs(&mut self, cycles: u32) {
-        let mut pending = false;
+        let mut walloc = Walloc::Settled;
         for (cluster, l15) in self.l15.iter_mut().enumerate() {
             let Some(l15) = l15 else { continue };
             for _ in 0..cycles {
@@ -348,9 +360,12 @@ impl Uncore {
                 let backlog = l15.reconfig_backlog() as u32;
                 self.trace.emit(EventKind::SduStall { cluster: cluster as u32, backlog });
             }
-            pending |= l15.reconfig_pending();
+            if l15.reconfig_pending() {
+                let state = if l15.reconfig_stalled() { Walloc::Stalled } else { Walloc::Acting };
+                walloc = walloc.max(state);
+            }
         }
-        self.walloc_maybe_pending = pending;
+        self.walloc = walloc;
     }
 
     /// Kernel-level revocation of one specific L1.5 way in `cluster`
@@ -587,6 +602,21 @@ impl Uncore {
         (MemAccess { value, cycles, from_l15: served == Level::L15 }, served)
     }
 
+    /// The window compare: `paddr`'s line and way, if word-aligned in its
+    /// set's most recent touch.
+    #[inline]
+    fn window_line(&self, core: usize, paddr: u32) -> Option<(FetchLine, usize)> {
+        let (front, addr) = (&self.front[core], paddr as u64);
+        let geo = front.l1i.geometry();
+        let window = front.windows[geo.index_of(addr) as usize];
+        if window.base != geo.line_base(addr) || !paddr.is_multiple_of(4) {
+            return None;
+        }
+        let (base, bytes, slot) =
+            (window.base as u32, geo.line_bytes() as u32, front.word(window.base, window.way));
+        Some((FetchLine { base, bytes, slot, cycles: window.latency }, window.way))
+    }
+
     /// A fetch its set's window does not cover: probe the L1I, decode the
     /// word. Kept out of line, so `Core::step` inlines the window hit only.
     #[inline(never)]
@@ -600,32 +630,34 @@ impl Uncore {
 impl SystemBus for Uncore {
     #[inline]
     fn fetch(&mut self, core: usize, vaddr: u32, paddr: u32) -> Fetched {
-        if let Some(fetched) = self.fetch_peek(core, paddr) {
-            self.fetch_commit(core);
-            return fetched;
-        }
-        self.fetch_probed(core, vaddr, paddr)
-    }
-
-    /// The window compare: the set's most recent touch is this line.
-    #[inline]
-    fn fetch_peek(&self, core: usize, paddr: u32) -> Option<Fetched> {
-        let (front, addr) = (&self.front[core], paddr as u64);
-        let geo = front.l1i.geometry();
-        let window = front.windows[geo.index_of(addr) as usize];
-        if window.base != geo.line_base(addr) || !paddr.is_multiple_of(4) {
-            return None;
-        }
-        let off = geo.offset_of(addr) as usize;
-        let word = value_at(front.l1i.line(addr, window.way), off, 4);
-        let instr = front.decoded[front.word(addr, window.way)];
-        Some(Fetched { word, cycles: window.latency, instr })
-    }
-
-    #[inline]
-    fn fetch_commit(&mut self, core: usize) {
-        self.front[core].l1i.record_hit();
+        let Some((line, way)) = self.window_line(core, paddr) else {
+            return self.fetch_probed(core, vaddr, paddr);
+        };
+        let front = &mut self.front[core];
+        let off = (paddr - line.base) as usize;
+        let word = value_at(front.l1i.line(paddr as u64, way), off, 4);
+        let instr = front.decoded[line.slot + off / 4];
+        front.l1i.record_hits(1);
         self.trace.record(EventKind::Fetch { core: core as u32, level: Level::L1 });
+        Fetched { word, cycles: line.cycles, instr }
+    }
+
+    /// The window's line, while no recorder needs each fetch as an event.
+    #[inline]
+    fn fetch_line(&self, core: usize, paddr: u32) -> Option<FetchLine> {
+        let (line, _) = self.window_line(core, paddr).filter(|_| !self.trace.recording())?;
+        Some(line)
+    }
+
+    #[inline]
+    fn predecoded(&self, core: usize, slot: usize) -> Option<Instr> {
+        self.front[core].decoded[slot]
+    }
+
+    #[inline]
+    fn count_line_fetches(&mut self, core: usize, n: u64) {
+        self.front[core].l1i.record_hits(n);
+        self.trace.count_l1_fetches(n);
     }
 
     fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess {
@@ -746,7 +778,7 @@ impl SystemBus for Uncore {
                 // Errors (over-demand) are dropped as in hardware: the SDU
                 // simply keeps the previous demand.
                 let _ = l15.demand(lane, arg as usize);
-                self.walloc_maybe_pending = true;
+                self.walloc = Walloc::Acting;
                 0
             }
             L15Op::Supply => l15.supply(lane).map_or(0, WayMask::port_word),

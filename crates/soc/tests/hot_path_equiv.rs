@@ -18,9 +18,10 @@
 //! * `Soc::run_ahead` executes early and `next_real` / `step_core` account
 //!   late — a SoC driven *account → step → run ahead* must show, at every
 //!   executed step, the clocks of one stepped an instruction at a time, and
-//!   end in the same registers, counters, masks and memory;
-//! * `Core::step_private` either does exactly what `Core::step` does or
-//!   refuses without a trace.
+//!   end in the same registers, counters, masks and memory, also when it
+//!   ran ahead while a Walloc was stalled;
+//! * `Core::run_private` does exactly what as many `Core::step`s do, and
+//!   the instruction it refuses leaves no trace.
 
 use l15_cache::geometry::{Geometry, WayMask};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -423,7 +424,7 @@ fn boot(core: &mut Core, i: usize, user: bool) {
 
 #[test]
 fn run_ahead_accounts_what_single_stepping_executes() {
-    let pre_executed = AtomicU64::new(0);
+    let (pre_executed, while_stalled) = (AtomicU64::new(0), AtomicU64::new(0));
     prop::run_with(Config::with_cases(32), "run_ahead_accounts_in_order", |g| {
         // Latency bands deep enough that the way a hit came from shows.
         let mut cfg = SocConfig::proposed_8core();
@@ -455,9 +456,12 @@ fn run_ahead_accounts_what_single_stepping_executes() {
             assert_eq!(ahead.global_cycle(), stepped.global_cycle());
 
             // The kernel's side, between steps: it may take ways away and
-            // touch the L1.5 (which raises the Walloc flag), nothing that
-            // could make a lane's stores routed behind its back.
-            let (action, cluster, way) = (g.weighted(&[60, 2, 1, 1]), core / 4, g.usize_in(0..16));
+            // touch the L1.5 (which raises the Walloc state), nothing that
+            // could make a lane's stores routed behind its back. An
+            // over-demand stalls the cluster's Walloc till a reclaim of a
+            // lane's ways frees one, while other cores hold queues.
+            let action = g.weighted(&[60, 2, 1, 1, 2, 2]);
+            let (cluster, way) = (core / 4, g.usize_in(0..16));
             for soc in [&mut ahead, &mut stepped] {
                 match action {
                     1 => drop(soc.uncore_mut().kernel_revoke_way(cluster, way)),
@@ -466,10 +470,26 @@ fn run_ahead_accounts_what_single_stepping_executes() {
                         let l15 = soc.uncore_mut().l15_mut(cluster).expect("proposed preset");
                         let _ = l15.demand(way % 4, way / 4);
                     }
+                    4 => {
+                        let l15 = soc.uncore_mut().l15_mut(cluster).expect("proposed preset");
+                        let _ = l15.demand(way % 4, 16 - way % 4);
+                    }
+                    5 => {
+                        let l15 = soc.uncore().l15(cluster).expect("proposed preset");
+                        for w in l15.supply(way % 4).expect("lane").iter() {
+                            drop(soc.uncore_mut().kernel_revoke_way(cluster, w));
+                        }
+                    }
                     _ => {}
                 }
             }
+            let before = ahead.run_ahead_stats().1;
             ahead.run_ahead(core);
+            let stalled =
+                (0..2).any(|c| ahead.uncore().l15(c).is_some_and(|l| l.reconfig_stalled()));
+            if stalled {
+                while_stalled.fetch_add(ahead.run_ahead_stats().1 - before, Ordering::Relaxed);
+            }
         }
         assert!(stepped.step().is_none(), "both ran every core to its ebreak");
         pre_executed.fetch_add(ahead.run_ahead_stats().1, Ordering::Relaxed);
@@ -489,6 +509,7 @@ fn run_ahead_accounts_what_single_stepping_executes() {
         assert_eq!(a.memory_nonzero_bytes(), s.memory_nonzero_bytes());
     });
     assert!(pre_executed.into_inner() > 10_000, "the property never ran anything ahead");
+    assert!(while_stalled.into_inner() > 0, "nothing ran ahead while a Walloc was stalled");
 }
 
 /// One cluster of two cores over caches of a few lines each, so a whole
@@ -508,8 +529,8 @@ fn tiny_config() -> SocConfig {
 }
 
 #[test]
-fn a_private_step_is_a_step_or_leaves_no_trace() {
-    prop::run_with(Config::with_cases(12), "a_private_step_is_a_step_or_nothing", |g| {
+fn a_private_run_is_as_many_steps_and_its_refusal_leaves_no_trace() {
+    prop::run_with(Config::with_cases(12), "a_private_run_is_as_many_steps", |g| {
         let mut uncore = Uncore::new(tiny_config());
         let programs = [arb_program(g), arb_program(g)];
         load(&mut uncore, &programs);
@@ -522,19 +543,28 @@ fn a_private_step_is_a_step_or_leaves_no_trace() {
         loop {
             let running: Vec<usize> = (0..2).filter(|&i| !cores[i].is_halted()).collect();
             let Some(&i) = running.get(g.usize_in(0..2) % running.len().max(1)) else { break };
-            let (mut core, mut bus) = (cores[i].clone(), uncore.clone());
-            let ahead = core.step_private(&mut bus);
+            let (mut core, mut bus, mut queue) = (cores[i].clone(), uncore.clone(), Vec::new());
+            let cap = g.usize_in(1..40);
+            let total = core.run_private(&mut bus, cap, &mut queue);
+            assert_eq!(total, queue.iter().sum::<u32>());
+            // The reference steps as many times, then compares: the
+            // instruction the run refused (if it stopped short of `cap`)
+            // must have left nothing behind.
+            for (k, &cycles) in queue.iter().enumerate() {
+                let out = cores[i].step(&mut uncore);
+                assert_eq!(cycles, out.cycles, "entry {k}: {:?}", out.event);
+            }
             let print = |core: &Core, bus: &Uncore| format!("{core:?} {bus:?}");
-            if ahead.is_none() {
-                refused += 1;
-                assert_eq!(print(&core, &bus), print(&cores[i], &uncore), "a refusal left a trace");
-            }
+            assert_eq!(
+                print(&core, &bus),
+                print(&cores[i], &uncore),
+                "after {} entries",
+                queue.len()
+            );
+            private += queue.len();
+            refused += (queue.len() < cap) as usize;
+            uncore.advance(total);
             let out = cores[i].step(&mut uncore);
-            if let Some(cycles) = ahead {
-                private += 1;
-                assert_eq!(cycles, out.cycles, "{:?}", out.event);
-                assert_eq!(print(&core, &bus), print(&cores[i], &uncore), "{:?}", out.event);
-            }
             uncore.advance(out.cycles);
         }
         assert!(private > 0 && refused > 0, "{private} private, {refused} refused");
@@ -555,14 +585,17 @@ fn a_store_stops_being_private_once_its_way_is_inclusive() {
     for _ in 0..3 {
         core.step(&mut uncore);
     }
-    // The second store hits the line the first one brought in.
+    // The second store hits the line the first one brought in; `ip_set` is
+    // a shared event.
     let before = *uncore.trace().counters();
-    assert!(core.step_private(&mut uncore).is_some(), "an L1D hit on the conventional path");
+    let mut queue = Vec::new();
+    core.run_private(&mut uncore, 8, &mut queue);
+    assert_eq!(queue.len(), 1, "an L1D hit on the conventional path, then a refusal");
     assert_eq!(uncore.trace().counters().stores_conventional, before.stores_conventional + 1);
-    // `ip_set` is a shared event, and after it the IPU routes the lane.
-    assert!(core.step_private(&mut uncore).is_none());
+    // After `ip_set` the IPU routes the lane.
     core.step(&mut uncore);
-    assert!(core.step_private(&mut uncore).is_none(), "the third store is routed");
+    assert_eq!(core.run_private(&mut uncore, 8, &mut queue), 0, "the third store is routed");
+    assert_eq!(queue.len(), 1);
     core.step(&mut uncore);
     assert_eq!(uncore.trace().counters().stores_via_l15, 1);
 }

@@ -74,6 +74,16 @@ bounds=$(src_of crates/serve/src crates/check/src | grep -E '(zeta|ways|\bw\b)' 
 [ -z "$bounds" ] || { echo "a literal 64 way bound:"; echo "$bounds"; exit 1; }
 echo "way masks cross the port through port_word; ways are bounded by PORT_WAYS"
 
+echo "==> one private path gate (Core::run_private, called by Soc::run_ahead only)"
+# A private run looks its instruction line up once (FetchLine) and counts
+# its fetches once; a per-instruction private step, a peek/commit fetch
+# pair, or a second caller of the run loop must not come back.
+old=$(src_of crates/*/src | grep -E 'step_private|fetch_peek|fetch_commit\(' || true)
+[ -z "$old" ] || { echo "a second private path:"; echo "$old"; exit 1; }
+callers=$(src_of crates/*/src | grep 'run_private(' | grep -v '^crates/soc/src/soc.rs: ' || true)
+[ -z "$callers" ] || { echo "run_private( outside Soc::run_ahead:"; echo "$callers"; exit 1; }
+echo "one private run loop, driven by Soc::run_ahead"
+
 echo "==> list scheduler gate (one event loop in crates/core/src)"
 # makespan::simulate and periodic::simulate_taskset share one loop; a second
 # copy would declare its own running set.

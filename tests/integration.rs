@@ -11,8 +11,10 @@ use l15::core::periodic::{simulate_taskset, PeriodicParams};
 use l15::dag::gen::{DagGenParams, DagGenerator};
 use l15::dag::{DagBuilder, DagTask, ExecutionTimeModel, Node};
 use l15::runtime::kernel::{run_task, KernelConfig};
+use l15::runtime::{run_task_traced, WorkScale};
 use l15::rvcore::core::TimingConfig;
 use l15::soc::{Soc, SocConfig};
+use l15::trace::EventKind;
 use l15_testkit::rng::SmallRng;
 
 fn small_dag(data_bytes: u64) -> DagTask {
@@ -159,4 +161,38 @@ fn capacity_equalisation_between_socs() {
     let l2 = SocConfig::cmp_l2_8core();
     assert_eq!(prop.total_cache_bytes(), l1.total_cache_bytes());
     assert_eq!(prop.total_cache_bytes(), l2.total_cache_bytes());
+}
+
+#[test]
+fn running_ahead_reports_what_single_stepping_does() {
+    // A data-heavy DAG of the benchmark's engine shape, on the L1.5 system
+    // (Alg. 1 plan) and on the legacy one (baseline priorities). Recording
+    // disables run-ahead, so the traced run is the single-stepped reference.
+    let gen = DagGenerator::new(DagGenParams {
+        layers: (2, 4),
+        max_width: 4,
+        data_bytes_range: (2 * 1024, 16 * 1024),
+        ..Default::default()
+    });
+    let task = gen.generate(&mut SmallRng::seed_from_u64(3)).unwrap();
+    let etm = ExecutionTimeModel::new(2048).unwrap();
+    let scale = WorkScale { compute_iters: 4 };
+    let runs = [
+        (SocConfig::proposed_8core(), schedule_with_l15(&task, 16, &etm), true),
+        (SocConfig::cmp_l2_8core(), baseline_priorities(&task), false),
+    ];
+    for (cfg, plan, use_l15) in runs {
+        let kcfg = KernelConfig { use_l15, scale, ..Default::default() };
+        let mut ahead = Soc::new(cfg.clone(), 0);
+        let report = run_task(&mut ahead, &task, &plan, &kcfg).unwrap();
+        let mut stepped = Soc::new(cfg, 0);
+        let (reference, rec) = run_task_traced(&mut stepped, &task, &plan, &kcfg, 1 << 19).unwrap();
+        assert_eq!(rec.dropped().total(), 0, "the recording is complete");
+        assert_eq!(report, reference, "use_l15 = {use_l15}");
+        assert!(ahead.run_ahead_stats().1 > 0, "use_l15 = {use_l15}: nothing ran ahead");
+        let stalls = rec.events().filter(|e| matches!(e.kind, EventKind::SduStall { .. })).count();
+        if use_l15 {
+            assert!(stalls > 0, "no Walloc stalled: the stalled case is not covered");
+        }
+    }
 }
