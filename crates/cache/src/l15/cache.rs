@@ -260,6 +260,15 @@ impl L15Cache {
         Ok(writable.iter().any(|w| self.ip[w] == InclusionPolicy::Inclusive))
     }
 
+    /// Whether `core`'s SDU comparator matches (`S == D`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::UnknownCore`] for an out-of-range core.
+    pub fn demand_met(&self, core: usize) -> Result<bool, CacheError> {
+        Ok(self.sdu.demand_of(core)? == self.sdu.supply_of(core)?)
+    }
+
     /// Registers the task ID of the application running on `core`
     /// (written by the OS on a context switch; feeds the protector).
     ///
@@ -514,6 +523,44 @@ impl L15Cache {
             self.lines.line_mut(vaddr, way)[span].copy_from_slice(data);
         }
         Ok(out)
+    }
+
+    /// A [`write`](Self::write) hit without its tree-PLRU touch, left to
+    /// [`touch_posted`](Self::touch_posted): the way, or `None` and no change.
+    pub fn write_posted(
+        &mut self,
+        core: usize,
+        vaddr: u64,
+        paddr: u64,
+        data: &[u8],
+    ) -> Option<usize> {
+        let allowed = self.mask.write_mask(&self.regs, core).ok()?;
+        let way = self.lines.find(vaddr, paddr, allowed)?;
+        let span = self.lines.span(vaddr, data.len());
+        let line = self.lines.line_mut(vaddr, way);
+        if let Some(span) = span {
+            line[span].copy_from_slice(data);
+        }
+        self.lines.record_hits(1);
+        self.per_core_stats[core].record_hit();
+        Some(way)
+    }
+
+    /// The touch a [`write_posted`](Self::write_posted) hit in `way` left out.
+    ///
+    /// # Panics
+    ///
+    /// Unless `core` still routes stores and `way`, still writable by it,
+    /// still holds the line (the posted-write contract, `DESIGN.md` §4.7).
+    pub fn touch_posted(&mut self, core: usize, vaddr: u64, paddr: u64, way: usize) {
+        let writable = self.mask.write_mask(&self.regs, core).expect("lane in range");
+        assert!(
+            self.lines.find(vaddr, paddr, writable) == Some(way)
+                && self.routes_stores(core) == Ok(true),
+            "posted-write contract broken: lane {core}'s write to {paddr:#x} in way {way} was \
+             revoked, published or evicted before it was accounted"
+        );
+        self.lines.touch(vaddr, way);
     }
 
     /// Installs a full line for `core` into one of its write-permitted ways,

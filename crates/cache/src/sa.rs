@@ -143,9 +143,16 @@ impl SetAssocCache {
 
     /// The hit checkers (XNOR on tag, AND with valid) behind a way mask.
     #[inline]
-    fn find(&self, index_addr: u64, tag_addr: u64, allowed: WayMask) -> Option<usize> {
+    pub(crate) fn find(&self, index_addr: u64, tag_addr: u64, allowed: WayMask) -> Option<usize> {
         let tag = self.geo.tag_of(tag_addr);
         self.way_where(self.set_of(index_addr), allowed, |m| m.valid && m.tag == tag)
+    }
+
+    /// The replacement touch of a hit in `way` of `index_addr`'s set, alone.
+    #[inline]
+    pub(crate) fn touch(&mut self, index_addr: u64, way: usize) {
+        let set = self.set_of(index_addr);
+        self.plru[set].touch(way);
     }
 
     /// Probes for `addr` without touching replacement state or statistics.

@@ -23,8 +23,9 @@
 //! configuration.
 //!
 //! One loop: dispatch, account what ran ahead ([`Soc::next_real`]), step,
-//! react — and only then let the stepped core, if its configuration is
-//! settled, run ahead privately ([`Soc::run_ahead`]; `DESIGN.md` §4.7).
+//! react — and only then let the stepped core, if its lane's demand is met,
+//! run ahead privately ([`Soc::run_ahead`], whose contract the kernel keeps:
+//! `DESIGN.md` §4.7).
 
 use std::error::Error;
 use std::fmt;
@@ -455,9 +456,12 @@ pub fn run_task(
                     reclaim(soc, cfg.cluster, core, v.0, node_ways[v.0], finish);
                 }
             }
-        } else if !has_l15 || config_done_cycle[core].is_some() {
-            // Still running and settled: execute ahead what only it can see.
-            // Here, after all post-step work, not in a step (`DESIGN.md` §4.7).
+        } else if !has_l15
+            || soc.uncore().l15(cfg.cluster).is_some_and(|l| l.demand_met(core % cpc) == Ok(true))
+        {
+            // Still running, and the Walloc owes its lane nothing (a settled
+            // demand, or one a reclaim cancelled): execute ahead what only
+            // it can see. Here, after all post-step work, not in a step.
             soc.run_ahead(core);
         }
     }

@@ -11,17 +11,28 @@
 //! Also a regression for a gap where `gv_set` updates advanced no counter
 //! at all, so they were invisible in every untraced run (the default in
 //! every experiment binary).
+//!
+//! An attached recorder also stops every core from running ahead, so a
+//! traced run is the single-step reference the run-ahead engine must
+//! reproduce: `running_ahead_equals_single_stepping_on_random_dags` holds
+//! `run_task` and `run_cluster_plan` to it on generated DAGs and plans.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::SystemModel;
 use l15_core::federated::{federated_partition, ClusterTopology};
+use l15_core::plan::SchedulePlan;
+use l15_dag::gen::{DagGenParams, DagGenerator};
 use l15_dag::{DagBuilder, DagTask, ExecutionTimeModel, Node};
 use l15_runtime::coresidency::{run_cluster_plan, CoResidencyReport};
 use l15_runtime::kernel::{run_task, KernelConfig, RunReport};
-use l15_runtime::run_task_traced;
+use l15_runtime::{run_task_traced, WorkScale};
 use l15_rvcore::CoreStats;
 use l15_soc::uncore::HierarchyStats;
 use l15_soc::{ClusterStats, Soc, SocConfig, TraceCounters};
+use l15_testkit::prop::{self, Config, G};
+use l15_testkit::rng::SmallRng;
 use l15_trace::FlightRecorder;
 
 fn diamond() -> DagTask {
@@ -184,4 +195,82 @@ fn kernel_workload_reaches_every_counter_family() {
     assert!(c.ctrl_ops > 0, "no control ops counted: {c:?}");
     assert!(c.grants > 0, "no way grants counted: {c:?}");
     assert!(c.gv_updates > 0, "gv_set updates must be counted untraced: {c:?}");
+}
+
+/// A small generated DAG: 2–3 inner layers of up to `width` nodes, up to
+/// 8 KiB of dependent data per node.
+fn arb_task(g: &mut G, width: usize, utilisation: f64) -> DagTask {
+    let gen = DagGenerator::new(DagGenParams {
+        layers: (2, 3),
+        max_width: width,
+        data_bytes_range: (0, *g.pick(&[2048, 8192])),
+        period_range: (50.0, 100.0),
+        utilisation,
+        ..Default::default()
+    });
+    gen.generate(&mut SmallRng::seed_from_u64(g.any_u64())).expect("valid parameters")
+}
+
+/// Alg. 1's plan for `task`, or one with priorities and local ways drawn at
+/// random: demands past the cluster's ways are dropped by the SDU, sums
+/// past them stall the Walloc, and reclaims cancel growing lanes.
+fn arb_plan(g: &mut G, task: &DagTask) -> SchedulePlan {
+    let etm = ExecutionTimeModel::new(2048).expect("valid way size");
+    let mut plan = schedule_with_l15(task, 16, &etm);
+    if g.bool() {
+        for (p, w) in plan.priorities.iter_mut().zip(&mut plan.local_ways) {
+            *p = g.u32_in(0..64);
+            *w = g.usize_in(0..=9);
+        }
+    }
+    plan
+}
+
+#[test]
+fn running_ahead_equals_single_stepping_on_random_dags() {
+    let (ahead, posted) = (AtomicU64::new(0), AtomicU64::new(0));
+    prop::run_with(Config::with_cases(16), "running_ahead_equals_single_stepping", |g| {
+        let cfg = KernelConfig {
+            scale: WorkScale { compute_iters: g.u32_in(1..=8) },
+            ..KernelConfig::default()
+        };
+        // `run_task` on one cluster of the 8-core preset, or a federated
+        // plan over all eight clusters of the 32-core one.
+        let coresident = g.bool();
+        let run = |soc: &mut Soc, job: &(Vec<DagTask>, Vec<SchedulePlan>)| {
+            if coresident {
+                let topology = ClusterTopology { clusters: 8, cores_per_cluster: 4 };
+                let mut plan = federated_partition(&job.0, topology, &SystemModel::proposed())
+                    .expect("light tasks fit");
+                for (a, p) in plan.assignments.iter_mut().zip(&job.1) {
+                    a.plan = p.clone();
+                }
+                let report = run_cluster_plan(soc, &job.0, &plan, &cfg).expect("runs");
+                (format!("{report:?}"), observe(soc, report.apps[0].report.clone()))
+            } else {
+                let report = run_task(soc, &job.0[0], &job.1[0], &cfg).expect("runs");
+                (format!("{report:?}"), observe(soc, report))
+            }
+        };
+        let tasks: Vec<DagTask> = if coresident {
+            (0..g.usize_in(2..=8)).map(|_| arb_task(g, 3, 0.05)).collect()
+        } else {
+            vec![arb_task(g, 5, 0.5)]
+        };
+        let plans = tasks.iter().map(|t| arb_plan(g, t)).collect();
+        let job = (tasks, plans);
+        let preset =
+            if coresident { SocConfig::proposed_32core() } else { SocConfig::proposed_8core() };
+
+        let mut soc = Soc::new(preset.clone(), 0);
+        let got = run(&mut soc, &job);
+        ahead.fetch_add(soc.run_ahead_stats().1, Ordering::Relaxed);
+        posted.fetch_add(got.1.counters.stores_via_l15, Ordering::Relaxed);
+        let mut reference = Soc::new(preset, 0);
+        reference.uncore_mut().trace_mut().attach(FlightRecorder::new(1));
+        let want = run(&mut reference, &job);
+        assert_eq!(reference.run_ahead_stats().1, 0, "a recording SoC single-steps");
+        assert_eq!(got, want);
+    });
+    assert!(ahead.into_inner() > 0 && posted.into_inner() > 0);
 }

@@ -114,8 +114,16 @@ pub trait SystemBus {
         None
     }
 
-    /// [`store`](Self::store), if it ends in `core`'s own first-level cache.
-    fn store_private(&mut self, _core: usize, _paddr: u32, _size: u32, _value: u32) -> Option<u32> {
+    /// [`store`](Self::store), if it ends in `core`'s own first-level cache
+    /// or the bus posts it (keeps its shared effect till it is accounted):
+    /// `(cycles, posted)`.
+    fn store_private(
+        &mut self,
+        _core: usize,
+        _paddr: u32,
+        _size: u32,
+        _value: u32,
+    ) -> Option<(u32, bool)> {
         None
     }
 }

@@ -27,6 +27,10 @@ use crate::csr::{cause, CsrFile, PrivLevel};
 use crate::isa::{AluOp, BranchOp, CsrOp, Instr, L15Op, LoadOp, MulOp};
 use crate::mmu::Mmu;
 
+/// Marks an entry of a [`Core::run_private`] queue whose store the bus
+/// posted; the entry's cycles are the bits below it.
+pub const POSTED: u32 = 1 << 31;
+
 /// Pipeline timing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingConfig {
@@ -298,18 +302,20 @@ impl Core {
             }
         };
         let fetch = bus.fetch(self.id, self.pc, ppc);
-        self.execute::<B, false>(bus, fetch, tlb_cost).expect("only a private step refuses")
+        self.execute::<B, false>(bus, fetch, tlb_cost).expect("only a private step refuses").0
     }
 
     /// [`step`](Self::step)s, cycles and every core-side update alike, while
     /// each touches only this core and what `bus` holds for it alone,
     /// pushing their cycles onto `queue` up to `cap` entries; returns their
-    /// sum. Private: machine mode, a fetch from a [`FetchLine`], then `lui` /
+    /// sum, an entry whose store the bus posted marked with [`POSTED`].
+    /// Private: machine mode, a fetch from a [`FetchLine`], then `lui` /
     /// `auipc` / `jal` / `jalr` / a branch / an ALU or M op / `fence`, or an
-    /// aligned load or store the bus serves privately. The first that is not
-    /// (`csr*`, L1.5 control, `ecall` / `ebreak` / `mret` / `wfi`, a trap)
-    /// leaves core and bus as it found them. No private access touches an
-    /// instruction line: one lookup per line, one fetch count per run.
+    /// aligned load or store the bus serves privately or posts. The first
+    /// that is not (`csr*`, L1.5 control, `ecall` / `ebreak` / `mret` /
+    /// `wfi`, a trap) leaves core and bus as it found them. No private access
+    /// touches an instruction line or a counter: one lookup per line, and
+    /// the run's fetches, instructions and cycles counted once at its end.
     pub fn run_private<B: SystemBus + ?Sized>(
         &mut self,
         bus: &mut B,
@@ -319,7 +325,8 @@ impl Core {
         if self.halted || self.priv_level != PrivLevel::Machine {
             return 0;
         }
-        let (first, mut total) = (queue.len(), 0);
+        let first = queue.len();
+        let (mut total, mut hazard, mut flush) = (0, 0, 0);
         let mut line = FetchLine::default();
         while queue.len() < cap {
             // Machine mode runs bare: the PC is the physical address.
@@ -333,25 +340,36 @@ impl Core {
             // The word is read only by traps, and a private run refuses those.
             let instr = bus.predecoded(self.id, slot);
             let fetch = Fetched { word: 0, cycles: line.cycles, instr };
-            let Some(out) = self.execute::<B, true>(bus, fetch, 0) else { break };
-            queue.push(out.cycles);
+            let Some((out, posted)) = self.execute::<B, true>(bus, fetch, 0) else { break };
+            debug_assert!(out.cycles < POSTED, "a private step costs {} cycles", out.cycles);
+            queue.push(if posted { out.cycles | POSTED } else { out.cycles });
             total += out.cycles;
+            hazard += out.stalls.hazard;
+            flush += out.stalls.flush;
         }
-        bus.count_line_fetches(self.id, (queue.len() - first) as u64);
+        let n = (queue.len() - first) as u64;
+        bus.count_line_fetches(self.id, n);
+        self.stats.instructions += n;
+        self.csr.instret += n;
+        self.stats.cycles += total as u64;
+        self.csr.cycle += total as u64;
+        self.stats.hazard_stalls += hazard as u64;
+        self.stats.flush_cycles += flush as u64;
         total
     }
 
     /// The one execute body, from ID on: `fetch` is what IF read after a
-    /// `tlb_cost`-cycle translation. `PRIVATE` takes the private side of the
-    /// bus and refuses shared events, writing nothing before the last
-    /// refusal point.
+    /// `tlb_cost`-cycle translation; returns the outcome and whether the bus
+    /// posted a store. `PRIVATE` takes the private side of the bus, refuses
+    /// shared events, writing nothing before the last refusal point, and
+    /// leaves the counters to [`run_private`](Self::run_private).
     #[inline]
     fn execute<B: SystemBus + ?Sized, const PRIVATE: bool>(
         &mut self,
         bus: &mut B,
         fetch: Fetched,
         tlb_cost: u32,
-    ) -> Option<StepOutcome> {
+    ) -> Option<(StepOutcome, bool)> {
         let if_stall = tlb_cost + fetch.cycles.saturating_sub(1);
         let mut cycles = 1 + if_stall;
         let mut stalls = Stalls { if_stall, ..Stalls::default() };
@@ -364,7 +382,7 @@ impl Core {
                 }
                 let ev = self.trap($code, $tval);
                 self.finish(cycles, &stalls, next_hazard);
-                return Some(StepOutcome { cycles, event: ev, stalls });
+                return Some((StepOutcome { cycles, event: ev, stalls }, false));
             }};
         }
 
@@ -380,7 +398,7 @@ impl Core {
 
         // Load-use hazard against the previous instruction.
         if let Some(rd) = self.hazard.last_load_rd {
-            if instr.reads().contains(&Some(rd)) {
+            if instr.reads_reg(rd) {
                 let stall = if self.hazard.last_load_from_l15 {
                     if self.timing.l15_forwarding {
                         0
@@ -398,24 +416,30 @@ impl Core {
         // --- EX/MA/WB -------------------------------------------------------
         let mut next_pc = self.pc.wrapping_add(4);
         let mut event = StepEvent::Retired(instr);
+        let mut posted = false;
+        // A taken branch or jump to `$target`: the IF/ID flush.
+        macro_rules! jump {
+            ($target:expr) => {{
+                next_pc = $target;
+                cycles += self.timing.branch_flush;
+                stalls.flush += self.timing.branch_flush;
+                if !PRIVATE {
+                    self.stats.flush_cycles += self.timing.branch_flush as u64;
+                }
+            }};
+        }
 
         match instr {
             Instr::Lui { rd, imm } => self.set_reg(rd as usize, imm as u32),
             Instr::Auipc { rd, imm } => self.set_reg(rd as usize, self.pc.wrapping_add(imm as u32)),
             Instr::Jal { rd, imm } => {
                 self.set_reg(rd as usize, self.pc.wrapping_add(4));
-                next_pc = self.pc.wrapping_add(imm as u32);
-                cycles += self.timing.branch_flush;
-                stalls.flush += self.timing.branch_flush;
-                self.stats.flush_cycles += self.timing.branch_flush as u64;
+                jump!(self.pc.wrapping_add(imm as u32));
             }
             Instr::Jalr { rd, rs1, imm } => {
                 let target = self.regs[rs1 as usize].wrapping_add(imm as u32) & !1;
                 self.set_reg(rd as usize, self.pc.wrapping_add(4));
-                next_pc = target;
-                cycles += self.timing.branch_flush;
-                stalls.flush += self.timing.branch_flush;
-                self.stats.flush_cycles += self.timing.branch_flush as u64;
+                jump!(target);
             }
             Instr::Branch { op, rs1, rs2, imm } => {
                 let a = self.regs[rs1 as usize];
@@ -429,10 +453,7 @@ impl Core {
                     BranchOp::Geu => a >= b,
                 };
                 if taken {
-                    next_pc = self.pc.wrapping_add(imm as u32);
-                    cycles += self.timing.branch_flush;
-                    stalls.flush += self.timing.branch_flush;
-                    self.stats.flush_cycles += self.timing.branch_flush as u64;
+                    jump!(self.pc.wrapping_add(imm as u32));
                 }
             }
             Instr::Load { op, rd, rs1, imm } => {
@@ -479,7 +500,9 @@ impl Core {
                 stalls.ma_stall += tlb;
                 let value = self.regs[rs2 as usize];
                 let cost = if PRIVATE {
-                    bus.store_private(self.id, paddr, op.size(), value)?
+                    let (cost, was_posted) = bus.store_private(self.id, paddr, op.size(), value)?;
+                    posted = was_posted;
+                    cost
                 } else {
                     bus.store(self.id, vaddr, paddr, op.size(), value)
                 };
@@ -582,11 +605,15 @@ impl Core {
         }
 
         self.pc = next_pc;
-        self.stats.instructions += 1;
-        self.csr.instret += 1;
-        self.finish(cycles, &stalls, next_hazard);
+        if PRIVATE {
+            self.hazard = next_hazard;
+        } else {
+            self.stats.instructions += 1;
+            self.csr.instret += 1;
+            self.finish(cycles, &stalls, next_hazard);
+        }
         debug_assert_eq!(cycles, 1 + stalls.total(), "stall breakdown must account every cycle");
-        Some(StepOutcome { cycles, event, stalls })
+        Some((StepOutcome { cycles, event, stalls }, posted))
     }
 
     fn finish(&mut self, cycles: u32, stalls: &Stalls, next_hazard: HazardState) {

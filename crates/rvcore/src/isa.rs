@@ -662,21 +662,31 @@ impl Instr {
 
     /// The source registers read by this instruction (`x0` excluded).
     pub fn reads(&self) -> [Option<Reg>; 2] {
-        let regs = match *self {
+        self.sources().map(|r| (r != 0).then_some(r))
+    }
+
+    /// Whether [`reads`](Self::reads) names `reg` (not `x0`): the load-use
+    /// test, without building the pair.
+    #[inline]
+    pub fn reads_reg(&self, reg: Reg) -> bool {
+        self.sources().contains(&reg)
+    }
+
+    /// The source registers, `x0` standing for none.
+    #[inline]
+    fn sources(&self) -> [Reg; 2] {
+        match *self {
             Instr::Jalr { rs1, .. } | Instr::Load { rs1, .. } | Instr::OpImm { rs1, .. } => {
-                [Some(rs1), None]
+                [rs1, 0]
             }
             Instr::Branch { rs1, rs2, .. }
             | Instr::Store { rs1, rs2, .. }
             | Instr::Op { rs1, rs2, .. }
-            | Instr::MulDiv { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
-            Instr::Csr { src, imm_form, .. } if !imm_form => [Some(src), None],
-            Instr::L15 { op: L15Op::Demand | L15Op::GvSet | L15Op::IpSet, rs1, .. } => {
-                [Some(rs1), None]
-            }
-            _ => [None, None],
-        };
-        regs.map(|r| r.filter(|&r| r != 0))
+            | Instr::MulDiv { rs1, rs2, .. } => [rs1, rs2],
+            Instr::Csr { src, imm_form: false, .. } => [src, 0],
+            Instr::L15 { op: L15Op::Demand | L15Op::GvSet | L15Op::IpSet, rs1, .. } => [rs1, 0],
+            _ => [0, 0],
+        }
     }
 
     /// Whether this is a memory load (drives the load-use hazard model).

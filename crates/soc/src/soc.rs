@@ -13,35 +13,49 @@
 //! its own state in one tight loop and queues only their *cycles*; no clock
 //! moves. [`Soc::step_core`] accounts a queued entry exactly as it does an
 //! executed instruction, so whatever observes time sees one instruction at
-//! a time; [`Soc::next_real`] accounts many at once (`DESIGN.md` §4.7).
+//! a time; [`Soc::next_real`] accounts many at once (`DESIGN.md` §4.7),
+//! applying posted stores' L1.5 touches in (start cycle, core index) order.
 
 use std::ops::Range;
 
-use l15_rvcore::core::{Core, Stalls, StepEvent, StepOutcome, TimingConfig};
+use l15_rvcore::core::{Core, Stalls, StepEvent, StepOutcome, TimingConfig, POSTED};
 use l15_rvcore::isa::Instr;
 use l15_trace::EventKind;
 
 use crate::config::SocConfig;
 use crate::uncore::{Uncore, Walloc};
 
-/// The cycles of each instruction a core executed ahead of its clock:
-/// entries before `head` are accounted, the `left` cycles of the rest not.
+/// The cycles of each instruction a core executed ahead of its clock,
+/// [`POSTED`] marking a posted store: entries before `head` are accounted,
+/// the `left` cycles of the rest not.
 #[derive(Debug, Clone, Default)]
 struct Ahead {
     cycles: Vec<u32>,
     head: usize,
     left: u32,
+    /// Instructions run ahead so far.
+    ran: u64,
 }
 
 impl Ahead {
-    /// Accounts the entries starting less than `limit` cycles after the head
-    /// entry does (`1`: that entry alone); returns their cycles. Linear: a
-    /// cluster accounts a dozen entries between two executed steps.
+    /// Accounts the entries of core `core`, at `clock`, starting less than
+    /// `limit` cycles after the head entry does (`1`: that entry alone);
+    /// returns their cycles and pushes each posted store's (start, core)
+    /// onto `due`. Linear: a dozen entries between two executed steps.
     #[inline]
-    fn pop_before(&mut self, limit: u64) -> u32 {
+    fn pop_before(
+        &mut self,
+        limit: u64,
+        (clock, core): (u64, usize),
+        due: &mut Vec<(u64, usize)>,
+    ) -> u32 {
         let mut sum = 0;
         while self.head < self.cycles.len() && (sum as u64) < limit {
-            sum += self.cycles[self.head];
+            let entry = self.cycles[self.head];
+            if entry >= POSTED {
+                due.push((clock + sum as u64, core));
+            }
+            sum += entry & !POSTED;
             self.head += 1;
         }
         self.left -= sum;
@@ -64,7 +78,11 @@ pub struct Soc {
     keys: Vec<u64>,
     /// Per core: what it executed ahead of `clocks`.
     ahead: Vec<Ahead>,
-    ran_ahead: (u64, u64),
+    /// Posted stores an accounting pass reached: (start cycle, core).
+    due: Vec<(u64, usize)>,
+    /// `run_ahead` calls that executed something; posted stores accounted.
+    runs: u64,
+    posted: u64,
 }
 
 /// Scheduling keys no clock reaches; a runnable core's key is below both.
@@ -89,7 +107,9 @@ impl Soc {
             global: 0,
             keys: vec![0; n],
             ahead: vec![Ahead::default(); n],
-            ran_ahead: (0, 0),
+            due: Vec::new(),
+            runs: 0,
+            posted: 0,
         }
     }
 
@@ -171,7 +191,9 @@ impl Soc {
     pub fn step_core(&mut self, i: usize) -> StepOutcome {
         let out = if self.ahead[i].left != 0 {
             let (event, stalls) = (StepEvent::Retired(Instr::Fence), Stalls::default());
-            StepOutcome { cycles: self.ahead[i].pop_before(1), event, stalls }
+            let cycles = self.ahead[i].pop_before(1, (self.clocks[i], i), &mut self.due);
+            self.apply_due();
+            StepOutcome { cycles, event, stalls }
         } else {
             self.uncore.trace_mut().set_now(self.clocks[i]);
             self.cores[i].step(&mut self.uncore)
@@ -198,12 +220,14 @@ impl Soc {
     }
 
     /// Executes, now, the instructions core `i` executes next that touch
-    /// only its own state ([`Core::run_private`]), queueing their cycles
-    /// for [`step_core`](Self::step_core) / [`next_real`](Self::next_real)
-    /// to account. For the SoC's driver, once it has reacted to a step; till
-    /// the queue is accounted it must neither touch the core nor make a way
-    /// of its lane inclusive. Does nothing while a Walloc can act (every
-    /// cycle's order matters), events are recorded (the uncore serves no
+    /// only its own state or post a routed store ([`Core::run_private`]),
+    /// queueing their cycles for [`step_core`](Self::step_core) /
+    /// [`next_real`](Self::next_real) / [`settle`](Self::settle) to account.
+    /// For the caller stepping the SoC, after its reaction to a step, while
+    /// `i`'s lane has its demand met; till the queue is accounted it keeps
+    /// off the core and the lane's writable ways, routing and demand
+    /// (`DESIGN.md` §4.7).
+    /// Does nothing while a Walloc can act, events are recorded (no
     /// [`FetchLine`](l15_rvcore::bus::FetchLine) then) or `i` has a queue.
     pub fn run_ahead(&mut self, i: usize) {
         let ahead = &mut self.ahead[i];
@@ -214,13 +238,29 @@ impl Soc {
         ahead.head = 0;
         // At most a page of queue per run.
         ahead.left = self.cores[i].run_private(&mut self.uncore, 1024, &mut ahead.cycles);
-        self.ran_ahead.0 += !ahead.cycles.is_empty() as u64;
-        self.ran_ahead.1 += ahead.cycles.len() as u64;
+        ahead.ran += ahead.cycles.len() as u64;
+        self.runs += !ahead.cycles.is_empty() as u64;
+    }
+
+    /// Cycles core `i` ran ahead, not yet accounted (`run_ahead`'s contract
+    /// holds for its lane while non-zero).
+    pub fn queued(&self, i: usize) -> u32 {
+        self.ahead[i].left
     }
 
     /// `(run_ahead calls that executed something, instructions they did)`.
     pub fn run_ahead_stats(&self) -> (u64, u64) {
-        self.ran_ahead
+        (self.runs, self.ahead.iter().map(|a| a.ran).sum())
+    }
+
+    /// Instructions core `i` ran ahead.
+    pub fn ran_ahead(&self, i: usize) -> u64 {
+        self.ahead[i].ran
+    }
+
+    /// Routed stores that ran ahead posted, once accounted.
+    pub fn posted_stores(&self) -> u64 {
+        self.posted
     }
 
     /// The core of `cores` that executes the next instruction, with every
@@ -235,21 +275,36 @@ impl Soc {
             if bulk && self.ahead[i].left != 0 {
                 // Starting before `at`, or at it on a core `laggard` meets first.
                 let limit = (at + (i <= lead) as u64).saturating_sub(self.clocks[i]);
-                self.clocks[i] += self.ahead[i].pop_before(limit) as u64;
+                let clock = (self.clocks[i], i);
+                self.clocks[i] += self.ahead[i].pop_before(limit, clock, &mut self.due) as u64;
                 self.keys[i] = self.clocks[i];
                 self.global = self.global.max(self.clocks[i]);
             }
         }
+        self.apply_due();
         (at < STALE).then_some(lead)
     }
 
-    /// Accounts everything `cores` executed ahead, core by core rather
-    /// than in (clock, index) order: for a caller that stops stepping.
+    /// Applies the touches of `due`, merged across cores in (start, index) order.
+    #[inline]
+    fn apply_due(&mut self) {
+        if self.due.len() > 1 {
+            self.due.sort_unstable();
+        }
+        for &(_, i) in &self.due {
+            self.uncore.apply_posted(i);
+        }
+        self.posted += self.due.len() as u64;
+        self.due.clear();
+    }
+
+    /// Accounts everything `cores` executed ahead, an entry at a time in
+    /// (clock, index) order: for a caller that stops stepping.
     pub fn settle(&mut self, cores: Range<usize>) {
-        for i in cores {
-            while self.ahead[i].left != 0 {
-                self.step_core(i);
-            }
+        while let Some(i) =
+            cores.clone().filter(|&i| self.ahead[i].left != 0).min_by_key(|&i| self.clocks[i])
+        {
+            self.step_core(i);
         }
     }
 

@@ -18,6 +18,8 @@
 //! way holds the line, else they fall through to the L2; dirty L1.5 and L2
 //! victims fall through to L2 and memory respectively.
 
+use std::collections::VecDeque;
+
 use l15_cache::geometry::WayMask;
 use l15_cache::l15::{InclusionPolicy, L15Cache, L15Config, L15ConfigState, SduEvent};
 use l15_cache::mem::MainMemory;
@@ -192,6 +194,9 @@ pub struct Uncore {
     line_bytes: u64,
     /// The line an L1 miss is refilling, so the miss path allocates nothing.
     line_buf: Vec<u8>,
+    /// Per core, oldest first: the line and L1.5 way of each posted store
+    /// whose tree-PLRU touch is still owed.
+    posted: Vec<VecDeque<(u32, usize)>>,
     /// What the clusters' Walloc FSMs may still do: raised to
     /// [`Walloc::Acting`] by everything that can create or change a demand
     /// or clear a stall, lowered only by what [`advance`](Self::advance)
@@ -239,6 +244,7 @@ impl Uncore {
             },
             line_bytes: cfg.l1d.line_bytes,
             line_buf: vec![0; cfg.l1d.line_bytes as usize],
+            posted: vec![VecDeque::new(); cores],
             walloc: Walloc::Settled,
             trace: Trace::default(),
             cfg,
@@ -262,6 +268,27 @@ impl Uncore {
 
     fn cluster_of(&self, core: usize) -> (usize, usize) {
         (core / self.cfg.cores_per_cluster, core % self.cfg.cores_per_cluster)
+    }
+
+    /// Whether the IPU routes `core`'s stores into its L1.5 (Sec. 4.3).
+    #[inline]
+    fn routes_stores(&self, core: usize) -> bool {
+        let (cluster, lane) = self.cluster_of(core);
+        self.l15[cluster].as_ref().is_some_and(|l15| l15.routes_stores(lane).unwrap_or(false))
+    }
+
+    /// Applies the touch `core`'s oldest posted store owes, as the SoC
+    /// accounts the store.
+    ///
+    /// # Panics
+    ///
+    /// If `core` owes none, or as [`L15Cache::touch_posted`] does.
+    pub fn apply_posted(&mut self, core: usize) {
+        let (paddr, way) =
+            self.posted[core].pop_front().expect("an entry marked posted has its touch queued");
+        let (cluster, lane) = self.cluster_of(core);
+        let l15 = self.l15[cluster].as_mut().expect("only a routed store posts");
+        l15.touch_posted(lane, paddr as u64, paddr as u64, way);
     }
 
     /// Direct (host) memory write, bypassing the caches — used to load
@@ -676,29 +703,45 @@ impl SystemBus for Uncore {
         Some(MemAccess { value, cycles, from_l15: false })
     }
 
-    /// Private while the IPU does not route the lane's stores. Reading that
-    /// ahead of time is safe: with the lane's demand met, only a revocation
-    /// can change it, and that turns "routed" into "conventional" only.
+    /// A conventional L1D hit, or a routed write hit posted when the L1D
+    /// holds no copy to merge: done now at the L1 pass-through's cost but
+    /// for its L1.5 PLRU touch ([`apply_posted`](Uncore::apply_posted)).
+    /// Exact under `Soc::run_ahead`'s contract (`DESIGN.md` §4.7).
     #[inline]
-    fn store_private(&mut self, core: usize, paddr: u32, size: u32, value: u32) -> Option<u32> {
-        let (cluster, lane) = self.cluster_of(core);
-        if self.l15[cluster].as_ref().is_some_and(|l15| l15.routes_stores(lane).unwrap_or(false)) {
+    fn store_private(
+        &mut self,
+        core: usize,
+        paddr: u32,
+        size: u32,
+        value: u32,
+    ) -> Option<(u32, bool)> {
+        let (addr, bytes) = (paddr as u64, &value.to_le_bytes()[..size as usize]);
+        if !self.routes_stores(core) {
+            let (way, cycles) = self.l1d[core].access_if_hit(addr, AccessKind::Write)?;
+            let off = (addr & (self.line_bytes - 1)) as usize;
+            if let Some(dst) = self.l1d[core].line_mut(addr, way).get_mut(off..off + bytes.len()) {
+                dst.copy_from_slice(bytes);
+            }
+            self.trace.record(EventKind::Store { core: core as u32, via_l15: false });
+            return Some((cycles, false));
+        }
+        if self.l1d[core].probe(addr).is_some() {
             return None;
         }
-        let (paddr, bytes) = (paddr as u64, &value.to_le_bytes()[..size as usize]);
-        let (way, cycles) = self.l1d[core].access_if_hit(paddr, AccessKind::Write)?;
-        let off = (paddr & (self.line_bytes - 1)) as usize;
-        if let Some(dst) = self.l1d[core].line_mut(paddr, way).get_mut(off..off + bytes.len()) {
-            dst.copy_from_slice(bytes);
-        }
-        self.trace.record(EventKind::Store { core: core as u32, via_l15: false });
-        Some(cycles)
+        let (cluster, lane) = self.cluster_of(core);
+        let l15 = self.l15[cluster].as_mut().expect("a routed lane has an L1.5");
+        let way = l15.write_posted(lane, addr, addr, bytes)?;
+        self.posted[core].push_back((paddr, way));
+        self.trace.record(EventKind::Store { core: core as u32, via_l15: true });
+        Some((self.cfg.l1d.lat_min, true))
     }
 
     fn store(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32, value: u32) -> u32 {
         // The conventional path's L1D hit is the private store.
-        if let Some(cycles) = self.store_private(core, paddr, size, value) {
-            return cycles;
+        if !self.routes_stores(core) {
+            if let Some((cycles, _)) = self.store_private(core, paddr, size, value) {
+                return cycles;
+            }
         }
         let (cluster, lane) = self.cluster_of(core);
         let vaddr = vaddr as u64;

@@ -19,18 +19,22 @@
 //!   late — a SoC driven *account → step → run ahead* must show, at every
 //!   executed step, the clocks of one stepped an instruction at a time, and
 //!   end in the same registers, counters, masks and memory, also when it
-//!   ran ahead while a Walloc was stalled;
-//! * `Core::run_private` does exactly what as many `Core::step`s do, and
-//!   the instruction it refuses leaves no trace.
+//!   ran ahead while a Walloc was stalled, posted routed stores, or ran a
+//!   lane whose demand a reclaim cancelled;
+//! * `Core::run_private` does exactly what as many `Core::step`s do once
+//!   its posted stores are accounted, and the instruction it refuses leaves
+//!   no trace;
+//! * a caller that breaks the posted-write contract gets a panic, not a
+//!   silently different run.
 
 use l15_cache::geometry::{Geometry, WayMask};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use l15_cache::l15::{L15Config, L15ConfigState};
+use l15_cache::l15::{InclusionPolicy, L15Config, L15ConfigState};
 use l15_cache::sa::{AccessKind, SetAssocCache};
 use l15_rvcore::asm::Assembler;
 use l15_rvcore::bus::SystemBus;
-use l15_rvcore::core::Core;
+use l15_rvcore::core::{Core, POSTED};
 use l15_rvcore::csr::{addr as csr, PrivLevel};
 use l15_rvcore::isa::{self, L15Op};
 use l15_rvcore::mmu::Segment;
@@ -425,6 +429,7 @@ fn boot(core: &mut Core, i: usize, user: bool) {
 #[test]
 fn run_ahead_accounts_what_single_stepping_executes() {
     let (pre_executed, while_stalled) = (AtomicU64::new(0), AtomicU64::new(0));
+    let (posted, cancelled) = (AtomicU64::new(0), AtomicU64::new(0));
     prop::run_with(Config::with_cases(32), "run_ahead_accounts_in_order", |g| {
         // Latency bands deep enough that the way a hit came from shows.
         let mut cfg = SocConfig::proposed_8core();
@@ -439,6 +444,9 @@ fn run_ahead_accounts_what_single_stepping_executes() {
             boot(stepped.core_mut(i), i, i == user);
         }
         let mut ahead = stepped.clone();
+        // Per core: its lane's last demand was cancelled by a reclaim (and
+        // it has made no new one).
+        let mut cut_short = vec![false; n];
 
         while let Some(core) = ahead.next_real(0..n) {
             ahead.step_core(core);
@@ -457,11 +465,31 @@ fn run_ahead_accounts_what_single_stepping_executes() {
 
             // The kernel's side, between steps: it may take ways away and
             // touch the L1.5 (which raises the Walloc state), nothing that
-            // could make a lane's stores routed behind its back. An
-            // over-demand stalls the cluster's Walloc till a reclaim of a
-            // lane's ways frees one, while other cores hold queues.
-            let action = g.weighted(&[60, 2, 1, 1, 2, 2]);
+            // could make a lane's stores routed behind its back, and acts
+            // only on lanes whose cores hold no queue (`run_ahead`'s
+            // contract). An over-demand stalls the cluster's Walloc till a
+            // reclaim of a lane's ways frees one, while other cores hold
+            // queues; a reclaim of a growing lane's way cancels its demand.
+            let mut action = g.weighted(&[60, 2, 1, 1, 2, 2]);
             let (cluster, way) = (core / 4, g.usize_in(0..16));
+            let l15 = ahead.uncore().l15(cluster).expect("proposed preset");
+            let lane = match action {
+                1 => l15.regs().owner_of(way),
+                3..=5 => Some(way % 4),
+                _ => None,
+            };
+            if lane.is_some_and(|lane| ahead.queued(cluster * 4 + lane) != 0) {
+                action = 0;
+            }
+            let growing: Vec<bool> = (0..n)
+                .map(|c| {
+                    !ahead
+                        .uncore()
+                        .l15(c / 4)
+                        .and_then(|l| l.demand_met(c % 4).ok())
+                        .unwrap_or(true)
+                })
+                .collect();
             for soc in [&mut ahead, &mut stepped] {
                 match action {
                     1 => drop(soc.uncore_mut().kernel_revoke_way(cluster, way)),
@@ -483,12 +511,25 @@ fn run_ahead_accounts_what_single_stepping_executes() {
                     _ => {}
                 }
             }
-            let before = ahead.run_ahead_stats().1;
+            for (c, cut) in cut_short.iter_mut().enumerate() {
+                let met =
+                    ahead.uncore().l15(c / 4).is_some_and(|l| l.demand_met(c % 4) == Ok(true));
+                *cut = met && (*cut || growing[c]);
+            }
+            let (before, routed) =
+                (ahead.run_ahead_stats().1, ahead.uncore().trace().counters().stores_via_l15);
             ahead.run_ahead(core);
+            let ran = ahead.run_ahead_stats().1 - before;
             let stalled =
                 (0..2).any(|c| ahead.uncore().l15(c).is_some_and(|l| l.reconfig_stalled()));
             if stalled {
-                while_stalled.fetch_add(ahead.run_ahead_stats().1 - before, Ordering::Relaxed);
+                while_stalled.fetch_add(ran, Ordering::Relaxed);
+            }
+            // A private run routes a store only by posting it.
+            let routed = ahead.uncore().trace().counters().stores_via_l15 - routed;
+            posted.fetch_add(routed, Ordering::Relaxed);
+            if cut_short[core] {
+                cancelled.fetch_add(ran, Ordering::Relaxed);
             }
         }
         assert!(stepped.step().is_none(), "both ran every core to its ebreak");
@@ -510,6 +551,8 @@ fn run_ahead_accounts_what_single_stepping_executes() {
     });
     assert!(pre_executed.into_inner() > 10_000, "the property never ran anything ahead");
     assert!(while_stalled.into_inner() > 0, "nothing ran ahead while a Walloc was stalled");
+    assert!(posted.into_inner() > 0, "no routed store was posted");
+    assert!(cancelled.into_inner() > 0, "no lane ran ahead right after its demand was cancelled");
 }
 
 /// One cluster of two cores over caches of a few lines each, so a whole
@@ -530,6 +573,7 @@ fn tiny_config() -> SocConfig {
 
 #[test]
 fn a_private_run_is_as_many_steps_and_its_refusal_leaves_no_trace() {
+    let posted_total = AtomicU64::new(0);
     prop::run_with(Config::with_cases(12), "a_private_run_is_as_many_steps", |g| {
         let mut uncore = Uncore::new(tiny_config());
         let programs = [arb_program(g), arb_program(g)];
@@ -539,20 +583,25 @@ fn a_private_run_is_as_many_steps_and_its_refusal_leaves_no_trace() {
         for (i, core) in cores.iter_mut().enumerate() {
             boot(core, i, i == user);
         }
-        let (mut private, mut refused) = (0, 0);
+        let (mut private, mut refused, mut posted) = (0, 0, 0);
         loop {
             let running: Vec<usize> = (0..2).filter(|&i| !cores[i].is_halted()).collect();
             let Some(&i) = running.get(g.usize_in(0..2) % running.len().max(1)) else { break };
             let (mut core, mut bus, mut queue) = (cores[i].clone(), uncore.clone(), Vec::new());
             let cap = g.usize_in(1..40);
             let total = core.run_private(&mut bus, cap, &mut queue);
-            assert_eq!(total, queue.iter().sum::<u32>());
-            // The reference steps as many times, then compares: the
-            // instruction the run refused (if it stopped short of `cap`)
-            // must have left nothing behind.
-            for (k, &cycles) in queue.iter().enumerate() {
+            assert_eq!(total, queue.iter().map(|&e| e & !POSTED).sum::<u32>());
+            // The reference steps as many times, the run's posted stores are
+            // accounted, then the two compare: the instruction the run
+            // refused (if it stopped short of `cap`) must have left nothing
+            // behind.
+            for (k, &entry) in queue.iter().enumerate() {
                 let out = cores[i].step(&mut uncore);
-                assert_eq!(cycles, out.cycles, "entry {k}: {:?}", out.event);
+                assert_eq!(entry & !POSTED, out.cycles, "entry {k}: {:?}", out.event);
+                if entry & POSTED != 0 {
+                    bus.apply_posted(i);
+                    posted += 1;
+                }
             }
             let print = |core: &Core, bus: &Uncore| format!("{core:?} {bus:?}");
             assert_eq!(
@@ -568,7 +617,9 @@ fn a_private_run_is_as_many_steps_and_its_refusal_leaves_no_trace() {
             uncore.advance(out.cycles);
         }
         assert!(private > 0 && refused > 0, "{private} private, {refused} refused");
+        posted_total.fetch_add(posted, Ordering::Relaxed);
     });
+    assert!(posted_total.into_inner() > 0, "no private run posted a store");
 }
 
 #[test]
@@ -598,4 +649,74 @@ fn a_store_stops_being_private_once_its_way_is_inclusive() {
     assert_eq!(queue.len(), 1);
     core.step(&mut uncore);
     assert_eq!(uncore.trace().counters().stores_via_l15, 1);
+}
+
+#[test]
+#[should_panic(expected = "posted-write contract broken")]
+fn revoking_a_posted_line_before_its_store_is_accounted_panics() {
+    let mut soc = Soc::new(SocConfig::proposed_8core(), 0x100);
+    let l15 = soc.uncore_mut().l15_mut(0).expect("proposed preset");
+    l15.demand(0, 1).expect("one of sixteen ways");
+    l15.settle();
+    l15.ip_set(0, InclusionPolicy::Inclusive).expect("lane 0");
+    let mut a = Assembler::new();
+    a.li(5, POOL as i32).li(6, 1).sw(5, 6, 0).sw(5, 6, 4).ebreak();
+    soc.uncore_mut().load_program(0x100, &a.finish().expect("assembles"));
+    // Up to the first store, which allocates the line in the lane's way.
+    while soc.uncore().trace().counters().stores_via_l15 == 0 {
+        soc.step_core(0);
+    }
+    soc.run_ahead(0);
+    assert_eq!(soc.uncore().trace().counters().stores_via_l15, 2, "the second store posted");
+    assert_ne!(soc.queued(0), 0);
+    // The kernel side takes the way while the store is queued: its touch, due
+    // when the store is accounted, has no line to land on.
+    let way = soc.uncore().l15(0).expect("proposed preset").supply(0).expect("lane 0").lowest();
+    soc.uncore_mut().kernel_revoke_way(0, way.expect("lane 0 owns a way")).expect("in range");
+    soc.settle(0..1);
+}
+
+#[test]
+fn posted_touches_land_late_and_in_the_order_stepping_makes_them() {
+    // Lanes 0 and 1 of cluster 0 each own one inclusive way and store to
+    // lines of one L1.5 set: each store after the first hits and posts,
+    // with a tree-PLRU touch the other lane's store undid. Core 1's posted
+    // store starts before core 0's, and one bulk pass accounts both.
+    let program = |addr: i32, before: usize| {
+        let mut a = Assembler::new();
+        a.li(5, addr).li(6, 1).sw(5, 6, 0);
+        for _ in 0..before {
+            a.nop();
+        }
+        a.sw(5, 6, 4);
+        for _ in 0..40 {
+            a.nop();
+        }
+        a.ebreak();
+        a.finish().expect("assembles")
+    };
+    let mut stepped = Soc::new(SocConfig::proposed_8core(), 0);
+    let l15 = stepped.uncore_mut().l15_mut(0).expect("proposed preset");
+    for lane in 0..2 {
+        l15.demand(lane, 1).expect("one of sixteen ways");
+        l15.settle();
+        l15.ip_set(lane, InclusionPolicy::Inclusive).expect("lane in range");
+    }
+    for (core, (addr, before)) in
+        [(POOL as i32, 8), (POOL as i32 + 0x800, 0)].into_iter().enumerate()
+    {
+        stepped.uncore_mut().load_program(code_of(core), &program(addr, before));
+        stepped.core_mut(core).set_pc(code_of(core));
+    }
+    for core in 2..8 {
+        stepped.core_mut(core).halt();
+    }
+    let mut ahead = stepped.clone();
+    while let Some(core) = ahead.next_real(0..8) {
+        ahead.step_core(core);
+        ahead.run_ahead(core);
+    }
+    while stepped.step().is_some() {}
+    assert_eq!(ahead.posted_stores(), 2, "both second stores posted");
+    assert_eq!(format!("{:?}", ahead.uncore()), format!("{:?}", stepped.uncore()));
 }

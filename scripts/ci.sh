@@ -84,6 +84,26 @@ callers=$(src_of crates/*/src | grep 'run_private(' | grep -v '^crates/soc/src/s
 [ -z "$callers" ] || { echo "run_private( outside Soc::run_ahead:"; echo "$callers"; exit 1; }
 echo "one private run loop, driven by Soc::run_ahead"
 
+echo "==> one run-ahead caller gate (kernel.rs keeps run_ahead's contract; soc.rs accounts posted stores)"
+# A posted routed store is exact only while whoever steps the SoC leaves the
+# lane's writable ways, routing and demand alone until the store is
+# accounted (DESIGN.md 4.7): run_task is the one caller that keeps that, and
+# the SoC's accounting the one place that applies a posted store's touch.
+callers=$(src_of crates/*/src | grep 'run_ahead(' | grep -v 'fn run_ahead(' \
+    | grep -v '^crates/runtime/src/kernel.rs: ' || true)
+[ -z "$callers" ] || { echo "run_ahead( outside run_task:"; echo "$callers"; exit 1; }
+touches=$(src_of crates/*/src | grep -E '(apply|touch)_posted\(' \
+    | grep -vE 'fn (apply|touch)_posted\(' | sort || true)
+sites=$(echo "$touches" | sed -E 's/^([^:]*): .*((apply|touch)_posted)\(.*/\1 \2/')
+want=$'crates/soc/src/soc.rs apply_posted\ncrates/soc/src/uncore.rs touch_posted'
+[ "$sites" = "$want" ] || {
+    echo "posted touches must be applied by one apply_posted( call in soc.rs, through one"
+    echo "touch_posted( call in uncore.rs; found:"
+    echo "$touches"
+    exit 1
+}
+echo "run_ahead driven by run_task only; posted touches applied by Soc accounting only"
+
 echo "==> list scheduler gate (one event loop in crates/core/src)"
 # makespan::simulate and periodic::simulate_taskset share one loop; a second
 # copy would declare its own running set.

@@ -7,14 +7,15 @@
 use l15::core::alg1::schedule_with_l15;
 use l15::core::baseline::{baseline_priorities, SystemModel};
 use l15::core::casestudy::{generate_case_study, CaseStudyParams};
+use l15::core::federated::{federated_partition, ClusterTopology};
 use l15::core::periodic::{simulate_taskset, PeriodicParams};
 use l15::dag::gen::{DagGenParams, DagGenerator};
 use l15::dag::{DagBuilder, DagTask, ExecutionTimeModel, Node};
 use l15::runtime::kernel::{run_task, KernelConfig};
-use l15::runtime::{run_task_traced, WorkScale};
+use l15::runtime::{run_cluster_plan, run_task_traced, WorkScale};
 use l15::rvcore::core::TimingConfig;
 use l15::soc::{Soc, SocConfig};
-use l15::trace::EventKind;
+use l15::trace::{EventKind, FlightRecorder};
 use l15_testkit::rng::SmallRng;
 
 fn small_dag(data_bytes: u64) -> DagTask {
@@ -195,4 +196,61 @@ fn running_ahead_reports_what_single_stepping_does() {
             assert!(stalls > 0, "no Walloc stalled: the stalled case is not covered");
         }
     }
+
+    // Light tasks of the benchmark's co-resident shape, federated over the
+    // eight clusters of the 32-core preset.
+    let gen = DagGenerator::new(DagGenParams {
+        layers: (2, 3),
+        max_width: 4,
+        data_bytes_range: (2 * 1024, 2 * 1024),
+        utilisation: 0.9,
+        ..Default::default()
+    });
+    let mut rng = SmallRng::seed_from_u64(1);
+    let tasks: Vec<DagTask> = (0..16).map(|_| gen.generate(&mut rng).unwrap()).collect();
+    let topology = ClusterTopology { clusters: 8, cores_per_cluster: 4 };
+    let plan = federated_partition(&tasks, topology, &SystemModel::proposed()).unwrap();
+    let kcfg = KernelConfig { scale: WorkScale { compute_iters: 32 }, ..Default::default() };
+    let mut ahead = Soc::new(SocConfig::proposed_32core(), 0);
+    let report = run_cluster_plan(&mut ahead, &tasks, &plan, &kcfg).unwrap();
+    let mut stepped = Soc::new(SocConfig::proposed_32core(), 0);
+    let kept = |k: &EventKind| {
+        matches!(
+            k,
+            EventKind::Fetch { .. }
+                | EventKind::NodeStart { .. }
+                | EventKind::NodeFinish { .. }
+                | EventKind::WallocDone { .. }
+        )
+    };
+    stepped.uncore_mut().trace_mut().attach(FlightRecorder::keeping(1 << 22, kept));
+    let reference = run_cluster_plan(&mut stepped, &tasks, &plan, &kcfg).unwrap();
+    let rec = stepped.uncore_mut().trace_mut().detach().unwrap();
+    assert_eq!(rec.dropped().total(), 0, "the recording is complete");
+    assert_eq!(report, reference, "co-resident on proposed_32core");
+    assert!(ahead.posted_stores() > 0, "no routed store was posted");
+    // Per core, the instructions of nodes whose Walloc episode never
+    // settled (a demand a reclaim cancelled, a stalled one or one the SDU
+    // dropped). More of them than the core single-stepped in all means
+    // some ran ahead: only a lane with its demand met can.
+    let n = stepped.n_cores();
+    let (mut open, mut settled, mut unsettled) = (vec![0u64; n], vec![false; n], vec![0u64; n]);
+    for e in rec.events() {
+        match e.kind {
+            EventKind::NodeStart { core, .. } => {
+                (open[core as usize], settled[core as usize]) = (0, false)
+            }
+            EventKind::WallocDone { core, .. } => settled[core as usize] = true,
+            EventKind::Fetch { core, .. } => open[core as usize] += 1,
+            EventKind::NodeFinish { core, .. } if !settled[core as usize] => {
+                unsettled[core as usize] += open[core as usize];
+            }
+            _ => {}
+        }
+    }
+    let stepped_of = |c: usize| ahead.core(c).stats().instructions - ahead.ran_ahead(c);
+    assert!(
+        (0..n).any(|c| stepped_of(c) < unsettled[c]),
+        "no lane whose demand a reclaim cancelled ran ahead"
+    );
 }
