@@ -19,6 +19,8 @@
 use l15_cache::sa::worst_probe_latency;
 use l15_soc::SocConfig;
 
+use super::domain::Classification;
+
 /// Worst-case cycle costs of the memory hierarchy of one SoC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
@@ -34,8 +36,6 @@ pub struct CostModel {
     pub mem: u64,
     /// Cycles charged by one `l15_ctrl` operation.
     pub ctrl: u64,
-    /// Line size shared by every level.
-    pub line_bytes: u64,
 }
 
 impl CostModel {
@@ -55,48 +55,57 @@ impl CostModel {
             l2_any: u64::from(worst_probe_latency(cfg.l2.lat_min, cfg.l2.lat_max, cfg.l2.ways)),
             mem: u64::from(cfg.mem_latency),
             ctrl: 1,
-            line_bytes: cfg.l1d.line_bytes,
         }
     }
 
-    /// Bound on a load or fetch that is guaranteed to hit the L1.
-    pub fn read_l1_hit(&self) -> u64 {
+    /// Bound on a load, fetch or conventional store guaranteed to hit the
+    /// L1.
+    #[inline]
+    pub fn l1_hit(&self) -> u64 {
         self.l1_any
     }
 
-    /// Bound on a load or fetch guaranteed resident in the L1.5 (the L1
-    /// outcome may be anything).
-    pub fn read_l15_hit(&self) -> u64 {
+    /// Bound on a load, fetch or conventional store whose line is
+    /// guaranteed resident in the L1.5 (the L1 outcome may be anything;
+    /// write-allocate fetches the line from there).
+    #[inline]
+    pub fn l15_hit(&self) -> u64 {
         self.l1_any + self.l15_any
     }
 
-    /// Bound on an arbitrary load or fetch: the full chain down to memory.
-    /// Also the *exact* cost of an always-miss first touch, because every
-    /// miss probe equals the worst probe at its level.
-    pub fn read_chain(&self) -> u64 {
+    /// Bound on an arbitrary load, fetch or conventional store: the full
+    /// chain down to memory. Also the *exact* cost of an always-miss first
+    /// touch, because every miss probe equals the worst probe at its level.
+    #[inline]
+    pub fn chain(&self) -> u64 {
         self.l1_any + self.l15_any + self.l2_any + self.mem
     }
 
-    /// Bound on a conventional store guaranteed to hit the L1.
-    pub fn store_l1_hit(&self) -> u64 {
-        self.l1_any
+    /// Classification and bound of a load, fetch or conventional store
+    /// (write-allocate shares the read path): an L1 must-hit, else an L1.5
+    /// must-hit, else the full chain — always-miss on a `first_touch`.
+    #[inline]
+    pub fn access(&self, l1_hit: bool, l15_hit: bool, first_touch: bool) -> (Classification, u64) {
+        if l1_hit {
+            (Classification::Ah, self.l1_hit())
+        } else if l15_hit {
+            (Classification::Ah, self.l15_hit())
+        } else if first_touch {
+            (Classification::Am, self.chain())
+        } else {
+            (Classification::Nc, self.chain())
+        }
     }
 
-    /// Bound on a conventional store whose line is guaranteed resident in
-    /// the L1.5 (write-allocate fetches it from there).
-    pub fn store_l15_hit(&self) -> u64 {
-        self.l1_any + self.l15_any
-    }
-
-    /// Bound on an arbitrary conventional store.
-    pub fn store_chain(&self) -> u64 {
-        self.l1_any + self.l15_any + self.l2_any + self.mem
-    }
-
-    /// Exact cost of a routed store posted into a resident writable L1.5
-    /// line: the L1 pass-through only.
-    pub fn store_posted(&self) -> u64 {
-        self.l1_pass
+    /// Classification and bound of a routed store: when posted into a
+    /// resident writable L1.5 line, exactly the L1 pass-through; otherwise
+    /// the full routed chain.
+    pub fn routed(&self, posted: bool) -> (Classification, u64) {
+        if posted {
+            (Classification::Ah, self.l1_pass)
+        } else {
+            (Classification::Nc, self.store_routed_chain())
+        }
     }
 
     /// Bound on an arbitrary routed store: pass-through, write-miss probe,
@@ -108,7 +117,7 @@ impl CostModel {
     /// Bound on a store whose routing (conventional vs `ip_set`) is
     /// statically unknown.
     pub fn store_unknown(&self) -> u64 {
-        self.store_chain().max(self.store_routed_chain())
+        self.chain().max(self.store_routed_chain())
     }
 }
 
@@ -126,7 +135,7 @@ mod tests {
         // L2 15–25 over 8 ways: 15 + 10*7/8 = 23.
         assert_eq!(m.l2_any, 23);
         assert_eq!(m.mem, 100);
-        assert_eq!(m.read_chain(), 1 + 7 + 23 + 100);
+        assert_eq!(m.chain(), 1 + 7 + 23 + 100);
         assert!(m.store_unknown() >= m.store_routed_chain());
     }
 
@@ -134,6 +143,6 @@ mod tests {
     fn legacy_preset_has_no_l15_term() {
         let m = CostModel::from_soc(&SocConfig::preset("cmp_l1_8core").expect("known preset"));
         assert_eq!(m.l15_any, 0);
-        assert_eq!(m.read_chain(), m.l1_any + m.l2_any + m.mem);
+        assert_eq!(m.chain(), m.l1_any + m.l2_any + m.mem);
     }
 }

@@ -91,6 +91,8 @@ pub const STEP_CAP: usize = 2_000_000;
 ///
 /// Returns [`InterpError`] when the program is not statically traceable.
 pub fn trace_program(program: &[u32], base: u32) -> Result<Vec<TraceStep>, InterpError> {
+    // Loops re-execute their bodies: decode each word once.
+    let decoded: Vec<Option<Instr>> = program.iter().map(|&w| isa::decode(w).ok()).collect();
     let mut regs: [Option<u32>; 32] = [None; 32];
     regs[0] = Some(0);
     let mut pc = base;
@@ -102,10 +104,10 @@ pub fn trace_program(program: &[u32], base: u32) -> Result<Vec<TraceStep>, Inter
             return Err(InterpError::StepCap { cap: STEP_CAP });
         }
         let index = (pc.wrapping_sub(base) / 4) as usize;
-        if pc < base || index >= program.len() {
+        if pc < base || index >= decoded.len() {
             return Err(InterpError::OutOfRange { pc });
         }
-        let instr = isa::decode(program[index]).map_err(|_| InterpError::BadInstruction { pc })?;
+        let instr = decoded[index].ok_or(InterpError::BadInstruction { pc })?;
 
         let load_use = last_load_rd.is_some_and(|rd| instr.reads().contains(&Some(rd)));
         let mut step = TraceStep {

@@ -3,7 +3,9 @@
 //! For every DAG node this module unrolls the generated program
 //! ([`l15_runtime::workgen::node_program`]) into its exact dynamic trace
 //! ([`super::interp`]), runs the must-analysis of [`super::domain`] over
-//! the L1I, L1D and L1.5 levels, and folds the AH/NC classification into a
+//! the L1I and L1D levels and steps the node's lane of
+//! [`L15Must`] — the L1.5 state the fuzz-stream analysis
+//! ([`super::stream`]) steps too — and folds the AH/NC classification into a
 //! **sound upper bound on the node's execution cycles** under the concrete
 //! `l15-runtime` kernel. The analysis justifies — or reports as findings —
 //! the two assumptions the plan's tighter bounds rest on:
@@ -19,12 +21,12 @@
 //!    its cost — and the residency of the written line — is unknown.
 //!
 //! When both hold for a producer, its output lines written by routed
-//!    stores are *guaranteed* globally visible at completion (the kernel
+//! stores are *guaranteed* globally visible at completion (the kernel
 //! publishes exactly the freshly granted ways, and join-at-merge keeps
 //! them until the last consumer finishes), so consumers' reads of them are
 //! **always hits** in the L1.5.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use l15_cache::plru::TreePlru;
@@ -35,7 +37,7 @@ use l15_runtime::workgen::{node_program, WorkScale};
 use l15_soc::SocConfig;
 
 use super::cost::CostModel;
-use super::domain::MustCache;
+use super::domain::{Census, Classification, L15Must, MustCache};
 use super::interp::{trace_program, TraceStep};
 
 /// Machine-readable reason a plan assumption is not statically justified.
@@ -67,13 +69,10 @@ pub struct NodeBound {
     /// including the kernel's mid-run `ip_set` re-issue. `u64::MAX` when
     /// the node is untraceable (a finding explains why).
     pub bound_cycles: u64,
-    /// Accesses classified always-hit (L1 or L1.5 must-resident).
-    pub ah: u64,
-    /// Accesses classified always-miss (never produced here: a node's
-    /// incoming machine state is unknown, so the may-analysis is ⊤).
-    pub am: u64,
-    /// Accesses not classified (charged the full miss chain).
-    pub nc: u64,
+    /// Classification of the node's accesses. Always-miss is never
+    /// produced here: a node's incoming machine state is unknown, so no
+    /// access is provably a first touch.
+    pub census: Census,
     /// Whether the node's store routing was statically justified.
     pub routed_justified: bool,
 }
@@ -147,41 +146,27 @@ pub fn certify_task(
     // settle-detection and `ip_set` re-issue lag.
     let settle_horizon = zeta + 2;
 
-    let mut node_bounds: Vec<NodeBound> = Vec::with_capacity(dag.node_count());
-    for v in dag.node_ids() {
-        node_bounds.push(NodeBound {
+    let mut node_bounds: Vec<NodeBound> = dag
+        .node_ids()
+        .map(|v| NodeBound {
             node: v.0,
             bound_cycles: u64::MAX,
-            ah: 0,
-            am: 0,
-            nc: 0,
+            census: Census::default(),
             routed_justified: false,
-        });
-    }
+        })
+        .collect();
     // Output lines guaranteed globally visible in the L1.5 after each
     // node completes.
     let mut guaranteed: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); dag.node_count()];
 
     for &v in dag.topological_order() {
-        let program = match node_program(dag, v, &layout, scale) {
-            Ok(p) => p,
-            Err(e) => {
-                findings.push(CertifyFinding {
-                    code: "UNTRACEABLE",
-                    node: Some(v.0),
-                    message: format!("program generation failed: {e}"),
-                });
-                continue;
-            }
-        };
-        let trace = match trace_program(&program, layout.code_of(v)) {
+        let traced = node_program(dag, v, &layout, scale)
+            .map_err(|e| format!("program generation failed: {e}"))
+            .and_then(|p| trace_program(&p, layout.code_of(v)).map_err(|e| e.to_string()));
+        let trace = match traced {
             Ok(t) => t,
-            Err(e) => {
-                findings.push(CertifyFinding {
-                    code: "UNTRACEABLE",
-                    node: Some(v.0),
-                    message: e.to_string(),
-                });
+            Err(message) => {
+                findings.push(CertifyFinding { code: "UNTRACEABLE", node: Some(v.0), message });
                 continue;
             }
         };
@@ -207,153 +192,95 @@ pub fn certify_task(
 
         // Direct predecessors' certified publications: must-resident in
         // the L1.5 for the whole node (join-at-merge reclamation).
-        let mut published: BTreeSet<u64> = BTreeSet::new();
-        if has_l15 && ways_ok {
-            for &(_, p) in dag.predecessors(v) {
-                published.extend(guaranteed[p.0].iter().copied());
-            }
-        }
-
-        let b = analyze_node_trace(
-            &trace,
-            &cost,
-            cfg,
-            &published,
-            NodeParams {
-                node: v.0,
-                routed_ok,
-                settle_horizon,
-                l15_sets,
-                conventional: !has_l15 || local == 0,
-            },
-        );
-        let own_view = b.own_view;
-        node_bounds[v.0] = b.bound;
+        let preds = if has_l15 && ways_ok { dag.predecessors(v) } else { &[] };
+        let inherited = preds.iter().flat_map(|&(_, p)| guaranteed[p.0].iter().copied());
+        let writable = if has_l15 { local } else { 0 };
+        let mut l15 = L15Must::new(l15_sets, lb, &[writable], inherited.collect());
+        // Without writable ways every store is conventional from the start;
+        // with them, routing is known from the horizon on, if justified.
+        let settle_at = if writable == 0 { Some(0) } else { routed_ok.then_some(settle_horizon) };
+        let (cycles, census) = analyze_node_trace(&trace, &cost, cfg, &mut l15, settle_at);
+        node_bounds[v.0] = NodeBound {
+            node: v.0,
+            bound_cycles: cycles + KERNEL_CTRL_SLACK * cost.ctrl,
+            census,
+            routed_justified: routed_ok,
+        };
 
         if routed_ok {
+            // gv_set at completion publishes the node's output lines. Output
+            // buffers are disjoint, so the predecessors' lines fall outside
+            // this node's range.
             let out_base = u64::from(layout.output_of(v));
-            let out_end = out_base + dag.node(v).data_bytes;
-            guaranteed[v.0] =
-                own_view.into_values().filter(|&line| line >= out_base && line < out_end).collect();
+            let out = out_base..out_base + dag.node(v).data_bytes;
+            l15.publish(0, |line| out.contains(&line));
+            guaranteed[v.0] = l15.published().range(out).copied().collect();
         }
     }
 
     CertifyReport { node_bounds, findings }
 }
 
-struct NodeParams {
-    node: usize,
-    routed_ok: bool,
-    settle_horizon: usize,
-    l15_sets: usize,
-    /// Stores definitely take the conventional path (no L1.5, or zero
-    /// local ways so the writable mask is empty).
-    conventional: bool,
-}
-
-struct NodeAnalysis {
-    bound: NodeBound,
-    /// L1.5 set → line known resident in one of the node's writable ways.
-    own_view: BTreeMap<usize, u64>,
-}
-
+/// Steps the node's trace through its L1I / L1D must-caches and `l15`,
+/// the node's single lane of L1.5 must-facts (settled at instruction
+/// `settle_at`), composing the per-instruction cycles of the RV32 core.
+/// Returns the cycle bound and the census.
 fn analyze_node_trace(
     trace: &[TraceStep],
     cost: &CostModel,
     cfg: &SocConfig,
-    published: &BTreeSet<u64>,
-    p: NodeParams,
-) -> NodeAnalysis {
+    l15: &mut L15Must,
+    settle_at: Option<usize>,
+) -> (u64, Census) {
     let lb = cfg.l1d.line_bytes;
     let sets_of =
         |l: &l15_soc::LevelConfig| ((l.capacity / (l.line_bytes * l.ways as u64)) as usize).max(1);
     let mut l1i = MustCache::new(sets_of(&cfg.l1i), TreePlru::must_capacity(cfg.l1i.ways), lb);
     let mut l1d = MustCache::new(sets_of(&cfg.l1d), TreePlru::must_capacity(cfg.l1d.ways), lb);
-    // The node's freshly granted L1.5 ways: masked PLRU gives a must
-    // capacity of one line per set.
-    let mut own_view: BTreeMap<usize, u64> = BTreeMap::new();
-    let l15_set = |addr: u64| ((addr / lb) % p.l15_sets as u64) as usize;
-    let line_of = |addr: u64| addr & !(lb - 1);
 
-    let mut total = 0u64;
-    let (mut ah, mut nc) = (0u64, 0u64);
-
-    // Transfer + cost of a load or fetch; returns (cycles, always_hit).
-    // On a possible L1.5 miss the fill may evict whatever the own-view
-    // held in the target set, so the fact is pruned.
-    let charge_read = |must: &mut MustCache, own_view: &mut BTreeMap<usize, u64>, addr: u64| {
-        let line = line_of(addr);
-        if must.access(addr) {
-            return (cost.read_l1_hit(), true);
+    // A load or fetch; a possible L1.5 miss may fill a writable way. The
+    // node's incoming machine state is unknown, so no access is
+    // a first touch and no fill is definite.
+    let read = |must: &mut MustCache, l15: &mut L15Must, addr: u64| {
+        let l1_hit = must.access(addr);
+        let l15_hit = !l1_hit && l15.hits(0, addr);
+        if !l1_hit && !l15_hit {
+            l15.fill(0, addr, false);
         }
-        let set = l15_set(addr);
-        if published.contains(&line) || own_view.get(&set) == Some(&line) {
-            (cost.read_l15_hit(), true)
-        } else {
-            own_view.remove(&set);
-            (cost.read_chain(), false)
-        }
+        cost.access(l1_hit, l15_hit, false)
     };
 
+    let mut total = 0u64;
+    let mut census = Census::default();
     for (idx, step) in trace.iter().enumerate() {
-        // A definite fill into a writable way is only known once the
-        // Walloc has settled; possible fills always prune the view.
-        let settled = p.routed_ok && idx >= p.settle_horizon;
-
-        let (fetch_cycles, fetch_ah) = charge_read(&mut l1i, &mut own_view, u64::from(step.fetch));
-        if fetch_ah {
-            ah += 1;
-        } else {
-            nc += 1;
+        if settle_at == Some(idx) {
+            l15.settle();
         }
-
-        let mem_cycles = match step.mem {
-            None => 0,
-            Some((false, addr)) => {
-                let (c, hit) = charge_read(&mut l1d, &mut own_view, u64::from(addr));
-                if hit {
-                    ah += 1;
-                } else {
-                    nc += 1;
-                }
-                c
+        let fetch = read(&mut l1i, l15, u64::from(step.fetch));
+        let mem = step.mem.map(|(store, addr)| {
+            let addr = u64::from(addr);
+            if !store {
+                return read(&mut l1d, l15, addr);
             }
-            Some((true, addr)) => {
-                let addr = u64::from(addr);
-                let line = line_of(addr);
-                let set = l15_set(addr);
-                if p.conventional {
-                    // Write-allocate through the L1D.
-                    if l1d.access(addr) {
-                        ah += 1;
-                        cost.store_l1_hit()
-                    } else {
-                        nc += 1;
-                        cost.store_chain()
-                    }
-                } else if settled {
-                    // Routed store: bypasses the L1D (its copy of the line
-                    // is invalidated) and lands in a writable way.
+            match l15.routing(0) {
+                // Write-allocate through the L1D.
+                Some(false) => cost.access(l1d.access(addr), false, false),
+                // Routed store: bypasses the L1D (its copy of the line is
+                // invalidated) and lands in a writable way.
+                Some(true) => {
                     l1d.remove(addr);
-                    if own_view.get(&set) == Some(&line) {
-                        ah += 1;
-                        cost.store_posted()
-                    } else {
-                        nc += 1;
-                        own_view.insert(set, line);
-                        cost.store_routed_chain()
-                    }
-                } else {
-                    // Routing unknown: either path may be taken.
-                    nc += 1;
+                    cost.routed(l15.routed_store(0, addr))
+                }
+                // Routing unknown: either path may be taken.
+                None => {
                     l1d.remove(addr);
-                    if own_view.get(&set) != Some(&line) {
-                        own_view.remove(&set);
-                    }
-                    cost.store_unknown()
+                    l15.unknown_store(0, addr);
+                    (Classification::Nc, cost.store_unknown())
                 }
             }
-        };
+        });
+        let fetch_cycles = census.tally(fetch);
+        let mem_cycles = mem.map_or(0, |m| census.tally(m));
 
         // Per-instruction cycle composition of the RV32 core: base cycle,
         // load-use stall (bounded by 1), taken-branch/jump flush, M-unit
@@ -366,17 +293,7 @@ fn analyze_node_trace(
             + mem_cycles.saturating_sub(1);
     }
 
-    NodeAnalysis {
-        bound: NodeBound {
-            node: p.node,
-            bound_cycles: total + KERNEL_CTRL_SLACK * cost.ctrl,
-            ah,
-            am: 0,
-            nc,
-            routed_justified: p.routed_ok,
-        },
-        own_view,
-    }
+    (total, census)
 }
 
 #[cfg(test)]
@@ -455,7 +372,7 @@ mod tests {
         // predecessors: the bulk of its accesses are always-hits.
         let sink = &report.node_bounds[3];
         assert!(sink.routed_justified || plan.local_ways[3] == 0);
-        assert!(sink.ah > sink.nc, "sink ah={} nc={}", sink.ah, sink.nc);
+        assert!(sink.census.ah > sink.census.nc, "sink {:?}", sink.census);
     }
 
     #[test]

@@ -3,36 +3,32 @@
 //!
 //! [`analyze_case`] replays the exact operation sequence the fuzz harness
 //! ([`crate::fuzz::check_case`]) drives through the SoC, but over the
-//! abstract domains of [`super::domain`], and emits one sound cycle bound
-//! per global core. The harness then asserts, case by case, that the
-//! concrete per-core cycles never exceed the bound — the **soundness**
-//! verdict.
+//! abstract domains of [`super::domain`], and emits the cycles it charges
+//! each global core at every step. The harness then asserts, step by step
+//! and core by core, that the concrete cycles never exceed the charge —
+//! the **soundness** verdict.
 //!
 //! The abstract machine mirrors the protocol semantics:
 //!
-//! * per-core L1D must/may caches (cold start — the SoC is fresh);
-//! * per cluster, a **published** must-set: lines guaranteed resident in
-//!   `gv_set` ways. GV ways are outside every write mask, so no fill can
-//!   evict them; the only threat is back-invalidation by a dirty L1 victim
-//!   of the same line, tracked through a per-core may-dirty set;
-//! * per lane, an **own-view** must-map of at most one line per L1.5 set:
-//!   lines guaranteed resident in the lane's writable ways. Masked-PLRU
-//!   victim selection gives no life-span guarantee beyond the most recent
-//!   fill, so any possible fill into a set clears that set's fact (see
-//!   [`l15_cache::plru::TreePlru::must_capacity`]);
-//! * a per-cluster **settled** flag: a mid-stream `Reconfig` may leave a
-//!   Walloc backlog that revokes arbitrary ways (including GV ways) during
-//!   any later `advance`, so the first reconfiguration conservatively and
-//!   permanently drops every L1.5 must-fact of its cluster.
+//! * per-core L1D must/may caches (cold start — the SoC is fresh), plus a
+//!   may-dirty set: evicting a dirty line can back-invalidate its L1.5
+//!   copy, so every possible eviction is a
+//!   [`L15Must::back_invalidate`];
+//! * per cluster, the L1.5 must-facts of [`L15Must`] — the same transfers
+//!   the DAG certifier ([`super::node`]) steps — and a may-set of the
+//!   lines possibly present. The init demands settle before the first
+//!   step; the first mid-stream `Reconfig` may leave a Walloc backlog that
+//!   revokes arbitrary ways (GV ways included) during any later `advance`,
+//!   so it permanently drops every L1.5 must-fact of its cluster.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use l15_cache::plru::TreePlru;
 use l15_soc::config::SocConfig;
 use l15_testkit::fuzz::{CoreOp, FuzzCase};
 
 use super::cost::CostModel;
-use super::domain::{Classification, MaySet, MustCache};
+use super::domain::{Census, Classification, L15Must, MaySet, MustCache};
 
 /// The sound static bound (and classification census) of one core's
 /// stream, including its share of control operations.
@@ -42,12 +38,8 @@ pub struct CoreBound {
     pub core: usize,
     /// Upper bound on the cycles the harness charges this core.
     pub bound_cycles: u64,
-    /// Accesses classified always-hit.
-    pub ah: u64,
-    /// Accesses classified always-miss (first touches; bound is exact).
-    pub am: u64,
-    /// Accesses not classified (bounded by the full chain).
-    pub nc: u64,
+    /// Classification of the core's accesses.
+    pub census: Census,
 }
 
 /// The analysis result over every core of a case.
@@ -55,53 +47,47 @@ pub struct CoreBound {
 pub struct StreamAnalysis {
     /// One bound per global core, in core order.
     pub per_core: Vec<CoreBound>,
+    /// Cycles charged per phase and global core, row-major: row 0 is the
+    /// initial demands, row `1 + i` is `case.steps[i]`, the last row the
+    /// epilogue. Each core's column sums to its `bound_cycles`.
+    pub charges: Vec<u64>,
 }
 
-/// Per-lane view of the L1.5: must-facts about the lane's writable ways.
-#[derive(Debug, Clone)]
-struct LaneView {
-    /// At most one guaranteed-resident line per L1.5 set.
-    own: BTreeMap<usize, u64>,
-    /// Writable (owned, non-GV) way count, when statically known.
-    writable: Option<usize>,
-}
-
-/// Abstract state of one cluster's L1.5.
-#[derive(Debug, Clone)]
-struct ClusterState {
-    /// False from the first mid-stream `Reconfig` on: revocations may then
-    /// strike during any later `advance`, so no L1.5 must-fact survives.
-    settled: bool,
-    /// Lines guaranteed resident in GV ways (readable by every lane of
-    /// the same application).
-    published: BTreeSet<u64>,
-    /// Lines possibly present anywhere in this L1.5.
-    may: MaySet,
-    lanes: Vec<LaneView>,
+impl StreamAnalysis {
+    /// The cycles charged to `core` in phase `row` (see [`Self::charges`]).
+    pub fn charge(&self, row: usize, core: usize) -> u64 {
+        self.charges[row * self.per_core.len() + core]
+    }
 }
 
 /// Abstract per-core L1D state.
-#[derive(Debug, Clone)]
 struct CoreState {
     must: MustCache,
     may: MaySet,
-    /// Lines this core may hold **dirty** in its L1D. Evicting such a line
-    /// can back-invalidate a same-address L1.5 copy (including a published
-    /// one), so possible evictions prune published/own-view facts.
+    /// Lines this core may hold **dirty** in its L1D.
     may_dirty: BTreeSet<u64>,
+}
+
+/// Abstract state of one cluster's L1.5.
+struct ClusterState {
+    must: L15Must,
+    /// Lines possibly present anywhere in this L1.5.
+    may: MaySet,
 }
 
 struct Analyzer {
     cost: CostModel,
     line_bytes: u64,
-    l15_sets: usize,
     cores: Vec<CoreState>,
     clusters: Vec<ClusterState>,
     bounds: Vec<CoreBound>,
+    charges: Vec<u64>,
+    /// The phase being charged (a row of [`StreamAnalysis::charges`]).
+    row: usize,
 }
 
-/// Computes the sound per-core cycle bound of `case` as run by the fuzz
-/// harness on a fresh SoC configured as `cfg` (the harness's own
+/// Computes the sound per-step, per-core cycle charges of `case` as run by
+/// the fuzz harness on a fresh SoC configured as `cfg` (the harness's own
 /// configuration — pass `Uncore::config()`).
 ///
 /// The analysis is sequential and pure: its output is a function of
@@ -110,12 +96,14 @@ struct Analyzer {
 /// # Panics
 ///
 /// Panics if `cfg` has no L1.5 or its shape disagrees with the case's
-/// knobs (the harness always passes its own matching config).
+/// knobs (the harness always passes its own matching config), or if the
+/// case lacks an initial demand per lane (generated cases never do).
 pub fn analyze_case(case: &FuzzCase, cfg: &SocConfig) -> StreamAnalysis {
     let knobs = &case.knobs;
     let l15cfg = cfg.l15.as_ref().expect("fuzz SoC always has an L1.5");
     assert_eq!(l15cfg.ways, knobs.ways, "config/knob way mismatch");
     assert_eq!(cfg.cores_per_cluster, knobs.cores, "config/knob core mismatch");
+    assert_eq!(case.init_demand.len(), knobs.cores, "one initial demand per lane");
 
     let line_bytes = cfg.l1d.line_bytes;
     let l1_sets = ((cfg.l1d.capacity / line_bytes) as usize / cfg.l1d.ways).max(1);
@@ -126,7 +114,6 @@ pub fn analyze_case(case: &FuzzCase, cfg: &SocConfig) -> StreamAnalysis {
     let mut a = Analyzer {
         cost: CostModel::from_soc(cfg),
         line_bytes,
-        l15_sets,
         cores: (0..total)
             .map(|_| CoreState {
                 must: MustCache::new(l1_sets, l1_cap, line_bytes),
@@ -136,326 +123,182 @@ pub fn analyze_case(case: &FuzzCase, cfg: &SocConfig) -> StreamAnalysis {
             .collect(),
         clusters: (0..knobs.clusters)
             .map(|_| ClusterState {
-                settled: true,
-                published: BTreeSet::new(),
+                must: L15Must::new(l15_sets, line_bytes, &case.init_demand, BTreeSet::new()),
                 may: MaySet::empty(line_bytes),
-                lanes: (0..knobs.cores)
-                    .map(|_| LaneView { own: BTreeMap::new(), writable: None })
-                    .collect(),
             })
             .collect(),
         bounds: (0..total)
-            .map(|core| CoreBound { core, bound_cycles: 0, ah: 0, am: 0, nc: 0 })
+            .map(|core| CoreBound { core, bound_cycles: 0, census: Census::default() })
             .collect(),
+        charges: vec![0; (case.steps.len() + 2) * total],
+        row: 0,
     };
     a.run(case);
-    StreamAnalysis { per_core: a.bounds }
+    StreamAnalysis { per_core: a.bounds, charges: a.charges }
 }
 
 impl Analyzer {
-    fn line(&self, addr: u64) -> u64 {
-        addr & !(self.line_bytes - 1)
-    }
-
-    fn l15_set(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) as usize) % self.l15_sets
-    }
-
     fn charge(&mut self, core: usize, cycles: u64) {
         self.bounds[core].bound_cycles += cycles;
+        self.charges[self.row * self.bounds.len() + core] += cycles;
     }
 
-    fn classify(&mut self, core: usize, c: Classification) {
-        match c {
-            Classification::Ah => self.bounds[core].ah += 1,
-            Classification::Am => self.bounds[core].am += 1,
-            Classification::Nc => self.bounds[core].nc += 1,
-        }
-    }
-
-    /// Whether `addr` is guaranteed resident in the cluster's L1.5 from
-    /// `lane`'s point of view (its own writable ways, or any GV way —
-    /// both are in the lane's read mask under a single application tid).
-    fn l15_must(&self, cl: usize, lane: usize, addr: u64) -> bool {
-        let line = self.line(addr);
-        let st = &self.clusters[cl];
-        st.settled
-            && (st.published.contains(&line)
-                || st.lanes[lane].own.get(&self.l15_set(addr)) == Some(&line))
+    /// Counts a classified access of `core` and charges its bound.
+    fn tally(&mut self, core: usize, access: (Classification, u64)) {
+        let cycles = self.bounds[core].census.tally(access);
+        self.charge(core, cycles);
     }
 
     /// A fill may happen in `core`'s L1D set of `addr`: every line this
     /// core may hold dirty in that set (other than `addr` itself) may be
-    /// evicted and back-invalidate its L1.5 copy — published or own-view.
+    /// evicted and back-invalidate its L1.5 copy.
     fn prune_dirty_victims(&mut self, cl: usize, core: usize, addr: u64) {
-        let line = self.line(addr);
-        let set = self.cores[core].must.set_of(addr);
-        let victims: Vec<(u64, usize)> = self.cores[core]
-            .may_dirty
-            .iter()
-            .copied()
-            .filter(|&x| x != line && self.cores[core].must.set_of(x) == set)
-            .map(|x| (x, ((x / self.line_bytes) as usize) % self.l15_sets))
-            .collect();
-        let st = &mut self.clusters[cl];
-        for (x, s) in victims {
-            st.published.remove(&x);
-            for lane in &mut st.lanes {
-                if lane.own.get(&s) == Some(&x) {
-                    lane.own.remove(&s);
-                }
-            }
+        let c = &self.cores[core];
+        let (line, set) = (addr & !(self.line_bytes - 1), c.must.set_of(addr));
+        for &x in c.may_dirty.iter().filter(|&&x| x != line && c.must.set_of(x) == set) {
+            self.clusters[cl].must.back_invalidate(x);
         }
     }
 
-    /// Transfer of a load (private or consume): classification, bound,
-    /// then the L1D and L1.5 state updates.
-    fn load(&mut self, cl: usize, lane: usize, core: usize, addr: u64) {
+    /// Transfer of a load (private or consume) or a conventional store:
+    /// they share the read path (write-allocate) and differ only in the
+    /// store leaving its line may-dirty.
+    fn access(&mut self, cl: usize, lane: usize, core: usize, addr: u64, store: bool) {
         let l1_hit = self.cores[core].must.contains(addr);
-        let l1_may = self.cores[core].may.contains(addr);
-        let l15_hit = self.l15_must(cl, lane, addr);
-        let l15_may = self.clusters[cl].may.contains(addr);
+        let l15_hit = self.clusters[cl].must.hits(lane, addr);
+        let first_touch =
+            !self.cores[core].may.contains(addr) && !self.clusters[cl].may.contains(addr);
 
         if !l1_hit {
             self.prune_dirty_victims(cl, core, addr);
         }
-        let (class, cycles) = if l1_hit {
-            (Classification::Ah, self.cost.read_l1_hit())
-        } else if l15_hit {
-            (Classification::Ah, self.cost.read_l15_hit())
-        } else if !l1_may && !l15_may {
-            // First touch anywhere: the full chain is the exact cost.
-            (Classification::Am, self.cost.read_chain())
-        } else {
-            (Classification::Nc, self.cost.read_chain())
-        };
-        self.classify(core, class);
-        self.charge(core, cycles);
+        self.tally(core, self.cost.access(l1_hit, l15_hit, first_touch));
 
-        self.cores[core].must.access(addr);
-        self.cores[core].may.insert(addr);
+        let c = &mut self.cores[core];
+        c.must.access(addr);
+        c.may.insert(addr);
+        if store {
+            c.may_dirty.insert(addr & !(self.line_bytes - 1));
+        }
         if !l1_hit {
             // The access may reach the L1.5 and, missing there, fill one
-            // of the lane's writable ways.
-            self.clusters[cl].may.insert(addr);
-            if !l15_hit {
-                self.possible_l15_fill(cl, lane, addr, !l1_may && !l15_may);
-            }
-        }
-    }
-
-    /// A fill into `lane`'s writable ways may (or, when `definite`, must)
-    /// occur: the affected set loses its own-view fact; a definite fill
-    /// with a known writable way installs the line as the new fact.
-    fn possible_l15_fill(&mut self, cl: usize, lane: usize, addr: u64, definite: bool) {
-        let line = self.line(addr);
-        let set = self.l15_set(addr);
-        let st = &mut self.clusters[cl];
-        let view = &mut st.lanes[lane];
-        if view.own.get(&set) != Some(&line) {
-            view.own.remove(&set);
-            if definite && st.settled && view.writable.unwrap_or(0) > 0 {
-                view.own.insert(set, line);
-            }
-        }
-    }
-
-    /// Transfer of a conventional (non-routed) store.
-    fn store_conventional(&mut self, cl: usize, lane: usize, core: usize, addr: u64) {
-        let l1_hit = self.cores[core].must.contains(addr);
-        let l1_may = self.cores[core].may.contains(addr);
-        let l15_hit = self.l15_must(cl, lane, addr);
-        let l15_may = self.clusters[cl].may.contains(addr);
-
-        if !l1_hit {
-            self.prune_dirty_victims(cl, core, addr);
-        }
-        let (class, cycles) = if l1_hit {
-            (Classification::Ah, self.cost.store_l1_hit())
-        } else if l15_hit {
-            (Classification::Ah, self.cost.store_l15_hit())
-        } else if !l1_may && !l15_may {
-            (Classification::Am, self.cost.store_chain())
-        } else {
-            (Classification::Nc, self.cost.store_chain())
-        };
-        self.classify(core, class);
-        self.charge(core, cycles);
-
-        self.cores[core].must.access(addr);
-        self.cores[core].may.insert(addr);
-        let line = self.line(addr);
-        self.cores[core].may_dirty.insert(line);
-        if !l1_hit {
-            self.clusters[cl].may.insert(addr);
-            if !l15_hit {
-                // Write-allocate goes through the shared read path, which
-                // fills the lane's writable ways exactly like a load miss.
-                self.possible_l15_fill(cl, lane, addr, !l1_may && !l15_may);
-            }
-        }
-    }
-
-    /// Transfer of `flush_l1d(core)`: dirty lines are merged into a
-    /// writable L1.5 copy when one is guaranteed, otherwise they may
-    /// back-invalidate a same-address L1.5 copy on the way down.
-    fn flush_l1d(&mut self, cl: usize, lane: usize, core: usize) {
-        let dirty: Vec<(u64, usize)> = self.cores[core]
-            .may_dirty
-            .iter()
-            .copied()
-            .map(|x| (x, ((x / self.line_bytes) as usize) % self.l15_sets))
-            .collect();
-        for (x, s) in dirty {
+            // of the lane's writable ways (definitely, on a first touch).
             let st = &mut self.clusters[cl];
-            let in_own = st.settled && st.lanes[lane].own.get(&s) == Some(&x);
-            if !in_own {
-                st.published.remove(&x);
-                for l in &mut st.lanes {
-                    if l.own.get(&s) == Some(&x) {
-                        l.own.remove(&s);
-                    }
-                }
+            st.may.insert(addr);
+            if !l15_hit {
+                st.must.fill(lane, addr, first_touch);
             }
         }
-        self.cores[core].must.clear();
-        self.cores[core].may.clear();
-        self.cores[core].may_dirty.clear();
+    }
+
+    /// Transfer of `flush_l1d(core)`: every possibly-dirty line is written
+    /// back through the L1.5.
+    fn flush_l1d(&mut self, cl: usize, lane: usize, core: usize) {
+        let c = &mut self.cores[core];
+        for &x in &c.may_dirty {
+            self.clusters[cl].must.write_back(lane, x);
+        }
+        c.must.clear();
+        c.may.clear();
+        c.may_dirty.clear();
     }
 
     /// Transfer of the produce episode (ip_set → store → supply → gv_set
     /// [→ flush] → ip_set), charging its four control ops.
     fn produce(&mut self, cl: usize, lane: usize, core: usize, addr: u64) {
-        let line = self.line(addr);
+        let line = addr & !(self.line_bytes - 1);
         self.charge(core, 4 * self.cost.ctrl);
 
-        let settled = self.clusters[cl].settled;
-        let writable = self.clusters[cl].lanes[lane].writable;
-        match (settled, writable) {
-            (true, Some(w)) if w > 0 => {
+        match self.clusters[cl].must.routing(lane) {
+            Some(true) => {
                 // Routed: the L1D copy is definitely invalidated and the
                 // line definitely ends up in a writable way.
-                let posted = self.l15_must(cl, lane, addr)
-                    && self.clusters[cl].lanes[lane].own.get(&self.l15_set(addr)) == Some(&line);
-                let cycles = if posted {
-                    self.classify(core, Classification::Ah);
-                    self.cost.store_posted()
-                } else {
-                    self.classify(core, Classification::Nc);
-                    self.cost.store_routed_chain()
-                };
-                self.charge(core, cycles);
-                self.cores[core].must.remove(addr);
-                self.cores[core].may.remove(addr);
-                self.cores[core].may_dirty.remove(&line);
+                let posted = self.clusters[cl].must.routed_store(lane, addr);
+                self.tally(core, self.cost.routed(posted));
+                let c = &mut self.cores[core];
+                c.must.remove(addr);
+                c.may.remove(addr);
+                c.may_dirty.remove(&line);
                 self.clusters[cl].may.insert(addr);
-                let set = self.l15_set(addr);
-                let view = &mut self.clusters[cl].lanes[lane];
-                view.own.remove(&set);
-                view.own.insert(set, line);
             }
-            (true, Some(_)) => {
+            Some(false) => {
                 // No writable way: the conventional path plus the
                 // flush-and-share fallback.
-                self.store_conventional(cl, lane, core, addr);
+                self.access(cl, lane, core, addr, true);
                 self.flush_l1d(cl, lane, core);
             }
-            _ => {
+            None => {
                 // Routing statically unknown (unsettled cluster): charge
                 // the worst of both paths; keep only state facts common to
-                // both outcomes.
-                self.classify(core, Classification::Nc);
-                self.charge(core, self.cost.store_unknown());
-                // Conventional branch ends in a full flush; routed branch
-                // invalidates the line. Must-intersection: empty L1D.
-                // May-union: everything previously possible minus the
-                // produced line (flushed in one branch, invalidated in the
-                // other)… except lines the conventional fill could add.
-                self.cores[core].must.clear();
-                self.cores[core].may.remove(addr);
-                self.cores[core].may_dirty.remove(&line);
+                // both outcomes. The conventional branch ends in a full
+                // flush, the routed one invalidates the line: the L1D
+                // must-cache empties, and the produced line leaves the
+                // may-set (flushed in one branch, invalidated in the
+                // other).
+                self.tally(core, (Classification::Nc, self.cost.store_unknown()));
+                let c = &mut self.cores[core];
+                c.must.clear();
+                c.may.remove(addr);
+                c.may_dirty.remove(&line);
+                let st = &mut self.clusters[cl];
+                st.must.unknown_store(lane, addr);
                 // The flush branch may back-invalidate any dirty line.
-                let dirty: Vec<u64> = self.cores[core].may_dirty.iter().copied().collect();
-                for x in dirty {
-                    self.clusters[cl].published.remove(&x);
+                for &x in &c.may_dirty {
+                    st.must.back_invalidate(x);
                 }
-                self.clusters[cl].may.insert(addr);
+                st.may.insert(addr);
             }
         }
 
-        // gv_set(supply): every owned way becomes GV — own-view facts are
-        // promoted to published, and the writable count drops to zero.
-        if self.clusters[cl].settled {
-            let lines: Vec<u64> = self.clusters[cl].lanes[lane].own.values().copied().collect();
-            self.clusters[cl].published.extend(lines);
-            let view = &mut self.clusters[cl].lanes[lane];
-            view.own.clear();
-            if view.writable.is_some() {
-                view.writable = Some(0);
-            }
-        }
+        // gv_set(supply): every owned way becomes GV.
+        self.clusters[cl].must.publish(lane, |_| true);
     }
 
     fn run(&mut self, case: &FuzzCase) {
         let knobs = &case.knobs;
         let clusters = knobs.clusters;
+        let core_of = |cl: usize, lane: usize| cl * knobs.cores + lane;
 
         // Init: one demand per lane per cluster, then a settle long enough
         // to apply every initial grant (Σ init demands ≤ ways, all free).
-        for (lane, &d) in case.init_demand.iter().enumerate() {
+        for lane in 0..case.init_demand.len() {
             for cl in 0..clusters {
-                self.charge(cl * knobs.cores + lane, self.cost.ctrl);
-                self.clusters[cl].lanes[lane].writable = Some(d);
+                self.charge(core_of(cl, lane), self.cost.ctrl);
             }
+        }
+        for st in &mut self.clusters {
+            st.must.settle();
         }
 
         for &(lane, op) in &case.steps {
-            match op {
-                CoreOp::Load { slot } => {
-                    for cl in 0..clusters {
-                        let core = cl * knobs.cores + lane;
-                        self.load(cl, lane, core, knobs.private_addr(core, slot));
+            self.row += 1;
+            for cl in 0..clusters {
+                let core = core_of(cl, lane);
+                match op {
+                    CoreOp::Load { slot } => {
+                        self.access(cl, lane, core, knobs.private_addr(core, slot), false);
                     }
-                }
-                CoreOp::Store { slot, .. } => {
-                    for cl in 0..clusters {
-                        let core = cl * knobs.cores + lane;
-                        self.store_conventional(cl, lane, core, knobs.private_addr(core, slot));
+                    CoreOp::Store { slot, .. } => {
+                        self.access(cl, lane, core, knobs.private_addr(core, slot), true);
                     }
-                }
-                CoreOp::Consume { slot } => {
-                    for cl in 0..clusters {
-                        let core = cl * knobs.cores + lane;
-                        self.load(cl, lane, core, knobs.shared_addr_in(cl, slot));
+                    CoreOp::Consume { slot } => {
+                        self.access(cl, lane, core, knobs.shared_addr_in(cl, slot), false);
                     }
-                }
-                CoreOp::Produce { slot, .. } => {
-                    for cl in 0..clusters {
-                        let core = cl * knobs.cores + lane;
+                    CoreOp::Produce { slot, .. } => {
                         self.produce(cl, lane, core, knobs.shared_addr_in(cl, slot));
                     }
-                }
-                CoreOp::Reconfig { .. } => {
-                    // A mid-stream demand change may leave a Walloc backlog
-                    // whose revocations strike during any later advance —
-                    // permanently drop the cluster's L1.5 must-facts.
-                    for cl in 0..clusters {
-                        self.charge(cl * knobs.cores + lane, self.cost.ctrl);
-                        let st = &mut self.clusters[cl];
-                        st.settled = false;
-                        st.published.clear();
-                        for l in &mut st.lanes {
-                            l.own.clear();
-                            l.writable = None;
-                        }
+                    CoreOp::Reconfig { .. } => {
+                        self.charge(core, self.cost.ctrl);
+                        self.clusters[cl].must.reconfig();
                     }
+                    CoreOp::Advance { .. } => {}
                 }
-                CoreOp::Advance { .. } => {}
             }
         }
 
         // Epilogue: one release demand per core (flush_all and the final
         // settle are free on core clocks).
+        self.row += 1;
         for core in 0..knobs.total_cores() {
             self.charge(core, self.cost.ctrl);
         }
@@ -512,9 +355,7 @@ mod tests {
         let cfg = fuzz_cfg(&case);
         let analysis = analyze_case(&case, &cfg);
         let b = &analysis.per_core[0];
-        assert_eq!(b.am, 1, "first touch is an always-miss");
-        assert_eq!(b.ah, 2, "subsequent touches are always-hits");
-        assert_eq!(b.nc, 0);
+        assert_eq!(b.census, Census { ah: 2, am: 1, nc: 0 }, "first touch misses, the rest hit");
     }
 
     #[test]
@@ -529,7 +370,6 @@ mod tests {
         let analysis = analyze_case(&case, &cfg);
         let b = &analysis.per_core[0];
         // The second load still must-hits the (per-core, unrevocable) L1D.
-        assert_eq!(b.ah, 1);
-        assert_eq!(b.am, 1);
+        assert_eq!((b.census.ah, b.census.am), (1, 1));
     }
 }

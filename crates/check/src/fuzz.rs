@@ -11,8 +11,8 @@
 //!    derived from the case's clean contract (so an injected bug that
 //!    under-delivers control ops, publications or revocations is caught
 //!    even when timing hides the data effect), and on clean runs through
-//!    exact counter accounting and the soundness of the static bounds of
-//!    [`crate::absint::analyze_case`];
+//!    exact counter accounting and, step by step, the soundness of the
+//!    static charges of [`crate::absint::analyze_case`];
 //! 3. through **R6**, the Walloc model check, driven with a broken double
 //!    when that bug is injected.
 //!
@@ -87,9 +87,10 @@ pub struct FuzzVerdict {
     /// mismatches, then exact counter-accounting mismatches), in
     /// deterministic execution order.
     pub divergences: Vec<String>,
-    /// Soundness violations: per-core observed memory-system cycles that
-    /// exceeded the static bound of [`crate::absint::analyze_case`]
-    /// (clean runs only — an injected bug invalidates the bound's
+    /// Soundness violations: a step (or the init demands, or the
+    /// epilogue) whose observed memory-system cycles on some core exceeded
+    /// the charge of [`crate::absint::analyze_case`] for that step and
+    /// core (clean runs only — an injected bug invalidates the bound's
     /// protocol assumptions).
     pub soundness: Vec<String>,
     /// Findings from the conservation laws and R6, in canonical sorted
@@ -97,9 +98,9 @@ pub struct FuzzVerdict {
     pub findings: Vec<Finding>,
     /// The run's always-on counters.
     pub counters: TraceCounters,
-    /// Concrete memory-system cycles charged per global core — the value
-    /// the soundness verdict compares against the static bounds. Exposed
-    /// so corpus tests can also assert *precision* (bound / observed).
+    /// Concrete memory-system cycles charged per global core over the
+    /// whole run. Exposed so corpus tests can also assert *precision*
+    /// (bound / observed).
     pub observed_cycles: Vec<u64>,
 }
 
@@ -184,9 +185,27 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
     for (core, &tid) in tids.iter().enumerate() {
         u.set_tid(core, tid).expect("core in range");
     }
-    // Per-core observed memory-system cycles — compared against the
-    // static bounds of `absint::analyze_case` on clean runs.
+    // Per-core observed memory-system cycles. On clean runs every phase
+    // (init, each step, epilogue) is judged against the per-step charges
+    // of `absint::analyze_case`, core for core, which implies the per-core
+    // totals.
     let mut observed = vec![0u64; knobs.total_cores()];
+    let analysis = bug.is_none().then(|| crate::absint::analyze_case(case, u.config()));
+    let mut soundness = Vec::new();
+    let mut judged = observed.clone();
+    let mut judge = |row: usize, phase: &dyn fmt::Display, observed: &[u64]| {
+        let Some(analysis) = &analysis else { return };
+        for (core, (&now, before)) in observed.iter().zip(&mut judged).enumerate() {
+            let (seen, charged) = (now - *before, analysis.charge(row, core));
+            if seen > charged {
+                soundness.push(format!(
+                    "{phase} core {core}: observed {seen} memory-system cycles exceed the \
+                     static charge {charged}"
+                ));
+            }
+            *before = now;
+        }
+    };
     for (lane, &d) in case.init_demand.iter().enumerate() {
         for cl in 0..clusters {
             let core = cl * knobs.cores + lane;
@@ -194,39 +213,31 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
         }
     }
     u.advance(settle_budget(knobs));
+    judge(0, &"init", &observed);
 
     let mut oracle = SeqOracle::new();
     let mut divergences = Vec::new();
 
     for (step, &(lane, op)) in case.steps.iter().enumerate() {
-        match op {
-            CoreOp::Load { slot } => {
-                for cl in 0..clusters {
-                    let core = cl * knobs.cores + lane;
+        for cl in 0..clusters {
+            let core = cl * knobs.cores + lane;
+            match op {
+                CoreOp::Load { slot } => {
                     let addr = knobs.private_addr(core, slot);
                     observed[core] +=
                         check_load(&mut u, &oracle, core, addr, step, &mut divergences);
                 }
-            }
-            CoreOp::Store { slot, value } => {
-                for cl in 0..clusters {
-                    let core = cl * knobs.cores + lane;
+                CoreOp::Store { slot, value } => {
                     let addr = knobs.private_addr(core, slot);
                     observed[core] += u64::from(u.store(core, addr as u32, addr as u32, 4, value));
                     oracle.write_u32(addr, value, core, step);
                 }
-            }
-            CoreOp::Consume { slot } => {
-                for cl in 0..clusters {
-                    let core = cl * knobs.cores + lane;
+                CoreOp::Consume { slot } => {
                     let addr = knobs.shared_addr_in(cl, slot);
                     observed[core] +=
                         check_load(&mut u, &oracle, core, addr, step, &mut divergences);
                 }
-            }
-            CoreOp::Produce { slot, value } => {
-                for cl in 0..clusters {
-                    let core = cl * knobs.cores + lane;
+                CoreOp::Produce { slot, value } => {
                     let addr = knobs.shared_addr_in(cl, slot);
                     // Injections stay on cluster 0; the other clusters
                     // run the clean protocol as the control group.
@@ -255,17 +266,17 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
                     }
                     oracle.write_u32(addr, value, core, step);
                 }
-            }
-            CoreOp::Reconfig { ways, settle } => {
-                for cl in 0..clusters {
-                    let core = cl * knobs.cores + lane;
+                CoreOp::Reconfig { ways, .. } => {
                     observed[core] +=
                         u64::from(u.l15_ctrl(core, L15Op::Demand, ways as u32).cycles);
                 }
-                u.advance(settle);
+                CoreOp::Advance { .. } => {}
             }
-            CoreOp::Advance { cycles } => u.advance(cycles),
         }
+        if let CoreOp::Reconfig { settle: cycles, .. } | CoreOp::Advance { cycles } = op {
+            u.advance(cycles);
+        }
+        judge(step + 1, &format_args!("step {step} ({op:?})"), &observed);
     }
 
     // Epilogue: return every way (modulo the R2 injection, which keeps
@@ -278,6 +289,7 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
         }
         *obs += u64::from(u.l15_ctrl(core, L15Op::Demand, 0).cycles);
     }
+    judge(case.steps.len() + 1, &"epilogue", &observed);
     u.advance(settle_budget(knobs));
     u.flush_all();
 
@@ -288,21 +300,8 @@ pub fn check_case_with(case: &FuzzCase, bug: Option<FuzzBug>) -> FuzzVerdict {
     }
 
     let counters = *u.trace().counters();
-    let mut soundness = Vec::new();
     if bug.is_none() {
         divergences.extend(exact_accounting(case, &counters));
-        // Soundness: the static per-core bounds of the abstract
-        // interpretation must cover the concrete cycles, core for core.
-        let analysis = crate::absint::analyze_case(case, u.config());
-        for b in &analysis.per_core {
-            if observed[b.core] > b.bound_cycles {
-                soundness.push(format!(
-                    "core {}: observed {} memory-system cycles exceed the \
-                     static bound {} (ah {}, am {}, nc {})",
-                    b.core, observed[b.core], b.bound_cycles, b.ah, b.am, b.nc
-                ));
-            }
-        }
     }
 
     let mut findings = check_counters(&counters, &expectation_of(case));

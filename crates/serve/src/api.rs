@@ -543,7 +543,7 @@ fn certify(req: &Request, limits: &Limits) -> Result<Response, Response> {
                 u64::MAX => b.raw("bound_cycles", "null"),
                 c => b.int("bound_cycles", c),
             };
-            b.int("ah", nb.ah).int("am", nb.am).int("nc", nb.nc);
+            b.int("ah", nb.census.ah).int("am", nb.census.am).int("nc", nb.census.nc);
             b.bool("routed", nb.routed_justified);
             match slack.get(i) {
                 Some(&s) => b.num("slack_cycles", s),

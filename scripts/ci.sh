@@ -95,7 +95,8 @@ callers=$(src_of crates/*/src | grep 'run_ahead(' | grep -v 'fn run_ahead(' \
 touches=$(src_of crates/*/src | grep -E '(apply|touch)_posted\(' \
     | grep -vE 'fn (apply|touch)_posted\(' | sort || true)
 sites=$(echo "$touches" | sed -E 's/^([^:]*): .*((apply|touch)_posted)\(.*/\1 \2/')
-want=$'crates/soc/src/soc.rs apply_posted\ncrates/soc/src/uncore.rs touch_posted'
+want='crates/soc/src/soc.rs apply_posted
+crates/soc/src/uncore.rs touch_posted'
 [ "$sites" = "$want" ] || {
     echo "posted touches must be applied by one apply_posted( call in soc.rs, through one"
     echo "touch_posted( call in uncore.rs; found:"
@@ -125,6 +126,17 @@ if grep -rn "emit_kernel_streams\|hb_schedule\|EmitOptions\|build_streams\|check
     exit 1
 fi
 echo "no protocol model beside the recorded run"
+
+echo "==> one abstract L1.5 semantics gate (absint::domain::L15Must owns the L1.5 must-state)"
+# The fuzz-stream analysis and the DAG certifier step the same L1.5
+# transfers; an own-view map or a published set declared beside them would
+# be a second copy that the soundness sweep no longer attacks.
+if grep -nE 'BTreeMap<usize, u64>|published[^(]*BTreeSet' \
+    crates/check/src/absint/stream.rs crates/check/src/absint/node.rs; then
+    echo "L1.5 must-state declared outside absint/domain.rs (named above)"
+    exit 1
+fi
+echo "one L1.5 must-state, in absint/domain.rs"
 
 echo "==> sweep determinism (fig7 --quick, L15_JOBS=1 vs 4)"
 seq_out=$(mktemp)
@@ -272,8 +284,9 @@ rm -f "$ab_seq" "$ab_par"
 echo "l15 absint bounds are sound and byte-identical across worker counts"
 
 echo "==> soundness sweep (l15 fuzz, 200 fresh seeded cases)"
-# Every generated case also checks the fourth (soundness) verdict:
-# observed memory-system cycles never exceed the static per-core bound.
+# Every generated case also checks the fourth (soundness) verdict, per
+# step: no step's observed memory-system cycles on any core exceed the
+# static analysis' charge for that step and core.
 # A violation prints a shrunk L15_PROP_SEED replay and fails the gate.
 sw_out=$(mktemp)
 "$l15" fuzz run --quick --cases 200 --seed 7 > "$sw_out"

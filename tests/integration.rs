@@ -254,3 +254,39 @@ fn running_ahead_reports_what_single_stepping_does() {
         "no lane whose demand a reclaim cancelled ran ahead"
     );
 }
+
+#[test]
+fn both_absint_front_ends_cover_what_the_engine_observes() {
+    use l15::check::certify_task;
+    use l15::check::fuzz::{case_from_seed, check_case};
+    use l15::dag::topology::{fork_join, UniformPayload};
+    use l15::runtime::kernel::preset_plan;
+    use l15::testkit::fuzz::FuzzKnobs;
+
+    // Fuzz cases: every step's observed cycles within the stream charge.
+    for seed in 1..=4 {
+        let verdict = check_case(&case_from_seed(&FuzzKnobs::quick(), seed));
+        assert!(verdict.soundness.is_empty(), "seed {seed}: {}", verdict.headline());
+    }
+
+    // The DAG certifier on a fullstack-shaped fork-join, proposed and legacy.
+    let p = UniformPayload { wcet: 1.0, data_bytes: 2048, edge_cost: 1.0, alpha: 0.6 };
+    let task = DagTask::new(fork_join(3, p).unwrap(), 1e9, 1e9).unwrap();
+    let scale = WorkScale { compute_iters: 4 };
+    for preset in ["proposed_8core", "cmp_l2_8core"] {
+        let cfg = SocConfig::preset(preset).unwrap();
+        let (plan, kcfg) = preset_plan(&task, &cfg, scale, KernelConfig::default().max_cycles);
+        let report = certify_task(&task, &plan, &cfg, scale);
+        assert!(report.certified(), "{preset}: {:?}", report.findings);
+        let run = run_task(&mut Soc::new(cfg, 0), &task, &plan, &kcfg).unwrap();
+        for nb in &report.node_bounds {
+            let observed = run.node_finish[nb.node] - run.node_start[nb.node];
+            assert!(
+                observed <= nb.bound_cycles,
+                "{preset} node {}: {observed} > {}",
+                nb.node,
+                nb.bound_cycles
+            );
+        }
+    }
+}
